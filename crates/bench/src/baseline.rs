@@ -17,6 +17,7 @@
 //! behind a coarse band).
 
 use crate::experiments::{cpu_reference, inaccuracy, run_algo, Algo};
+use crate::gate::{Cell, GateReport};
 use crate::suite::{Suite, SuiteOptions};
 use graffix_algos::{bfs, pagerank, sssp, Direction, Plan};
 use graffix_baselines::Baseline;
@@ -92,9 +93,9 @@ pub struct CellMeasurement {
 /// One preprocess-time cell: wall seconds to run the transform for
 /// (`graph`, `technique`) from scratch — no in-process memoization, no
 /// on-disk cache. Wall-clock is inherently noisy, so the gate judges these
-/// with a coarse tolerance (see `GateOptions::rel_tol_preprocess`): the
-/// cells catch order-of-magnitude preprocessing regressions, not
-/// microsecond jitter.
+/// with a coarse tolerance (the `preprocess_seconds` policy): the cells
+/// catch order-of-magnitude preprocessing regressions, not microsecond
+/// jitter.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PreprocessMeasurement {
     /// Paper graph name (`rmat26`, `USA-road`, ...).
@@ -122,9 +123,8 @@ pub const LARGE_ALGOS: [&str; 2] = ["bfs", "pr"];
 /// One large-graph cell: a segmented run on a 2^20-scale rmat graph.
 /// These cells exist to keep the out-of-core path honest at a scale the
 /// regular corpus never reaches; their cycles are deterministic but the
-/// gate judges them behind a coarse band (see
-/// `GateOptions::rel_tol_large`) so routine pricing tweaks don't force a
-/// baseline refresh.
+/// gate judges them behind a coarse band (the `large_cycles` policy) so
+/// routine pricing tweaks don't force a baseline refresh.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LargeCellMeasurement {
     /// Paper graph name (always `rmat26` today).
@@ -397,6 +397,32 @@ impl BenchBaseline {
         self.cells.iter().find(|c| c.key.id() == id)
     }
 
+    /// Everything the gate judges, flattened: `cycles` and `inaccuracy`
+    /// per corpus cell, then the preprocess seconds, then the large cells.
+    pub fn gate_cells(&self) -> Vec<Cell> {
+        let mut out = Vec::new();
+        for c in &self.cells {
+            out.push(Cell {
+                stddev: c.cycles_stddev,
+                ..Cell::new(c.key.id(), "cycles", c.elapsed_cycles as f64)
+            });
+            out.push(Cell::new(c.key.id(), "inaccuracy", c.inaccuracy));
+        }
+        for p in &self.preprocess {
+            out.push(Cell {
+                stddev: p.seconds_stddev,
+                ..Cell::new(p.id(), "preprocess_seconds", p.seconds_mean)
+            });
+        }
+        for c in &self.large {
+            out.push(Cell {
+                note: format!("{} segments, {:.1}s wall", c.segments, c.wall_seconds),
+                ..Cell::new(c.id(), "large_cycles", c.elapsed_cycles as f64)
+            });
+        }
+        out
+    }
+
     /// Serializes to the `graffix.bench-baseline` document.
     pub fn to_json(&self) -> Json {
         let mut root = Json::obj();
@@ -550,6 +576,21 @@ impl BenchBaseline {
     pub fn parse(text: &str) -> Result<BenchBaseline, String> {
         BenchBaseline::from_json(&Json::parse(text)?)
     }
+}
+
+/// Re-measures the corpus pinned by `baseline`'s fingerprint on `suite`
+/// (built from [`Fingerprint::suite_options`], optionally with the on-disk
+/// prepared-graph cache for the algorithm cells; preprocess cells always
+/// re-transform from scratch) and gates it.
+pub fn run_gate(baseline: &BenchBaseline, suite: &Suite) -> GateReport {
+    let mut current = BenchBaseline::capture(suite, baseline.fingerprint.repeats);
+    // Large cells share one (nodes, segment_bytes) configuration per
+    // baseline; the generator seed comes from the fingerprint so the
+    // re-measured graph is the recorded one.
+    if let Some(c) = baseline.large.first() {
+        current.large = measure_large(c.nodes, baseline.fingerprint.seed, c.segment_bytes);
+    }
+    GateReport::evaluate("bench", &baseline.gate_cells(), &current.gate_cells())
 }
 
 fn str_field(doc: &Json, key: &str) -> Result<String, String> {

@@ -1,328 +1,307 @@
-//! The noise-aware regression gate: compare a fresh corpus measurement
-//! against a committed [`BenchBaseline`] and fail loudly on perf
-//! regressions or accuracy drift.
+//! The one regression gate. Every bench suite — the deterministic corpus
+//! ([`crate::baseline`]), serving, streaming, segmented — measures,
+//! flattens its result into [`Cell`]s and hands them to
+//! [`GateReport::evaluate`]; this module alone judges, renders and
+//! serialises them.
 //!
-//! For each gated metric the allowance is
-//! `max(rel_tol · base, sigma_k · stddev, abs_floor)` — a relative band
-//! for healthy signals, a sigma band when the baseline recorded noise,
-//! and an absolute floor so near-zero baselines (exact cells have ~0
-//! inaccuracy) don't produce hair-trigger thresholds. A cell regresses
-//! when its current value exceeds `base + allowance`; it improves when it
-//! drops below `base − allowance`. Improvements and regressions are both
-//! reported, but only regressions (and missing cells) fail the gate.
+//! A cell is one number under one metric name, and each metric has exactly
+//! one [`Policy`] in [`POLICIES`] — the table that holds every threshold of
+//! every gate. Regressions and missing cells fail a gate; improvements and
+//! new cells are reported but pass.
 //!
-//! Output is a human diff table plus a machine-readable
-//! `graffix.gate-report` v1 document.
+//! Output is one human table plus a machine-readable `graffix.gate-report`
+//! v2 document (flat `cells`, one entry per verdict).
 
-use crate::baseline::{
-    BenchBaseline, CellMeasurement, LargeCellMeasurement, PreprocessMeasurement,
-};
-use crate::suite::Suite;
 use crate::tables::TextTable;
 use graffix_sim::Json;
 
 /// Schema identifier for gate reports.
 pub const GATE_SCHEMA: &str = "graffix.gate-report";
 /// Gate report schema version.
-pub const GATE_VERSION: u64 = 1;
+pub const GATE_VERSION: u64 = 2;
 
-/// Gate thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct GateOptions {
-    /// Relative tolerance on each gated metric (0.05 = 5%).
-    pub rel_tol: f64,
-    /// Sigma multiplier on the baseline's recorded noise envelope.
-    pub sigma_k: f64,
-    /// Absolute cycle allowance floor (launch-overhead granularity).
-    pub abs_floor_cycles: f64,
-    /// Absolute inaccuracy allowance floor (guards exact cells whose
-    /// baseline inaccuracy is ~0).
-    pub abs_floor_inaccuracy: f64,
-    /// Relative tolerance on preprocess wall seconds. Deliberately coarse
-    /// (0.5 = +50%): wall clocks are noisy across machines and loads, so
-    /// these cells only catch order-of-magnitude preprocessing blowups.
-    pub rel_tol_preprocess: f64,
-    /// Absolute preprocess allowance floor in seconds, so microsecond-scale
-    /// transforms on tiny CI corpora never produce hair-trigger thresholds.
-    pub abs_floor_preprocess_seconds: f64,
-    /// The preprocess floor scales with the baseline: the effective floor
-    /// is `max(abs_floor_preprocess_seconds, preprocess_floor_frac · base)`.
-    /// A fixed 0.05 s floor sized for microsecond CI transforms is far too
-    /// tight for multi-second 2^20-node cells — scheduler jitter alone
-    /// exceeds it — so large cells get a floor proportional to their own
-    /// magnitude instead of flapping on noise.
-    pub preprocess_floor_frac: f64,
-    /// Coarse relative tolerance on the large-graph cells' cycles. These
-    /// cells exist to catch out-of-core path collapses, not to pin pricing
-    /// to the cycle: a wide band means routine cost-model tweaks don't
-    /// force a 2^20 baseline refresh.
-    pub rel_tol_large: f64,
-    /// Absolute cycle allowance floor for large cells.
-    pub abs_floor_large_cycles: f64,
+/// One measured number, as a suite hands it to the gate.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Cell {
+    /// Stable cell id (`rmat26/exact/lonestar/sssp/push`, `hot-pool/bfs`, ...).
+    pub id: String,
+    /// Key into [`POLICIES`].
+    pub metric: &'static str,
+    pub value: f64,
+    /// Recorded noise envelope of `value` (0 when not measured).
+    pub stddev: f64,
+    /// Free-form context shown beside the verdict; never judged.
+    pub note: String,
 }
 
-impl Default for GateOptions {
-    fn default() -> Self {
-        GateOptions {
-            rel_tol: 0.05,
-            sigma_k: 3.0,
-            abs_floor_cycles: 500.0,
-            abs_floor_inaccuracy: 1e-6,
-            rel_tol_preprocess: 0.5,
-            abs_floor_preprocess_seconds: 0.05,
-            preprocess_floor_frac: 0.1,
-            rel_tol_large: 0.25,
-            abs_floor_large_cycles: 1e6,
+impl Cell {
+    /// A cell with no recorded noise and no note.
+    pub fn new(id: impl Into<String>, metric: &'static str, value: f64) -> Cell {
+        Cell {
+            id: id.into(),
+            metric,
+            value,
+            stddev: 0.0,
+            note: String::new(),
         }
     }
-}
 
-impl GateOptions {
-    /// The allowance band around a baseline value.
-    fn allowance(&self, base: f64, stddev: f64, abs_floor: f64) -> f64 {
-        (self.rel_tol * base.abs())
-            .max(self.sigma_k * stddev)
-            .max(abs_floor)
+    /// A boolean cell for [`Policy::Identity`]: 1 when `holds`, else 0.
+    pub fn flag(id: impl Into<String>, metric: &'static str, holds: bool) -> Cell {
+        Cell::new(id, metric, f64::from(u8::from(holds)))
     }
 }
 
-/// Verdict for one cell.
+/// How one metric is judged.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Policy {
+    /// Noise-aware band around the baseline: the allowance is
+    /// `max(rel · |base|, SIGMA_K · stddev, floor)` — relative for healthy
+    /// signals, sigma when the baseline recorded noise, absolute so
+    /// near-zero baselines don't produce hair-trigger thresholds. Above
+    /// `base + allowance` regresses, below `base − allowance` improves.
+    Band { rel: f64, floor: f64 },
+    /// Coarse wall-clock band that only catches collapses. Lower-is-better
+    /// metrics regress above `base · factor + floor`; higher-is-better ones
+    /// below `base / factor`, and only when the drop also exceeds `floor`.
+    Ratio {
+        factor: f64,
+        floor: f64,
+        higher_is_better: bool,
+    },
+    /// Baseline-free: the value must reach this floor. For ratios whose two
+    /// sides are measured back to back, so no machine-specific number exists.
+    Floor(f64),
+    /// Baseline-free: the value must be exactly 1 (a boolean identity).
+    Identity,
+}
+
+/// Sigma multiplier on a baseline's recorded noise envelope ([`Policy::Band`]).
+pub const SIGMA_K: f64 = 3.0;
+
+/// Metric → (policy, label a regression carries). Every gate threshold
+/// lives here and nowhere else.
+#[rustfmt::skip]
+pub const POLICIES: [(&str, Policy, &str); 10] = [
+    // Deterministic simulator metrics: 5 % band; floors at launch-overhead
+    // granularity and at ~0 inaccuracy for exact cells.
+    ("cycles",             Policy::Band { rel: 0.05, floor: 500.0 }, "perf-regression"),
+    ("inaccuracy",         Policy::Band { rel: 0.05, floor: 1e-6 },  "accuracy-drift"),
+    // Wall seconds of a fresh transform: only order-of-magnitude blowups.
+    ("preprocess_seconds", Policy::Band { rel: 0.5, floor: 0.05 },   "perf-regression"),
+    // Segmented 2^20 cells: wide, so pricing tweaks don't force a refresh.
+    ("large_cycles",       Policy::Band { rel: 0.25, floor: 1e6 },   "perf-regression"),
+    // Serving, through a real socket: 3× bands.
+    ("p99_ms", Policy::Ratio { factor: 3.0, floor: 10.0, higher_is_better: false }, "latency-regression"),
+    ("rps",    Policy::Ratio { factor: 3.0, floor: 50.0, higher_is_better: true },  "throughput-regression"),
+    // Streaming: stale-regime incremental vs full re-prepare, exact-regime identity.
+    ("speedup",         Policy::Floor(10.0), "below-floor"),
+    ("exact_identical", Policy::Identity,    "diverged"),
+    // Segmented vs flat: bit-identical values, ≥ 5 % fewer simulated cycles.
+    ("win",       Policy::Floor(0.05), "below-floor"),
+    ("identical", Policy::Identity,    "diverged"),
+];
+
+fn policy_of(metric: &str) -> (Policy, &'static str) {
+    let row = POLICIES.iter().find(|(m, ..)| *m == metric);
+    let (_, policy, label) = row.unwrap_or_else(|| panic!("no gate policy for metric `{metric}`"));
+    (*policy, label)
+}
+
+/// Outcome of one cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CellStatus {
-    /// Within the allowance band on both metrics.
+pub enum Status {
     Ok,
-    /// At least one metric improved beyond the band (and none regressed).
+    /// Beyond the band in the good direction.
     Improved,
-    /// Current cycles exceed baseline + allowance.
-    PerfRegression,
-    /// Current inaccuracy exceeds baseline + allowance.
-    AccuracyDrift,
-    /// Cell present in the baseline but not measured now.
+    /// Failed its policy; carries the metric's label from [`POLICIES`].
+    Regressed(&'static str),
+    /// In the baseline but not measured now.
     Missing,
-    /// Cell measured now but absent from the baseline (not a failure —
-    /// save a new baseline to start tracking it).
+    /// Measured now but absent from the baseline (not a failure — save a
+    /// new baseline to start tracking it).
     New,
 }
 
-impl CellStatus {
+impl Status {
     /// Stable serialization label.
     pub fn label(self) -> &'static str {
         match self {
-            CellStatus::Ok => "ok",
-            CellStatus::Improved => "improved",
-            CellStatus::PerfRegression => "perf-regression",
-            CellStatus::AccuracyDrift => "accuracy-drift",
-            CellStatus::Missing => "missing",
-            CellStatus::New => "new",
+            Status::Ok => "ok",
+            Status::Improved => "improved",
+            Status::Regressed(label) => label,
+            Status::Missing => "missing",
+            Status::New => "new",
         }
     }
 
     /// Does this status fail the gate?
     pub fn is_failure(self) -> bool {
-        matches!(
-            self,
-            CellStatus::PerfRegression | CellStatus::AccuracyDrift | CellStatus::Missing
-        )
+        matches!(self, Status::Regressed(_) | Status::Missing)
     }
 }
 
-/// One gate comparison row.
+/// One judged cell.
 #[derive(Clone, Debug)]
-pub struct CellVerdict {
+pub struct Verdict {
     pub id: String,
-    pub status: CellStatus,
-    pub base_cycles: u64,
-    pub cur_cycles: u64,
-    pub cycles_allowance: f64,
-    pub base_inaccuracy: f64,
-    pub cur_inaccuracy: f64,
-    pub inaccuracy_allowance: f64,
+    pub metric: &'static str,
+    pub status: Status,
+    pub base: Option<f64>,
+    pub current: Option<f64>,
+    /// The band allowance ([`Policy::Band`]) or the threshold the value was
+    /// held to (every other policy); 0 for missing and new cells.
+    pub bound: f64,
+    pub note: String,
 }
 
-/// One preprocess-time comparison row. Statuses reuse [`CellStatus`]
-/// (inaccuracy never applies, so `AccuracyDrift` cannot occur here).
-#[derive(Clone, Debug)]
-pub struct PreprocessVerdict {
-    pub id: String,
-    pub status: CellStatus,
-    pub base_seconds: f64,
-    pub cur_seconds: f64,
-    pub allowance: f64,
+/// Judges `cur` against its baseline cell, if any.
+fn judge(base: Option<&Cell>, cur: &Cell) -> Verdict {
+    let (policy, label) = policy_of(cur.metric);
+    let worse = |bad: bool| {
+        if bad {
+            Status::Regressed(label)
+        } else {
+            Status::Ok
+        }
+    };
+    let (bound, status) = match (policy, base) {
+        (Policy::Floor(floor), _) => (floor, worse(cur.value < floor)),
+        (Policy::Identity, _) => (1.0, worse(cur.value != 1.0)),
+        (_, None) => (0.0, Status::New),
+        (Policy::Band { rel, floor }, Some(b)) => {
+            let allowance = (rel * b.value.abs()).max(SIGMA_K * b.stddev).max(floor);
+            let delta = cur.value - b.value;
+            let status = if delta > allowance {
+                Status::Regressed(label)
+            } else if delta < -allowance {
+                Status::Improved
+            } else {
+                Status::Ok
+            };
+            (allowance, status)
+        }
+        (
+            Policy::Ratio {
+                factor,
+                floor,
+                higher_is_better: false,
+            },
+            Some(b),
+        ) => {
+            let bound = b.value * factor + floor;
+            (bound, worse(cur.value > bound))
+        }
+        (
+            Policy::Ratio {
+                factor,
+                floor,
+                higher_is_better: true,
+            },
+            Some(b),
+        ) => {
+            let bound = (b.value / factor).min(b.value - floor);
+            (bound, worse(cur.value < bound))
+        }
+    };
+    Verdict {
+        id: cur.id.clone(),
+        metric: cur.metric,
+        status,
+        base: base.map(|b| b.value),
+        current: Some(cur.value),
+        bound,
+        note: cur.note.clone(),
+    }
 }
 
-/// One large-graph comparison row. Statuses reuse [`CellStatus`]
-/// (inaccuracy never applies here either).
-#[derive(Clone, Debug)]
-pub struct LargeVerdict {
-    pub id: String,
-    pub status: CellStatus,
-    pub base_cycles: u64,
-    pub cur_cycles: u64,
-    pub allowance: f64,
-}
-
-/// The whole gate outcome.
+/// The outcome of one gate run.
 #[derive(Clone, Debug)]
 pub struct GateReport {
-    pub options: GateOptions,
-    pub verdicts: Vec<CellVerdict>,
-    pub preprocess: Vec<PreprocessVerdict>,
-    pub large: Vec<LargeVerdict>,
+    /// Which suite was gated (`bench`, `serve`, `stream`, `segment`).
+    pub gate: &'static str,
+    pub verdicts: Vec<Verdict>,
 }
 
 impl GateReport {
-    /// Cells that fail the gate, in order.
-    pub fn failures(&self) -> Vec<&CellVerdict> {
+    /// Judges `current` against `baseline`, matching cells on (id, metric).
+    /// Order follows the baseline; cells without a baseline entry follow —
+    /// judged alone under a baseline-free policy, `new` otherwise.
+    pub fn evaluate(gate: &'static str, baseline: &[Cell], current: &[Cell]) -> GateReport {
+        let same = |a: &Cell, b: &Cell| a.id == b.id && a.metric == b.metric;
+        let mut verdicts = Vec::with_capacity(current.len());
+        for base in baseline {
+            verdicts.push(match current.iter().find(|c| same(c, base)) {
+                Some(cur) => judge(Some(base), cur),
+                None => Verdict {
+                    id: base.id.clone(),
+                    metric: base.metric,
+                    status: Status::Missing,
+                    base: Some(base.value),
+                    current: None,
+                    bound: 0.0,
+                    note: base.note.clone(),
+                },
+            });
+        }
+        for cur in current {
+            if !baseline.iter().any(|b| same(b, cur)) {
+                verdicts.push(judge(None, cur));
+            }
+        }
+        GateReport { gate, verdicts }
+    }
+
+    /// Verdicts that fail the gate, in order.
+    pub fn failures(&self) -> Vec<&Verdict> {
         self.verdicts
             .iter()
             .filter(|v| v.status.is_failure())
             .collect()
     }
 
-    /// Preprocess-time cells that fail the gate, in order.
-    pub fn preprocess_failures(&self) -> Vec<&PreprocessVerdict> {
-        self.preprocess
-            .iter()
-            .filter(|v| v.status.is_failure())
-            .collect()
-    }
-
-    /// Large-graph cells that fail the gate, in order.
-    pub fn large_failures(&self) -> Vec<&LargeVerdict> {
-        self.large
-            .iter()
-            .filter(|v| v.status.is_failure())
-            .collect()
-    }
-
-    /// True when nothing regressed, drifted, or went missing — on the
-    /// algorithm cells, the preprocess-time cells, and the large-graph
-    /// cells.
+    /// True when nothing regressed or went missing.
     pub fn passed(&self) -> bool {
         self.failures().is_empty()
-            && self.preprocess_failures().is_empty()
-            && self.large_failures().is_empty()
     }
 
-    /// Count of verdicts with the given status.
-    pub fn count(&self, status: CellStatus) -> usize {
+    fn count(&self, status: Status) -> usize {
         self.verdicts.iter().filter(|v| v.status == status).count()
     }
 
-    /// The human-facing diff table: one row per cell that is not plain
-    /// `Ok` (an unchanged tree produces an empty table), plus a summary
-    /// row section via [`TextTable::render`].
-    pub fn diff_table(&self) -> TextTable {
+    /// The human table: one row per verdict, except `ok` cells whose value
+    /// did not move off the baseline at all — the deterministic metrics on
+    /// an unchanged tree — which only count in the title.
+    pub fn table(&self) -> TextTable {
         let mut t = TextTable::new(
             format!(
-                "Regression gate: {} cells — {} ok, {} improved, {} failed",
+                "{} gate: {} cells — {} ok, {} improved, {} failed",
+                self.gate,
                 self.verdicts.len(),
-                self.count(CellStatus::Ok),
-                self.count(CellStatus::Improved),
+                self.count(Status::Ok),
+                self.count(Status::Improved),
                 self.failures().len()
             ),
-            &[
-                "Cell",
-                "Status",
-                "Cycles (base)",
-                "Cycles (now)",
-                "Inaccuracy (base)",
-                "Inaccuracy (now)",
-            ],
+            &["Cell", "Metric", "Status", "Base", "Now", "Bound", "Note"],
         );
+        let num = |v: Option<f64>| match v {
+            None => "-".to_string(),
+            Some(v) if v.fract() == 0.0 && v.abs() < 1e15 => format!("{v:.0}"),
+            Some(v) if v.abs() >= 1e-3 => format!("{v:.4}"),
+            Some(v) => format!("{v:.3e}"),
+        };
         for v in &self.verdicts {
-            if v.status == CellStatus::Ok {
+            if v.status == Status::Ok && v.current == v.base {
                 continue;
             }
             t.row(vec![
                 v.id.clone(),
+                v.metric.to_string(),
                 v.status.label().to_string(),
-                v.base_cycles.to_string(),
-                v.cur_cycles.to_string(),
-                format!("{:.3e}", v.base_inaccuracy),
-                format!("{:.3e}", v.cur_inaccuracy),
-            ]);
-        }
-        t
-    }
-
-    /// The preprocess-time diff table: one row per non-`Ok` preprocess
-    /// cell, same shape as [`GateReport::diff_table`].
-    pub fn preprocess_table(&self) -> TextTable {
-        let failed = self.preprocess_failures().len();
-        let mut t = TextTable::new(
-            format!(
-                "Preprocess gate: {} cells — {} ok, {} improved, {} failed",
-                self.preprocess.len(),
-                self.preprocess
-                    .iter()
-                    .filter(|v| v.status == CellStatus::Ok)
-                    .count(),
-                self.preprocess
-                    .iter()
-                    .filter(|v| v.status == CellStatus::Improved)
-                    .count(),
-                failed
-            ),
-            &[
-                "Cell",
-                "Status",
-                "Seconds (base)",
-                "Seconds (now)",
-                "Allowance",
-            ],
-        );
-        for v in &self.preprocess {
-            if v.status == CellStatus::Ok {
-                continue;
-            }
-            t.row(vec![
-                v.id.clone(),
-                v.status.label().to_string(),
-                format!("{:.4}", v.base_seconds),
-                format!("{:.4}", v.cur_seconds),
-                format!("{:.4}", v.allowance),
-            ]);
-        }
-        t
-    }
-
-    /// The large-cell diff table: one row per non-`Ok` large cell, same
-    /// shape as [`GateReport::diff_table`].
-    pub fn large_table(&self) -> TextTable {
-        let failed = self.large_failures().len();
-        let mut t = TextTable::new(
-            format!(
-                "Large-graph gate: {} cells — {} ok, {} improved, {} failed",
-                self.large.len(),
-                self.large
-                    .iter()
-                    .filter(|v| v.status == CellStatus::Ok)
-                    .count(),
-                self.large
-                    .iter()
-                    .filter(|v| v.status == CellStatus::Improved)
-                    .count(),
-                failed
-            ),
-            &[
-                "Cell",
-                "Status",
-                "Cycles (base)",
-                "Cycles (now)",
-                "Allowance",
-            ],
-        );
-        for v in &self.large {
-            if v.status == CellStatus::Ok {
-                continue;
-            }
-            t.row(vec![
-                v.id.clone(),
-                v.status.label().to_string(),
-                v.base_cycles.to_string(),
-                v.cur_cycles.to_string(),
-                format!("{:.3e}", v.allowance),
+                num(v.base),
+                num(v.current),
+                num(Some(v.bound)),
+                v.note.clone(),
             ]);
         }
         t
@@ -333,44 +312,13 @@ impl GateReport {
         let mut root = Json::obj();
         root.set("schema", Json::Str(GATE_SCHEMA.to_string()));
         root.set("version", Json::U64(GATE_VERSION));
-        let mut opts = Json::obj();
-        opts.set("rel_tol", Json::F64(self.options.rel_tol));
-        opts.set("sigma_k", Json::F64(self.options.sigma_k));
-        opts.set("abs_floor_cycles", Json::F64(self.options.abs_floor_cycles));
-        opts.set(
-            "abs_floor_inaccuracy",
-            Json::F64(self.options.abs_floor_inaccuracy),
-        );
-        opts.set(
-            "rel_tol_preprocess",
-            Json::F64(self.options.rel_tol_preprocess),
-        );
-        opts.set(
-            "abs_floor_preprocess_seconds",
-            Json::F64(self.options.abs_floor_preprocess_seconds),
-        );
-        opts.set(
-            "preprocess_floor_frac",
-            Json::F64(self.options.preprocess_floor_frac),
-        );
-        opts.set("rel_tol_large", Json::F64(self.options.rel_tol_large));
-        opts.set(
-            "abs_floor_large_cycles",
-            Json::F64(self.options.abs_floor_large_cycles),
-        );
-        root.set("options", opts);
+        root.set("gate", Json::Str(self.gate.to_string()));
         root.set("passed", Json::Bool(self.passed()));
         let mut summary = Json::obj();
-        for status in [
-            CellStatus::Ok,
-            CellStatus::Improved,
-            CellStatus::PerfRegression,
-            CellStatus::AccuracyDrift,
-            CellStatus::Missing,
-            CellStatus::New,
-        ] {
-            summary.set(status.label(), Json::U64(self.count(status) as u64));
-        }
+        summary.set("ok", Json::U64(self.count(Status::Ok) as u64));
+        summary.set("improved", Json::U64(self.count(Status::Improved) as u64));
+        summary.set("failed", Json::U64(self.failures().len() as u64));
+        summary.set("new", Json::U64(self.count(Status::New) as u64));
         root.set("summary", summary);
         let cells = self
             .verdicts
@@ -378,477 +326,208 @@ impl GateReport {
             .map(|v| {
                 let mut o = Json::obj();
                 o.set("id", Json::Str(v.id.clone()));
+                o.set("metric", Json::Str(v.metric.to_string()));
                 o.set("status", Json::Str(v.status.label().to_string()));
-                o.set("base_cycles", Json::U64(v.base_cycles));
-                o.set("cur_cycles", Json::U64(v.cur_cycles));
-                o.set("cycles_allowance", Json::F64(v.cycles_allowance));
-                o.set("base_inaccuracy", Json::F64(v.base_inaccuracy));
-                o.set("cur_inaccuracy", Json::F64(v.cur_inaccuracy));
-                o.set("inaccuracy_allowance", Json::F64(v.inaccuracy_allowance));
+                o.set("base", v.base.map_or(Json::Null, Json::F64));
+                o.set("current", v.current.map_or(Json::Null, Json::F64));
+                o.set("bound", Json::F64(v.bound));
+                o.set("note", Json::Str(v.note.clone()));
                 o
             })
             .collect();
         root.set("cells", Json::Arr(cells));
-        let preprocess = self
-            .preprocess
-            .iter()
-            .map(|v| {
-                let mut o = Json::obj();
-                o.set("id", Json::Str(v.id.clone()));
-                o.set("status", Json::Str(v.status.label().to_string()));
-                o.set("base_seconds", Json::F64(v.base_seconds));
-                o.set("cur_seconds", Json::F64(v.cur_seconds));
-                o.set("allowance", Json::F64(v.allowance));
-                o
-            })
-            .collect();
-        root.set("preprocess", Json::Arr(preprocess));
-        let large = self
-            .large
-            .iter()
-            .map(|v| {
-                let mut o = Json::obj();
-                o.set("id", Json::Str(v.id.clone()));
-                o.set("status", Json::Str(v.status.label().to_string()));
-                o.set("base_cycles", Json::U64(v.base_cycles));
-                o.set("cur_cycles", Json::U64(v.cur_cycles));
-                o.set("allowance", Json::F64(v.allowance));
-                o
-            })
-            .collect();
-        root.set("large", Json::Arr(large));
         root
     }
-
-    /// The serialized document (pretty JSON, trailing newline).
-    pub fn to_pretty_string(&self) -> String {
-        self.to_json().to_pretty_string()
-    }
-}
-
-/// Compares one cell pair.
-fn judge(opts: &GateOptions, base: &CellMeasurement, cur: &CellMeasurement) -> CellVerdict {
-    let cycles_allowance = opts.allowance(
-        base.elapsed_cycles as f64,
-        base.cycles_stddev,
-        opts.abs_floor_cycles,
-    );
-    let inaccuracy_allowance = opts.allowance(base.inaccuracy, 0.0, opts.abs_floor_inaccuracy);
-    let dc = cur.elapsed_cycles as f64 - base.elapsed_cycles as f64;
-    let di = cur.inaccuracy - base.inaccuracy;
-    let status = if dc > cycles_allowance {
-        CellStatus::PerfRegression
-    } else if di > inaccuracy_allowance {
-        CellStatus::AccuracyDrift
-    } else if dc < -cycles_allowance || di < -inaccuracy_allowance {
-        CellStatus::Improved
-    } else {
-        CellStatus::Ok
-    };
-    CellVerdict {
-        id: base.key.id(),
-        status,
-        base_cycles: base.elapsed_cycles,
-        cur_cycles: cur.elapsed_cycles,
-        cycles_allowance,
-        base_inaccuracy: base.inaccuracy,
-        cur_inaccuracy: cur.inaccuracy,
-        inaccuracy_allowance,
-    }
-}
-
-/// Compares one preprocess-time cell pair. The floor scales with the
-/// baseline (`preprocess_floor_frac`), so a 0.05 s floor sized for
-/// microsecond CI transforms doesn't turn multi-second 2^20 cells into
-/// noise-flappers.
-fn judge_preprocess(
-    opts: &GateOptions,
-    base: &PreprocessMeasurement,
-    cur: &PreprocessMeasurement,
-) -> PreprocessVerdict {
-    let floor = opts
-        .abs_floor_preprocess_seconds
-        .max(opts.preprocess_floor_frac * base.seconds_mean.abs());
-    let allowance = (opts.rel_tol_preprocess * base.seconds_mean.abs())
-        .max(opts.sigma_k * base.seconds_stddev)
-        .max(floor);
-    let ds = cur.seconds_mean - base.seconds_mean;
-    let status = if ds > allowance {
-        CellStatus::PerfRegression
-    } else if ds < -allowance {
-        CellStatus::Improved
-    } else {
-        CellStatus::Ok
-    };
-    PreprocessVerdict {
-        id: base.id(),
-        status,
-        base_seconds: base.seconds_mean,
-        cur_seconds: cur.seconds_mean,
-        allowance,
-    }
-}
-
-/// Compares one large-graph cell pair behind the coarse band.
-fn judge_large(
-    opts: &GateOptions,
-    base: &LargeCellMeasurement,
-    cur: &LargeCellMeasurement,
-) -> LargeVerdict {
-    let allowance =
-        (opts.rel_tol_large * base.elapsed_cycles as f64).max(opts.abs_floor_large_cycles);
-    let dc = cur.elapsed_cycles as f64 - base.elapsed_cycles as f64;
-    let status = if dc > allowance {
-        CellStatus::PerfRegression
-    } else if dc < -allowance {
-        CellStatus::Improved
-    } else {
-        CellStatus::Ok
-    };
-    LargeVerdict {
-        id: base.id(),
-        status,
-        base_cycles: base.elapsed_cycles,
-        cur_cycles: cur.elapsed_cycles,
-        allowance,
-    }
-}
-
-/// Evaluates current measurements against a saved baseline. Order follows
-/// the baseline's cells; purely-new cells are appended.
-pub fn evaluate(
-    opts: GateOptions,
-    baseline: &BenchBaseline,
-    current: &[CellMeasurement],
-    current_preprocess: &[PreprocessMeasurement],
-    current_large: &[LargeCellMeasurement],
-) -> GateReport {
-    let mut verdicts = Vec::new();
-    for base in &baseline.cells {
-        match current.iter().find(|c| c.key == base.key) {
-            Some(cur) => verdicts.push(judge(&opts, base, cur)),
-            None => verdicts.push(CellVerdict {
-                id: base.key.id(),
-                status: CellStatus::Missing,
-                base_cycles: base.elapsed_cycles,
-                cur_cycles: 0,
-                cycles_allowance: 0.0,
-                base_inaccuracy: base.inaccuracy,
-                cur_inaccuracy: f64::NAN,
-                inaccuracy_allowance: 0.0,
-            }),
-        }
-    }
-    for cur in current {
-        if !baseline.cells.iter().any(|b| b.key == cur.key) {
-            verdicts.push(CellVerdict {
-                id: cur.key.id(),
-                status: CellStatus::New,
-                base_cycles: 0,
-                cur_cycles: cur.elapsed_cycles,
-                cycles_allowance: 0.0,
-                base_inaccuracy: f64::NAN,
-                cur_inaccuracy: cur.inaccuracy,
-                inaccuracy_allowance: 0.0,
-            });
-        }
-    }
-    let mut preprocess = Vec::new();
-    for base in &baseline.preprocess {
-        match current_preprocess.iter().find(|c| c.id() == base.id()) {
-            Some(cur) => preprocess.push(judge_preprocess(&opts, base, cur)),
-            None => preprocess.push(PreprocessVerdict {
-                id: base.id(),
-                status: CellStatus::Missing,
-                base_seconds: base.seconds_mean,
-                cur_seconds: f64::NAN,
-                allowance: 0.0,
-            }),
-        }
-    }
-    for cur in current_preprocess {
-        if !baseline.preprocess.iter().any(|b| b.id() == cur.id()) {
-            preprocess.push(PreprocessVerdict {
-                id: cur.id(),
-                status: CellStatus::New,
-                base_seconds: f64::NAN,
-                cur_seconds: cur.seconds_mean,
-                allowance: 0.0,
-            });
-        }
-    }
-    let mut large = Vec::new();
-    for base in &baseline.large {
-        match current_large.iter().find(|c| c.id() == base.id()) {
-            Some(cur) => large.push(judge_large(&opts, base, cur)),
-            None => large.push(LargeVerdict {
-                id: base.id(),
-                status: CellStatus::Missing,
-                base_cycles: base.elapsed_cycles,
-                cur_cycles: 0,
-                allowance: 0.0,
-            }),
-        }
-    }
-    for cur in current_large {
-        if !baseline.large.iter().any(|b| b.id() == cur.id()) {
-            large.push(LargeVerdict {
-                id: cur.id(),
-                status: CellStatus::New,
-                base_cycles: 0,
-                cur_cycles: cur.elapsed_cycles,
-                allowance: 0.0,
-            });
-        }
-    }
-    GateReport {
-        options: opts,
-        verdicts,
-        preprocess,
-        large,
-    }
-}
-
-/// Re-measures the corpus pinned by `baseline`'s fingerprint and gates it.
-/// The suite is rebuilt from the recorded `nodes`/`seed`/`bc_sources`, so
-/// the comparison is apples-to-apples on any machine.
-pub fn run_gate(opts: GateOptions, baseline: &BenchBaseline) -> GateReport {
-    run_gate_on(
-        opts,
-        baseline,
-        &Suite::new(baseline.fingerprint.suite_options()),
-    )
-}
-
-/// [`run_gate`] on a caller-provided suite — the CLI uses this to enable
-/// the on-disk prepared-graph cache for the algorithm cells. Preprocess
-/// cells always re-transform from scratch regardless of the cache.
-pub fn run_gate_on(opts: GateOptions, baseline: &BenchBaseline, suite: &Suite) -> GateReport {
-    let repeats = baseline.fingerprint.repeats;
-    let current = crate::baseline::measure_corpus(suite, repeats);
-    let current_preprocess = crate::baseline::measure_preprocess(suite, repeats);
-    // Large cells share one (nodes, segment_bytes) configuration per
-    // baseline; the generator seed comes from the fingerprint so the
-    // re-measured graph is the recorded one.
-    let current_large = match baseline.large.first() {
-        Some(c) => {
-            crate::baseline::measure_large(c.nodes, baseline.fingerprint.seed, c.segment_bytes)
-        }
-        None => Vec::new(),
-    };
-    evaluate(
-        opts,
-        baseline,
-        &current,
-        &current_preprocess,
-        &current_large,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{measure_corpus, measure_preprocess};
-    use crate::suite::SuiteOptions;
+    use crate::{BenchBaseline, ServeBaseline};
 
-    fn tiny_baseline() -> BenchBaseline {
-        let suite = Suite::new(SuiteOptions {
-            nodes: 200,
-            seed: 3,
-            bc_sources: 2,
-        });
-        BenchBaseline {
-            fingerprint: crate::baseline::Fingerprint::capture(&suite.options, 1),
-            cells: measure_corpus(&suite, 1),
-            preprocess: measure_preprocess(&suite, 1),
-            large: Vec::new(),
+    fn cell(id: &str, metric: &'static str, value: f64, stddev: f64) -> Cell {
+        Cell {
+            stddev,
+            ..Cell::new(id, metric, value)
         }
     }
 
+    /// (test the row runs under, metric, baseline (value, stddev), current
+    /// value, expected status label). Every row is judged alone as cell `x`.
+    type Row = (
+        &'static str,
+        &'static str,
+        Option<(f64, f64)>,
+        Option<f64>,
+        &'static str,
+    );
+
+    #[rustfmt::skip]
+    const ROWS: &[Row] = &[
+        ("doubled_cycles_fail_naming_the_cell", "cycles", Some((56_080.0, 0.0)), Some(112_161.0), "perf-regression"),
+        ("doubled_cycles_fail_naming_the_cell", "cycles", Some((112_161.0, 0.0)), Some(117_000.0), "ok"),
+        // Below the 5 % band but inside the 500-cycle launch-overhead floor.
+        ("doubled_cycles_fail_naming_the_cell", "cycles", Some((4_000.0, 0.0)), Some(4_400.0), "ok"),
+        // A recorded noise envelope widens the band to 3σ.
+        ("doubled_cycles_fail_naming_the_cell", "cycles", Some((100_000.0, 4_000.0)), Some(111_000.0), "ok"),
+        ("doubled_cycles_fail_naming_the_cell", "cycles", Some((100_000.0, 4_000.0)), Some(113_000.0), "perf-regression"),
+        ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some((0.012, 0.0)), Some(0.024), "accuracy-drift"),
+        ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some((0.012, 0.0)), Some(0.0125), "ok"),
+        // Exact cells: ~0 baseline, guarded by the absolute floor.
+        ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some((0.0, 0.0)), Some(5e-7), "ok"),
+        ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some((0.0, 0.0)), Some(1e-3), "accuracy-drift"),
+        ("missing_and_new_cells_are_flagged", "cycles", Some((112_161.0, 0.0)), None, "missing"),
+        ("missing_and_new_cells_are_flagged", "cycles", None, Some(112_161.0), "new"),
+        ("missing_and_new_cells_are_flagged", "preprocess_seconds", Some((0.002, 0.0)), None, "missing"),
+        ("missing_and_new_cells_are_flagged", "large_cycles", Some((1e9, 0.0)), None, "missing"),
+        ("missing_and_new_cells_are_flagged", "p99_ms", Some((4.0, 0.0)), None, "missing"),
+        ("missing_and_new_cells_are_flagged", "rps", None, Some(1.0), "new"),
+        ("improvement_does_not_fail", "cycles", Some((112_161.0, 0.0)), Some(56_080.0), "improved"),
+        ("improvement_does_not_fail", "inaccuracy", Some((0.012, 0.0)), Some(0.006), "improved"),
+        // Tiny-corpus transforms take microseconds: +40 ms of jitter sits
+        // under the 0.05 s floor; +10 s clears any band.
+        ("preprocess_jitter_within_floor_is_ok", "preprocess_seconds", Some((0.0023, 0.0020)), Some(0.0423), "ok"),
+        ("preprocess_blowup_fails_gate_naming_the_cell", "preprocess_seconds", Some((0.0023, 0.0020)), Some(10.0023), "perf-regression"),
+        ("preprocess_blowup_fails_gate_naming_the_cell", "preprocess_seconds", Some((4.0, 0.0)), Some(40.0), "perf-regression"),
+        // Multi-second cells ride the 50 % band, not the floor.
+        ("preprocess_jitter_within_floor_is_ok", "preprocess_seconds", Some((4.0, 0.0)), Some(5.9), "ok"),
+        ("large_cells_judged_behind_coarse_band", "large_cycles", Some((1e9, 0.0)), Some(1.2e9), "ok"),
+        ("large_cells_judged_behind_coarse_band", "large_cycles", Some((1e9, 0.0)), Some(1.3e9), "perf-regression"),
+        ("large_cells_judged_behind_coarse_band", "large_cycles", Some((2e6, 0.0)), Some(2.9e6), "ok"),
+        ("large_cells_judged_behind_coarse_band", "large_cycles", Some((2e6, 0.0)), Some(3.1e6), "perf-regression"),
+        ("serve_cells_judged_behind_coarse_ratio", "p99_ms", Some((4.0, 0.0)), Some(4.0), "ok"),
+        ("serve_cells_judged_behind_coarse_ratio", "p99_ms", Some((4.0, 0.0)), Some(8.0), "ok"),
+        ("serve_cells_judged_behind_coarse_ratio", "p99_ms", Some((4.0, 0.0)), Some(140.0), "latency-regression"),
+        ("serve_cells_judged_behind_coarse_ratio", "rps", Some((500.0, 0.0)), Some(500.0), "ok"),
+        ("serve_cells_judged_behind_coarse_ratio", "rps", Some((500.0, 0.0)), Some(30.0), "throughput-regression"),
+        // Under a third of the baseline, but the drop is inside the 50 rps floor.
+        ("serve_cells_judged_behind_coarse_ratio", "rps", Some((60.0, 0.0)), Some(15.0), "ok"),
+        ("stream_cells_judged_against_the_floor", "speedup", None, Some(50.0), "ok"),
+        ("stream_cells_judged_against_the_floor", "speedup", None, Some(4.0), "below-floor"),
+        ("stream_cells_judged_against_the_floor", "exact_identical", None, Some(1.0), "ok"),
+        ("stream_cells_judged_against_the_floor", "exact_identical", None, Some(0.0), "diverged"),
+        ("segment_cells_need_identity_and_the_win", "identical", None, Some(1.0), "ok"),
+        ("segment_cells_need_identity_and_the_win", "identical", None, Some(0.0), "diverged"),
+        ("segment_cells_need_identity_and_the_win", "win", None, Some(0.065), "ok"),
+        ("segment_cells_need_identity_and_the_win", "win", None, Some(0.049), "below-floor"),
+        ("segment_cells_need_identity_and_the_win", "win", None, Some(-0.02), "below-floor"),
+    ];
+
+    /// Runs every row of `test` through the whole path: evaluate → verdict,
+    /// `failures()`, `table()`, `to_json()`.
+    fn check(test: &str) {
+        let rows: Vec<&Row> = ROWS.iter().filter(|r| r.0 == test).collect();
+        assert!(!rows.is_empty(), "no rows for {test}");
+        for &&(_, metric, base, current, want) in &rows {
+            let row = format!("{metric} {base:?} -> {current:?}");
+            let base: Vec<Cell> = base.iter().map(|&(v, s)| cell("x", metric, v, s)).collect();
+            let current: Vec<Cell> = current.iter().map(|&v| cell("x", metric, v, 0.0)).collect();
+            let report = GateReport::evaluate("test", &base, &current);
+            assert_eq!(report.verdicts.len(), 1, "{row}");
+            let v = &report.verdicts[0];
+            assert_eq!(v.status.label(), want, "{row}");
+            let fails = !matches!(want, "ok" | "improved" | "new");
+            assert_eq!(report.passed(), !fails, "{row}");
+            assert_eq!(report.failures().len(), usize::from(fails), "{row}");
+            let doc = report.to_json();
+            assert_eq!(doc.get("passed"), Some(&Json::Bool(!fails)), "{row}");
+            if fails {
+                // A failure names its cell and label everywhere a reader looks.
+                assert_eq!((v.id.as_str(), v.metric), ("x", metric), "{row}");
+                let table = report.table().render();
+                assert!(
+                    table.contains(want) && table.contains("| x "),
+                    "{row}: {table}"
+                );
+                assert!(doc.to_pretty_string().contains(want), "{row}");
+            }
+        }
+    }
+
+    macro_rules! row_tests {
+        ($($name:ident),* $(,)?) => {
+            $(#[test] fn $name() { check(stringify!($name)); })*
+
+            #[test]
+            fn every_row_runs_under_a_test() {
+                for row in ROWS {
+                    assert!([$(stringify!($name)),*].contains(&row.0), "orphan row {row:?}");
+                }
+            }
+        };
+    }
+
+    row_tests!(
+        doubled_cycles_fail_naming_the_cell,
+        doubled_inaccuracy_fails_as_drift,
+        missing_and_new_cells_are_flagged,
+        improvement_does_not_fail,
+        preprocess_jitter_within_floor_is_ok,
+        preprocess_blowup_fails_gate_naming_the_cell,
+        large_cells_judged_behind_coarse_band,
+        serve_cells_judged_behind_coarse_ratio,
+        stream_cells_judged_against_the_floor,
+        segment_cells_need_identity_and_the_win,
+    );
+
+    fn committed(name: &str) -> String {
+        let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// Self-gate: the committed baselines, read in their on-disk formats
+    /// and gated against their own cells, are all `ok` — two verdicts per
+    /// metric cell and per serve cell, one per preprocess and large cell.
     #[test]
     fn unchanged_tree_passes() {
-        let b = tiny_baseline();
-        let report = run_gate(GateOptions::default(), &b);
-        assert!(report.passed(), "failures: {:?}", report.failures());
-        assert_eq!(report.count(CellStatus::Ok), b.cells.len());
-        // And again — the gate must be replayable without false positives.
-        assert!(run_gate(GateOptions::default(), &b).passed());
-    }
-
-    #[test]
-    fn doubled_cycles_fail_naming_the_cell() {
-        let mut b = tiny_baseline();
-        let cur = b.cells.clone();
-        // Halve one baseline cell's cycles: the current (unchanged) run
-        // now looks 2x slower than the recorded baseline.
-        b.cells[3].elapsed_cycles /= 2;
-        let report = evaluate(GateOptions::default(), &b, &cur, &b.preprocess, &b.large);
-        assert!(!report.passed());
-        let failures = report.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].status, CellStatus::PerfRegression);
-        assert_eq!(failures[0].id, b.cells[3].key.id());
-        assert!(report.to_pretty_string().contains(&b.cells[3].key.id()));
-    }
-
-    #[test]
-    fn doubled_inaccuracy_fails_as_drift() {
-        let b = tiny_baseline();
-        let mut cur = b.cells.clone();
-        // Find a cell with measurable inaccuracy and double it.
-        let i = cur
-            .iter()
-            .position(|c| c.inaccuracy > 1e-3)
-            .expect("corpus has an approximate cell with real inaccuracy");
-        cur[i].inaccuracy *= 2.0;
-        let report = evaluate(GateOptions::default(), &b, &cur, &b.preprocess, &b.large);
-        let failures = report.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].status, CellStatus::AccuracyDrift);
-        assert_eq!(failures[0].id, cur[i].key.id());
-    }
-
-    #[test]
-    fn missing_and_new_cells_are_flagged() {
-        let b = tiny_baseline();
-        let mut cur = b.cells.clone();
-        let dropped = cur.remove(0);
-        let mut extra = dropped.clone();
-        extra.key.graph = "extra-graph".into();
-        cur.push(extra);
-        let report = evaluate(GateOptions::default(), &b, &cur, &b.preprocess, &b.large);
-        assert_eq!(report.count(CellStatus::Missing), 1);
-        assert_eq!(report.count(CellStatus::New), 1);
-        assert!(!report.passed(), "missing cells must fail the gate");
-    }
-
-    #[test]
-    fn improvement_does_not_fail() {
-        let b = tiny_baseline();
-        let mut cur = b.cells.clone();
-        cur[0].elapsed_cycles = (cur[0].elapsed_cycles / 2).max(1);
-        let report = evaluate(GateOptions::default(), &b, &cur, &b.preprocess, &b.large);
-        assert!(report.passed());
-        assert_eq!(report.count(CellStatus::Improved), 1);
-    }
-
-    #[test]
-    fn preprocess_blowup_fails_gate_naming_the_cell() {
-        let b = tiny_baseline();
-        let mut cur = b.preprocess.clone();
-        // +10s of preprocessing clears any allowance band.
-        cur[0].seconds_mean += 10.0;
-        let report = evaluate(GateOptions::default(), &b, &b.cells, &cur, &b.large);
-        assert!(!report.passed());
-        assert!(report.failures().is_empty(), "algorithm cells unaffected");
-        let failures = report.preprocess_failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].status, CellStatus::PerfRegression);
-        assert_eq!(failures[0].id, b.preprocess[0].id());
-        assert!(report.to_pretty_string().contains(&b.preprocess[0].id()));
-        assert!(report
-            .preprocess_table()
-            .render()
-            .contains("perf-regression"));
-    }
-
-    #[test]
-    fn preprocess_jitter_within_floor_is_ok() {
-        let b = tiny_baseline();
-        let mut cur = b.preprocess.clone();
-        // Tiny-corpus transforms take microseconds; +10ms of jitter sits
-        // under the absolute floor and must not trip the gate.
-        for c in &mut cur {
-            c.seconds_mean += 0.01;
+        let bench = BenchBaseline::parse(&committed("BENCH_ci.json")).unwrap();
+        let serve = ServeBaseline::parse(&committed("SERVE_ci.json")).unwrap();
+        for (cells, want) in [
+            (bench.gate_cells(), 58 * 2 + 20 + 2),
+            (serve.gate_cells(), 4 * 2),
+        ] {
+            let report = GateReport::evaluate("self", &cells, &cells);
+            assert_eq!(report.verdicts.len(), want);
+            assert!(report.verdicts.iter().all(|v| v.status == Status::Ok));
+            assert!(report.passed());
+            assert!(report.table().rows.is_empty(), "nothing moved: title only");
         }
-        let report = evaluate(GateOptions::default(), &b, &b.cells, &cur, &b.large);
-        assert!(report.passed(), "{:?}", report.preprocess_failures());
-    }
-
-    /// The scaled preprocess floor: multi-second baseline cells get an
-    /// allowance floor proportional to their own magnitude, not the fixed
-    /// 0.05 s sized for microsecond CI transforms. Relative and sigma
-    /// bands are zeroed so the floor is the only thing under test.
-    #[test]
-    fn preprocess_floor_scales_with_baseline_magnitude() {
-        let opts = GateOptions {
-            rel_tol_preprocess: 0.0,
-            sigma_k: 0.0,
-            ..GateOptions::default()
-        };
-        let mut b = tiny_baseline();
-        b.preprocess[0].seconds_mean = 4.0;
-        b.preprocess[0].seconds_stddev = 0.0;
-        let mut cur = b.preprocess.clone();
-        // +0.3 s: far above the fixed 0.05 s floor, within the scaled
-        // 10%-of-baseline floor (0.4 s).
-        cur[0].seconds_mean = 4.3;
-        let report = evaluate(opts, &b, &b.cells, &cur, &b.large);
-        assert!(report.passed(), "{:?}", report.preprocess_failures());
-        // +0.5 s clears the scaled floor and must still fail.
-        cur[0].seconds_mean = 4.5;
-        let report = evaluate(opts, &b, &b.cells, &cur, &b.large);
-        let failures = report.preprocess_failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].id, b.preprocess[0].id());
-    }
-
-    fn large_cell(algo: &str, cycles: u64) -> LargeCellMeasurement {
-        LargeCellMeasurement {
-            graph: "rmat26".into(),
-            nodes: 1 << 20,
-            algo: algo.into(),
-            segment_bytes: 1536 * 1024,
-            segments: 5580,
-            elapsed_cycles: cycles,
-            wall_seconds: 1.0,
-        }
-    }
-
-    /// Large cells sit behind the coarse band: ±25% drift is tolerated,
-    /// beyond it the gate fails naming the cell, and a missing large cell
-    /// fails like any missing corpus cell.
-    #[test]
-    fn large_cells_judged_behind_coarse_band() {
-        let mut b = tiny_baseline();
-        b.large = vec![
-            large_cell("bfs", 1_000_000_000),
-            large_cell("pr", 2_000_000_000),
-        ];
-        let mut cur = b.large.clone();
-        cur[0].elapsed_cycles = 1_200_000_000; // +20%: inside the band
-        let report = evaluate(GateOptions::default(), &b, &b.cells, &b.preprocess, &cur);
-        assert!(report.passed(), "{:?}", report.large_failures());
-        cur[0].elapsed_cycles = 1_300_000_000; // +30%: regression
-        let report = evaluate(GateOptions::default(), &b, &b.cells, &b.preprocess, &cur);
-        assert!(!report.passed());
-        let failures = report.large_failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].status, CellStatus::PerfRegression);
-        assert_eq!(failures[0].id, b.large[0].id());
-        assert!(report.large_table().render().contains("perf-regression"));
-        assert!(report.to_pretty_string().contains(&b.large[0].id()));
-        let report = evaluate(GateOptions::default(), &b, &b.cells, &b.preprocess, &[]);
-        assert_eq!(report.large_failures().len(), 2);
-        assert!(!report.passed(), "missing large cells must fail the gate");
     }
 
     #[test]
     fn gate_report_json_is_well_formed() {
-        let b = tiny_baseline();
-        let report = evaluate(
-            GateOptions::default(),
-            &b,
-            &b.cells,
-            &b.preprocess,
-            &b.large,
-        );
-        let doc = Json::parse(&report.to_pretty_string()).unwrap();
+        let base = [
+            cell("a", "cycles", 1000.0, 0.0),
+            cell("a", "inaccuracy", 0.0, 0.0),
+        ];
+        let mut current = base.to_vec();
+        current[0].value = 9000.0;
+        current.push(cell("s", "speedup", 40.0, 0.0));
+        let report = GateReport::evaluate("bench", &base, &current);
+        let doc = Json::parse(&report.to_json().to_pretty_string()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(GATE_SCHEMA));
-        assert_eq!(doc.get("passed"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("gate").and_then(Json::as_str), Some("bench"));
+        assert_eq!(doc.get("passed"), Some(&Json::Bool(false)));
+        assert_eq!(doc.path(&["summary", "ok"]).and_then(Json::as_u64), Some(2));
         assert_eq!(
-            doc.path(&["summary", "ok"]).and_then(Json::as_u64),
-            Some(b.cells.len() as u64)
+            doc.path(&["summary", "failed"]).and_then(Json::as_u64),
+            Some(1)
         );
+        let cells = doc.get("cells").and_then(Json::as_arr).unwrap();
+        assert_eq!(cells.len(), 3);
+        assert_eq!(
+            cells[0].get("status").and_then(Json::as_str),
+            Some("perf-regression")
+        );
+        assert_eq!(cells[0].get("bound").and_then(Json::as_f64), Some(500.0));
+        // Baseline-free cells serialise `base` as null.
+        assert_eq!(cells[2].get("base"), Some(&Json::Null));
+    }
+
+    #[test]
+    #[should_panic(expected = "no gate policy")]
+    fn unknown_metric_is_a_bug() {
+        GateReport::evaluate("test", &[], &[cell("x", "nope", 1.0, 0.0)]);
     }
 }

@@ -6,8 +6,11 @@
 //! speedup/inaccuracy grids for each transform against each baseline
 //! (Tables 6–14), and the three knob-sweep figures (Figures 7–9).
 //!
-//! The `paper_tables` and `figures` binaries drive this library; the
-//! Criterion benches reuse the same entry points at reduced scale.
+//! The `paper_tables` and `figures` binaries drive this library. The
+//! regression gates (`graffix bench --gate | --serve-gate | --stream-gate |
+//! --segment-gate`) are four suites that each measure and flatten their
+//! result into [`gate::Cell`]s, and one judge: [`gate`] holds every
+//! threshold, the verdict table and the `graffix.gate-report` schema.
 
 pub mod baseline;
 pub mod experiments;
@@ -20,22 +23,13 @@ pub mod suite;
 pub mod tables;
 
 pub use baseline::{
-    measure_large, measure_preprocess, BenchBaseline, CellKey, CellMeasurement, Fingerprint,
-    LargeCellMeasurement, PreprocessMeasurement, LARGE_ALGOS,
+    measure_large, measure_preprocess, run_gate, BenchBaseline, CellKey, CellMeasurement,
+    Fingerprint, LargeCellMeasurement, PreprocessMeasurement, LARGE_ALGOS,
 };
 pub use experiments::{measure, run_algo, Algo, Measurement, ALL_ALGOS, CORE_ALGOS};
-pub use gate::{
-    evaluate, run_gate, run_gate_on, CellStatus, GateOptions, GateReport, PreprocessVerdict,
-};
-pub use segmented::{
-    compare_segmented, run_segment_gate, SegmentCompareRow, SegmentGateOptions, SegmentGateReport,
-};
-pub use serving::{
-    evaluate_serving, measure_serving, run_serve_gate, ServeBaseline, ServeCell, ServeCellStatus,
-    ServeGateOptions, ServeGateReport,
-};
-pub use streaming::{
-    measure_streaming, run_stream_gate, StreamCell, StreamGateOptions, StreamGateReport,
-};
+pub use gate::{Cell, GateReport, Policy, Status, Verdict, POLICIES};
+pub use segmented::{compare_segmented, run_segment_gate, SegmentCompareRow};
+pub use serving::{measure_serving, run_serve_gate, ServeBaseline, ServeCell};
+pub use streaming::{measure_streaming, run_stream_gate, StreamCell};
 pub use suite::{Suite, SuiteOptions};
 pub use tables::TextTable;

@@ -1,13 +1,15 @@
 //! The serving bench suite: requests/second and tail latency of a live
 //! in-process `graffix serve` daemon, saved and gated like the simulator
-//! cells — but with deliberately **coarse** tolerances, because serving
-//! numbers are wall-clock through a real socket and vary across machines
-//! and loads. The suite catches order-of-magnitude serving regressions
-//! (a lock held across execution, an accidental cold path per request),
-//! not percent-level jitter.
+//! cells — but with deliberately **coarse** tolerances (the `p99_ms` and
+//! `rps` policies in [`crate::gate`]), because serving numbers are
+//! wall-clock through a real socket and vary across machines and loads.
+//! The suite catches order-of-magnitude serving regressions (a lock held
+//! across execution, an accidental cold path per request), not
+//! percent-level jitter.
 //!
 //! Serialized as the `graffix.serve-baseline` v1 schema.
 
+use crate::gate::{Cell, GateReport};
 use graffix_server::{Client, GraphRegistry, ServeConfig, Server};
 use graffix_sim::Json;
 use std::time::Instant;
@@ -208,6 +210,23 @@ impl ServeBaseline {
         self.to_json().to_pretty_string()
     }
 
+    /// What the gate judges: `p99_ms` and `rps` per scenario.
+    pub fn gate_cells(&self) -> Vec<Cell> {
+        let mut out = Vec::new();
+        for c in &self.cells {
+            let note = format!("{} requests, p50 {:.3}ms", c.requests, c.p50_ms);
+            out.push(Cell {
+                note: note.clone(),
+                ..Cell::new(c.id.as_str(), "p99_ms", c.p99_ms)
+            });
+            out.push(Cell {
+                note,
+                ..Cell::new(c.id.as_str(), "rps", c.rps)
+            });
+        }
+        out
+    }
+
     /// Parses a serialized baseline, validating schema and version.
     pub fn parse(text: &str) -> Result<ServeBaseline, String> {
         let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -257,179 +276,10 @@ impl ServeBaseline {
     }
 }
 
-/// Serving gate thresholds — coarse by design (see module docs).
-#[derive(Clone, Copy, Debug)]
-pub struct ServeGateOptions {
-    /// A cell regresses when current p99 exceeds `base · latency_factor +
-    /// abs_floor_ms`.
-    pub latency_factor: f64,
-    /// A cell regresses when current throughput drops below
-    /// `base / throughput_factor` (and the drop clears the rps floor).
-    pub throughput_factor: f64,
-    /// Absolute latency allowance so microsecond-scale baselines on fast
-    /// machines never produce hair-trigger thresholds.
-    pub abs_floor_ms: f64,
-    /// Minimum absolute rps drop that can count as a regression.
-    pub abs_floor_rps: f64,
-}
-
-impl Default for ServeGateOptions {
-    fn default() -> Self {
-        ServeGateOptions {
-            latency_factor: 3.0,
-            throughput_factor: 3.0,
-            abs_floor_ms: 10.0,
-            abs_floor_rps: 50.0,
-        }
-    }
-}
-
-/// Verdict for one serving cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeCellStatus {
-    Ok,
-    /// p99 blew past the coarse latency band.
-    LatencyRegression,
-    /// Throughput collapsed below the coarse band.
-    ThroughputRegression,
-    /// Cell in the baseline but not measured now.
-    Missing,
-    /// Cell measured now but absent from the baseline.
-    New,
-}
-
-impl ServeCellStatus {
-    pub fn label(self) -> &'static str {
-        match self {
-            ServeCellStatus::Ok => "ok",
-            ServeCellStatus::LatencyRegression => "latency-regression",
-            ServeCellStatus::ThroughputRegression => "throughput-regression",
-            ServeCellStatus::Missing => "missing",
-            ServeCellStatus::New => "new",
-        }
-    }
-
-    pub fn is_failure(self) -> bool {
-        matches!(
-            self,
-            ServeCellStatus::LatencyRegression
-                | ServeCellStatus::ThroughputRegression
-                | ServeCellStatus::Missing
-        )
-    }
-}
-
-/// One serving gate comparison row.
-#[derive(Clone, Debug)]
-pub struct ServeVerdict {
-    pub id: String,
-    pub status: ServeCellStatus,
-    pub base_rps: f64,
-    pub cur_rps: f64,
-    pub base_p99_ms: f64,
-    pub cur_p99_ms: f64,
-}
-
-/// The serving gate outcome.
-#[derive(Clone, Debug)]
-pub struct ServeGateReport {
-    pub options: ServeGateOptions,
-    pub verdicts: Vec<ServeVerdict>,
-}
-
-impl ServeGateReport {
-    pub fn failures(&self) -> Vec<&ServeVerdict> {
-        self.verdicts
-            .iter()
-            .filter(|v| v.status.is_failure())
-            .collect()
-    }
-
-    pub fn passed(&self) -> bool {
-        self.failures().is_empty()
-    }
-
-    /// Human summary, one line per cell.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Serving gate: {} cells — {} failed\n",
-            self.verdicts.len(),
-            self.failures().len()
-        );
-        for v in &self.verdicts {
-            out.push_str(&format!(
-                "  {:<22} {:<22} rps {:>8.1} -> {:>8.1}   p99 {:>8.3}ms -> {:>8.3}ms\n",
-                v.id,
-                v.status.label(),
-                v.base_rps,
-                v.cur_rps,
-                v.base_p99_ms,
-                v.cur_p99_ms
-            ));
-        }
-        out
-    }
-}
-
-/// Compares current serving cells against a baseline.
-pub fn evaluate_serving(
-    opts: ServeGateOptions,
-    baseline: &ServeBaseline,
-    current: &[ServeCell],
-) -> ServeGateReport {
-    let mut verdicts = Vec::new();
-    for base in &baseline.cells {
-        let Some(cur) = current.iter().find(|c| c.id == base.id) else {
-            verdicts.push(ServeVerdict {
-                id: base.id.clone(),
-                status: ServeCellStatus::Missing,
-                base_rps: base.rps,
-                cur_rps: 0.0,
-                base_p99_ms: base.p99_ms,
-                cur_p99_ms: f64::NAN,
-            });
-            continue;
-        };
-        let latency_bound = base.p99_ms * opts.latency_factor + opts.abs_floor_ms;
-        let rps_bound = base.rps / opts.throughput_factor;
-        let status = if cur.p99_ms > latency_bound {
-            ServeCellStatus::LatencyRegression
-        } else if cur.rps < rps_bound && (base.rps - cur.rps) > opts.abs_floor_rps {
-            ServeCellStatus::ThroughputRegression
-        } else {
-            ServeCellStatus::Ok
-        };
-        verdicts.push(ServeVerdict {
-            id: base.id.clone(),
-            status,
-            base_rps: base.rps,
-            cur_rps: cur.rps,
-            base_p99_ms: base.p99_ms,
-            cur_p99_ms: cur.p99_ms,
-        });
-    }
-    for cur in current {
-        if !baseline.cells.iter().any(|b| b.id == cur.id) {
-            verdicts.push(ServeVerdict {
-                id: cur.id.clone(),
-                status: ServeCellStatus::New,
-                base_rps: f64::NAN,
-                cur_rps: cur.rps,
-                base_p99_ms: f64::NAN,
-                cur_p99_ms: cur.p99_ms,
-            });
-        }
-    }
-    ServeGateReport {
-        options: opts,
-        verdicts,
-    }
-}
-
 /// Re-measures the scenarios at the baseline's iteration scale and gates.
-pub fn run_serve_gate(opts: ServeGateOptions, baseline: &ServeBaseline) -> ServeGateReport {
-    let current = measure_serving(baseline.iterations);
-    evaluate_serving(opts, baseline, &current)
+pub fn run_serve_gate(baseline: &ServeBaseline) -> GateReport {
+    let current = ServeBaseline::capture(baseline.iterations);
+    GateReport::evaluate("serve", &baseline.gate_cells(), &current.gate_cells())
 }
 
 #[cfg(test)]
@@ -467,50 +317,29 @@ mod tests {
         assert!(ServeBaseline::parse("{\"schema\":\"wrong\"}").is_err());
     }
 
+    /// The band arithmetic is pinned row by row in `gate::tests`; this
+    /// pins the cells the suite hands over: a scenario's collapse must
+    /// surface as a failure naming that scenario and metric.
     #[test]
     fn gate_judges_with_coarse_bands() {
         let b = fake_baseline();
-        // Identical numbers pass.
-        let report = evaluate_serving(ServeGateOptions::default(), &b, &b.cells);
-        assert!(report.passed());
+        let base = b.gate_cells();
+        assert_eq!(base.len(), 2 * b.cells.len());
+        assert!(GateReport::evaluate("serve", &base, &base).passed());
 
-        // 2x slower p99 still passes (coarse band)...
-        let mut cur = b.cells.clone();
-        cur[0].p99_ms *= 2.0;
-        assert!(evaluate_serving(ServeGateOptions::default(), &b, &cur).passed());
+        let mut cur = b.clone();
+        cur.cells[0].p99_ms *= 2.0; // inside the coarse band
+        cur.cells[1].rps = 30.0; // 120 -> 30: collapse
+        let report = GateReport::evaluate("serve", &base, &cur.gate_cells());
+        let failures = report.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].id, "eviction-churn/bfs");
+        assert_eq!(failures[0].status.label(), "throughput-regression");
 
-        // ...10x slower does not.
-        let mut cur = b.cells.clone();
-        cur[0].p99_ms = b.cells[0].p99_ms * 10.0 + 100.0;
-        let report = evaluate_serving(ServeGateOptions::default(), &b, &cur);
-        assert!(!report.passed());
-        assert_eq!(
-            report.failures()[0].status,
-            ServeCellStatus::LatencyRegression
-        );
-        assert!(report.render().contains("latency-regression"));
-
-        // Throughput collapse fails.
-        let mut cur = b.cells.clone();
-        cur[0].rps = 30.0;
-        let report = evaluate_serving(ServeGateOptions::default(), &b, &cur);
-        assert_eq!(
-            report.failures()[0].status,
-            ServeCellStatus::ThroughputRegression
-        );
-
-        // A missing cell fails; a new one does not.
-        let report = evaluate_serving(ServeGateOptions::default(), &b, &b.cells[..1]);
-        assert_eq!(report.failures()[0].status, ServeCellStatus::Missing);
-        let mut cur = b.cells.clone();
-        cur.push(ServeCell {
-            id: "brand-new".to_string(),
-            requests: 30,
-            rps: 1.0,
-            p50_ms: 1.0,
-            p99_ms: 1.0,
-        });
-        assert!(evaluate_serving(ServeGateOptions::default(), &b, &cur).passed());
+        // A dropped scenario goes missing on both of its metrics.
+        cur.cells.truncate(1);
+        let report = GateReport::evaluate("serve", &base, &cur.gate_cells());
+        assert_eq!(report.failures().len(), 2);
     }
 
     #[test]

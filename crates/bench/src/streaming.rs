@@ -8,12 +8,13 @@
 //!
 //! Two properties are pinned, matching the streaming acceptance criteria:
 //!
-//! 1. At ≤1% per-batch churn the stale-regime incremental prepare is at
-//!    least [`StreamGateOptions::min_speedup`]× faster than re-running the
+//! 1. At ≤1% per-batch churn the stale-regime incremental prepare clears
+//!    the `speedup` floor in [`crate::gate::POLICIES`] over re-running the
 //!    full pipeline on the mutated graph.
 //! 2. With debt threshold 0 (exact regime) the incrementally maintained
 //!    output is semantically identical to a from-scratch prepare.
 
+use crate::gate::{Cell, GateReport};
 use graffix_core::{IncrementalPrepare, Pipeline, PrepareMode, Prepared, StreamKnobs};
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::mutation::EdgeBatch;
@@ -43,61 +44,24 @@ pub struct StreamCell {
     pub exact_identical: bool,
 }
 
-/// Floor thresholds for the streaming gate.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamGateOptions {
-    /// Minimum acceptable `full / incremental` speedup in the stale regime.
-    pub min_speedup: f64,
-}
-
-impl Default for StreamGateOptions {
-    fn default() -> Self {
-        StreamGateOptions { min_speedup: 10.0 }
-    }
-}
-
-/// The streaming gate outcome.
-#[derive(Clone, Debug)]
-pub struct StreamGateReport {
-    pub options: StreamGateOptions,
-    pub cells: Vec<StreamCell>,
-}
-
-impl StreamGateReport {
-    /// Cells that violate the floor (too little speedup, or an exactness
-    /// failure — the latter is a correctness bug, not a perf regression).
-    pub fn failures(&self) -> Vec<&StreamCell> {
-        self.cells
-            .iter()
-            .filter(|c| !c.exact_identical || c.speedup < self.options.min_speedup)
-            .collect()
-    }
-
-    pub fn passed(&self) -> bool {
-        self.failures().is_empty()
-    }
-
-    /// Human summary, one line per cell.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Streaming gate (floor {:.1}x): {} cells — {} failed\n",
-            self.options.min_speedup,
-            self.cells.len(),
-            self.failures().len()
+impl StreamCell {
+    /// What the gate judges: the `speedup` floor and `exact_identical` (an
+    /// exactness failure is a correctness bug, not a perf regression).
+    pub fn gate_cells(&self) -> [Cell; 2] {
+        let note = format!(
+            "full {:.2}ms, incremental {:.3}ms over {} batches at {:.1}% churn",
+            self.full_ms,
+            self.incremental_ms,
+            self.batches,
+            self.churn_frac * 100.0
         );
-        for c in &self.cells {
-            let ok = c.exact_identical && c.speedup >= self.options.min_speedup;
-            out.push_str(&format!(
-                "  {:<26} {:<6} full {:>9.2}ms  incremental {:>8.3}ms  speedup {:>7.1}x  exact {}\n",
-                c.id,
-                if ok { "ok" } else { "FAIL" },
-                c.full_ms,
-                c.incremental_ms,
-                c.speedup,
-                if c.exact_identical { "identical" } else { "DIVERGED" },
-            ));
-        }
-        out
+        [
+            Cell {
+                note,
+                ..Cell::new(self.id.as_str(), "speedup", self.speedup)
+            },
+            Cell::flag(self.id.as_str(), "exact_identical", self.exact_identical),
+        ]
     }
 }
 
@@ -235,17 +199,20 @@ pub fn measure_streaming() -> Vec<StreamCell> {
 }
 
 /// Measures the streaming scenario and gates it against the floor.
-pub fn run_stream_gate(opts: StreamGateOptions) -> StreamGateReport {
-    StreamGateReport {
-        options: opts,
-        cells: measure_streaming(),
-    }
+pub fn run_stream_gate() -> GateReport {
+    let cells: Vec<Cell> = measure_streaming()
+        .iter()
+        .flat_map(StreamCell::gate_cells)
+        .collect();
+    GateReport::evaluate("stream", &[], &cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The floor itself is pinned in `gate::tests`; this pins the cells the
+    /// suite hands over, judged with no baseline at all.
     #[test]
     fn gate_judges_against_the_floor() {
         let cell = StreamCell {
@@ -258,31 +225,24 @@ mod tests {
             speedup: 50.0,
             exact_identical: true,
         };
-        let report = StreamGateReport {
-            options: StreamGateOptions::default(),
-            cells: vec![cell.clone()],
-        };
+        let gate = |c: &StreamCell| GateReport::evaluate("stream", &[], &c.gate_cells());
+        let report = gate(&cell);
+        assert_eq!(report.verdicts.len(), 2);
         assert!(report.passed());
-        assert!(report.render().contains("ok"));
+        assert!(report.table().render().contains("incremental 10.000ms"));
 
         // Too little speedup fails.
         let mut slow = cell.clone();
         slow.speedup = 4.0;
-        let report = StreamGateReport {
-            options: StreamGateOptions::default(),
-            cells: vec![slow],
-        };
-        assert!(!report.passed());
-        assert!(report.render().contains("FAIL"));
+        let report = gate(&slow);
+        assert_eq!(report.failures().len(), 1);
+        assert_eq!(report.failures()[0].metric, "speedup");
 
         // An exactness failure always fails, whatever the speedup.
         let mut diverged = cell;
         diverged.exact_identical = false;
-        let report = StreamGateReport {
-            options: StreamGateOptions::default(),
-            cells: vec![diverged],
-        };
-        assert!(!report.passed());
-        assert!(report.render().contains("DIVERGED"));
+        let report = gate(&diverged);
+        assert_eq!(report.failures().len(), 1);
+        assert_eq!(report.failures()[0].status.label(), "diverged");
     }
 }

@@ -8,6 +8,7 @@
 //! graffix run      --in g.gfx --algo sssp [--technique coalescing] [--baseline lonestar]
 //! graffix bench    --save-baseline BENCH_ci.json | --gate BENCH_ci.json
 //! graffix bench    --save-serve-baseline SERVE_ci.json | --serve-gate SERVE_ci.json
+//! graffix bench    --stream-gate | --segment-gate          [--gate-report FILE]
 //! graffix report   verify report.json
 //! graffix serve    --graphs "web=rmat:4096:1" [--listen 127.0.0.1:7411]
 //! graffix client   --request '{"graph":"web","algo":"bfs"}' [--connect ADDR]
@@ -23,7 +24,13 @@
 //!
 //! `bench --save-baseline` measures the deterministic gate corpus and
 //! writes a `graffix.bench-baseline` file; `bench --gate` re-measures and
-//! fails (exit 1) on perf regressions or accuracy drift.
+//! fails (exit 1) on perf regressions or accuracy drift. The serve, stream
+//! and segment gates share its tail: one verdict table, `FAIL id [label]`
+//! lines, an optional `--gate-report FILE`, and thresholds fixed in
+//! `graffix_bench::gate::POLICIES` rather than flags.
+//!
+//! Each subcommand accepts only the flags it reads (an unknown flag or a
+//! malformed value is a usage error, exit 2).
 //!
 //! `profile`, `transform`, and `run` route their transform through the
 //! content-addressed prepared-graph cache (`target/graffix-cache/` by
@@ -48,8 +55,9 @@
 
 use graffix::prelude::*;
 use graffix::{log_info, logging};
-use graffix_bench::gate::{GateOptions, GATE_SCHEMA};
-use graffix_bench::{BenchBaseline, Suite, SuiteOptions};
+use graffix_bench::gate::{GateReport, GATE_SCHEMA};
+use graffix_bench::serving::SERVE_SCHEMA;
+use graffix_bench::{BenchBaseline, ServeBaseline, Suite, SuiteOptions};
 use graffix_graph::{io as gio, serialize};
 use std::collections::HashMap;
 use std::path::Path;
@@ -93,20 +101,23 @@ fn usage() -> ! {
                    [--large-nodes N]  measure the gate corpus and save a bench\n\
                    baseline; --large-nodes adds segmented 2^20-scale bfs/pr\n\
                    cells (default 1048576, 0 to skip)\n\
-         bench     --gate FILE [--gate-report FILE] [--rel-tol X] [--sigma K]\n\
+         bench     --gate FILE\n\
                    re-measure and compare; exit 1 on regression or drift\n\
          bench     --segment-gate [--nodes N] [--seed S] [--segment-bytes N]\n\
-                   [--min-win X] [--min-cells N]\n\
-                   flat vs segmented on the gate cells: values must be byte-\n\
-                   identical everywhere and >= min-cells cells at least\n\
-                   min-win faster segmented (default 2 cells at 5%)\n\
+                   flat vs segmented on the gate cells: every cell must be\n\
+                   byte-identical and at least 5% faster segmented\n\
          bench     --save-serve-baseline FILE [--serve-iterations N]\n\
                    measure the serving scenarios and save a serve baseline\n\
-         bench     --serve-gate FILE [--latency-factor X] [--throughput-factor X]\n\
-                   re-measure serving rps/p99 and compare (coarse bands); exit 1 on collapse\n\
-         bench     --stream-gate [--min-speedup X]\n\
+         bench     --serve-gate FILE\n\
+                   re-measure serving rps/p99 and compare (coarse 3x bands);\n\
+                   exit 1 on collapse\n\
+         bench     --stream-gate\n\
                    measure incremental vs full re-prepare under 1% churn and\n\
-                   gate on an absolute speedup floor + exact-mode identity\n\
+                   gate on a 10x speedup floor + exact-mode identity\n\
+                   every gate prints one verdict table, names failures as\n\
+                   `FAIL id [label]`, and takes --gate-report FILE (JSON,\n\
+                   graffix.gate-report v2); thresholds are fixed, one policy\n\
+                   per metric (see EXPERIMENTS.md)\n\
          report    verify FILE   schema-verify a run report (v1 or v2) from disk\n\
          serve     --graphs \"name=kind:nodes:seed|path,...\" [--listen HOST:PORT | --unix PATH]\n\
                    [--workers N] [--pool-capacity N] [--queue-depth N] [--batch-max N]\n\
@@ -144,7 +155,50 @@ const BOOL_FLAGS: &[&str] = &[
     "segment-gate",
 ];
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: &[&str] = &["threads", "quiet", "cache-dir", "no-cache"];
+
+/// The flags each subcommand reads (space-separated), beyond
+/// [`GLOBAL_FLAGS`]. Anything else is a typo, and is rejected rather than
+/// silently ignored.
+const SUBCOMMAND_FLAGS: &[(&str, &str)] = &[
+    ("generate", "kind nodes seed out"),
+    ("convert", "in out"),
+    ("info", "in segment-bytes"),
+    (
+        "profile",
+        "in seed algo technique threshold baseline bc-sources accuracy direction report-json",
+    ),
+    ("transform", "in technique threshold out"),
+    (
+        "run",
+        "in algo technique threshold baseline direction segment-bytes report-json values-out",
+    ),
+    (
+        "stream",
+        "in stream algo technique threshold debt-threshold checkpoint-every oracle out",
+    ),
+    (
+        "bench",
+        "save-baseline gate save-serve-baseline serve-gate stream-gate segment-gate gate-report \
+         nodes seed bc-sources repeats large-nodes serve-iterations segment-bytes",
+    ),
+    ("report", ""),
+    (
+        "serve",
+        "graphs listen unix workers engine-threads pool-capacity queue-depth batch-max \
+         segment-bytes",
+    ),
+    (
+        "client",
+        "connect unix request file raw ping stats shutdown",
+    ),
+];
+
+fn parse_flags(cmd: &str, args: &[String]) -> HashMap<String, String> {
+    let Some((_, allowed)) = SUBCOMMAND_FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        usage();
+    };
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -152,6 +206,10 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument: {a}");
             usage();
         };
+        if !GLOBAL_FLAGS.contains(&key) && !allowed.split(' ').any(|f| f == key) {
+            eprintln!("unknown flag --{key} for '{cmd}'");
+            exit(2);
+        }
         if BOOL_FLAGS.contains(&key) {
             flags.insert(key.to_string(), "1".to_string());
             continue;
@@ -163,6 +221,16 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         flags.insert(key.to_string(), value.clone());
     }
     flags
+}
+
+/// `--name VALUE` parsed as `T`, `None` when absent. A malformed value is
+/// a usage error (exit 2), never a panic.
+fn parsed<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T> {
+    let raw = flags.get(name)?;
+    Some(raw.parse().unwrap_or_else(|_| {
+        eprintln!("bad --{name} value: {raw}");
+        usage();
+    }))
 }
 
 fn load(path: &str) -> Csr {
@@ -213,10 +281,7 @@ fn kind_of(name: &str) -> GraphKind {
 
 /// `--segment-bytes N` -> a validated byte budget, `None` when absent.
 fn segment_bytes_flag(flags: &HashMap<String, String>) -> Option<usize> {
-    let bytes: usize = flags.get("segment-bytes")?.parse().unwrap_or_else(|_| {
-        eprintln!("bad --segment-bytes value: {}", flags["segment-bytes"]);
-        usage();
-    });
+    let bytes: usize = parsed(flags, "segment-bytes")?;
     if let Err(e) = SegmentKnobs::default().with_segment_bytes(bytes).validate() {
         eprintln!("bad --segment-bytes value: {e}");
         usage();
@@ -370,21 +435,14 @@ fn main() {
     } else {
         (Vec::new(), rest)
     };
-    let mut flags = parse_flags(rest);
+    let mut flags = parse_flags(cmd, rest);
     logging::init_from_env();
     if flags.remove("quiet").is_some() {
         logging::set_level(logging::LogLevel::Quiet);
     }
     // Scoped rayon pool: every parallel superstep inside this command runs
     // on exactly N host threads (the engine is deterministic regardless).
-    let threads = flags.remove("threads").map(|t| match t.parse::<usize>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("bad --threads value: {t}");
-            usage();
-        }
-    });
-    match threads {
+    match parsed::<usize>(&flags, "threads") {
         Some(n) => rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
@@ -407,12 +465,8 @@ fn dispatch(cmd: &str, positionals: &[String], flags: &HashMap<String, String>) 
     match cmd {
         "generate" => {
             let kind = kind_of(get("kind"));
-            let nodes = flags
-                .get("nodes")
-                .map_or(4096, |n| n.parse().expect("bad --nodes"));
-            let seed = flags
-                .get("seed")
-                .map_or(1, |s| s.parse().expect("bad --seed"));
+            let nodes = parsed(flags, "nodes").unwrap_or(4096);
+            let seed = parsed(flags, "seed").unwrap_or(1);
             let g = GraphSpec::new(kind, nodes, seed).generate();
             save(&g, get("out"));
             log_info!(
@@ -429,9 +483,7 @@ fn dispatch(cmd: &str, positionals: &[String], flags: &HashMap<String, String>) 
         }
         "profile" => {
             let g = load(get("in"));
-            let seed = flags
-                .get("seed")
-                .map_or(7, |s| s.parse().expect("bad --seed"));
+            let seed = parsed(flags, "seed").unwrap_or(7);
             let tuned = auto_tune(&g, seed);
             let p = tuned.profile;
             // Structural/knob diagnostics go to stderr so stdout can stay a
@@ -475,9 +527,7 @@ fn dispatch(cmd: &str, positionals: &[String], flags: &HashMap<String, String>) 
                 eprintln!("unknown algo: {algo_name}");
                 usage();
             };
-            let threshold = flags
-                .get("threshold")
-                .map(|t| t.parse().expect("bad --threshold"));
+            let threshold = parsed(flags, "threshold");
             let (prepared, pipeline) = prepare(
                 &g,
                 flags.get("technique").map(String::as_str),
@@ -486,9 +536,7 @@ fn dispatch(cmd: &str, positionals: &[String], flags: &HashMap<String, String>) 
                 &cache,
             );
             let baseline = parse_baseline(flags.get("baseline").map(String::as_str));
-            let bc_sources = flags
-                .get("bc-sources")
-                .map_or(4, |s| s.parse().expect("bad --bc-sources"));
+            let bc_sources = parsed(flags, "bc-sources").unwrap_or(4);
             let accuracy = match flags.get("accuracy").map(String::as_str) {
                 None | Some("on") => true,
                 Some("off") => false,
@@ -519,9 +567,7 @@ fn dispatch(cmd: &str, positionals: &[String], flags: &HashMap<String, String>) 
         }
         "transform" => {
             let g = load(get("in"));
-            let threshold = flags
-                .get("threshold")
-                .map(|t| t.parse().expect("bad --threshold"));
+            let threshold = parsed(flags, "threshold");
             let (prepared, _) = prepare(&g, Some(get("technique")), threshold, &gpu, &cache);
             save(&prepared.graph, get("out"));
             let r = &prepared.report;
@@ -544,9 +590,7 @@ fn dispatch(cmd: &str, positionals: &[String], flags: &HashMap<String, String>) 
         }
         "run" => {
             let g = load(get("in"));
-            let threshold = flags
-                .get("threshold")
-                .map(|t| t.parse().expect("bad --threshold"));
+            let threshold = parsed(flags, "threshold");
             let (prepared, _) = prepare(
                 &g,
                 flags.get("technique").map(String::as_str),
@@ -751,18 +795,11 @@ fn stream_cmd(flags: &HashMap<String, String>, gpu: &GpuConfig) {
             exit(1);
         }
     };
-    let threshold = flags
-        .get("threshold")
-        .map(|t| t.parse().expect("bad --threshold"));
+    let threshold = parsed(flags, "threshold");
     let pipeline = build_pipeline(&g, flags.get("technique").map(String::as_str), threshold);
-    let debt_threshold = flags
-        .get("debt-threshold")
-        .map_or(StreamKnobs::default().debt_threshold, |v| {
-            v.parse().expect("bad --debt-threshold")
-        });
-    let every = flags
-        .get("checkpoint-every")
-        .map_or(0usize, |v| v.parse().expect("bad --checkpoint-every"));
+    let debt_threshold =
+        parsed(flags, "debt-threshold").unwrap_or(StreamKnobs::default().debt_threshold);
+    let every: usize = parsed(flags, "checkpoint-every").unwrap_or(0);
     let algo = flags.get("algo").map_or("pr", String::as_str);
     let oracle = flags.contains_key("oracle");
 
@@ -897,14 +934,7 @@ fn serve_cmd(flags: &HashMap<String, String>, cache: CacheConfig) {
                 usage();
             }
         };
-    let num = |key: &str, default: usize| -> usize {
-        flags.get(key).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("bad --{key} value: {v}");
-                usage();
-            })
-        })
-    };
+    let num = |key: &str, default: usize| parsed(flags, key).unwrap_or(default);
     let bind = match (flags.get("unix"), flags.get("listen")) {
         (Some(_), Some(_)) => {
             eprintln!("--unix and --listen are mutually exclusive");
@@ -1035,55 +1065,99 @@ fn client_cmd(flags: &HashMap<String, String>) {
     }
 }
 
-/// `bench --save-baseline FILE` / `bench --gate FILE`. The suite's
-/// algorithm cells reuse the prepared-graph cache (bit-identical loads, so
-/// gated metrics are unaffected); preprocess-time cells always transform
-/// from scratch.
+/// Exits 1 with the reason when `path` cannot be written.
+fn write_file(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("could not write {path}: {e}");
+        exit(1);
+    }
+}
+
+/// Reads the `what` baseline a gate compares against; exits 1 with the
+/// reason when the file is unreadable or not that kind of baseline.
+fn read_baseline<T>(path: &str, what: &str, parse: fn(&str) -> Result<T, String>) -> T {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("could not read {path}: {e}");
+        exit(1);
+    });
+    parse(&text).unwrap_or_else(|e| {
+        eprintln!("{path} is not a {what} baseline: {e}");
+        exit(1);
+    })
+}
+
+/// The tail every gate shares: print the verdict table, write
+/// `--gate-report`, name each failure on stderr, exit 1 unless it passed.
+fn finish_gate(report: &GateReport, flags: &HashMap<String, String>) {
+    print!("{}", report.table().render());
+    if let Some(out) = flags.get("gate-report") {
+        write_file(out, report.to_json().to_pretty_string());
+        log_info!("wrote gate report {out} (schema {GATE_SCHEMA})");
+    }
+    let failures = report.failures();
+    for f in &failures {
+        eprintln!("FAIL {} [{}] {}", f.id, f.status.label(), f.metric);
+    }
+    if !failures.is_empty() {
+        exit(1);
+    }
+    log_info!(
+        "{} gate passed: {} cells",
+        report.gate,
+        report.verdicts.len()
+    );
+}
+
+/// `graffix bench`: save a baseline, or run one of the four gates. Every
+/// gate is measure → cells → [`finish_gate`]; thresholds are fixed in
+/// `graffix_bench::gate::POLICIES`.
 fn bench(flags: &HashMap<String, String>, cache: &CacheConfig) {
-    if flags.contains_key("save-serve-baseline") || flags.contains_key("serve-gate") {
-        serve_bench(flags);
-        return;
+    const MODES: [&str; 6] = [
+        "save-baseline",
+        "gate",
+        "save-serve-baseline",
+        "serve-gate",
+        "stream-gate",
+        "segment-gate",
+    ];
+    let chosen: Vec<&str> = MODES
+        .into_iter()
+        .filter(|m| flags.contains_key(*m))
+        .collect();
+    let [mode] = chosen[..] else {
+        eprintln!("bench needs exactly one of --{}", MODES.join(", --"));
+        usage();
+    };
+    let path = flags[mode].as_str();
+    // Corpus shape: the suite defaults, overridden flag by flag.
+    let mut options = SuiteOptions::from_env();
+    if mode == "segment-gate" {
+        // The scale the segmented-win claim is made at.
+        options.nodes = 1 << 17;
     }
-    if flags.contains_key("stream-gate") {
-        stream_bench(flags);
-        return;
-    }
-    if flags.contains_key("segment-gate") {
-        segment_bench(flags);
-        return;
-    }
-    let repeats = flags
-        .get("repeats")
-        .map_or(3, |r| r.parse().expect("bad --repeats"));
-    match (flags.get("save-baseline"), flags.get("gate")) {
-        (Some(path), None) => {
-            let mut options = SuiteOptions::from_env();
-            if let Some(n) = flags.get("nodes") {
-                options.nodes = n.parse().expect("bad --nodes");
-            }
-            if let Some(s) = flags.get("seed") {
-                options.seed = s.parse().expect("bad --seed");
-            }
-            if let Some(s) = flags.get("bc-sources") {
-                options.bc_sources = s.parse().expect("bad --bc-sources");
-            }
+    options.nodes = parsed(flags, "nodes").unwrap_or(options.nodes);
+    options.seed = parsed(flags, "seed").unwrap_or(options.seed);
+    options.bc_sources = parsed(flags, "bc-sources").unwrap_or(options.bc_sources);
+    match mode {
+        // The suite's algorithm cells reuse the prepared-graph cache
+        // (bit-identical loads, so gated metrics are unaffected);
+        // preprocess-time cells always transform from scratch.
+        "save-baseline" => {
+            let repeats = parsed(flags, "repeats").unwrap_or(3);
+            let large_nodes: usize = parsed(flags, "large-nodes").unwrap_or(1 << 20);
             log_info!(
                 "measuring gate corpus: nodes {}, seed {}, {} repeats",
                 options.nodes,
                 options.seed,
                 repeats
             );
-            let large_nodes: usize = flags
-                .get("large-nodes")
-                .map_or(1 << 20, |n| n.parse().expect("bad --large-nodes"));
-            let mut baseline = BenchBaseline::capture(
-                &Suite::new(options.clone()).with_cache(cache.clone()),
-                repeats,
-            );
+            let seed = options.seed;
+            let mut baseline =
+                BenchBaseline::capture(&Suite::new(options).with_cache(cache.clone()), repeats);
             if large_nodes > 0 {
                 let budget = SegmentKnobs::default().segment_bytes;
                 log_info!("measuring large cells: {large_nodes} nodes segmented at {budget} bytes");
-                baseline.large = graffix_bench::measure_large(large_nodes, options.seed, budget);
+                baseline.large = graffix_bench::measure_large(large_nodes, seed, budget);
                 for c in &baseline.large {
                     log_info!(
                         "  {} -> {} cycles across {} segments ({:.1}s wall)",
@@ -1094,108 +1168,38 @@ fn bench(flags: &HashMap<String, String>, cache: &CacheConfig) {
                     );
                 }
             }
-            if let Err(e) = std::fs::write(path, baseline.to_pretty_string()) {
-                eprintln!("could not write {path}: {e}");
-                exit(1);
-            }
+            write_file(path, baseline.to_pretty_string());
             log_info!(
                 "wrote baseline {path} ({} cells, {} large)",
                 baseline.cells.len(),
                 baseline.large.len()
             );
         }
-        (None, Some(path)) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("could not read {path}: {e}");
-                    exit(1);
-                }
-            };
-            let baseline = match BenchBaseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("{path} is not a bench baseline: {e}");
-                    exit(1);
-                }
-            };
-            let mut opts = GateOptions::default();
-            if let Some(t) = flags.get("rel-tol") {
-                opts.rel_tol = t.parse().expect("bad --rel-tol");
-            }
-            if let Some(k) = flags.get("sigma") {
-                opts.sigma_k = k.parse().expect("bad --sigma");
-            }
+        "gate" => {
+            let baseline = read_baseline(path, "bench", BenchBaseline::parse);
+            let fp = &baseline.fingerprint;
             log_info!(
                 "gating against {path} (host {}, nodes {}, seed {})",
-                baseline.fingerprint.host,
-                baseline.fingerprint.nodes,
-                baseline.fingerprint.seed
+                fp.host,
+                fp.nodes,
+                fp.seed
             );
-            let suite = Suite::new(baseline.fingerprint.suite_options()).with_cache(cache.clone());
-            if !baseline.large.is_empty() {
+            if let Some(c) = baseline.large.first() {
                 log_info!(
                     "re-measuring {} large cells at {} nodes (takes a minute or two)",
                     baseline.large.len(),
-                    baseline.large[0].nodes
+                    c.nodes
                 );
             }
-            let report = graffix_bench::run_gate_on(opts, &baseline, &suite);
-            print!("{}", report.diff_table().render());
-            print!("{}", report.preprocess_table().render());
-            if !report.large.is_empty() {
-                print!("{}", report.large_table().render());
-            }
-            if let Some(out) = flags.get("gate-report") {
-                if let Err(e) = std::fs::write(out, report.to_pretty_string()) {
-                    eprintln!("could not write {out}: {e}");
-                    exit(1);
-                }
-                log_info!("wrote gate report {out} (schema {GATE_SCHEMA})");
-            }
-            if !report.passed() {
-                for f in report.failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
-                }
-                for f in report.preprocess_failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
-                }
-                for f in report.large_failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
-                }
-                exit(1);
-            }
-            log_info!(
-                "gate passed: {} cells within tolerance",
-                report.verdicts.len() + report.preprocess.len() + report.large.len()
-            );
+            let suite = Suite::new(fp.suite_options()).with_cache(cache.clone());
+            finish_gate(&graffix_bench::run_gate(&baseline, &suite), flags);
         }
-        _ => {
-            eprintln!("bench needs exactly one of --save-baseline FILE or --gate FILE");
-            usage();
-        }
-    }
-}
-
-/// `bench --save-serve-baseline FILE` / `bench --serve-gate FILE`: the
-/// serving throughput/latency cells, measured against a live in-process
-/// daemon. Tolerances are deliberately coarse (wall-clock through a real
-/// socket); the gate catches serving-path collapses, not jitter.
-fn serve_bench(flags: &HashMap<String, String>) {
-    use graffix_bench::serving::SERVE_SCHEMA;
-    use graffix_bench::{run_serve_gate, ServeBaseline, ServeGateOptions};
-
-    match (flags.get("save-serve-baseline"), flags.get("serve-gate")) {
-        (Some(path), None) => {
-            let iterations = flags
-                .get("serve-iterations")
-                .map_or(1, |n| n.parse().expect("bad --serve-iterations"));
+        // Serving cells are measured against a live in-process daemon.
+        "save-serve-baseline" => {
+            let iterations = parsed(flags, "serve-iterations").unwrap_or(1);
             log_info!("measuring serving scenarios ({iterations} iterations)");
             let baseline = ServeBaseline::capture(iterations);
-            if let Err(e) = std::fs::write(path, baseline.to_pretty_string()) {
-                eprintln!("could not write {path}: {e}");
-                exit(1);
-            }
+            write_file(path, baseline.to_pretty_string());
             for c in &baseline.cells {
                 log_info!(
                     "  {:<22} {:>8.1} req/s, p50 {:>7.3}ms, p99 {:>7.3}ms",
@@ -1210,137 +1214,34 @@ fn serve_bench(flags: &HashMap<String, String>) {
                 baseline.cells.len()
             );
         }
-        (None, Some(path)) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("could not read {path}: {e}");
-                    exit(1);
-                }
-            };
-            let baseline = match ServeBaseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("{path} is not a serve baseline: {e}");
-                    exit(1);
-                }
-            };
-            let mut opts = ServeGateOptions::default();
-            if let Some(f) = flags.get("latency-factor") {
-                opts.latency_factor = f.parse().expect("bad --latency-factor");
-            }
-            if let Some(f) = flags.get("throughput-factor") {
-                opts.throughput_factor = f.parse().expect("bad --throughput-factor");
-            }
+        "serve-gate" => {
+            let baseline = read_baseline(path, "serve", ServeBaseline::parse);
             log_info!(
                 "serve-gating against {path} ({} cells)",
                 baseline.cells.len()
             );
-            let report = run_serve_gate(opts, &baseline);
-            print!("{}", report.render());
-            if !report.passed() {
-                for f in report.failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
-                }
-                exit(1);
-            }
-            log_info!(
-                "serve gate passed: {} cells within bands",
-                report.verdicts.len()
-            );
+            finish_gate(&graffix_bench::run_serve_gate(&baseline), flags);
         }
+        // No baseline file: both sides of the ratio are measured back to
+        // back on this machine, so the floor is host-independent.
+        "stream-gate" => {
+            log_info!("measuring streaming cell: incremental vs full re-prepare at 1% churn");
+            finish_gate(&graffix_bench::run_stream_gate(), flags);
+        }
+        // Both sides are deterministic simulated cycles, so this gate is
+        // machine-independent too.
         _ => {
-            eprintln!("bench needs exactly one of --save-serve-baseline FILE or --serve-gate FILE");
-            usage();
-        }
-    }
-}
-
-/// `bench --stream-gate` — the streaming cell: incremental vs full
-/// re-preparation under 1% churn, gated on an absolute speedup floor plus
-/// exact-regime identity. No baseline file: both sides of the ratio are
-/// measured back to back on this machine, so the floor is host-independent.
-fn stream_bench(flags: &HashMap<String, String>) {
-    use graffix_bench::{run_stream_gate, StreamGateOptions};
-
-    let mut opts = StreamGateOptions::default();
-    if let Some(f) = flags.get("min-speedup") {
-        opts.min_speedup = f.parse().expect("bad --min-speedup");
-    }
-    log_info!(
-        "measuring streaming cell (speedup floor {:.1}x)",
-        opts.min_speedup
-    );
-    let report = run_stream_gate(opts);
-    print!("{}", report.render());
-    if !report.passed() {
-        for f in report.failures() {
-            eprintln!(
-                "FAIL {} [speedup {:.1}x, exact {}]",
-                f.id, f.speedup, f.exact_identical
+            let segment_bytes =
+                segment_bytes_flag(flags).unwrap_or(SegmentKnobs::default().segment_bytes);
+            log_info!(
+                "measuring flat vs segmented at {} nodes, {} byte budget",
+                options.nodes,
+                segment_bytes
             );
+            let report = graffix_bench::run_segment_gate(&Suite::new(options), segment_bytes);
+            finish_gate(&report, flags);
         }
-        exit(1);
     }
-    log_info!(
-        "stream gate passed: {} cells above the floor",
-        report.cells.len()
-    );
-}
-
-/// `bench --segment-gate` — flat vs segment-major execution on the gate
-/// cells: byte-identical values everywhere, and enough cells where
-/// L2-resident segments make the segmented run measurably cheaper. Both
-/// sides are deterministic simulated cycles, so the gate is
-/// machine-independent.
-fn segment_bench(flags: &HashMap<String, String>) {
-    use graffix_bench::{run_segment_gate, SegmentGateOptions};
-
-    let mut options = SuiteOptions::from_env();
-    // Default to the 2^17 scale the segmented-win claim is made at.
-    options.nodes = flags
-        .get("nodes")
-        .map_or(1 << 17, |n| n.parse().expect("bad --nodes"));
-    if let Some(s) = flags.get("seed") {
-        options.seed = s.parse().expect("bad --seed");
-    }
-    let segment_bytes =
-        segment_bytes_flag(flags).unwrap_or_else(|| SegmentKnobs::default().segment_bytes);
-    let mut opts = SegmentGateOptions::default();
-    if let Some(w) = flags.get("min-win") {
-        opts.min_win = w.parse().expect("bad --min-win");
-    }
-    if let Some(c) = flags.get("min-cells") {
-        opts.min_cells = c.parse().expect("bad --min-cells");
-    }
-    log_info!(
-        "measuring flat vs segmented at {} nodes, {} byte budget",
-        options.nodes,
-        segment_bytes
-    );
-    let suite = Suite::new(options);
-    let report = run_segment_gate(opts, &suite, segment_bytes);
-    print!("{}", report.table().render());
-    if !report.passed() {
-        for r in report.divergent() {
-            eprintln!("FAIL {}/{} [segmented values diverged]", r.graph, r.algo);
-        }
-        if report.winners().len() < opts.min_cells {
-            eprintln!(
-                "FAIL only {} of the required {} cells won >= {:.0}%",
-                report.winners().len(),
-                opts.min_cells,
-                opts.min_win * 100.0
-            );
-        }
-        exit(1);
-    }
-    log_info!(
-        "segment gate passed: {} cells identical, {} at least {:.0}% faster segmented",
-        report.rows.len(),
-        report.winners().len(),
-        opts.min_win * 100.0
-    );
 }
 
 /// `report verify FILE` — schema-verify a run report from disk.

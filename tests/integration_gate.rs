@@ -173,3 +173,37 @@ fn gate_rejects_files_that_are_not_baselines() {
         "should explain the schema mismatch: {stderr}"
     );
 }
+
+/// Gate thresholds are fixed policy, not flags: a retired threshold flag is
+/// rejected like any unknown flag, before anything is measured.
+#[test]
+fn retired_threshold_flag_is_a_usage_error() {
+    let out = bin()
+        .args(["bench", "--gate"])
+        .arg(tmp("never-read.json"))
+        .args(["--rel-tol", "0.1"])
+        .output()
+        .expect("run graffix bench --gate");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --rel-tol for 'bench'"),
+        "should name the flag: {stderr}"
+    );
+}
+
+#[test]
+fn malformed_flag_value_is_a_usage_error_not_a_panic() {
+    let out = bin()
+        .args(["bench", "--save-baseline"])
+        .arg(tmp("never-written.json"))
+        .args(["--repeats", "abc"])
+        .output()
+        .expect("run graffix bench --save-baseline");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad --repeats value: abc") && !stderr.contains("panicked"),
+        "should be a usage error: {stderr}"
+    );
+}
