@@ -828,13 +828,14 @@ fn stream_cmd(flags: &HashMap<String, String>, gpu: &GpuConfig) {
             }
         };
         log_info!(
-            "batch {}/{total}: +{} -{} ~{} mode={} debt={:.4} prepare {:.4}s",
+            "batch {}/{total}: +{} -{} ~{} mode={} debt={:.4} apply+maintain {:.4}s prepare {:.4}s",
             i + 1,
             out.batch.inserted.len(),
             out.batch.deleted.len(),
             out.batch.reweighted,
             out.mode.label(),
             out.debt,
+            out.maintenance_seconds,
             out.prepare_seconds
         );
         for rec in &out.stages {

@@ -40,8 +40,10 @@ use std::time::Instant;
 const MAGIC: &[u8; 4] = b"GFXP";
 
 /// Bumped whenever any transform's output for the same (graph, knobs)
-/// changes, so stale cache entries can never resurface old behavior.
-pub const PIPELINE_VERSION: u32 = 1;
+/// changes or a stage payload changes shape, so stale cache entries can
+/// never resurface old behavior. 2: the `cc` stage stores integer triangle
+/// counts where it stored `f64` coefficients (same length, other meaning).
+pub const PIPELINE_VERSION: u32 = 2;
 
 /// Where (and whether) prepared graphs are cached.
 #[derive(Clone, Debug)]

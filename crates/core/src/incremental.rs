@@ -8,11 +8,10 @@
 //!
 //! * **Exact mode** — every stage whose inputs changed recomputes. When the
 //!   pipeline shape allows it (latency without coalescing, where the `cc`
-//!   stage is computed on the input graph itself), the clustering
-//!   coefficients are maintained incrementally on the side and seeded into
-//!   the context as a bit-exact payload, so the most expensive stage of the
-//!   latency pipeline becomes a hit while the output stays byte-identical
-//!   to a from-scratch prepare.
+//!   stage is computed on the input graph itself), its per-node triangle
+//!   counts are maintained incrementally on the side and seeded into the
+//!   context as a bit-exact payload, so that stage becomes a hit while the
+//!   output stays byte-identical to a from-scratch prepare.
 //! * **Stale mode** — the head stage of the pipeline is served from its
 //!   previous output ([`QueryCtx::seed_stale`]), which makes every
 //!   downstream key match and the whole prepare collapse into cache hits.
@@ -22,12 +21,17 @@
 //!   next prepare is forced exact and the debt resets. A threshold of `0`
 //!   disables stale mode entirely: every batch re-prepares exactly.
 //!
-//! Clustering-coefficient maintenance mirrors
-//! [`graffix_graph::properties::local_clustering_coefficient`] bit for bit:
-//! the undirected adjacency is kept as sorted neighbor lists, a mutated
-//! undirected edge `{u, v}` dirties `u`, `v`, and every common neighbor of
-//! the pair in the old *and* new adjacency (the complete set of nodes whose
-//! triangle counts can change), and only dirty slots are recomputed.
+//! What is maintained is the per-node integer triangle count, in a
+//! [`TriangleIndex`] (the structure edge boosting edits through): each
+//! undirected edge `{u, v}` a batch makes or unmakes moves the counts of
+//! `u`, `v` and their common neighbors by one short intersection, and the
+//! seeded `cc` payload is those integers — what a fresh
+//! [`graffix_graph::properties::triangle_counts`] pass would store.
+//!
+//! The context's memo would otherwise keep every superseded stage payload
+//! for the life of the stream (a boosted graph per exact batch), so after
+//! each batch the entries of the stages that just ran under other keys are
+//! dropped ([`QueryCtx::drop_superseded`]).
 
 use crate::knobs::{SegmentKnobs, StreamKnobs};
 use crate::pipeline::{Pipeline, PipelineError};
@@ -35,8 +39,7 @@ use crate::prepared::Prepared;
 use crate::query::{QueryCtx, StageRecord};
 use crate::{segmenting, stages};
 use graffix_graph::mutation::{BatchOutcome, EdgeBatch};
-use graffix_graph::properties::{clustering_coefficients, sorted_intersection_count};
-use graffix_graph::{Csr, GraphError, NodeId, Segmentation};
+use graffix_graph::{Csr, GraphError, NodeId, Segmentation, TriangleIndex};
 use graffix_sim::GpuConfig;
 use std::time::Instant;
 
@@ -100,12 +103,17 @@ pub struct IncrementalOutcome {
     pub mode: PrepareMode,
     /// Wall seconds spent inside the pipeline re-run (mutation excluded).
     pub prepare_seconds: f64,
+    /// Wall seconds of everything `prepare_seconds` excludes:
+    /// [`Csr::apply_batch`] plus triangle-count maintenance.
+    pub maintenance_seconds: f64,
     /// Staleness debt after this batch (0 after an exact prepare).
     pub debt: f64,
     /// Arcs actually inserted or deleted by the batch.
     pub churn_arcs: usize,
-    /// Nodes whose clustering coefficient was recomputed incrementally
-    /// (0 when the pipeline shape does not use the `cc` seed).
+    /// Nodes whose clustering coefficient the batch can have changed: the
+    /// endpoints of every touched undirected pair and their common
+    /// neighbors before and after the batch (0 when the pipeline shape does
+    /// not use the `cc` seed).
     pub cc_dirty: usize,
     /// The raw mutation outcome from [`Csr::apply_batch`].
     pub batch: BatchOutcome,
@@ -122,12 +130,10 @@ pub struct IncrementalPrepare {
     ctx: QueryCtx,
     graph: Csr,
     prepared: Prepared,
-    /// Sorted undirected neighbor lists, maintained only when `cc` is.
-    und: Vec<Vec<NodeId>>,
-    /// Incrementally maintained clustering coefficients of the *true*
-    /// graph, present iff the pipeline computes `cc` on the input graph
-    /// itself (latency without coalescing).
-    cc: Option<Vec<f64>>,
+    /// Incrementally maintained triangle counts of the *true* graph,
+    /// present iff the pipeline computes `cc` on the input graph itself
+    /// (latency without coalescing).
+    tri: Option<TriangleIndex>,
     debt: f64,
     /// Edge count at the last exact prepare; the denominator of debt.
     base_arcs: usize,
@@ -153,24 +159,15 @@ impl IncrementalPrepare {
         // is enabled without coalescing (otherwise it sees the replicated
         // graph, whose id space the incremental view does not track).
         let cc_seedable = pipeline.coalesce.is_none() && pipeline.latency.is_some();
-        let (und, cc) = if cc_seedable {
-            let und_csr = graph.undirected();
-            let und: Vec<Vec<NodeId>> = (0..graph.num_nodes())
-                .map(|v| und_csr.neighbors(v as NodeId).to_vec())
-                .collect();
-            // The pipeline just computed cc; recover the exact payload it
-            // produced rather than recomputing.
-            let cc = match ctx
+        let tri = cc_seedable.then(|| {
+            // The pipeline just counted; take the exact payload it
+            // produced rather than counting again.
+            let counts = ctx
                 .last_payload("cc")
-                .and_then(|p| stages::decode_f64s(p).ok())
-            {
-                Some(v) => v,
-                None => clustering_coefficients(&graph),
-            };
-            (und, Some(cc))
-        } else {
-            (Vec::new(), None)
-        };
+                .and_then(|p| stages::decode_counts(p).ok())
+                .expect("the latency run above served a cc payload");
+            TriangleIndex::with_counts(&graph.undirected(), counts)
+        });
         let base_arcs = graph.num_edges().max(1);
         Ok(IncrementalPrepare {
             pipeline,
@@ -179,8 +176,7 @@ impl IncrementalPrepare {
             ctx,
             graph,
             prepared,
-            und,
-            cc,
+            tri,
             debt: 0.0,
             base_arcs,
             exact_prepares: 1,
@@ -241,12 +237,9 @@ impl IncrementalPrepare {
     /// Applies one edge batch to the graph and brings the prepared output
     /// up to date (exactly or stale, per the debt model).
     pub fn apply_batch(&mut self, batch: &EdgeBatch) -> Result<IncrementalOutcome, StreamError> {
+        let entered = Instant::now();
         let outcome = self.graph.apply_batch(batch)?;
-        let cc_dirty = if self.cc.is_some() {
-            self.refresh_cc(&outcome)
-        } else {
-            0
-        };
+        let cc_dirty = self.refresh_counts(&outcome);
         let churn = outcome.churn_arcs();
         let churn_frac = churn as f64 / self.base_arcs as f64;
         let threshold = self.knobs.debt_threshold;
@@ -273,20 +266,24 @@ impl IncrementalPrepare {
         // The cc seed is maintained on the true graph, so it is correct to
         // inject in *both* modes (in stale mode the stage keys upstream of
         // it are already satisfied, so the seed simply goes unqueried).
-        if let Some(cc) = &self.cc {
-            self.ctx.seed_payload("cc", stages::encode_f64s(cc));
+        if let Some(tri) = &self.tri {
+            self.ctx
+                .seed_payload("cc", stages::encode_counts(tri.counts()));
         }
         let started = Instant::now();
+        let maintenance_seconds = (started - entered).as_secs_f64();
         let prepared = self
             .pipeline
             .try_apply_with(&self.graph, &self.cfg, &mut self.ctx);
         self.ctx.clear_seeds();
+        self.ctx.drop_superseded();
         let prepared = prepared?;
         let prepare_seconds = started.elapsed().as_secs_f64();
         self.prepared = prepared;
         Ok(IncrementalOutcome {
             mode,
             prepare_seconds,
+            maintenance_seconds,
             debt: self.debt,
             churn_arcs: churn,
             cc_dirty,
@@ -295,9 +292,13 @@ impl IncrementalPrepare {
         })
     }
 
-    /// Updates the undirected adjacency and the clustering coefficients of
-    /// every node whose value can have changed. Returns the dirty count.
-    fn refresh_cc(&mut self, out: &BatchOutcome) -> usize {
+    /// Applies the batch's undirected edge changes to the triangle index,
+    /// one toggle per changed pair. Returns the dirty count (see
+    /// [`IncrementalOutcome::cc_dirty`]); 0 when no counts are maintained.
+    fn refresh_counts(&mut self, out: &BatchOutcome) -> usize {
+        let Some(tri) = self.tri.as_mut() else {
+            return 0;
+        };
         let mut pairs: Vec<(NodeId, NodeId)> = out
             .inserted
             .iter()
@@ -307,84 +308,35 @@ impl IncrementalPrepare {
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
-        if pairs.is_empty() {
-            return 0;
-        }
-        let mut dirty: Vec<NodeId> = Vec::new();
+        let mut dirty = vec![false; self.graph.num_nodes()];
+        let mut common: Vec<NodeId> = Vec::new();
+        let mut mark = |tri: &TriangleIndex, u: NodeId, v: NodeId| {
+            common.clear();
+            common.extend([u, v]);
+            tri.common_into(u, v, &mut common);
+            for &w in &common {
+                dirty[w as usize] = true;
+            }
+        };
         // Common neighbors in the OLD adjacency (triangles a removed edge
         // destroys), plus the endpoints themselves.
         for &(u, v) in &pairs {
-            dirty.push(u);
-            dirty.push(v);
-            common_into(&self.und[u as usize], &self.und[v as usize], &mut dirty);
+            mark(tri, u, v);
         }
         // Undirected membership of {u, v} is decided against the final
-        // directed graph: present iff either arc survives the batch.
+        // directed graph: present iff either arc survives the batch. The
+        // toggles are sequential, each against the lists the previous ones
+        // left, so two changed edges of one triangle move it once.
         for &(u, v) in &pairs {
             let present = self.graph.has_edge(u, v) || self.graph.has_edge(v, u);
-            set_membership(&mut self.und[u as usize], v, present);
-            set_membership(&mut self.und[v as usize], u, present);
+            tri.set_edge(u, v, present);
         }
         // Common neighbors in the NEW adjacency (triangles an added edge
         // creates).
         for &(u, v) in &pairs {
-            common_into(&self.und[u as usize], &self.und[v as usize], &mut dirty);
+            mark(tri, u, v);
         }
-        dirty.sort_unstable();
-        dirty.dedup();
-        let cc = self.cc.as_mut().expect("refresh_cc called without cc");
-        for &d in &dirty {
-            cc[d as usize] = local_cc(&self.und, d);
-        }
-        dirty.len()
-    }
-}
-
-/// Bitwise mirror of
-/// [`graffix_graph::properties::local_clustering_coefficient`] over the
-/// maintained sorted neighbor lists.
-fn local_cc(und: &[Vec<NodeId>], v: NodeId) -> f64 {
-    let nbrs = &und[v as usize];
-    let k = nbrs.len();
-    if k < 2 {
-        return 0.0;
-    }
-    let mut links = 0usize;
-    for (i, &a) in nbrs.iter().enumerate() {
-        links += sorted_intersection_count(&und[a as usize], &nbrs[i + 1..]);
-    }
-    2.0 * links as f64 / (k * (k - 1)) as f64
-}
-
-/// Appends the sorted-merge intersection of `a` and `b` to `out`.
-fn common_into(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Inserts or removes `x` in a sorted list so that `x ∈ list == present`.
-fn set_membership(list: &mut Vec<NodeId>, x: NodeId, present: bool) {
-    match list.binary_search(&x) {
-        Ok(pos) => {
-            if !present {
-                list.remove(pos);
-            }
-        }
-        Err(pos) => {
-            if present {
-                list.insert(pos, x);
-            }
-        }
+        dirty.iter().filter(|&&d| d).count()
     }
 }
 
@@ -394,6 +346,7 @@ mod tests {
     use crate::knobs::{DivergenceKnobs, LatencyKnobs};
     use crate::query::StageStatus;
     use graffix_graph::generators::{GraphKind, GraphSpec};
+    use graffix_graph::properties::local_clustering_coefficient;
     use graffix_graph::serialize;
     use rand::Rng;
     use rand_chacha::rand_core::SeedableRng;
@@ -442,6 +395,22 @@ mod tests {
         assert_eq!(a.replica_groups, b.replica_groups);
         assert_eq!(a.tiles, b.tiles);
         assert_eq!(a.technique, b.technique);
+    }
+
+    /// The maintained counts, read as coefficients, against the per-node
+    /// oracle on the current true graph.
+    fn assert_counts_match_oracle(inc: &IncrementalPrepare, what: &str) {
+        let und = inc.graph().undirected();
+        let kept = inc.tri.as_ref().unwrap().coefficients();
+        assert_eq!(kept.len(), und.num_nodes());
+        for (v, a) in kept.iter().enumerate() {
+            let b = local_clustering_coefficient(&und, v as NodeId);
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "cc[{v}] diverged, {what}: {a} vs {b}"
+            );
+        }
     }
 
     fn latency_pipeline() -> Pipeline {
@@ -509,17 +478,80 @@ mod tests {
         for round in 0..10 {
             let batch = random_batch(inc.graph(), &mut rng, 12);
             inc.apply_batch(&batch).unwrap();
-            let fresh = clustering_coefficients(inc.graph());
-            let kept = inc.cc.as_ref().unwrap();
-            assert_eq!(kept.len(), fresh.len());
-            for (v, (a, b)) in kept.iter().zip(fresh.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "cc[{v}] diverged on round {round}: {a} vs {b}"
-                );
+            assert_counts_match_oracle(&inc, &format!("round {round}"));
+        }
+    }
+
+    #[test]
+    fn one_batch_touching_a_triangle_twice_counts_it_once() {
+        // 0-1-2 is a triangle hanging off a path; every arc is stored in
+        // both directions so deleting one arc leaves the undirected edge.
+        let mut b = graffix_graph::GraphBuilder::new(6);
+        for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)] {
+            b.add_undirected_edge(u, v);
+        }
+        let mut inc = IncrementalPrepare::new(
+            b.build(),
+            latency_pipeline(),
+            GpuConfig::k40c(),
+            StreamKnobs::default().with_debt_threshold(0.0),
+        )
+        .unwrap();
+        assert_eq!(inc.tri.as_ref().unwrap().counts(), [1, 1, 1, 0, 0, 0]);
+
+        // Two edges of the triangle go in one batch, and {3, 4} is deleted
+        // and re-inserted (net: still there).
+        let mut batch = EdgeBatch::new();
+        for (u, v) in [(0, 1), (1, 2), (3, 4)] {
+            batch.delete(u, v);
+            batch.delete(v, u);
+        }
+        batch.insert(3, 4, 1);
+        batch.insert(4, 3, 1);
+        let out = inc.apply_batch(&batch).unwrap();
+        assert_eq!(inc.tri.as_ref().unwrap().counts(), [0; 6]);
+        assert_counts_match_oracle(&inc, "after breaking the triangle");
+        // Endpoints of the three touched pairs; 2 and 0 are also the old
+        // common neighbors of {0, 1} and {1, 2}.
+        assert_eq!(out.cc_dirty, 5);
+
+        // Both edges come back, together with a chord closing 2-3-4.
+        let mut batch = EdgeBatch::new();
+        for (u, v) in [(0, 1), (1, 2), (2, 4)] {
+            batch.insert(u, v, 1);
+        }
+        inc.apply_batch(&batch).unwrap();
+        assert_eq!(inc.tri.as_ref().unwrap().counts(), [1, 1, 2, 1, 1, 0]);
+        assert_counts_match_oracle(&inc, "after restoring it");
+    }
+
+    #[test]
+    fn memo_stays_flat_over_many_batches() {
+        let mut inc = IncrementalPrepare::new(
+            test_graph(19),
+            latency_pipeline(),
+            GpuConfig::k40c(),
+            // Three batches of debt, then an exact one.
+            StreamKnobs::default().with_debt_threshold(0.02),
+        )
+        .unwrap();
+        // Segment entries are not a batch's to drop; they stay in the count.
+        let (segs, _) = inc.segmentation(&SegmentKnobs::default().with_segment_bytes(4096));
+        let after_new = inc.ctx.memo_entries();
+        assert!(after_new > segs.len());
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        for round in 0..20 {
+            let batch = random_batch(inc.graph(), &mut rng, 12);
+            let out = inc.apply_batch(&batch).unwrap();
+            // A stale batch leaves no boost entry (a stale serve is not
+            // memoized); an exact one leaves exactly the first prepare's set.
+            let entries = inc.ctx.memo_entries();
+            match out.mode {
+                PrepareMode::Exact => assert_eq!(entries, after_new, "round {round}"),
+                PrepareMode::Stale => assert!(entries < after_new, "round {round}"),
             }
         }
+        assert!(inc.exact_prepares() > 2 && inc.stale_prepares() > 2);
     }
 
     #[test]

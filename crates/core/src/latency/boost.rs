@@ -2,10 +2,9 @@
 //! scenarios), under a global edge budget.
 
 use crate::knobs::LatencyKnobs;
-use graffix_graph::properties::{clustering_coefficients, local_clustering_coefficient};
-use graffix_graph::{Csr, GraphBuilder, NodeId};
+use graffix_graph::properties::triangle_counts;
+use graffix_graph::{Csr, GraphBuilder, NodeId, TriangleIndex};
 use rayon::prelude::*;
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Pair-scoring work below this size is done serially; the deterministic
@@ -21,80 +20,35 @@ pub struct BoostOutcome {
     pub clustering: Vec<f64>,
     /// Directed arcs inserted.
     pub edges_added: usize,
-    /// Wall-clock time of the initial clustering-coefficient pass (the
-    /// `cc` phase of the preprocess breakdown).
+    /// Wall-clock time of the initial triangle-count pass (the `cc` phase
+    /// of the preprocess breakdown).
     pub cc_seconds: f64,
-}
-
-/// Undirected dynamic adjacency used while editing.
-struct DynUndirected {
-    nbrs: Vec<HashSet<NodeId>>,
-}
-
-impl DynUndirected {
-    fn from_csr(g: &Csr) -> Self {
-        let mut nbrs: Vec<HashSet<NodeId>> = vec![HashSet::new(); g.num_nodes()];
-        for (u, v, _) in g.edge_triples() {
-            if u != v {
-                nbrs[u as usize].insert(v);
-                nbrs[v as usize].insert(u);
-            }
-        }
-        DynUndirected { nbrs }
-    }
-
-    fn has(&self, a: NodeId, b: NodeId) -> bool {
-        self.nbrs[a as usize].contains(&b)
-    }
-
-    fn add(&mut self, a: NodeId, b: NodeId) {
-        self.nbrs[a as usize].insert(b);
-        self.nbrs[b as usize].insert(a);
-    }
-
-    /// Local clustering coefficient of `v` under the current edge set.
-    fn cc(&self, v: NodeId) -> f64 {
-        let nbrs: Vec<NodeId> = self.nbrs[v as usize].iter().copied().collect();
-        let k = nbrs.len();
-        if k < 2 {
-            return 0.0;
-        }
-        let mut links = 0usize;
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                if self.has(a, b) {
-                    links += 1;
-                }
-            }
-        }
-        2.0 * links as f64 / (k * (k - 1)) as f64
-    }
-
-    /// Number of edges `a` has to the other members of `set`.
-    fn links_into(&self, a: NodeId, set: &[NodeId]) -> usize {
-        set.iter().filter(|&&b| b != a && self.has(a, b)).count()
-    }
 }
 
 /// Inserts CC-boosting edges per §3 and returns the new graph plus the
 /// post-boost clustering coefficients.
 pub fn boost_edges(g: &Csr, knobs: &LatencyKnobs) -> BoostOutcome {
     let cc_start = Instant::now();
-    let cc0 = clustering_coefficients(g);
+    let counts = triangle_counts(&g.undirected());
     let cc_seconds = cc_start.elapsed().as_secs_f64();
-    let mut out = boost_with_cc(g, cc0, knobs);
+    let mut out = boost_with_counts(g, counts, knobs);
     out.cc_seconds = cc_seconds;
     out
 }
 
-/// The edit phase of [`boost_edges`], taking pre-computed clustering
-/// coefficients. The memoized query graph caches the `cc` pass separately
-/// (it reads no knobs, only the graph), so a boost-knob change reuses it.
-/// `cc_seconds` in the returned outcome is zero; callers that timed the cc
-/// pass themselves fill it in.
-pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutcome {
+/// The edit phase of [`boost_edges`], taking `g`'s pre-computed per-node
+/// triangle counts. The memoized query graph caches the count pass
+/// separately (it reads no knobs, only the graph), so a boost-knob change
+/// reuses it. Every inserted edge moves the counts by one short
+/// intersection, so the coefficient the scenario-1 loop re-reads after each
+/// insert and the post-boost clustering vector are read off the maintained
+/// integers — bit-identical to a fresh pass over the boosted graph (asserted
+/// by tests). `cc_seconds` in the returned outcome is zero; callers that
+/// timed the count pass themselves fill it in.
+pub fn boost_with_counts(g: &Csr, counts: Vec<u64>, knobs: &LatencyKnobs) -> BoostOutcome {
     let cc_seconds = 0.0;
-    let mut und = DynUndirected::from_csr(g);
+    let mut tri = TriangleIndex::with_counts(&g.undirected(), counts);
+    let cc0 = tri.coefficients();
     let budget_arcs = (g.num_edges() as f64 * knobs.edge_budget_frac) as usize;
     let mut added: Vec<(NodeId, NodeId, u32)> = Vec::new(); // directed arcs
     let weighted = g.is_weighted();
@@ -125,7 +79,7 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
     let mut centers: Vec<NodeId> = (0..g.num_nodes() as NodeId)
         .filter(|&v| {
             !g.is_hole(v)
-                && und.nbrs[v as usize].len() >= 2
+                && tri.neighbors(v).len() >= 2
                 && cc0[v as usize] >= knobs.cc_threshold - knobs.margin
         })
         .collect();
@@ -137,11 +91,7 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
     });
 
     'outer: for &v in &centers {
-        let nbrs: Vec<NodeId> = {
-            let mut n: Vec<NodeId> = und.nbrs[v as usize].iter().copied().collect();
-            n.sort_unstable();
-            n
-        };
+        let nbrs: Vec<NodeId> = tri.neighbors(v).to_vec();
         if cc0[v as usize] < knobs.cc_threshold {
             // Scenario 1: raise CC over the bar. Prefer neighbor pairs that
             // already share a common neighbor ("preferentially between
@@ -150,20 +100,17 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
             let mut unlinked: Vec<(NodeId, NodeId)> = Vec::new();
             for (i, &a) in nbrs.iter().enumerate() {
                 for &b in &nbrs[i + 1..] {
-                    if !und.has(a, b) {
+                    if !tri.has_edge(a, b) {
                         unlinked.push((a, b));
                     }
                 }
             }
-            // Common-neighbor scoring is the hot part; it reads `und`
+            // Common-neighbor scoring is the hot part; it reads `tri`
             // immutably, so large centers score their pairs in parallel.
             // Counts are exact integers and the sort key (common, a, b) is
             // unique, so the commit order below is thread-count-invariant.
             let score = |&(a, b): &(NodeId, NodeId)| -> (usize, NodeId, NodeId) {
-                let common = und.nbrs[a as usize]
-                    .intersection(&und.nbrs[b as usize])
-                    .count();
-                (common, a, b)
+                (tri.common_count(a, b), a, b)
             };
             let mut pairs: Vec<(usize, NodeId, NodeId)> = if unlinked.len() >= PAR_PAIR_CUTOFF {
                 unlinked
@@ -176,7 +123,7 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
             };
             pairs.sort_by_key(|&(common, a, b)| (std::cmp::Reverse(common), a, b));
             for (_, a, b) in pairs {
-                if und.cc(v) >= knobs.cc_threshold {
+                if tri.coefficient(v) >= knobs.cc_threshold {
                     break;
                 }
                 if added.len() + 2 > budget_arcs {
@@ -189,17 +136,16 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
                 let w = orig_weight(v, a)
                     .saturating_add(orig_weight(v, b))
                     .div_ceil(2);
-                und.add(a, b);
+                tri.set_edge(a, b, true);
                 added.push((a, b, w));
                 added.push((b, a, w));
             }
         } else {
             // Scenario 2: densify an already-qualifying neighborhood by
-            // linking its least-connected members.
-            let mut ranked: Vec<(usize, NodeId)> = nbrs
-                .iter()
-                .map(|&a| (und.links_into(a, &nbrs), a))
-                .collect();
+            // linking its least-connected members (fewest links into the
+            // neighborhood, i.e. fewest neighbors shared with `v`).
+            let mut ranked: Vec<(usize, NodeId)> =
+                nbrs.iter().map(|&a| (tri.common_count(a, v), a)).collect();
             ranked.sort_unstable();
             // Link the bottom pair(s): up to two new undirected edges per
             // center keeps the additions "only a few" as the paper states.
@@ -207,14 +153,14 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
             for i in 0..ranked.len() {
                 for j in (i + 1)..ranked.len() {
                     let (a, b) = (ranked[i].1, ranked[j].1);
-                    if !und.has(a, b) {
+                    if !tri.has_edge(a, b) {
                         if added.len() + 2 > budget_arcs {
                             break 'outer;
                         }
                         let w = orig_weight(v, a)
                             .saturating_add(orig_weight(v, b))
                             .div_ceil(2);
-                        und.add(a, b);
+                        tri.set_edge(a, b, true);
                         added.push((a, b, w));
                         added.push((b, a, w));
                         linked += 1;
@@ -257,86 +203,41 @@ pub fn boost_with_cc(g: &Csr, cc0: Vec<f64>, knobs: &LatencyKnobs) -> BoostOutco
         out
     };
     let edges_added = graph.num_edges() - g.num_edges();
-    let clustering = dirty_recompute(g, &graph, cc0, &added);
     BoostOutcome {
         graph,
-        clustering,
+        clustering: tri.coefficients(),
         edges_added,
         cc_seconds,
     }
-}
-
-/// Post-boost clustering coefficients by recomputing only the *dirty* set:
-/// a node's CC depends solely on its neighborhood and the links inside it,
-/// so an inserted edge (a, b) can only change the CC of `a`, `b`, and the
-/// nodes adjacent to both. Every other node keeps its pre-boost value —
-/// the same integer link/degree counts yield the same f64 bit pattern, so
-/// this equals the full recompute exactly (asserted by tests).
-fn dirty_recompute(
-    g: &Csr,
-    boosted: &Csr,
-    cc0: Vec<f64>,
-    added: &[(NodeId, NodeId, u32)],
-) -> Vec<f64> {
-    if added.is_empty() {
-        // `boosted` is a clone of `g`; cc0 *is* the answer.
-        debug_assert_eq!(boosted.num_edges(), g.num_edges());
-        return cc0;
-    }
-    let undv = boosted.undirected();
-    let undv = &*undv;
-    let mut dirty: HashSet<NodeId> = HashSet::new();
-    let mut seen_pairs: HashSet<(NodeId, NodeId)> = HashSet::new();
-    for &(u, v, _) in added {
-        let (a, b) = (u.min(v), u.max(v));
-        if !seen_pairs.insert((a, b)) {
-            continue; // the mirror arc of an undirected insert
-        }
-        dirty.insert(a);
-        dirty.insert(b);
-        // Common neighbors in the final view (two-pointer merge: both
-        // lists are sorted).
-        let (na, nb) = (undv.neighbors(a), undv.neighbors(b));
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < na.len() && j < nb.len() {
-            match na[i].cmp(&nb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    dirty.insert(na[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    let mut dirty: Vec<NodeId> = dirty.into_iter().collect();
-    dirty.sort_unstable();
-    let fresh: Vec<f64> = dirty
-        .clone()
-        .into_par_iter()
-        .map(|v| {
-            if undv.is_hole(v) {
-                0.0
-            } else {
-                local_clustering_coefficient(undv, v)
-            }
-        })
-        .collect();
-    let mut clustering = cc0;
-    for (v, c) in dirty.into_iter().zip(fresh) {
-        clustering[v as usize] = c;
-    }
-    clustering
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graffix_graph::generators::{GraphKind, GraphSpec};
+    use graffix_graph::properties::{clustering_coefficients, local_clustering_coefficient};
+    use std::collections::HashSet;
 
     fn social() -> Csr {
         GraphSpec::new(GraphKind::SocialLiveJournal, 500, 7).generate()
+    }
+
+    /// The maintained post-boost vector against the per-node oracle on the
+    /// boosted graph, bit for bit.
+    fn assert_clustering_matches_oracle(out: &BoostOutcome, what: &str) {
+        let und = out.graph.undirected();
+        assert_eq!(
+            out.clustering.len(),
+            und.num_nodes(),
+            "clustering vector length"
+        );
+        for (v, &kept) in out.clustering.iter().enumerate() {
+            let full = local_clustering_coefficient(&und, v as NodeId);
+            assert!(
+                kept.to_bits() == full.to_bits(),
+                "cc[{v}] maintained={kept} oracle={full} ({what})"
+            );
+        }
     }
 
     #[test]
@@ -391,8 +292,9 @@ mod tests {
 
     #[test]
     fn dirty_set_recompute_equals_full_recompute() {
-        // The post-boost clustering vector is produced incrementally
-        // (dirty-set only); it must be bit-exactly the full recompute.
+        // The post-boost clustering vector is read off counts maintained
+        // one inserted edge at a time; it must be bit-exactly what the
+        // per-node oracle computes on the boosted graph.
         for (threshold, margin) in [(0.5, 0.25), (0.4, 0.1), (0.3, 0.3)] {
             let g = social();
             let knobs = LatencyKnobs {
@@ -402,30 +304,48 @@ mod tests {
                 t_diameter_factor: 2,
             };
             let out = boost_edges(&g, &knobs);
-            let full = clustering_coefficients(&out.graph);
             assert!(
                 out.edges_added > 0 || threshold > 0.45,
                 "sweep should exercise non-trivial boosts"
             );
-            assert_eq!(out.clustering.len(), full.len(), "clustering vector length");
-            for (v, (&inc, &f)) in out.clustering.iter().zip(full.iter()).enumerate() {
-                assert!(
-                    inc.to_bits() == f.to_bits(),
-                    "cc[{v}] dirty={inc} full={f} (threshold {threshold})"
-                );
-            }
+            assert_clustering_matches_oracle(&out, &format!("threshold {threshold}"));
         }
     }
 
     #[test]
+    fn scenario_one_output_is_the_recorded_one() {
+        // Scenario 1 fires here (nodes within `margin` below the bar are
+        // lifted over it). The digest covers the boosted graph's bytes, the
+        // clustering bits and the arc count as the boost codec lays them
+        // out, recorded from the hash-set implementation this one replaced.
+        let g = social();
+        let knobs = LatencyKnobs {
+            cc_threshold: 0.5,
+            margin: 0.25,
+            edge_budget_frac: 0.2,
+            t_diameter_factor: 2,
+        };
+        let before = clustering_coefficients(&g);
+        let out = boost_edges(&g, &knobs);
+        let lifted = before
+            .iter()
+            .zip(&out.clustering)
+            .filter(|&(&b, &a)| b < 0.5 && a >= 0.5)
+            .count();
+        assert_eq!((out.edges_added, lifted), (1768, 130));
+        let digest = crate::query::fingerprint_bytes(&crate::stages::encode_boost(&out));
+        assert_eq!(digest, 0x4f6c_ef89_3423_7fcb, "boost output moved");
+    }
+
+    #[test]
     fn dirty_set_includes_common_neighbors_of_inserted_edges() {
-        // Regression guard for the dirty-set rule: when boost inserts
+        // Regression guard for the per-edge delta: when boost inserts
         // (a, b), any node adjacent to *both* endpoints gains a closed
         // triangle and its CC changes even though none of its own edges
         // did. Sweep random graphs and assert (1) at least one boosted
         // edge has a common neighbor that is not itself an endpoint — so
         // the common-neighbor clause is genuinely exercised — and (2) the
-        // incremental vector still matches the full recompute bit for bit.
+        // maintained vector still matches the per-node oracle bit for bit.
         let mut third_party_dirty = 0usize;
         for seed in [1u64, 7, 21, 33, 52] {
             let g = GraphSpec::new(GraphKind::SocialLiveJournal, 250, seed).generate();
@@ -453,13 +373,7 @@ mod tests {
                     .filter(|w| nv.binary_search(w).is_ok() && !endpoints.contains(w))
                     .count();
             }
-            let full = clustering_coefficients(&out.graph);
-            for (v, (&inc, &f)) in out.clustering.iter().zip(full.iter()).enumerate() {
-                assert!(
-                    inc.to_bits() == f.to_bits(),
-                    "cc[{v}] dirty={inc} full={f} (seed {seed})"
-                );
-            }
+            assert_clustering_matches_oracle(&out, &format!("seed {seed}"));
         }
         assert!(
             third_party_dirty > 0,

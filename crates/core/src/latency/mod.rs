@@ -25,7 +25,7 @@ use graffix_graph::{Csr, NodeId};
 use graffix_sim::GpuConfig;
 use std::time::Instant;
 
-pub use boost::{boost_edges, boost_with_cc, BoostOutcome};
+pub use boost::{boost_edges, boost_with_counts, BoostOutcome};
 pub use select::{select_tiles, TileSelection};
 
 /// Applies the latency transform. The prepared graph keeps the original

@@ -9,11 +9,11 @@
 use crate::coalesce::{self, apply_renumbering, renumber, replicate_renumbered};
 use crate::divergence::{self, bucket_order, normalize_degrees, relabel_by_order};
 use crate::knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs};
-use crate::latency::{boost_with_cc, select_tiles};
+use crate::latency::{boost_with_counts, select_tiles};
 use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique};
 use crate::query::{fingerprint_bytes, Fingerprint, QueryCtx};
 use crate::stages::{self, RenumberOut};
-use graffix_graph::properties::clustering_coefficients;
+use graffix_graph::properties::triangle_counts;
 use graffix_graph::{serialize, Csr, NodeId, INVALID_NODE};
 use graffix_sim::GpuConfig;
 use std::time::Instant;
@@ -257,17 +257,18 @@ impl Pipeline {
 
         // Stage 2: latency — boost edges and select tiles on the current
         // graph (ids unchanged). The cc pass is its own query (it reads no
-        // knobs), so boost-knob changes reuse it.
+        // knobs), so boost-knob changes reuse it. Its output is the integer
+        // triangle count per node; boost derives coefficients from it.
         if let Some(k) = &self.latency {
             let li = k.stage_inputs();
             let budget = (prepared.graph.num_edges() as f64 * k.edge_budget_frac) as usize;
             let cckey = stage_key("cc", &[cur_fp], |_| {});
-            let (cc0, cc_fp) = ctx.query(
+            let (counts, cc_fp) = ctx.query(
                 "cc",
                 cckey,
-                || clustering_coefficients(&prepared.graph),
-                stages::encode_f64s,
-                stages::decode_f64s,
+                || triangle_counts(&prepared.graph.undirected()),
+                |c| stages::encode_counts(c),
+                stages::decode_counts,
             );
             prepared
                 .report
@@ -286,7 +287,7 @@ impl Pipeline {
             let (boost, boost_fp) = ctx.query(
                 "boost",
                 bkey,
-                || boost_with_cc(&prepared.graph, cc0, k),
+                || boost_with_counts(&prepared.graph, counts, k),
                 stages::encode_boost,
                 stages::decode_boost,
             );

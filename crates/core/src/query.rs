@@ -252,6 +252,26 @@ impl QueryCtx {
         self.overrides.clear();
     }
 
+    /// Drops the memo entries of every stage queried in the current run
+    /// except the one under the key it was queried with. A long-lived
+    /// context whose input keeps changing (a stream) calls this after each
+    /// run, so a superseded payload is not kept for the life of the stream.
+    /// Stages the run did not query keep all their entries, and the
+    /// last-served payloads behind [`QueryCtx::seed_stale`] are untouched.
+    pub fn drop_superseded(&mut self) {
+        let records = &self.records;
+        self.memo.retain(|&(stage, key), _| {
+            !records.iter().any(|r| r.stage == stage)
+                || records.iter().any(|r| r.stage == stage && r.key == key)
+        });
+    }
+
+    /// Number of payloads in the in-process memo.
+    #[cfg(test)]
+    pub(crate) fn memo_entries(&self) -> usize {
+        self.memo.len()
+    }
+
     /// The payload `stage` served most recently (computed or reused), if
     /// any. The incremental layer bootstraps its maintained state from
     /// this.
@@ -611,6 +631,32 @@ mod tests {
         let (v, _) = ctx.query("s", 1, || 7u64, enc, dec);
         assert_eq!(v, 7);
         assert_eq!(ctx.records()[0].status, StageStatus::Recomputed);
+    }
+
+    #[test]
+    fn drop_superseded_keeps_current_keys_and_unqueried_stages() {
+        let mut ctx = QueryCtx::memory();
+        ctx.query("s", 1, || 5u64, enc, dec);
+        ctx.query("other", 1, || 6u64, enc, dec);
+        ctx.begin_run();
+        ctx.query("s", 2, || 7u64, enc, dec);
+        ctx.drop_superseded();
+        assert_eq!(ctx.memo_entries(), 2, "(s, 1) is superseded");
+        ctx.begin_run();
+        ctx.query("s", 2, || panic!("current key must stay"), enc, dec);
+        ctx.query("other", 1, || panic!("unqueried stage must stay"), enc, dec);
+        let (v, _) = ctx.query("s", 1, || 9u64, enc, dec);
+        assert_eq!(v, 9, "the superseded entry is gone");
+        // A stale serve is not memoized, so it leaves no entry of its stage
+        // behind — but the payload stale reuse reads stays.
+        ctx.seed_stale("other");
+        ctx.begin_run();
+        ctx.query("other", 3, || panic!("stale"), enc, dec);
+        ctx.drop_superseded();
+        assert_eq!(ctx.last_payload("other").as_deref(), Some(&enc(&6)[..]));
+        ctx.begin_run();
+        let (v, _) = ctx.query("other", 1, || 8u64, enc, dec);
+        assert_eq!(v, 8);
     }
 
     #[test]

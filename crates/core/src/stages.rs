@@ -94,24 +94,22 @@ pub(crate) fn decode_ids(mut bytes: Bytes) -> io::Result<Vec<NodeId>> {
     Ok(ids)
 }
 
-pub(crate) fn encode_f64s(vals: &Vec<f64>) -> Bytes {
+pub(crate) fn encode_counts(vals: &[u64]) -> Bytes {
     let mut buf = BytesMut::with_capacity(8 + vals.len() * 8);
     buf.put_u64_le(vals.len() as u64);
     for &v in vals {
-        buf.put_u64_le(v.to_bits());
+        buf.put_u64_le(v);
     }
     buf.freeze()
 }
 
-pub(crate) fn decode_f64s(mut bytes: Bytes) -> io::Result<Vec<f64>> {
-    let len = get_len(&mut bytes, "f64 list")?;
-    if bytes.remaining() < len * 8 {
-        return Err(invalid("truncated f64 list"));
+pub(crate) fn decode_counts(mut bytes: Bytes) -> io::Result<Vec<u64>> {
+    let len = get_len(&mut bytes, "count list")?;
+    if bytes.remaining() < len.saturating_mul(8) {
+        return Err(invalid("truncated count list"));
     }
-    let vals = (0..len)
-        .map(|_| f64::from_bits(bytes.get_u64_le()))
-        .collect();
-    done(&bytes, "f64 list")?;
+    let vals = (0..len).map(|_| bytes.get_u64_le()).collect();
+    done(&bytes, "count list")?;
     Ok(vals)
 }
 
@@ -377,14 +375,10 @@ mod tests {
         let dec = decode_csr(enc.clone()).unwrap();
         assert_eq!(&encode_csr(&dec)[..], &enc[..], "csr codec");
 
-        let cc = boost.clustering.clone();
-        let enc = encode_f64s(&cc);
-        let dec = decode_f64s(enc.clone()).unwrap();
-        assert_eq!(
-            dec.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            cc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "f64 codec"
-        );
+        let counts = graffix_graph::properties::triangle_counts(&g.undirected());
+        let enc = encode_counts(&counts);
+        assert_eq!(decode_counts(enc.clone()).unwrap(), counts, "count codec");
+        assert!(counts.iter().any(|&c| c > 0), "fixture has triangles");
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub mod segment;
 pub mod serialize;
 pub(crate) mod storage;
 pub mod traversal;
+pub mod triangles;
 
 pub use builder::GraphBuilder;
 pub use csr::{undirected_build_count, Csr, EdgeId, NodeId, INVALID_NODE};
@@ -28,6 +29,7 @@ pub use error::GraphError;
 pub use generators::{GraphKind, GraphSpec};
 pub use mutation::{parse_stream, BatchOutcome, DeltaLog, EdgeBatch};
 pub use segment::{Segment, Segmentation};
+pub use triangles::TriangleIndex;
 
 /// Convenience prelude bringing the most common items into scope.
 pub mod prelude {

@@ -9,6 +9,7 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Histogram of out-degrees: `hist[d]` = number of nodes with out-degree `d`.
 /// Chunk-partial histograms are accumulated in parallel and merged in chunk
@@ -77,20 +78,108 @@ pub fn local_clustering_coefficient(und: &Csr, v: NodeId) -> f64 {
     2.0 * links as f64 / (k * (k - 1)) as f64
 }
 
-/// Local clustering coefficients for every node slot of `g` (holes get 0),
-/// computed on the shared undirected view in parallel.
+/// Clustering coefficient of a node with `links` links among its `k`
+/// neighbors (`links` is the node's triangle count): `2·links / (k·(k−1))`,
+/// 0 for `k < 2`. The same expression on the same integers as
+/// [`local_clustering_coefficient`], hence the same bits.
+pub fn clustering_coefficient(links: u64, k: usize) -> f64 {
+    if k < 2 {
+        return 0.0;
+    }
+    2.0 * links as f64 / (k * (k - 1)) as f64
+}
+
+/// Parallel tasks of [`triangle_counts`]. Task `t` takes the vertices
+/// `t, t + TRIANGLE_TASKS, …`: generators and renumbering put the heavy
+/// vertices at neighboring ids, and a stride deals them round.
+const TRIANGLE_TASKS: usize = 64;
+
+/// Number of triangles through every node slot of the *undirected* view
+/// `und` (sorted, symmetric, loop-free neighbor lists, as produced by
+/// [`Csr::undirected`]); holes and nodes of degree < 2 get 0.
+///
+/// Each triangle is found exactly once, from its lowest corner under the
+/// (degree, id) order: `F(v)` keeps the neighbors ranked above `v`, so a hub
+/// has a short forward list however long its neighbor list is, and triangle
+/// `v < u < w` is closed by looking `F(u)`'s members up in a mark array
+/// holding `F(v)` — no merge against a hub's full list. Strided vertex
+/// tasks run in parallel; each thread adds into its own mark/count scratch
+/// and the per-thread counts are summed at the end, so the result is the
+/// same integers at any thread count.
+pub fn triangle_counts(und: &Csr) -> Vec<u64> {
+    let n = und.num_nodes();
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    let mut forward: Vec<NodeId> = Vec::with_capacity(und.num_edges() / 2);
+    for v in 0..n as NodeId {
+        let rank_v = (und.degree(v), v);
+        forward.extend(
+            und.neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| (und.degree(u), u) > rank_v),
+        );
+        offsets.push(forward.len());
+    }
+    let fwd = |v: usize| &forward[offsets[v]..offsets[v + 1]];
+
+    // One (marks, counts) scratch per thread, not per task: a task takes a
+    // free one or makes the pool one larger, and at most as many tasks run
+    // at once as there are threads.
+    struct Scratch {
+        /// `marks[w] == v + 1` while `w ∈ F(v)` for the vertex in hand.
+        marks: Vec<NodeId>,
+        counts: Vec<u64>,
+    }
+    let pool: Mutex<Vec<Scratch>> = Mutex::new(Vec::new());
+    (0..TRIANGLE_TASKS.min(n)).into_par_iter().for_each(|task| {
+        let free = pool.lock().expect("triangle scratch pool poisoned").pop();
+        let mut s = free.unwrap_or_else(|| Scratch {
+            marks: vec![0; n],
+            counts: vec![0; n],
+        });
+        for v in (task..n).step_by(TRIANGLE_TASKS) {
+            let fv = fwd(v);
+            if fv.len() < 2 {
+                continue;
+            }
+            let stamp = v as NodeId + 1;
+            for &w in fv {
+                s.marks[w as usize] = stamp;
+            }
+            let mut at_v = 0u64;
+            for &u in fv {
+                let mut at_u = 0u64;
+                for &w in fwd(u as usize) {
+                    if s.marks[w as usize] == stamp {
+                        at_u += 1;
+                        s.counts[w as usize] += 1;
+                    }
+                }
+                s.counts[u as usize] += at_u;
+                at_v += at_u;
+            }
+            s.counts[v] += at_v;
+        }
+        pool.lock().expect("triangle scratch pool poisoned").push(s);
+    });
+    let mut total = vec![0u64; n];
+    for s in pool.into_inner().expect("triangle scratch pool poisoned") {
+        for (t, c) in total.iter_mut().zip(s.counts) {
+            *t += c;
+        }
+    }
+    total
+}
+
+/// Local clustering coefficients for every node slot of `g` (holes get 0):
+/// a map over [`triangle_counts`] on the shared undirected view.
 pub fn clustering_coefficients(g: &Csr) -> Vec<f64> {
     let und = g.undirected();
-    let und = &*und;
-    (0..g.num_nodes() as NodeId)
-        .into_par_iter()
-        .map(|v| {
-            if und.is_hole(v) {
-                0.0
-            } else {
-                local_clustering_coefficient(und, v)
-            }
-        })
+    triangle_counts(&und)
+        .into_iter()
+        .enumerate()
+        .map(|(v, links)| clustering_coefficient(links, und.degree(v as NodeId)))
         .collect()
 }
 

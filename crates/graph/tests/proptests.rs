@@ -140,6 +140,40 @@ proptest! {
     }
 
     #[test]
+    fn clustering_coefficients_equal_the_per_node_oracle((n, edges) in arb_graph()) {
+        // On top of what `arb_graph` draws: every arc twice, every other one
+        // with its antiparallel twin, every fifth with a self-loop at its
+        // source, and two more slots that stay isolated, one of them a hole.
+        let mut b = GraphBuilder::new(n + 2);
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            b.add_edge(u, v);
+            b.add_edge(u, v);
+            if i % 2 == 0 {
+                b.add_edge(v, u);
+            }
+            if i % 5 == 0 {
+                b.add_edge(u, u);
+            }
+        }
+        let mut g = b.build();
+        let mut mask = vec![false; n + 2];
+        mask[n + 1] = true;
+        g.set_hole_mask(mask);
+        let und = g.undirected();
+        let fast = properties::clustering_coefficients(&g);
+        prop_assert_eq!(fast.len(), n + 2);
+        for v in 0..(n + 2) as NodeId {
+            let oracle = properties::local_clustering_coefficient(&und, v);
+            prop_assert_eq!(fast[v as usize].to_bits(), oracle.to_bits(), "node {}", v);
+        }
+        // Each triangle has three corners.
+        let counts = properties::triangle_counts(&und);
+        prop_assert_eq!(counts.iter().sum::<u64>() % 3, 0);
+        prop_assert_eq!(counts[n], 0);
+        prop_assert_eq!(counts[n + 1], 0);
+    }
+
+    #[test]
     fn degree_histogram_consistent((n, edges) in arb_graph()) {
         let g = build(n, &edges);
         let hist = properties::degree_histogram(&g);
