@@ -94,8 +94,8 @@ pub const POLICIES: [(&str, Policy, &str); 10] = [
     // Serving, through a real socket: 3× bands.
     ("p99_ms", Policy::Ratio { factor: 3.0, floor: 10.0, higher_is_better: false }, "latency-regression"),
     ("rps",    Policy::Ratio { factor: 3.0, floor: 50.0, higher_is_better: true },  "throughput-regression"),
-    // Streaming: stale-regime incremental vs full re-prepare, exact-regime identity.
-    ("speedup",         Policy::Floor(10.0), "below-floor"),
+    // Streaming: every stale-regime batch is all reuse, exact-regime identity.
+    ("stale_reuse",     Policy::Identity,    "recomputed"),
     ("exact_identical", Policy::Identity,    "diverged"),
     // Segmented vs flat: bit-identical values, ≥ 5 % fewer simulated cycles.
     ("win",       Policy::Floor(0.05), "below-floor"),
@@ -402,10 +402,10 @@ mod tests {
         ("serve_cells_judged_behind_coarse_ratio", "rps", Some((500.0, 0.0)), Some(30.0), "throughput-regression"),
         // Under a third of the baseline, but the drop is inside the 50 rps floor.
         ("serve_cells_judged_behind_coarse_ratio", "rps", Some((60.0, 0.0)), Some(15.0), "ok"),
-        ("stream_cells_judged_against_the_floor", "speedup", None, Some(50.0), "ok"),
-        ("stream_cells_judged_against_the_floor", "speedup", None, Some(4.0), "below-floor"),
-        ("stream_cells_judged_against_the_floor", "exact_identical", None, Some(1.0), "ok"),
-        ("stream_cells_judged_against_the_floor", "exact_identical", None, Some(0.0), "diverged"),
+        ("stream_cells_need_reuse_and_identity", "stale_reuse", None, Some(1.0), "ok"),
+        ("stream_cells_need_reuse_and_identity", "stale_reuse", None, Some(0.0), "recomputed"),
+        ("stream_cells_need_reuse_and_identity", "exact_identical", None, Some(1.0), "ok"),
+        ("stream_cells_need_reuse_and_identity", "exact_identical", None, Some(0.0), "diverged"),
         ("segment_cells_need_identity_and_the_win", "identical", None, Some(1.0), "ok"),
         ("segment_cells_need_identity_and_the_win", "identical", None, Some(0.0), "diverged"),
         ("segment_cells_need_identity_and_the_win", "win", None, Some(0.065), "ok"),
@@ -466,7 +466,7 @@ mod tests {
         preprocess_blowup_fails_gate_naming_the_cell,
         large_cells_judged_behind_coarse_band,
         serve_cells_judged_behind_coarse_ratio,
-        stream_cells_judged_against_the_floor,
+        stream_cells_need_reuse_and_identity,
         segment_cells_need_identity_and_the_win,
     );
 
@@ -502,7 +502,7 @@ mod tests {
         ];
         let mut current = base.to_vec();
         current[0].value = 9000.0;
-        current.push(cell("s", "speedup", 40.0, 0.0));
+        current.push(cell("s", "win", 0.4, 0.0));
         let report = GateReport::evaluate("bench", &base, &current);
         let doc = Json::parse(&report.to_json().to_pretty_string()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(GATE_SCHEMA));

@@ -113,7 +113,7 @@ fn usage() -> ! {
                    exit 1 on collapse\n\
          bench     --stream-gate\n\
                    measure incremental vs full re-prepare under 1% churn and\n\
-                   gate on a 10x speedup floor + exact-mode identity\n\
+                   gate on all-reuse stale batches + exact-mode identity\n\
                    every gate prints one verdict table, names failures as\n\
                    `FAIL id [label]`, and takes --gate-report FILE (JSON,\n\
                    graffix.gate-report v2); thresholds are fixed, one policy\n\

@@ -423,8 +423,8 @@ impl CoalesceKnobs {
     /// The destructuring deliberately names every field with no `..` rest
     /// pattern: adding a knob field without assigning it to exactly one
     /// stage's input set is a compile error, so a new knob can never be
-    /// silently left out of the stage cache keys (the same guard
-    /// [`crate::cache::cache_key`] uses for the whole-pipeline key).
+    /// silently left out of the cache keys (stage keys and the terminal key
+    /// both read the partitions, see `Pipeline::write_inputs`).
     pub fn stage_inputs(&self) -> CoalesceStageInputs {
         let CoalesceKnobs {
             chunk_size,

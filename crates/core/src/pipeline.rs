@@ -11,27 +11,47 @@ use crate::divergence::{self, bucket_order, normalize_degrees, relabel_by_order}
 use crate::knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs};
 use crate::latency::{boost_with_counts, select_tiles};
 use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique};
-use crate::query::{fingerprint_bytes, Fingerprint, QueryCtx};
+use crate::query::{fingerprint_bytes, Fingerprint, QueryCtx, PIPELINE_VERSION};
 use crate::stages::{self, RenumberOut};
 use graffix_graph::properties::triangle_counts;
 use graffix_graph::{serialize, Csr, NodeId, INVALID_NODE};
 use graffix_sim::GpuConfig;
 use std::time::Instant;
 
-/// Key of a stage query: the pipeline version, the stage tag, every
-/// upstream output fingerprint, and the knob fields the stage declares
-/// (written by `extra`). Anything else — other stages' knobs, wall-clock,
-/// thread count — must not leak in, or warm reuse breaks.
-fn stage_key(tag: &str, upstream: &[u64], extra: impl FnOnce(&mut Fingerprint)) -> u64 {
+/// Name of the terminal entry: the assembled [`Prepared`].
+pub(crate) const PREPARED_STAGE: &str = "prepared";
+
+/// Every stage a pipeline can query, in execution order.
+const STAGES: [&str; 8] = [
+    "renumber",
+    "replicate",
+    "cc",
+    "boost",
+    "tile-select",
+    "bucket",
+    "normalize",
+    "relabel",
+];
+
+/// Key of a query: the pipeline version, the tag, every upstream output
+/// fingerprint, and the declared inputs (written by `inputs`, which only
+/// ever calls [`Pipeline::write_inputs`]). Anything else — other stages'
+/// knobs, wall-clock, thread count — must not leak in, or warm reuse breaks.
+fn stage_key(tag: &str, upstream: &[u64], inputs: impl FnOnce(&mut Fingerprint)) -> u64 {
     let mut h = Fingerprint::new();
-    h.write(&crate::cache::PIPELINE_VERSION.to_le_bytes());
+    h.write(&PIPELINE_VERSION.to_le_bytes());
     h.write(tag.as_bytes());
     h.write_u64(upstream.len() as u64);
     for &fp in upstream {
         h.write_u64(fp);
     }
-    extra(&mut h);
+    inputs(&mut h);
     h.finish()
+}
+
+/// Content fingerprint of an input graph (its GFX1 serialization).
+pub(crate) fn graph_fingerprint(g: &Csr) -> u64 {
+    fingerprint_bytes(&serialize::to_bytes(g))
 }
 
 /// Why a pipeline could not produce a [`Prepared`] graph. Surfaced to the
@@ -95,6 +115,58 @@ impl Pipeline {
         self
     }
 
+    /// Writes the knob and `GpuConfig` fields `stage` reads — nothing for a
+    /// stage whose transform is off. The one place that decides which
+    /// fields enter a key: each stage key hashes its own stage's, the
+    /// terminal key every stage's, so a field cannot be in one and missing
+    /// from the other. Knob fields arrive through the `stage_inputs()`
+    /// partitions, which make an unassigned new knob a compile error.
+    fn write_inputs(&self, stage: &str, cfg: &GpuConfig, h: &mut Fingerprint) {
+        debug_assert!(STAGES.contains(&stage), "undeclared stage {stage}");
+        let coalesce = self.coalesce.as_ref().map(CoalesceKnobs::stage_inputs);
+        let latency = self.latency.as_ref().map(LatencyKnobs::stage_inputs);
+        let divergence = self.divergence.as_ref().map(DivergenceKnobs::stage_inputs);
+        match (stage, coalesce, latency, divergence) {
+            ("renumber", Some(ci), ..) => h.write_u64(ci.renumber.chunk_size as u64),
+            ("replicate", Some(ci), ..) => {
+                h.write_f64(ci.replicate.threshold);
+                h.write_u64(ci.replicate.max_replicas_per_node as u64);
+            }
+            ("boost", _, Some(li), _) => {
+                h.write_f64(li.boost.cc_threshold);
+                h.write_f64(li.boost.margin);
+                h.write_f64(li.boost.edge_budget_frac);
+            }
+            ("tile-select", _, Some(li), _) => {
+                h.write_u64(li.tile_select.t_diameter_factor as u64);
+                h.write_u64(cfg.shared_mem_words as u64);
+            }
+            ("normalize", _, _, Some(di)) => {
+                h.write_f64(di.normalize.degree_sim_threshold);
+                h.write_f64(di.normalize.fill_fraction);
+                h.write_f64(di.normalize.edge_budget_frac);
+                h.write_u64(cfg.warp_size as u64);
+            }
+            // cc, bucket and relabel read their upstream outputs only.
+            _ => {}
+        }
+    }
+
+    /// Key of the terminal entry for input graph `graph_fp`: which
+    /// transforms are on, then every stage's declared inputs.
+    pub(crate) fn prepared_key(&self, graph_fp: u64, cfg: &GpuConfig) -> u64 {
+        stage_key(PREPARED_STAGE, &[graph_fp], |h| {
+            h.write(&[
+                self.coalesce.is_some() as u8,
+                self.latency.is_some() as u8,
+                self.divergence.is_some() as u8,
+            ]);
+            for stage in STAGES {
+                self.write_inputs(stage, cfg, h);
+            }
+        })
+    }
+
     /// Applies the enabled stages in order and returns the combined
     /// preparation, panicking on an invalid knob combination. Prefer
     /// [`Pipeline::try_apply`] anywhere knobs come from user input.
@@ -129,6 +201,25 @@ impl Pipeline {
         cfg: &GpuConfig,
         ctx: &mut QueryCtx,
     ) -> Result<Prepared, PipelineError> {
+        // Fingerprinting serializes the input graph; skip it on the null
+        // (cold, uncached) path where no key is ever looked up.
+        let graph_fp = if ctx.is_null() {
+            0
+        } else {
+            graph_fingerprint(g)
+        };
+        self.try_apply_keyed(g, graph_fp, cfg, ctx)
+    }
+
+    /// [`Pipeline::try_apply_with`] for a caller that already holds
+    /// [`graph_fingerprint`] of `g`, so the graph is hashed once per call.
+    pub(crate) fn try_apply_keyed(
+        &self,
+        g: &Csr,
+        graph_fp: u64,
+        cfg: &GpuConfig,
+        ctx: &mut QueryCtx,
+    ) -> Result<Prepared, PipelineError> {
         if let Some(k) = &self.coalesce {
             k.validate(cfg.warp_size)
                 .map_err(PipelineError::InvalidKnobs)?;
@@ -140,13 +231,6 @@ impl Pipeline {
             k.validate().map_err(PipelineError::InvalidKnobs)?;
         }
         ctx.begin_run();
-        // Fingerprinting serializes the input graph; skip it on the null
-        // (cold, uncached) path where no key is ever looked up.
-        let graph_fp = if ctx.is_null() {
-            0
-        } else {
-            fingerprint_bytes(&serialize::to_bytes(g))
-        };
 
         // A divergence-only pipeline matches the standalone transform
         // (which renumbers physically): bucket → normalize → relabel, then
@@ -163,12 +247,8 @@ impl Pipeline {
                     stages::decode_ids,
                 );
                 let bucket_seconds = ctx.last_seconds();
-                let ni = k.stage_inputs().normalize;
                 let nkey = stage_key("normalize", &[graph_fp, order_fp], |h| {
-                    h.write_f64(ni.degree_sim_threshold);
-                    h.write_f64(ni.fill_fraction);
-                    h.write_f64(ni.edge_budget_frac);
-                    h.write_u64(cfg.warp_size as u64);
+                    self.write_inputs("normalize", cfg, h)
                 });
                 let (norm, norm_fp) = ctx.query(
                     "normalize",
@@ -212,9 +292,8 @@ impl Pipeline {
         // of the current graph for downstream stage keys.
         let (mut prepared, mut cur_fp) = match &self.coalesce {
             Some(k) => {
-                let ci = k.stage_inputs();
                 let rkey = stage_key("renumber", &[graph_fp], |h| {
-                    h.write_u64(ci.renumber.chunk_size as u64);
+                    self.write_inputs("renumber", cfg, h)
                 });
                 let (ren_out, ren_fp) = ctx.query(
                     "renumber",
@@ -229,8 +308,7 @@ impl Pipeline {
                 );
                 let renumber_seconds = ctx.last_seconds();
                 let pkey = stage_key("replicate", &[ren_fp], |h| {
-                    h.write_f64(ci.replicate.threshold);
-                    h.write_u64(ci.replicate.max_replicas_per_node as u64);
+                    self.write_inputs("replicate", cfg, h)
                 });
                 let (rep, rep_fp) = ctx.query(
                     "replicate",
@@ -260,7 +338,6 @@ impl Pipeline {
         // knobs), so boost-knob changes reuse it. Its output is the integer
         // triangle count per node; boost derives coefficients from it.
         if let Some(k) = &self.latency {
-            let li = k.stage_inputs();
             let budget = (prepared.graph.num_edges() as f64 * k.edge_budget_frac) as usize;
             let cckey = stage_key("cc", &[cur_fp], |_| {});
             let (counts, cc_fp) = ctx.query(
@@ -276,9 +353,7 @@ impl Pipeline {
                 .push(PhaseTiming::new("cc", ctx.last_seconds()));
             let boost_input_fp = {
                 let mut h = Fingerprint::new();
-                h.write_f64(li.boost.cc_threshold);
-                h.write_f64(li.boost.margin);
-                h.write_f64(li.boost.edge_budget_frac);
+                self.write_inputs("boost", cfg, &mut h);
                 h.finish()
             };
             let bkey = stage_key("boost", &[cur_fp, cc_fp], |h| {
@@ -301,8 +376,7 @@ impl Pipeline {
             // budget changes whose output happened to be identical is the
             // price of never reusing tiles across a cc_threshold change.
             let tkey = stage_key("tile-select", &[boost_fp, boost_input_fp], |h| {
-                h.write_u64(li.tile_select.t_diameter_factor as u64);
-                h.write_u64(cfg.shared_mem_words as u64);
+                self.write_inputs("tile-select", cfg, h)
             });
             let (selection, _) = ctx.query(
                 "tile-select",
@@ -361,17 +435,13 @@ impl Pipeline {
                 .filter(|&v| v != INVALID_NODE)
                 .collect();
             let budget = (prepared.graph.num_edges() as f64 * k.edge_budget_frac) as usize;
-            let ni = k.stage_inputs().normalize;
             let order_fp = if ctx.is_null() {
                 0
             } else {
                 fingerprint_bytes(&stages::encode_ids(&order))
             };
             let nkey = stage_key("normalize", &[cur_fp, order_fp], |h| {
-                h.write_f64(ni.degree_sim_threshold);
-                h.write_f64(ni.fill_fraction);
-                h.write_f64(ni.edge_budget_frac);
-                h.write_u64(cfg.warp_size as u64);
+                self.write_inputs("normalize", cfg, h)
             });
             let (norm, _) = ctx.query(
                 "normalize",

@@ -22,6 +22,15 @@ pub enum Technique {
 }
 
 impl Technique {
+    /// Every technique; a variant's position is its stored ordinal.
+    pub const ALL: [Technique; 5] = [
+        Technique::Exact,
+        Technique::Coalescing,
+        Technique::Latency,
+        Technique::Divergence,
+        Technique::Combined,
+    ];
+
     /// Human-readable label used in table output.
     pub fn label(self) -> &'static str {
         match self {
@@ -47,15 +56,7 @@ impl Technique {
 
     /// Parses a [`Technique::key`] string.
     pub fn from_key(key: &str) -> Option<Technique> {
-        [
-            Technique::Exact,
-            Technique::Coalescing,
-            Technique::Latency,
-            Technique::Divergence,
-            Technique::Combined,
-        ]
-        .into_iter()
-        .find(|t| t.key() == key)
+        Technique::ALL.into_iter().find(|t| t.key() == key)
     }
 }
 

@@ -19,8 +19,13 @@
 //! [`StageStatus::Hit`]s.
 //!
 //! A [`QueryCtx`] holds the memo tables: an in-process map (shared across
-//! pipeline runs, e.g. bench knob-sweep cells) and, optionally, per-stage
-//! disk entries next to the whole-`Prepared` blobs of [`crate::cache`].
+//! pipeline runs, e.g. bench knob-sweep cells) and, optionally, disk
+//! entries (`{stage}-{key:016x}.gfxs`, see [`stage_entry_path`]). The
+//! assembled `Prepared` is the terminal entry of the same store, read and
+//! written by [`crate::cache::prepare_with_cache`] through the same
+//! envelope. Every payload is hashed once: its fingerprint is the envelope
+//! checksum, the output fingerprint downstream keys hash, and what the
+//! in-process memo keeps beside the bytes.
 //! The [`QueryCtx::null`] context skips memoization, encoding, and
 //! fingerprinting entirely — it is the zero-overhead cold path that
 //! `Pipeline::try_apply` runs on, and the reference the cached paths must
@@ -28,15 +33,21 @@
 
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Bumped whenever any transform's output for the same (graph, knobs)
+/// changes or a stage payload changes shape, so stale cache entries can
+/// never resurface old behavior. 2: the `cc` stage stores integer triangle
+/// counts where it stored `f64` coefficients (same length, other meaning).
+pub const PIPELINE_VERSION: u32 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a 64-bit hasher — the content fingerprint used for
-/// stage keys, stage outputs, and the whole-`Prepared` cache key.
+/// stage keys, stage outputs, and entry checksums.
 pub struct Fingerprint(u64);
 
 impl Default for Fingerprint {
@@ -135,7 +146,7 @@ pub struct QueryCtx {
     /// Per-stage disk entries live here when set.
     dir: Option<PathBuf>,
     /// In-process memo of encoded stage outputs, shared across runs.
-    memo: HashMap<(&'static str, u64), Bytes>,
+    memo: HashMap<(&'static str, u64), Entry>,
     /// Per-run stage diagnostics (reset by [`QueryCtx::begin_run`]).
     records: Vec<StageRecord>,
     /// Whether any stage recomputed in the current run (drives the
@@ -147,7 +158,23 @@ pub struct QueryCtx {
     overrides: HashMap<&'static str, StageOverride>,
     /// Last payload served (computed or reused) per stage, feeding
     /// [`StageOverride::ReuseLast`].
-    last_by_stage: HashMap<&'static str, Bytes>,
+    last_by_stage: HashMap<&'static str, Entry>,
+}
+
+/// An encoded stage output beside its fingerprint, so a payload is hashed
+/// once — when it is computed, seeded, or verified on load — however often
+/// it is served.
+#[derive(Clone)]
+pub(crate) struct Entry {
+    pub(crate) payload: Bytes,
+    pub(crate) fp: u64,
+}
+
+impl Entry {
+    pub(crate) fn of(payload: Bytes) -> Entry {
+        let fp = fingerprint_bytes(&payload);
+        Entry { payload, fp }
+    }
 }
 
 /// A planted answer for one stage query (see [`QueryCtx::seed_payload`] and
@@ -155,7 +182,7 @@ pub struct QueryCtx {
 enum StageOverride {
     /// Exact bytes the stage would produce — inserted into the memo under
     /// the queried key and reported as a [`StageStatus::Hit`].
-    Payload(Bytes),
+    Payload(Entry),
     /// Reuse whatever the stage produced last run, ignoring the key — a
     /// deliberate approximation, reported as [`StageStatus::Stale`] and
     /// kept out of the memo tables.
@@ -230,7 +257,7 @@ impl QueryCtx {
     pub fn seed_payload(&mut self, stage: &'static str, payload: Bytes) {
         if self.enabled {
             self.overrides
-                .insert(stage, StageOverride::Payload(payload));
+                .insert(stage, StageOverride::Payload(Entry::of(payload)));
         }
     }
 
@@ -276,7 +303,7 @@ impl QueryCtx {
     /// any. The incremental layer bootstraps its maintained state from
     /// this.
     pub fn last_payload(&self, stage: &'static str) -> Option<Bytes> {
-        self.last_by_stage.get(stage).cloned()
+        self.last_by_stage.get(stage).map(|e| e.payload.clone())
     }
 
     /// Wall seconds of the most recent stage query.
@@ -318,29 +345,17 @@ impl QueryCtx {
         // serves last run's output under whatever key, stays out of the
         // memo, and is labeled distinctly. Either way the override is
         // consumed; an unusable one falls through to the normal path.
-        if let Some(ov) = self.overrides.remove(stage) {
-            let (payload, status) = match ov {
-                StageOverride::Payload(p) => (Some(p), StageStatus::Hit),
-                StageOverride::ReuseLast => {
-                    (self.last_by_stage.get(stage).cloned(), StageStatus::Stale)
-                }
-            };
-            if let Some(payload) = payload {
-                if let Ok(value) = decode(payload.clone()) {
-                    let fp = fingerprint_bytes(&payload);
-                    if status == StageStatus::Hit {
-                        self.memo.insert((stage, key), payload.clone());
-                    }
-                    self.last_by_stage.insert(stage, payload);
-                    self.records.push(StageRecord {
-                        stage,
-                        status,
-                        seconds: start.elapsed().as_secs_f64(),
-                        key,
-                        store_error: None,
-                    });
-                    return (value, fp);
-                }
+        let planted = match self.overrides.remove(stage) {
+            Some(StageOverride::Payload(entry)) => Some((entry, StageStatus::Hit)),
+            Some(StageOverride::ReuseLast) => self
+                .last_by_stage
+                .get(stage)
+                .map(|entry| (entry.clone(), StageStatus::Stale)),
+            None => None,
+        };
+        if let Some((entry, status)) = planted {
+            if let Some(served) = self.serve(stage, key, entry, status, start, &decode) {
+                return served;
             }
         }
 
@@ -356,33 +371,23 @@ impl QueryCtx {
             .get(&(stage, key))
             .cloned()
             .or_else(|| self.dir.as_deref().and_then(|d| load_stage(d, stage, key)));
-        if let Some(payload) = cached {
-            if let Ok(value) = decode(payload.clone()) {
-                let fp = fingerprint_bytes(&payload);
-                self.memo.insert((stage, key), payload.clone());
-                self.last_by_stage.insert(stage, payload);
-                self.records.push(StageRecord {
-                    stage,
-                    status: reuse_status,
-                    seconds: start.elapsed().as_secs_f64(),
-                    key,
-                    store_error: None,
-                });
-                return (value, fp);
+        if let Some(entry) = cached {
+            if let Some(served) = self.serve(stage, key, entry, reuse_status, start, &decode) {
+                return served;
             }
         }
 
         let value = compute();
-        let payload = encode(&value);
-        let fp = fingerprint_bytes(&payload);
+        let entry = Entry::of(encode(&value));
+        let fp = entry.fp;
         let store_error = match self.dir.as_deref() {
-            Some(d) => store_stage(d, stage, key, &payload)
+            Some(d) => store_stage(d, stage, key, &entry)
                 .err()
                 .map(|e| e.to_string()),
             None => None,
         };
-        self.memo.insert((stage, key), payload.clone());
-        self.last_by_stage.insert(stage, payload);
+        self.memo.insert((stage, key), entry.clone());
+        self.last_by_stage.insert(stage, entry);
         self.any_recomputed = true;
         self.records.push(StageRecord {
             stage,
@@ -393,54 +398,82 @@ impl QueryCtx {
         });
         (value, fp)
     }
+
+    /// Answers (`stage`, `key`) with `entry` if it decodes: memoizes it
+    /// (unless stale), records the reuse, and returns the value beside the
+    /// fingerprint the entry already carries.
+    fn serve<T>(
+        &mut self,
+        stage: &'static str,
+        key: u64,
+        entry: Entry,
+        status: StageStatus,
+        start: Instant,
+        decode: &impl Fn(Bytes) -> io::Result<T>,
+    ) -> Option<(T, u64)> {
+        let value = decode(entry.payload.clone()).ok()?;
+        let fp = entry.fp;
+        if status != StageStatus::Stale {
+            self.memo.insert((stage, key), entry.clone());
+        }
+        self.last_by_stage.insert(stage, entry);
+        self.records.push(StageRecord {
+            stage,
+            status,
+            seconds: start.elapsed().as_secs_f64(),
+            key,
+            store_error: None,
+        });
+        Some((value, fp))
+    }
 }
 
 const STAGE_MAGIC: &[u8; 4] = b"GFXS";
 
-/// Per-stage cache entry file for (`stage`, `key`) under `dir`.
+/// Cache entry file for (`stage`, `key`) under `dir`.
 pub fn stage_entry_path(dir: &Path, stage: &str, key: u64) -> PathBuf {
     dir.join(format!("{stage}-{key:016x}.gfxs"))
 }
 
-/// Loads a stage payload, or `None` when absent, truncated, mislabeled,
-/// or checksum-mismatched (a corrupt entry is a miss, never an error).
-/// The header carries the payload fingerprint, so *any* flipped payload
-/// byte — not just structural damage — degrades to a per-stage miss.
-fn load_stage(dir: &Path, stage: &str, key: u64) -> Option<Bytes> {
-    let raw = std::fs::read(stage_entry_path(dir, stage, key)).ok()?;
+/// Loads an entry's payload beside its verified fingerprint, or `None` when
+/// the file is absent, truncated, mislabeled, or checksum-mismatched (a
+/// corrupt entry is a miss, never an error). The header carries the payload
+/// fingerprint, so *any* flipped payload byte — not just structural
+/// damage — degrades to a miss of this entry alone.
+pub(crate) fn load_stage(dir: &Path, stage: &str, key: u64) -> Option<Entry> {
+    let mut raw = std::fs::read(stage_entry_path(dir, stage, key)).ok()?;
     let header = STAGE_MAGIC.len() + 4 + 2 + stage.len() + 8;
     if raw.len() < header
         || &raw[..4] != STAGE_MAGIC
-        || u32::from_le_bytes(raw[4..8].try_into().ok()?) != crate::cache::PIPELINE_VERSION
+        || u32::from_le_bytes(raw[4..8].try_into().ok()?) != PIPELINE_VERSION
         || u16::from_le_bytes(raw[8..10].try_into().ok()?) as usize != stage.len()
         || &raw[10..10 + stage.len()] != stage.as_bytes()
     {
         return None;
     }
     let fp_at = 10 + stage.len();
-    let stored_fp = u64::from_le_bytes(raw[fp_at..fp_at + 8].try_into().ok()?);
-    let total = raw.len();
-    let payload = Bytes::from(raw).slice(header..total);
-    if fingerprint_bytes(&payload) != stored_fp {
-        return None;
-    }
-    Some(payload)
+    let fp = u64::from_le_bytes(raw[fp_at..fp_at + 8].try_into().ok()?);
+    raw.drain(..header);
+    let payload = Bytes::from(raw);
+    (fingerprint_bytes(&payload) == fp).then_some(Entry { payload, fp })
 }
 
-/// Stores a stage payload atomically (tmp file + rename), mirroring the
-/// whole-`Prepared` store in [`crate::cache`].
-fn store_stage(dir: &Path, stage: &str, key: u64, payload: &[u8]) -> io::Result<PathBuf> {
+/// Stores an entry atomically (tmp file + rename), so concurrent readers
+/// never observe a half-written one.
+pub(crate) fn store_stage(dir: &Path, stage: &str, key: u64, entry: &Entry) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = stage_entry_path(dir, stage, key);
     let tmp = dir.join(format!("{stage}-{key:016x}.tmp-{}", std::process::id()));
-    let mut raw = Vec::with_capacity(18 + stage.len() + payload.len());
-    raw.extend_from_slice(STAGE_MAGIC);
-    raw.extend_from_slice(&crate::cache::PIPELINE_VERSION.to_le_bytes());
-    raw.extend_from_slice(&(stage.len() as u16).to_le_bytes());
-    raw.extend_from_slice(stage.as_bytes());
-    raw.extend_from_slice(&fingerprint_bytes(payload).to_le_bytes());
-    raw.extend_from_slice(payload);
-    std::fs::write(&tmp, raw)?;
+    let mut header = Vec::with_capacity(18 + stage.len());
+    header.extend_from_slice(STAGE_MAGIC);
+    header.extend_from_slice(&PIPELINE_VERSION.to_le_bytes());
+    header.extend_from_slice(&(stage.len() as u16).to_le_bytes());
+    header.extend_from_slice(stage.as_bytes());
+    header.extend_from_slice(&entry.fp.to_le_bytes());
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(&header)?;
+    file.write_all(&entry.payload)?;
+    drop(file);
     std::fs::rename(&tmp, &path)?;
     Ok(path)
 }

@@ -9,8 +9,8 @@
 //! list. A streaming edge batch that touches a handful of vertices leaves
 //! every untouched segment's key unchanged, so re-segmenting after the
 //! batch recomputes exactly the touched segments and serves the rest from
-//! the memo — the segment-granular analogue of the whole-`Prepared`
-//! early-cutoff story.
+//! the memo — the segment-granular analogue of the pipeline's early-cutoff
+//! story.
 //!
 //! The key must cover everything [`Segmentation::analyze_range`] reads:
 //! the range bounds, its edge window (both position and destination
@@ -20,7 +20,7 @@
 //! different partition).
 
 use crate::knobs::SegmentKnobs;
-use crate::query::{Fingerprint, QueryCtx};
+use crate::query::{Fingerprint, QueryCtx, PIPELINE_VERSION};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graffix_graph::{Csr, NodeId, Segment, Segmentation};
 use std::io;
@@ -74,7 +74,7 @@ fn segment_key(
     let edge_end = offsets[range.end as usize];
     let mut h = Fingerprint::new();
     h.write(b"GFXseg");
-    h.write(&crate::cache::PIPELINE_VERSION.to_le_bytes());
+    h.write(&PIPELINE_VERSION.to_le_bytes());
     h.write_u64(segment_bytes as u64);
     h.write_u64(boundary_fp);
     h.write_u64(range.start as u64);

@@ -11,8 +11,9 @@
 //! concatenation accident can never masquerade as a valid entry.
 
 use crate::coalesce::{Renumbering, ReplicationResult};
+use crate::confluence::ConfluenceOp;
 use crate::latency::{BoostOutcome, TileSelection};
-use crate::prepared::Tile;
+use crate::prepared::{Prepared, StageReport, Technique, Tile, TransformReport};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graffix_graph::{serialize, Csr, NodeId};
 use std::io;
@@ -80,6 +81,70 @@ fn done(bytes: &Bytes, what: &str) -> io::Result<()> {
         return Err(invalid(&format!("trailing bytes after {what}")));
     }
     Ok(())
+}
+
+fn put_str(buf: &mut BytesMut, s: &str) {
+    buf.put_u64_le(s.len() as u64);
+    buf.put_slice(s.as_bytes());
+}
+
+fn get_str(bytes: &mut Bytes, what: &str) -> io::Result<String> {
+    let len = get_len(bytes, what)?;
+    if bytes.remaining() < len {
+        return Err(invalid(&format!("truncated {what}")));
+    }
+    let mut raw = vec![0u8; len];
+    bytes.copy_to_slice(&mut raw);
+    String::from_utf8(raw).map_err(|_| invalid(&format!("non-utf8 {what}")))
+}
+
+fn put_groups(buf: &mut BytesMut, groups: &[(NodeId, Vec<NodeId>)]) {
+    buf.put_u64_le(groups.len() as u64);
+    for (orig, members) in groups {
+        buf.put_u32_le(*orig);
+        put_ids(buf, members);
+    }
+}
+
+fn get_groups(bytes: &mut Bytes) -> io::Result<Vec<(NodeId, Vec<NodeId>)>> {
+    let n_groups = get_len(bytes, "replica_groups")?;
+    let mut groups = Vec::with_capacity(n_groups.min(1 << 20));
+    for _ in 0..n_groups {
+        if bytes.remaining() < 4 {
+            return Err(invalid("truncated replica group"));
+        }
+        let orig = bytes.get_u32_le();
+        groups.push((orig, get_ids(bytes, "replica members")?));
+    }
+    Ok(groups)
+}
+
+fn put_tiles(buf: &mut BytesMut, tiles: &[Tile]) {
+    buf.put_u64_le(tiles.len() as u64);
+    for tile in tiles {
+        buf.put_u32_le(tile.center);
+        buf.put_u64_le(tile.iterations as u64);
+        put_ids(buf, &tile.nodes);
+    }
+}
+
+fn get_tiles(bytes: &mut Bytes) -> io::Result<Vec<Tile>> {
+    let n_tiles = get_len(bytes, "tiles")?;
+    let mut tiles = Vec::with_capacity(n_tiles.min(1 << 20));
+    for _ in 0..n_tiles {
+        if bytes.remaining() < 12 {
+            return Err(invalid("truncated tile"));
+        }
+        let center = bytes.get_u32_le();
+        let iterations = bytes.get_u64_le() as usize;
+        let nodes = get_ids(bytes, "tile nodes")?;
+        tiles.push(Tile {
+            center,
+            nodes,
+            iterations,
+        });
+    }
+    Ok(tiles)
 }
 
 pub(crate) fn encode_ids(ids: &[NodeId]) -> Bytes {
@@ -180,11 +245,7 @@ pub(crate) fn encode_replication(rep: &ReplicationResult) -> Bytes {
     let mut buf = BytesMut::new();
     put_graph(&mut buf, &rep.graph);
     put_ids(&mut buf, &rep.to_original);
-    buf.put_u64_le(rep.replica_groups.len() as u64);
-    for (orig, members) in &rep.replica_groups {
-        buf.put_u32_le(*orig);
-        put_ids(&mut buf, members);
-    }
+    put_groups(&mut buf, &rep.replica_groups);
     buf.put_u64_le(rep.holes_filled as u64);
     buf.put_u64_le(rep.edges_added as u64);
     buf.put_u64_le(rep.replicas as u64);
@@ -194,16 +255,7 @@ pub(crate) fn encode_replication(rep: &ReplicationResult) -> Bytes {
 pub(crate) fn decode_replication(mut bytes: Bytes) -> io::Result<ReplicationResult> {
     let graph = get_graph(&mut bytes, "replicated graph")?;
     let to_original = get_ids(&mut bytes, "to_original")?;
-    let n_groups = get_len(&mut bytes, "replica_groups")?;
-    let mut replica_groups = Vec::with_capacity(n_groups.min(1 << 20));
-    for _ in 0..n_groups {
-        if bytes.remaining() < 4 {
-            return Err(invalid("truncated replica group"));
-        }
-        let orig = bytes.get_u32_le();
-        let members = get_ids(&mut bytes, "replica members")?;
-        replica_groups.push((orig, members));
-    }
+    let replica_groups = get_groups(&mut bytes)?;
     let holes_filled = get_u64(&mut bytes, "holes_filled")? as usize;
     let edges_added = get_u64(&mut bytes, "edges_added")? as usize;
     let replicas = get_u64(&mut bytes, "replicas")? as usize;
@@ -254,32 +306,13 @@ pub(crate) fn decode_boost(mut bytes: Bytes) -> io::Result<BoostOutcome> {
 
 pub(crate) fn encode_tiles(sel: &TileSelection) -> Bytes {
     let mut buf = BytesMut::new();
-    buf.put_u64_le(sel.tiles.len() as u64);
-    for tile in &sel.tiles {
-        buf.put_u32_le(tile.center);
-        buf.put_u64_le(tile.iterations as u64);
-        put_ids(&mut buf, &tile.nodes);
-    }
+    put_tiles(&mut buf, &sel.tiles);
     buf.put_u64_le(sel.untiled as u64);
     buf.freeze()
 }
 
 pub(crate) fn decode_tiles(mut bytes: Bytes) -> io::Result<TileSelection> {
-    let n_tiles = get_len(&mut bytes, "tiles")?;
-    let mut tiles = Vec::with_capacity(n_tiles.min(1 << 20));
-    for _ in 0..n_tiles {
-        if bytes.remaining() < 12 {
-            return Err(invalid("truncated tile"));
-        }
-        let center = bytes.get_u32_le();
-        let iterations = bytes.get_u64_le() as usize;
-        let nodes = get_ids(&mut bytes, "tile nodes")?;
-        tiles.push(Tile {
-            center,
-            nodes,
-            iterations,
-        });
-    }
+    let tiles = get_tiles(&mut bytes)?;
     let untiled = get_u64(&mut bytes, "untiled")? as usize;
     done(&bytes, "tile selection")?;
     Ok(TileSelection { tiles, untiled })
@@ -305,6 +338,123 @@ pub(crate) fn decode_normalize(
         edges_added,
         warps_normalized,
     })
+}
+
+const CONFLUENCES: [ConfluenceOp; 4] = [
+    ConfluenceOp::Mean,
+    ConfluenceOp::Min,
+    ConfluenceOp::Max,
+    ConfluenceOp::Sum,
+];
+
+/// The terminal payload: the assembled [`Prepared`]. Content only, like
+/// every stage payload — `preprocess_seconds` and `phase_seconds` are
+/// wall-clock diagnostics and decode as 0 / empty (the caller records the
+/// load time in their place).
+pub(crate) fn encode_prepared(p: &Prepared) -> Bytes {
+    let mut buf = BytesMut::new();
+    buf.put_u8(
+        Technique::ALL
+            .iter()
+            .position(|&t| t == p.technique)
+            .unwrap() as u8,
+    );
+    buf.put_u8(CONFLUENCES.iter().position(|&c| c == p.confluence).unwrap() as u8);
+    put_graph(&mut buf, &p.graph);
+    put_ids(&mut buf, &p.assignment);
+    put_ids(&mut buf, &p.to_original);
+    put_ids(&mut buf, &p.primary);
+    put_groups(&mut buf, &p.replica_groups);
+    put_tiles(&mut buf, &p.tiles);
+    let r = &p.report;
+    put_str(&mut buf, &r.technique_label);
+    for v in [
+        r.original_nodes,
+        r.original_edges,
+        r.new_nodes,
+        r.new_edges,
+        r.holes_created,
+        r.holes_filled,
+        r.replicas,
+        r.edges_added,
+    ] {
+        buf.put_u64_le(v as u64);
+    }
+    buf.put_u64_le(r.space_overhead.to_bits());
+    buf.put_u64_le(r.stages.len() as u64);
+    for s in &r.stages {
+        put_str(&mut buf, &s.transform);
+        buf.put_u64_le(s.replicas as u64);
+        buf.put_u64_le(s.edges_added as u64);
+        buf.put_u64_le(s.edge_budget_arcs as u64);
+    }
+    buf.freeze()
+}
+
+/// Structural consistency is re-validated, so an entry that decodes but
+/// does not hold together surfaces as `InvalidData`, never a panic later.
+pub(crate) fn decode_prepared(mut bytes: Bytes) -> io::Result<Prepared> {
+    if bytes.remaining() < 2 {
+        return Err(invalid("truncated prepared header"));
+    }
+    let technique = *Technique::ALL
+        .get(bytes.get_u8() as usize)
+        .ok_or_else(|| invalid("unknown technique"))?;
+    let confluence = *CONFLUENCES
+        .get(bytes.get_u8() as usize)
+        .ok_or_else(|| invalid("unknown confluence op"))?;
+    let graph = get_graph(&mut bytes, "prepared graph")?;
+    let assignment = get_ids(&mut bytes, "assignment")?;
+    let to_original = get_ids(&mut bytes, "to_original")?;
+    let primary = get_ids(&mut bytes, "primary")?;
+    let replica_groups = get_groups(&mut bytes)?;
+    let tiles = get_tiles(&mut bytes)?;
+    let technique_label = get_str(&mut bytes, "technique label")?;
+    let mut counters = [0usize; 8];
+    for c in counters.iter_mut() {
+        *c = get_u64(&mut bytes, "report counters")? as usize;
+    }
+    let space_overhead = f64::from_bits(get_u64(&mut bytes, "space overhead")?);
+    let n_stages = get_len(&mut bytes, "stage reports")?;
+    let mut stages = Vec::with_capacity(n_stages.min(1 << 10));
+    for _ in 0..n_stages {
+        stages.push(StageReport {
+            transform: get_str(&mut bytes, "stage transform")?,
+            replicas: get_u64(&mut bytes, "stage replicas")? as usize,
+            edges_added: get_u64(&mut bytes, "stage edges_added")? as usize,
+            edge_budget_arcs: get_u64(&mut bytes, "stage edge budget")? as usize,
+        });
+    }
+    done(&bytes, "prepared output")?;
+    let prepared = Prepared {
+        graph,
+        assignment,
+        to_original,
+        primary,
+        replica_groups,
+        tiles,
+        confluence,
+        technique,
+        report: TransformReport {
+            technique_label,
+            preprocess_seconds: 0.0,
+            phase_seconds: Vec::new(),
+            original_nodes: counters[0],
+            original_edges: counters[1],
+            new_nodes: counters[2],
+            new_edges: counters[3],
+            holes_created: counters[4],
+            holes_filled: counters[5],
+            replicas: counters[6],
+            edges_added: counters[7],
+            space_overhead,
+            stages,
+        },
+    };
+    prepared
+        .validate()
+        .map_err(|e| invalid(&format!("inconsistent prepared entry: {e}")))?;
+    Ok(prepared)
 }
 
 #[cfg(test)]
@@ -379,6 +529,27 @@ mod tests {
         let enc = encode_counts(&counts);
         assert_eq!(decode_counts(enc.clone()).unwrap(), counts, "count codec");
         assert!(counts.iter().any(|&c| c > 0), "fixture has triangles");
+
+        let prepared = crate::Pipeline::all_defaults()
+            .with_coalesce(knobs)
+            .with_latency(lknobs)
+            .apply(&g, &cfg);
+        let enc = encode_prepared(&prepared);
+        let dec = decode_prepared(enc.clone()).unwrap();
+        assert_eq!(&encode_prepared(&dec)[..], &enc[..], "prepared codec");
+        assert!(
+            !prepared.replica_groups.is_empty() && !prepared.tiles.is_empty(),
+            "fixture should exercise the shared group and tile routines"
+        );
+        assert!(prepared.report.preprocess_seconds > 0.0);
+        assert_eq!(
+            dec.report.preprocess_seconds, 0.0,
+            "timings are not content"
+        );
+        assert!(
+            dec.report.phase_seconds.is_empty(),
+            "timings are not content"
+        );
     }
 
     #[test]
@@ -392,5 +563,6 @@ mod tests {
         assert!(decode_ids(truncated).is_err(), "truncated list");
         assert!(decode_boost(Bytes::from(b"nope".to_vec())).is_err());
         assert!(decode_renumber(Bytes::default()).is_err());
+        assert!(decode_prepared(Bytes::from(vec![9u8, 0])).is_err());
     }
 }

@@ -6,14 +6,16 @@
 //! * **Exactness** — with debt threshold 0 every batch re-prepares
 //!   exactly, and the maintained output is semantically identical to a
 //!   from-scratch [`Pipeline::try_apply`] on the mutated graph.
-//! * **Speedup** — in the stale regime a 1%-churn batch re-prepares at
-//!   least 10x faster than the full pipeline, because every stage
-//!   collapses into a reuse of the memoized query layer.
+//! * **Reuse** — in the stale regime a 1%-churn batch re-prepares without
+//!   running a stage: the seeded head stage is served stale and every
+//!   other one collapses into a reuse of the memoized query layer. (That
+//!   is what makes such a batch cheap; the wall-clock ratio against a full
+//!   re-prepare moves whenever the full side does, so it is reported by
+//!   `graffix bench --stream-gate`, not asserted.)
 //!
-//! The release-mode counterpart (tighter timing, CI-gated) is
-//! `graffix bench --stream-gate`.
+//! The release-mode counterpart (CI-gated) is `graffix bench --stream-gate`.
 
-use graffix_core::{IncrementalPrepare, Pipeline, PrepareMode, Prepared, StreamKnobs};
+use graffix_core::{IncrementalPrepare, Pipeline, PrepareMode, Prepared, StageStatus, StreamKnobs};
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::mutation::EdgeBatch;
 use graffix_graph::{serialize, Csr, NodeId};
@@ -21,7 +23,6 @@ use graffix_sim::GpuConfig;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 
 const NODES: usize = 20_000;
 
@@ -94,22 +95,19 @@ fn exact_regime_matches_cold_prepare_at_acceptance_scale() {
 }
 
 #[test]
-fn stale_regime_is_an_order_of_magnitude_faster_at_one_percent_churn() {
+fn stale_regime_reuses_every_stage_at_one_percent_churn() {
     const BATCHES: usize = 3;
     let g = acceptance_graph();
-    let pipe = Pipeline::all_defaults();
-    let cfg = GpuConfig::k40c();
     // Threshold sized so every measured batch stays in the stale regime.
     let threshold = 0.011 * (BATCHES + 1) as f64;
     let mut inc = IncrementalPrepare::new(
         g,
-        pipe.clone(),
-        cfg.clone(),
+        Pipeline::all_defaults(),
+        GpuConfig::k40c(),
         StreamKnobs::default().with_debt_threshold(threshold),
     )
     .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let (mut stale_secs, mut full_secs) = (0.0f64, 0.0f64);
     for round in 0..BATCHES {
         let batch = one_percent_batch(inc.graph(), &mut rng);
         let out = inc.apply_batch(&batch).unwrap();
@@ -118,18 +116,22 @@ fn stale_regime_is_an_order_of_magnitude_faster_at_one_percent_churn() {
             PrepareMode::Stale,
             "round {round} left stale regime"
         );
-        stale_secs += out.prepare_seconds;
-        let t = Instant::now();
-        let _ = pipe.try_apply(inc.graph(), &cfg).unwrap();
-        full_secs += t.elapsed().as_secs_f64();
+        // The combined pipeline's head stage is `renumber`.
+        for r in &out.stages {
+            let want_stale = r.stage == "renumber";
+            assert_eq!(
+                r.status == StageStatus::Stale,
+                want_stale,
+                "round {round}: stage {} was {}",
+                r.stage,
+                r.status.label()
+            );
+            assert!(
+                r.status.reused(),
+                "round {round}: stage {} recomputed in a stale batch",
+                r.stage
+            );
+        }
+        assert!(out.stages.iter().any(|r| r.stage == "renumber"));
     }
-    let speedup = full_secs / stale_secs.max(1e-9);
-    assert!(
-        speedup >= 10.0,
-        "incremental stale re-prepare must be >=10x faster than full \
-         (full {:.3}s vs incremental {:.3}s over {BATCHES} batches = {:.1}x)",
-        full_secs,
-        stale_secs,
-        speedup
-    );
 }

@@ -7,11 +7,15 @@
 //!    must be byte-identical at 1, 2, and 8 host threads — the parallel
 //!    selection/scoring passes must not leak scheduling order into the
 //!    output;
-//! 2. the cache serialization round-trip must be bit-exact: deserializing
-//!    `to_bytes(p)` and re-serializing yields the same bytes, through an
-//!    actual on-disk store/load as well.
+//! 2. a cold `prepare_with_cache` followed by a warm one is a `Hit` whose
+//!    result equals `pipeline.apply` (the codec's own "decode(encode(p))
+//!    re-encodes identically" is pinned next to the other stage codecs, in
+//!    `stages::tests::every_stage_output_round_trips_bit_exactly`).
 
-use graffix_core::{cache, CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Pipeline, Prepared};
+use graffix_core::{
+    prepare_with_cache, CacheConfig, CacheStatus, CoalesceKnobs, DivergenceKnobs, LatencyKnobs,
+    Pipeline, Prepared,
+};
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::{serialize, Csr};
 use graffix_sim::GpuConfig;
@@ -119,32 +123,21 @@ fn random_configs_round_trip_through_the_cache_bit_exactly() {
     let gpu = GpuConfig::k40c();
     let dir = std::env::temp_dir().join(format!("graffix-sweep-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let cache = CacheConfig::at(&dir);
     for i in 0..CONFIGS {
         let g = random_graph(&mut rng);
         let pipeline = random_pipeline(&mut rng);
         let p = pipeline.apply(&g, &gpu);
         let ctx = format!("config {i} (n={})", g.num_nodes());
 
-        // In-memory round-trip: decode(encode(p)) re-encodes identically.
-        let raw = cache::to_bytes(&p);
-        let back = cache::from_bytes(raw.clone()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_eq!(
-            &cache::to_bytes(&back)[..],
-            &raw[..],
-            "{ctx}: in-memory round-trip not bit-exact"
-        );
-        assert_same_prepared(&back, &p, &ctx);
-
-        // On-disk round-trip through store/load, keyed like the real cache.
-        let key = cache::cache_key(&g, &pipeline, gpu.warp_size);
-        cache::store(&dir, key, &p).unwrap_or_else(|e| panic!("{ctx}: store failed: {e}"));
-        let loaded = cache::load(&dir, key).unwrap_or_else(|| panic!("{ctx}: load missed"));
-        assert_eq!(
-            &cache::to_bytes(&loaded)[..],
-            &raw[..],
-            "{ctx}: on-disk round-trip not bit-exact"
-        );
+        let (cold, out) = prepare_with_cache(&g, &pipeline, &gpu, &cache).unwrap();
+        assert_eq!(out.status, CacheStatus::MissStored, "{ctx}: cold");
+        assert_same_prepared(&cold, &p, &format!("{ctx}, cold"));
+        let (warm, out) = prepare_with_cache(&g, &pipeline, &gpu, &cache).unwrap();
+        assert_eq!(out.status, CacheStatus::Hit, "{ctx}: warm");
+        assert_same_prepared(&warm, &p, &format!("{ctx}, warm"));
+        assert_eq!(warm.technique, p.technique, "{ctx}: technique");
+        assert_eq!(warm.report.stages, p.report.stages, "{ctx}: stage reports");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,14 @@
 //! Corrupt per-stage cache entries must degrade to a miss for *that stage
 //! only*: the damaged stage silently re-runs (and repairs its entry),
 //! upstream stages still hit, downstream stages reuse via early cutoff,
-//! and the result is identical to an undamaged run.
+//! and the result is identical to an undamaged run. The terminal
+//! `prepared` entry is one more entry of the same store: damaged in any
+//! way it is a miss that every stage entry underneath still serves.
 
 use graffix_core::query::stage_entry_path;
 use graffix_core::{
-    CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Pipeline, Prepared, QueryCtx, StageRecord,
-    StageStatus,
+    prepare_with_cache, CacheConfig, CacheStatus, CoalesceKnobs, DivergenceKnobs, LatencyKnobs,
+    Pipeline, Prepared, QueryCtx, StageRecord, StageStatus,
 };
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::{serialize, Csr};
@@ -189,4 +191,55 @@ fn garbage_entry_degrades_to_a_miss_for_that_stage_only() {
     assert_eq!(status_of(&records, "normalize"), StageStatus::Recomputed);
     assert_same_prepared(&rerun, &reference, "garbage normalize entry");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_terminal_entry_is_a_miss_that_the_stage_entries_repair() {
+    type Damage = fn(&Path, &Prepared, &Path);
+    let damages: [(&str, Damage); 4] = [
+        ("truncated", |entry, _, _| {
+            let raw = std::fs::read(entry).unwrap();
+            std::fs::write(entry, &raw[..raw.len() / 2]).unwrap();
+        }),
+        // One flipped bit in the first weight of the embedded graph: the
+        // entry still decodes and validates — only the checksum sees it.
+        ("flipped weight byte", |entry, cold, _| {
+            assert!(cold.graph.is_weighted(), "fixture must carry weights");
+            let envelope = 4 + 4 + 2 + "prepared".len() + 8;
+            let (n, m) = (cold.graph.num_nodes(), cold.graph.num_edges());
+            let first_weight = envelope + 2 + 8 + 24 + (n + 1) * 8 + m * 4;
+            let mut raw = std::fs::read(entry).unwrap();
+            raw[first_weight] ^= 0x02;
+            std::fs::write(entry, raw).unwrap();
+        }),
+        ("garbage", |entry, _, _| {
+            std::fs::write(entry, b"not a GFXS file").unwrap()
+        }),
+        ("another stage's entry", |entry, _, other| {
+            std::fs::copy(other, entry).unwrap();
+        }),
+    ];
+    let g = graph();
+    let gpu = GpuConfig::k40c();
+    for (case, damage) in damages {
+        let dir = tmp_dir("terminal");
+        let cache = CacheConfig::at(&dir);
+        let (cold, out) = prepare_with_cache(&g, &pipeline(), &gpu, &cache).unwrap();
+        assert_eq!(out.status, CacheStatus::MissStored, "{case}: cold");
+        let entry = out.path.expect("a stored run names its terminal entry");
+        let normalize = stage_entry_path(&dir, "normalize", key_of(&out.stages, "normalize"));
+        damage(&entry, &cold, &normalize);
+
+        let (rerun, out) = prepare_with_cache(&g, &pipeline(), &gpu, &cache).unwrap();
+        assert_eq!(out.status, CacheStatus::MissStored, "{case}: damaged");
+        assert!(
+            !out.stages.is_empty() && out.stages.iter().all(|r| r.status == StageStatus::Hit),
+            "{case}: every stage entry must still hit"
+        );
+        assert_same_prepared(&rerun, &cold, case);
+        let (again, out) = prepare_with_cache(&g, &pipeline(), &gpu, &cache).unwrap();
+        assert_eq!(out.status, CacheStatus::Hit, "{case}: repaired");
+        assert_same_prepared(&again, &cold, case);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -130,8 +130,8 @@ pub struct Checkout {
     pub cache: String,
     /// The io error behind a `miss (store failed)`, for response metadata.
     pub store_warning: Option<String>,
-    /// Per-stage records from the memoized query graph (empty on pool or
-    /// whole-blob hits).
+    /// Per-stage records from the memoized query graph (empty on pool
+    /// hits and on hits of the terminal `prepared` entry).
     pub stages: Vec<StageRecord>,
     /// Shared segmentation of the prepared graph (present iff the pool was
     /// built with a segment budget) — workers attach it to their plans for
