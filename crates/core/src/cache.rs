@@ -302,7 +302,8 @@ mod tests {
             shared_banks: _,
             clock_hz: _,
         } = GpuConfig::k40c();
-        let changes: [(&str, fn(&mut GpuConfig)); 12] = [
+        type Change = (&'static str, fn(&mut GpuConfig));
+        let changes: [Change; 12] = [
             ("warp_size", |c| c.warp_size = 64),
             ("segment_words", |c| c.segment_words = 16),
             ("num_sms", |c| c.num_sms = 4),

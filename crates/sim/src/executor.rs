@@ -18,7 +18,7 @@
 use crate::config::GpuConfig;
 use crate::lane::Lane;
 use crate::stats::KernelStats;
-use crate::warp::replay_warp;
+use crate::warp::{replay_lanes, ReplayScratch};
 use graffix_graph::{NodeId, INVALID_NODE};
 use rayon::prelude::*;
 
@@ -115,23 +115,26 @@ where
                 changed: false,
                 activated: Vec::new(),
             };
-            let mut lanes: Vec<Lane> = (0..cfg.warp_size).map(|_| Lane::new()).collect();
+            let mut lanes: Vec<Lane<'_>> = (0..cfg.warp_size).map(|_| Lane::new()).collect();
+            let mut scratch = ReplayScratch::default();
             for &(warp_nodes, resident, span) in ws {
-                for (i, &v) in warp_nodes.iter().enumerate() {
-                    lanes[i].reset();
-                    if v == INVALID_NODE {
-                        continue;
+                let lanes = &mut lanes[..warp_nodes.len()];
+                for (lane, &v) in lanes.iter_mut().zip(warp_nodes) {
+                    lane.reset();
+                    lane.set_resident_mask(resident);
+                    lane.set_resident_span(span);
+                    if v != INVALID_NODE {
+                        out.changed |= kernel(v, lane);
                     }
-                    lanes[i].set_resident_mask(resident);
-                    lanes[i].set_resident_span(span);
-                    out.changed |= kernel(v, &mut lanes[i]);
                 }
-                let traces: Vec<&[_]> = lanes[..warp_nodes.len()]
-                    .iter()
-                    .map(|l| l.trace())
-                    .collect();
-                replay_warp(cfg, &traces, &mut out.stats);
-                for lane in &mut lanes[..warp_nodes.len()] {
+                replay_lanes(
+                    cfg,
+                    &mut scratch,
+                    lanes.len(),
+                    |i| lanes[i].trace(),
+                    &mut out.stats,
+                );
+                for lane in lanes.iter_mut() {
                     out.activated.extend(lane.drain_activations());
                 }
             }
@@ -398,5 +401,80 @@ mod tests {
         assert_eq!(outcomes[0].stats, outcomes[2].stats);
         assert_eq!(outcomes[0].changed, outcomes[1].changed);
         assert_eq!(outcomes[0].activated, outcomes[2].activated);
+    }
+
+    #[test]
+    fn skewed_launch_meets_the_closed_form_identities() {
+        // One 5 000-event hub leads every 32-lane warp; the other lanes are
+        // short, every ninth slot is empty, and the last warp is partial.
+        let cfg = GpuConfig::k40c();
+        let len_of = |v: NodeId| match v {
+            INVALID_NODE => 0,
+            v if v % 32 == 0 => 5_000,
+            v => v as usize % 7,
+        };
+        let assignment: Vec<NodeId> = (0..5 * 32 + 11)
+            .map(|v| if v % 9 == 4 { INVALID_NODE } else { v })
+            .collect();
+        let run = || {
+            run_superstep(
+                &cfg,
+                Superstep {
+                    assignment: &assignment,
+                    resident: None,
+                },
+                |v, lane| {
+                    for i in 0..len_of(v) {
+                        match i % 4 {
+                            0 => lane.read(ArrayId::EDGES, v as usize * 64 + i),
+                            1 => lane.atomic(ArrayId::NODE_ATTR, i % 13),
+                            2 => lane.write(ArrayId::NODE_ATTR_AUX, i),
+                            _ => lane.compute(1),
+                        }
+                    }
+                    if v % 5 == 0 {
+                        lane.activate(v);
+                    }
+                    v % 32 == 0
+                },
+            )
+        };
+        let outcomes: Vec<SuperstepOutcome> = [1, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(run)
+            })
+            .collect();
+
+        let stats = outcomes[0].stats;
+        let max_len = |warp: &[NodeId]| warp.iter().map(|&v| len_of(v)).max().unwrap() as u64;
+        let steps: u64 = assignment.chunks(32).map(max_len).sum();
+        let slots: u64 = assignment
+            .chunks(32)
+            .map(|warp| warp.len() as u64 * max_len(warp))
+            .sum();
+        let events: u64 = assignment.iter().map(|&v| len_of(v) as u64).sum();
+        assert_eq!(stats.warps, 6);
+        assert_eq!(stats.steps, steps);
+        // Empty slots sit inside the warp's width, so they idle every step.
+        assert_eq!(stats.divergent_slots + events, slots);
+        assert_eq!(
+            stats.issue_cycles
+                + stats.global_cycles
+                + stats.l2_cycles
+                + stats.shared_cycles
+                + stats.atomic_cycles,
+            stats.warp_cycles
+        );
+        assert!(outcomes[0].changed);
+        for other in &outcomes[1..] {
+            assert_eq!(other.stats, stats);
+            assert_eq!(other.changed, outcomes[0].changed);
+            assert_eq!(other.activated, outcomes[0].activated);
+        }
     }
 }

@@ -8,12 +8,13 @@ use graffix_graph::NodeId;
 /// writes on host data structures and mirrors each of them through the lane
 /// so the warp cost model can replay them in lockstep.
 #[derive(Debug, Default)]
-pub struct Lane {
+pub struct Lane<'m> {
     trace: Vec<MemEvent>,
     /// Residency predicate installed by the shared-memory scheduler: node-
     /// attribute accesses whose index is resident are recorded as
-    /// [`Space::Shared`].
-    resident: Option<*const [bool]>,
+    /// [`Space::Shared`]. Borrowed from the launch's block, which outlives
+    /// the executor's lanes.
+    resident: Option<&'m [bool]>,
     /// L2 residency window installed by segment-major execution: with no
     /// shared-memory mask, node-attribute accesses inside `[lo, hi)` (and
     /// all CSR-slice accesses, which segment execution streams through L2)
@@ -26,17 +27,13 @@ pub struct Lane {
     activations: Vec<NodeId>,
 }
 
-// SAFETY-free design note: `resident` is only set through
-// `set_resident_mask` with a slice that the executor keeps alive for the
-// whole superstep; we store a raw pointer merely to avoid threading a
-// lifetime through every kernel signature. Access is read-only.
-impl Lane {
+impl<'m> Lane<'m> {
     pub(crate) fn new() -> Self {
         Lane::default()
     }
 
-    pub(crate) fn set_resident_mask(&mut self, mask: Option<&[bool]>) {
-        self.resident = mask.map(|m| m as *const [bool]);
+    pub(crate) fn set_resident_mask(&mut self, mask: Option<&'m [bool]>) {
+        self.resident = mask;
     }
 
     pub(crate) fn set_resident_span(&mut self, span: Option<(u64, u64)>) {
@@ -52,7 +49,7 @@ impl Lane {
         // memory. Outside tile blocks everything is global. (See
         // EXPERIMENTS.md for how this staging model relates to the paper's
         // Figure 8 shape.)
-        let Some(ptr) = self.resident else {
+        let Some(mask) = self.resident else {
             // Segment-major blocks (DESIGN.md §12): the active segment's
             // attribute window and its CSR slice are L2-resident; attribute
             // accesses escaping the window (cross-segment destinations) pay
@@ -70,8 +67,6 @@ impl Lane {
             return Space::Global;
         };
         if matches!(array, ArrayId::NODE_ATTR | ArrayId::NODE_ATTR_AUX) {
-            // SAFETY: the executor guarantees the mask outlives the lane.
-            let mask = unsafe { &*ptr };
             if (index as usize) < mask.len() && mask[index as usize] {
                 Space::Shared
             } else {

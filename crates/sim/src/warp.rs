@@ -4,10 +4,237 @@ use crate::config::GpuConfig;
 use crate::event::{AccessKind, MemEvent, Space};
 use crate::stats::KernelStats;
 
+/// Buffers one host worker reuses across every warp it replays: the
+/// length-ordered live list and the five per-step buckets.
+#[derive(Debug, Default)]
+pub(crate) struct ReplayScratch {
+    /// `(trace length, lane)` of the non-empty lanes, longest first.
+    live: Vec<(usize, usize)>,
+    segments: Vec<u64>,
+    l2_segments: Vec<u64>,
+    atomic_addrs: Vec<u64>,
+    atomic_segments: Vec<u64>,
+    banks: Vec<u64>,
+}
+
 /// Replays the traces of one warp's lanes in lockstep and accumulates cost
 /// into `stats`. `traces[i]` is lane `i`'s event sequence; lanes may have
-/// different lengths (divergence).
+/// different lengths (divergence). Brings its own scratch; the executor
+/// calls [`replay_lanes`] with one [`ReplayScratch`] per worker instead.
 pub fn replay_warp(cfg: &GpuConfig, traces: &[&[MemEvent]], stats: &mut KernelStats) {
+    replay_lanes(
+        cfg,
+        &mut ReplayScratch::default(),
+        traces.len(),
+        |lane| traces[lane],
+        stats,
+    );
+}
+
+/// Length of the longest run of equal values in `sorted` (non-empty).
+fn longest_run(sorted: &[u64]) -> u64 {
+    let mut worst = 1u64;
+    let mut run = 1u64;
+    for w in sorted.windows(2) {
+        if w[0] == w[1] {
+            run += 1;
+            worst = worst.max(run);
+        } else {
+            run = 1;
+        }
+    }
+    worst
+}
+
+/// [`replay_warp`] over `width` lanes whose traces `trace_of` hands out,
+/// with caller-held scratch. Host cost is proportional to the events, not
+/// to `width × steps`: the lanes still running at a step are a prefix of
+/// the length-ordered live list, and once a single lane is left its
+/// remaining steps are priced in closed form. Nothing a step accounts
+/// depends on the order its lanes are visited in (every bucket is sorted
+/// or summed), so the counters equal a walk over all lanes in index order.
+pub(crate) fn replay_lanes<'t>(
+    cfg: &GpuConfig,
+    scratch: &mut ReplayScratch,
+    width: usize,
+    trace_of: impl Fn(usize) -> &'t [MemEvent],
+    stats: &mut KernelStats,
+) {
+    let ReplayScratch {
+        live,
+        segments,
+        l2_segments,
+        atomic_addrs,
+        atomic_segments,
+        banks,
+    } = scratch;
+    live.clear();
+    live.extend(
+        (0..width)
+            .map(|lane| (trace_of(lane).len(), lane))
+            .filter(|&(len, _)| len > 0),
+    );
+    live.sort_unstable_by_key(|&(len, _)| std::cmp::Reverse(len));
+    let Some(&(max_len, longest)) = live.first() else {
+        return;
+    };
+    stats.warps += 1;
+    stats.steps += max_len as u64;
+    let segment_words = cfg.segment_words.max(1);
+    let shared_banks = cfg.shared_banks.max(1);
+    let width = width as u64;
+
+    let mut k = live.len();
+    let mut step = 0;
+    while k > 1 {
+        let mut cycles = cfg.issue_cycles;
+        stats.issue_cycles += cfg.issue_cycles;
+        segments.clear();
+        l2_segments.clear();
+        atomic_addrs.clear();
+        atomic_segments.clear();
+        banks.clear();
+        for &(_, lane) in &live[..k] {
+            let ev = &trace_of(lane)[step];
+            match (ev.kind, ev.space) {
+                (AccessKind::Compute, _) => {}
+                (AccessKind::Atomic, Space::Shared) => {
+                    // Shared-memory atomics: bank traffic plus collision
+                    // serialization below.
+                    stats.atomic_ops += 1;
+                    atomic_addrs.push(ev.address());
+                    banks.push(ev.address() % shared_banks);
+                }
+                (AccessKind::Atomic, Space::Global | Space::L2) => {
+                    // Global atomics execute in L2 regardless of data
+                    // residency: a warp's atomics to the same cache segment
+                    // batch into one round trip (same coalescing rule as
+                    // plain accesses), while same-address collisions
+                    // serialize (counted below). Segment residency does not
+                    // change the price — the RMW round trip through the L2
+                    // crossbar is the cost, not the DRAM fetch.
+                    stats.atomic_ops += 1;
+                    atomic_addrs.push(ev.address());
+                    atomic_segments.push(ev.address() / segment_words);
+                }
+                (_, Space::Global) => {
+                    stats.global_accesses += 1;
+                    segments.push(ev.address() / segment_words);
+                }
+                (_, Space::L2) => {
+                    // L2-resident data (segment-major execution): coalesces
+                    // exactly like global memory, but a transaction is an
+                    // L2 hit at `lat_l2` instead of a DRAM round trip.
+                    stats.l2_accesses += 1;
+                    l2_segments.push(ev.address() / segment_words);
+                }
+                (_, Space::Shared) => {
+                    stats.shared_accesses += 1;
+                    banks.push(ev.address() % shared_banks);
+                }
+            }
+        }
+        // Divergence: slots the warp issues but no lane fills. Warps are
+        // padded to full width conceptually; lanes never launched (tail
+        // warps) are not charged.
+        stats.divergent_slots += width - k as u64;
+
+        // Coalescing: one transaction per distinct segment.
+        if !segments.is_empty() {
+            segments.sort_unstable();
+            segments.dedup();
+            stats.global_transactions += segments.len() as u64;
+            let c = cfg.lat_global * segments.len() as u64;
+            stats.global_cycles += c;
+            cycles += c;
+        }
+        // L2 hits: same per-segment coalescing, cheaper round trip.
+        if !l2_segments.is_empty() {
+            l2_segments.sort_unstable();
+            l2_segments.dedup();
+            stats.l2_transactions += l2_segments.len() as u64;
+            let c = cfg.lat_l2 * l2_segments.len() as u64;
+            stats.l2_cycles += c;
+            cycles += c;
+        }
+        // Shared memory: base latency plus bank-conflict serialization
+        // (largest same-bank group issues serially).
+        if !banks.is_empty() {
+            banks.sort_unstable();
+            let worst = longest_run(banks);
+            stats.bank_conflicts += worst - 1;
+            let c = cfg.lat_shared * worst;
+            stats.shared_cycles += c;
+            cycles += c;
+        }
+        // Atomics: one L2 round trip per distinct segment, plus the largest
+        // same-address collision group serializing on top.
+        if !atomic_addrs.is_empty() {
+            atomic_segments.sort_unstable();
+            atomic_segments.dedup();
+            let tx = atomic_segments.len().max(1) as u64;
+            stats.global_transactions += atomic_segments.len() as u64;
+            stats.atomic_transactions += atomic_segments.len() as u64;
+            atomic_addrs.sort_unstable();
+            let worst = longest_run(atomic_addrs);
+            stats.atomic_collisions += worst - 1;
+            let c = cfg.lat_atomic * (tx + worst - 1);
+            stats.atomic_cycles += c;
+            cycles += c;
+        }
+        stats.warp_cycles += cycles;
+
+        step += 1;
+        while k > 0 && live[k - 1].0 <= step {
+            k -= 1;
+        }
+    }
+
+    // Single-lane tail: every remaining step holds exactly one event, which
+    // is its own segment, bank and address, so the steps above reduce to
+    // one count per event class. A shared atomic pays `lat_shared` for its
+    // bank plus `lat_atomic` for the round and moves no transaction
+    // counter; a global or L2 atomic is one transaction of each kind.
+    let tail = &trace_of(longest)[step..];
+    let (mut global, mut l2, mut shared) = (0u64, 0u64, 0u64);
+    let (mut shared_atomics, mut global_atomics) = (0u64, 0u64);
+    for ev in tail {
+        match (ev.kind, ev.space) {
+            (AccessKind::Compute, _) => {}
+            (AccessKind::Atomic, Space::Shared) => shared_atomics += 1,
+            (AccessKind::Atomic, Space::Global | Space::L2) => global_atomics += 1,
+            (_, Space::Global) => global += 1,
+            (_, Space::L2) => l2 += 1,
+            (_, Space::Shared) => shared += 1,
+        }
+    }
+    let remaining = tail.len() as u64;
+    let issue_cycles = cfg.issue_cycles * remaining;
+    let global_cycles = cfg.lat_global * global;
+    let l2_cycles = cfg.lat_l2 * l2;
+    let shared_cycles = cfg.lat_shared * (shared + shared_atomics);
+    let atomic_cycles = cfg.lat_atomic * (shared_atomics + global_atomics);
+    stats.divergent_slots += (width - 1) * remaining;
+    stats.global_accesses += global;
+    stats.l2_accesses += l2;
+    stats.shared_accesses += shared;
+    stats.atomic_ops += shared_atomics + global_atomics;
+    stats.global_transactions += global + global_atomics;
+    stats.l2_transactions += l2;
+    stats.atomic_transactions += global_atomics;
+    stats.issue_cycles += issue_cycles;
+    stats.global_cycles += global_cycles;
+    stats.l2_cycles += l2_cycles;
+    stats.shared_cycles += shared_cycles;
+    stats.atomic_cycles += atomic_cycles;
+    stats.warp_cycles += issue_cycles + global_cycles + l2_cycles + shared_cycles + atomic_cycles;
+}
+
+/// The replay as it stood before the live prefix: every lane asked at every
+/// step. Kept verbatim as the reference the differential tests compare
+/// [`replay_warp`] against, field by field.
+#[cfg(test)]
+fn replay_warp_reference(cfg: &GpuConfig, traces: &[&[MemEvent]], stats: &mut KernelStats) {
     if traces.is_empty() {
         return;
     }
@@ -387,5 +614,132 @@ mod tests {
         let mut stats = KernelStats::default();
         replay_warp(&cfg(), &[&t[..]], &mut stats);
         assert_eq!(stats.warp_cycles, 1);
+    }
+
+    fn ev(kind: AccessKind, space: Space, idx: u64) -> MemEvent {
+        MemEvent {
+            array: ArrayId::NODE_ATTR,
+            index: idx,
+            kind,
+            space,
+        }
+    }
+
+    /// Replays `traces` through [`replay_warp`] and through the reference
+    /// loop and compares all 21 counters by name.
+    fn replay_checked(cfg: &GpuConfig, traces: &[&[MemEvent]]) -> KernelStats {
+        let mut got = KernelStats::default();
+        replay_warp(cfg, traces, &mut got);
+        let mut want = KernelStats::default();
+        replay_warp_reference(cfg, traces, &mut want);
+        for (got, want) in got.field_pairs().iter().zip(want.field_pairs()) {
+            assert_eq!(*got, want);
+        }
+        got
+    }
+
+    #[test]
+    fn lone_shared_atomic_pays_bank_and_round_without_transactions() {
+        let t = [ev(AccessKind::Atomic, Space::Shared, 5)];
+        let stats = replay_checked(&cfg(), &[&t[..], &[][..]]);
+        assert_eq!(stats.atomic_ops, 1);
+        assert_eq!(stats.shared_accesses, 0);
+        assert_eq!(stats.shared_cycles, 10);
+        assert_eq!(stats.atomic_cycles, 20);
+        assert_eq!(stats.warp_cycles, 1 + 10 + 20);
+        assert_eq!(stats.global_transactions, 0);
+        assert_eq!(stats.atomic_transactions, 0);
+        assert_eq!(stats.divergent_slots, 1);
+    }
+
+    #[test]
+    fn lone_l2_atomic_is_one_transaction_of_each_kind() {
+        let t = [ev(AccessKind::Atomic, Space::L2, 5)];
+        let stats = replay_checked(&cfg(), &[&t[..]]);
+        assert_eq!(stats.atomic_ops, 1);
+        assert_eq!(stats.global_transactions, 1);
+        assert_eq!(stats.atomic_transactions, 1);
+        assert_eq!(stats.l2_accesses, 0);
+        assert_eq!(stats.l2_transactions, 0);
+        assert_eq!(stats.warp_cycles, 1 + 20);
+    }
+
+    #[test]
+    fn lone_compute_slot_after_a_full_prefix_costs_issue_and_three_idle_slots() {
+        let long = [read(0), ev(AccessKind::Compute, Space::Global, 0)];
+        let (t1, t2, t3) = ([read(1)], [read(2)], [read(3)]);
+        let stats = replay_checked(&cfg(), &[&t1[..], &long[..], &t2[..], &t3[..]]);
+        assert_eq!(stats.steps, 2);
+        assert_eq!(stats.divergent_slots, 3);
+        assert_eq!(stats.global_transactions, 1);
+        assert_eq!(stats.issue_cycles, 2);
+        assert_eq!(stats.warp_cycles, (1 + 100) + 1);
+    }
+
+    #[test]
+    fn lanes_of_equal_length_end_together() {
+        // No lane outlives the others: the step loop runs to the end and
+        // the tail has nothing left to price.
+        let a = [read(0), atomic(5)];
+        let b = [read(9), atomic(5)];
+        let stats = replay_checked(&cfg(), &[&a[..], &[][..], &b[..]]);
+        assert_eq!(stats.steps, 2);
+        assert_eq!(stats.divergent_slots, 2);
+        replay_checked(&cfg(), &[&[][..], &[][..]]);
+        replay_checked(&cfg(), &[]);
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn event() -> impl Strategy<Value = MemEvent> {
+            // Two arrays and 48 indices: segments (4, 24 or 32 words), banks
+            // (4, 12 or 32) and atomic addresses collide inside a step.
+            (0usize..4, 0usize..3, 0u16..2, 0u64..48).prop_map(|(kind, space, array, index)| {
+                MemEvent {
+                    array: ArrayId(ArrayId::NODE_ATTR.0 + array),
+                    index,
+                    kind: [
+                        AccessKind::Read,
+                        AccessKind::Write,
+                        AccessKind::Atomic,
+                        AccessKind::Compute,
+                    ][kind],
+                    space: [Space::Global, Space::Shared, Space::L2][space],
+                }
+            })
+        }
+
+        /// Short lanes (empty ones included) around one hub lane long
+        /// enough that the single-lane tail does most of the pricing; one
+        /// warp in four has no hub, so lanes also tie for the longest.
+        fn warp() -> impl Strategy<Value = Vec<Vec<MemEvent>>> {
+            (1usize..=32).prop_flat_map(|width| {
+                (
+                    prop::collection::vec(prop::collection::vec(event(), 0..40), width..width + 1),
+                    prop::collection::vec(event(), 200..2000),
+                    0..width,
+                    0usize..4,
+                )
+                    .prop_map(|(mut lanes, hub, at, hubless)| {
+                        if hubless != 0 {
+                            lanes[at] = hub;
+                        }
+                        lanes
+                    })
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn live_prefix_and_tail_equal_the_reference_loop(lanes in warp()) {
+                let traces: Vec<&[MemEvent]> = lanes.iter().map(Vec::as_slice).collect();
+                let odd = GpuConfig { segment_words: 24, shared_banks: 12, ..GpuConfig::k40c() };
+                for cfg in [GpuConfig::test_tiny(), GpuConfig::k40c(), odd] {
+                    replay_checked(&cfg, &traces);
+                }
+            }
+        }
     }
 }
