@@ -16,10 +16,9 @@
 //! added the `large` array of segmented 2^20-node bfs/pr cells gated
 //! behind a coarse band).
 
-use crate::experiments::{cpu_reference, inaccuracy, run_algo, Algo};
 use crate::gate::{Cell, GateReport};
 use crate::suite::{Suite, SuiteOptions};
-use graffix_algos::{bfs, pagerank, sssp, Direction, Plan};
+use graffix_algos::{Algo, AlgoOutcome, Direction, Plan};
 use graffix_baselines::Baseline;
 use graffix_core::{Prepared, Technique};
 use graffix_graph::generators::{GraphKind, GraphSpec};
@@ -56,7 +55,7 @@ pub struct CellKey {
     pub technique: String,
     /// [`Baseline::key`].
     pub baseline: String,
-    /// [`Algo::key`].
+    /// [`Algo::name`].
     pub algo: String,
     /// [`Direction::key`] of the plan's traversal policy.
     pub direction: String,
@@ -118,7 +117,7 @@ impl PreprocessMeasurement {
 /// Algorithms the large-graph cells run. One traversal and one fixpoint,
 /// both with per-vertex vector outputs so the runs stay cheap enough for
 /// CI at 2^20 nodes.
-pub const LARGE_ALGOS: [&str; 2] = ["bfs", "pr"];
+pub const LARGE_ALGOS: [Algo; 2] = [Algo::Bfs, Algo::Pr];
 
 /// One large-graph cell: a segmented run on a 2^20-scale rmat graph.
 /// These cells exist to keep the out-of-core path honest at a scale the
@@ -164,21 +163,17 @@ pub fn measure_large(nodes: usize, seed: u64, segment_bytes: usize) -> Vec<Large
     let n_segments = segments.len();
     let prepared = Prepared::exact(g.clone());
     LARGE_ALGOS
-        .iter()
-        .map(|&algo| {
+        .into_iter()
+        .map(|algo| {
             let plan = Baseline::Lonestar
                 .plan(&prepared, &cfg)
                 .with_segments(Arc::clone(&segments));
             let t0 = Instant::now();
-            let run = match algo {
-                "bfs" => bfs::run_sim(&plan, sssp::default_source(&g)),
-                "pr" => pagerank::run_sim(&plan),
-                other => unreachable!("unknown large-cell algo {other}"),
-            };
+            let (run, _) = algo.run(&plan, &g, None, 0);
             LargeCellMeasurement {
                 graph: GraphKind::Rmat.paper_name().to_string(),
                 nodes,
-                algo: algo.to_string(),
+                algo: algo.name().to_string(),
                 segment_bytes,
                 segments: n_segments,
                 elapsed_cycles: run.stats.elapsed_cycles(&cfg),
@@ -340,17 +335,18 @@ fn measure_cell(
     repeats: usize,
 ) -> CellMeasurement {
     let original = suite.graph(gi);
-    let reference = cpu_reference(suite, gi, algo);
+    let bc_sources = suite.options.bc_sources;
+    let reference = algo.exact(original, None, bc_sources);
     let mut cycles = Vec::with_capacity(repeats);
     let mut walls = Vec::with_capacity(repeats);
     let mut inacc = 0.0;
     for rep in 0..repeats {
         let t0 = Instant::now();
-        let run = run_algo(suite, plan, algo, original);
+        let (run, scalar) = algo.run(plan, original, None, bc_sources);
         walls.push(t0.elapsed().as_secs_f64());
-        cycles.push(run.cycles);
+        cycles.push(run.elapsed_cycles(&suite.cfg));
         if rep == 0 {
-            inacc = inaccuracy(&run.value, &reference);
+            inacc = AlgoOutcome::of(&run, scalar).inaccuracy(&reference);
         }
     }
     let (wall_mean, wall_stddev) = mean_stddev(&walls);
@@ -361,7 +357,7 @@ fn measure_cell(
             graph: suite.kind(gi).paper_name().to_string(),
             technique: technique.key().to_string(),
             baseline: baseline.key().to_string(),
-            algo: algo.key().to_string(),
+            algo: algo.name().to_string(),
             direction: plan.direction.key().to_string(),
         },
         elapsed_cycles: cycles[0],

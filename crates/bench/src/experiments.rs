@@ -3,138 +3,21 @@
 //! Tables 6–14 and the figure sweeps.
 
 use crate::suite::Suite;
-use graffix_algos::accuracy::{relative_l1, scalar_inaccuracy};
-use graffix_algos::{bc, mst, pagerank, scc, sssp, Plan};
+use graffix_algos::{Algo, AlgoOutcome};
 use graffix_baselines::Baseline;
 use graffix_core::{Prepared, Technique};
-use graffix_graph::Csr;
-use graffix_sim::KernelStats;
 
-/// The paper's five evaluation algorithms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Algo {
-    Sssp,
-    Mst,
-    Scc,
-    Pr,
-    Bc,
-}
-
-impl Algo {
-    /// Table label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Algo::Sssp => "SSSP",
-            Algo::Mst => "MST",
-            Algo::Scc => "SCC",
-            Algo::Pr => "PR",
-            Algo::Bc => "BC",
-        }
-    }
-
-    /// Stable machine-readable key (bench baselines, gate reports).
-    pub fn key(self) -> &'static str {
-        match self {
-            Algo::Sssp => "sssp",
-            Algo::Mst => "mst",
-            Algo::Scc => "scc",
-            Algo::Pr => "pr",
-            Algo::Bc => "bc",
-        }
-    }
-
-    /// Parses an [`Algo::key`].
-    pub fn from_key(key: &str) -> Option<Algo> {
-        ALL_ALGOS.into_iter().find(|a| a.key() == key)
-    }
-}
-
-/// Order used by Tables 2 and 6–8.
+/// The paper's five evaluation algorithms, in the order of Tables 2 and
+/// 6–8.
 pub const ALL_ALGOS: [Algo; 5] = [Algo::Sssp, Algo::Mst, Algo::Scc, Algo::Pr, Algo::Bc];
 /// The subset Tigr and Gunrock implement (Tables 3–4, 9–14).
 pub const CORE_ALGOS: [Algo; 3] = [Algo::Sssp, Algo::Pr, Algo::Bc];
 
-/// What an algorithm run produced, in a comparable form.
-#[derive(Clone, Debug)]
-pub enum AlgoValue {
-    /// Per-original-vertex attributes (SSSP distances, PR ranks, BC values).
-    Vector(Vec<f64>),
-    /// Scalar outcome (SCC component count, MST forest weight).
-    Scalar(f64),
-}
-
-/// One simulated algorithm execution.
-#[derive(Clone, Debug)]
-pub struct AlgoRun {
-    pub value: AlgoValue,
-    pub stats: KernelStats,
-    pub cycles: u64,
-    pub seconds: f64,
-}
-
-/// Runs `algo` on `plan`. `original` is the untransformed graph (used only
-/// to pick deterministic SSSP/BC sources so exact and approximate runs use
-/// the same ones).
-pub fn run_algo(suite: &Suite, plan: &Plan, algo: Algo, original: &Csr) -> AlgoRun {
-    let cfg = &suite.cfg;
-    let (value, stats) = match algo {
-        Algo::Sssp => {
-            let src = sssp::default_source(original);
-            let run = sssp::run_sim(plan, src);
-            (AlgoValue::Vector(run.values), run.stats)
-        }
-        Algo::Pr => {
-            let run = pagerank::run_sim(plan);
-            (AlgoValue::Vector(run.values), run.stats)
-        }
-        Algo::Bc => {
-            let sources = bc::sample_sources(original, suite.options.bc_sources);
-            let run = bc::run_sim(plan, &sources);
-            (AlgoValue::Vector(run.values), run.stats)
-        }
-        Algo::Scc => {
-            let result = scc::run_sim(plan);
-            (
-                AlgoValue::Scalar(result.components as f64),
-                result.run.stats,
-            )
-        }
-        Algo::Mst => {
-            let result = mst::run_sim(plan);
-            (AlgoValue::Scalar(result.weight), result.run.stats)
-        }
-    };
-    let cycles = stats.elapsed_cycles(cfg).max(1);
-    AlgoRun {
-        value,
-        stats,
-        cycles,
-        seconds: cfg.cycles_to_seconds(cycles),
-    }
-}
-
-/// The exact CPU reference value for `(graph, algo)`.
-pub fn cpu_reference(suite: &Suite, gi: usize, algo: Algo) -> AlgoValue {
-    let g = suite.graph(gi);
-    match algo {
-        Algo::Sssp => AlgoValue::Vector(sssp::exact_cpu(g, sssp::default_source(g))),
-        Algo::Pr => AlgoValue::Vector(pagerank::exact_cpu(g)),
-        Algo::Bc => AlgoValue::Vector(bc::exact_cpu(
-            g,
-            &bc::sample_sources(g, suite.options.bc_sources),
-        )),
-        Algo::Scc => AlgoValue::Scalar(scc::exact_cpu_count(g) as f64),
-        Algo::Mst => AlgoValue::Scalar(mst::exact_cpu(g).0),
-    }
-}
-
-/// Inaccuracy between a run's value and the reference, per the paper's
-/// per-algorithm metric.
-pub fn inaccuracy(run: &AlgoValue, reference: &AlgoValue) -> f64 {
-    match (run, reference) {
-        (AlgoValue::Vector(a), AlgoValue::Vector(e)) => relative_l1(a, e),
-        (AlgoValue::Scalar(a), AlgoValue::Scalar(e)) => scalar_inaccuracy(*a, *e),
-        _ => panic!("mismatched value kinds"),
+/// The algorithms `baseline`'s tables cover.
+pub fn algos_of(baseline: Baseline) -> &'static [Algo] {
+    match baseline {
+        Baseline::Lonestar => &ALL_ALGOS,
+        _ => &CORE_ALGOS,
     }
 }
 
@@ -171,16 +54,21 @@ pub fn measure_prepared(
     algo: Algo,
 ) -> Measurement {
     let original = suite.graph(gi);
-    let exact_plan = baseline.plan(exact_prepared, &suite.cfg);
-    let approx_plan = baseline.plan(approx_prepared, &suite.cfg);
-    let exact_run = run_algo(suite, &exact_plan, algo, original);
-    let approx_run = run_algo(suite, &approx_plan, algo, original);
-    let reference = cpu_reference(suite, gi, algo);
+    let bc_sources = suite.options.bc_sources;
+    let run = |prepared: &Prepared| {
+        let plan = baseline.plan(prepared, &suite.cfg);
+        let (run, scalar) = algo.run(&plan, original, None, bc_sources);
+        let cycles = run.elapsed_cycles(&suite.cfg).max(1);
+        (run, scalar, cycles)
+    };
+    let (_, _, exact_cycles) = run(exact_prepared);
+    let (approx, scalar, approx_cycles) = run(approx_prepared);
+    let approx = AlgoOutcome::of(&approx, scalar);
     Measurement {
-        speedup: exact_run.cycles as f64 / approx_run.cycles as f64,
-        inaccuracy: inaccuracy(&approx_run.value, &reference),
-        exact_seconds: exact_run.seconds,
-        approx_seconds: approx_run.seconds,
+        speedup: exact_cycles as f64 / approx_cycles as f64,
+        inaccuracy: approx.inaccuracy(&algo.exact(original, None, bc_sources)),
+        exact_seconds: suite.cfg.cycles_to_seconds(exact_cycles),
+        approx_seconds: suite.cfg.cycles_to_seconds(approx_cycles),
     }
 }
 
@@ -230,9 +118,9 @@ mod tests {
     #[test]
     fn scc_reference_is_tarjan() {
         let s = tiny();
-        match cpu_reference(&s, 1, Algo::Scc) {
-            AlgoValue::Scalar(c) => assert!(c >= 1.0),
-            _ => panic!("SCC reference must be scalar"),
+        match Algo::Scc.exact(s.graph(1), None, s.options.bc_sources) {
+            AlgoOutcome::Scalar(c) => assert!(c >= 1.0),
+            AlgoOutcome::Vector(_) => panic!("SCC reference must be scalar"),
         }
     }
 
@@ -257,13 +145,9 @@ mod tests {
             for technique in techniques {
                 let prepared = s.prepared(gi, technique);
                 for baseline in graffix_baselines::ALL_BASELINES {
-                    let algos: &[Algo] = match baseline {
-                        Baseline::Lonestar => &ALL_ALGOS,
-                        _ => &CORE_ALGOS,
-                    };
                     let plan = baseline.plan(&prepared, &s.cfg);
-                    for &algo in algos {
-                        let run = run_algo(&s, &plan, algo, s.graph(gi));
+                    for &algo in algos_of(baseline) {
+                        let (run, _) = algo.run(&plan, s.graph(gi), None, s.options.bc_sources);
                         let b = CostBreakdown::attribute(&run.stats, &s.cfg);
                         assert_eq!(
                             b.modeled_total(),

@@ -6,8 +6,9 @@
 //! speedup/inaccuracy grids for each transform against each baseline
 //! (Tables 6–14), and the three knob-sweep figures (Figures 7–9).
 //!
-//! The `paper_tables` and `figures` binaries drive this library. The
-//! regression gates (`graffix bench --gate | --serve-gate | --stream-gate |
+//! `graffix bench` drives this library: `--paper-tables` and `--figures`
+//! print the [`report`] builders' output, `--stage-sweep` runs [`sweep`].
+//! The regression gates (`--gate | --serve-gate | --stream-gate |
 //! --segment-gate`) are four suites that each measure and flatten their
 //! result into [`gate::Cell`]s, and one judge: [`gate`] holds every
 //! threshold, the verdict table and the `graffix.gate-report` schema.
@@ -20,13 +21,14 @@ pub mod segmented;
 pub mod serving;
 pub mod streaming;
 pub mod suite;
+pub mod sweep;
 pub mod tables;
 
 pub use baseline::{
     measure_large, measure_preprocess, run_gate, BenchBaseline, CellKey, CellMeasurement,
     Fingerprint, LargeCellMeasurement, PreprocessMeasurement, LARGE_ALGOS,
 };
-pub use experiments::{measure, run_algo, Algo, Measurement, ALL_ALGOS, CORE_ALGOS};
+pub use experiments::{measure, Measurement, ALL_ALGOS, CORE_ALGOS};
 pub use gate::{Cell, GateReport, Policy, Status, Verdict, POLICIES};
 pub use segmented::{compare_segmented, run_segment_gate, SegmentCompareRow};
 pub use serving::{measure_serving, run_serve_gate, ServeBaseline, ServeCell};

@@ -1,11 +1,10 @@
 //! Builders for every table and figure of the paper.
 
-use crate::experiments::{
-    cpu_reference, inaccuracy, measure, measure_prepared, run_algo, Algo, ALL_ALGOS, CORE_ALGOS,
-};
+use crate::experiments::{algos_of, measure, measure_prepared, CORE_ALGOS};
 use crate::suite::Suite;
 use crate::tables::{fmt_inaccuracy, fmt_seconds, fmt_speedup, TextTable};
 use graffix_algos::accuracy::geomean;
+use graffix_algos::Algo;
 use graffix_baselines::Baseline;
 use graffix_core::Technique;
 use graffix_graph::properties;
@@ -48,12 +47,10 @@ pub fn table1(suite: &Suite) -> TextTable {
 
 /// Tables 2–4: exact execution times under each baseline.
 pub fn exact_times(suite: &Suite, baseline: Baseline, table_no: usize) -> TextTable {
-    let algos: &[Algo] = match baseline {
-        Baseline::Lonestar => &ALL_ALGOS,
-        _ => &CORE_ALGOS,
-    };
+    let algos = algos_of(baseline);
+    let labels: Vec<String> = algos.iter().map(|a| a.name().to_uppercase()).collect();
     let mut headers: Vec<&str> = vec!["Graph"];
-    headers.extend(algos.iter().map(|a| a.label()));
+    headers.extend(labels.iter().map(String::as_str));
     let mut t = TextTable::new(
         format!(
             "Table {table_no}: {} — exact execution time (simulated sec)",
@@ -66,8 +63,8 @@ pub fn exact_times(suite: &Suite, baseline: Baseline, table_no: usize) -> TextTa
         let plan = baseline.plan(&prepared, &suite.cfg);
         let mut row = vec![suite.kind(gi).paper_name().to_string()];
         for &algo in algos {
-            let run = run_algo(suite, &plan, algo, suite.graph(gi));
-            row.push(fmt_seconds(run.seconds));
+            let (run, _) = algo.run(&plan, suite.graph(gi), None, suite.options.bc_sources);
+            row.push(fmt_seconds(run.stats.elapsed_seconds(&suite.cfg)));
         }
         t.row(row);
     }
@@ -106,10 +103,6 @@ pub fn technique_vs_baseline(
     baseline: Baseline,
     table_no: usize,
 ) -> TextTable {
-    let algos: &[Algo] = match baseline {
-        Baseline::Lonestar => &ALL_ALGOS,
-        _ => &CORE_ALGOS,
-    };
     let mut t = TextTable::new(
         format!(
             "Table {table_no}: Effect of {} — approximate Graffix vs exact {}",
@@ -120,13 +113,13 @@ pub fn technique_vs_baseline(
     );
     let mut speedups = Vec::new();
     let mut inaccuracies = Vec::new();
-    for &algo in algos {
+    for &algo in algos_of(baseline) {
         for gi in 0..suite.len() {
             let m = measure(suite, gi, technique, baseline, algo);
             speedups.push(m.speedup);
             inaccuracies.push(m.inaccuracy.max(1e-6));
             t.row(vec![
-                algo.label().into(),
+                algo.name().to_uppercase(),
                 suite.kind(gi).paper_name().into(),
                 fmt_speedup(m.speedup),
                 fmt_inaccuracy(m.inaccuracy),
@@ -142,6 +135,27 @@ pub fn technique_vs_baseline(
     t
 }
 
+/// Table `n` of the paper's evaluation (1..=14).
+pub fn paper_table(suite: &Suite, n: usize) -> TextTable {
+    const TECHNIQUES: [Technique; 3] = [
+        Technique::Coalescing,
+        Technique::Latency,
+        Technique::Divergence,
+    ];
+    match n {
+        1 => table1(suite),
+        2..=4 => exact_times(suite, graffix_baselines::ALL_BASELINES[n - 2], n),
+        5 => table5(suite),
+        6..=14 => technique_vs_baseline(
+            suite,
+            TECHNIQUES[(n - 6) % 3],
+            graffix_baselines::ALL_BASELINES[(n - 6) / 3],
+            n,
+        ),
+        _ => panic!("tables run 1..=14"),
+    }
+}
+
 /// A figure sweep point.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
@@ -151,32 +165,33 @@ pub struct SweepPoint {
 }
 
 /// Figures 7–9: knob sweeps on the rmat graph (the paper plots rmat-style
-/// behaviour), geomean over SSSP/PR/BC against Baseline-I.
-pub fn figure_sweep(
-    suite: &Suite,
-    figure: usize,
-    thresholds: &[f64],
-) -> (TextTable, Vec<SweepPoint>) {
+/// behaviour), geomean over SSSP/PR/BC against Baseline-I, over the
+/// threshold range the paper's figure spans.
+pub fn figure_sweep(suite: &Suite, figure: usize) -> (TextTable, Vec<SweepPoint>) {
     let gi = 0; // rmat
-    let (name, maker): (&str, Box<dyn Fn(f64) -> graffix_core::Prepared + '_>) = match figure {
+    type Maker<'a> = Box<dyn Fn(f64) -> graffix_core::Prepared + 'a>;
+    let (name, maker, thresholds): (&str, Maker<'_>, Vec<f64>) = match figure {
         7 => (
             "Figure 7: connectedness threshold (node replication)",
             Box::new(|thr| suite.prepared_coalescing_with(gi, thr)),
+            (1..=9).map(|i| i as f64 / 10.0).collect(),
         ),
         8 => (
             "Figure 8: clustering-coefficient threshold",
             Box::new(|thr| suite.prepared_latency_with(gi, thr)),
+            vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95],
         ),
         9 => (
             "Figure 9: degreeSim threshold (degree normalization)",
             Box::new(|thr| suite.prepared_divergence_with(gi, thr)),
+            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
         ),
-        _ => panic!("unknown figure {figure}"),
+        _ => panic!("figures are 7, 8, 9"),
     };
     let mut t = TextTable::new(name, &["Threshold", "Speedup", "Inaccuracy"]);
     let exact = suite.prepared(gi, Technique::Exact);
     let mut points = Vec::new();
-    for &thr in thresholds {
+    for thr in thresholds {
         let approx = maker(thr);
         let mut speeds = Vec::new();
         let mut errs = Vec::new();
@@ -200,52 +215,36 @@ pub fn figure_sweep(
     (t, points)
 }
 
+/// ASCII dual-series plot of a figure sweep: speedup as `*`, inaccuracy
+/// as `o`.
+pub fn ascii_plot(points: &[SweepPoint]) -> String {
+    let mut out = String::new();
+    let max_speed = points.iter().map(|p| p.speedup).fold(1.0f64, f64::max);
+    let max_err = points.iter().map(|p| p.inaccuracy).fold(1e-6f64, f64::max);
+    out.push_str("  thr   speedup (*)                inaccuracy (o)\n");
+    for p in points {
+        let sw = ((p.speedup / max_speed) * 24.0).round() as usize;
+        let ew = ((p.inaccuracy / max_err) * 24.0).round() as usize;
+        out.push_str(&format!(
+            "  {:>4.2}  {:<26} {:<26}\n",
+            p.threshold,
+            format!("{}{:.2}x", "*".repeat(sw.max(1)), p.speedup),
+            format!("{}{:.1}%", "o".repeat(ew.max(1)), p.inaccuracy * 100.0),
+        ));
+    }
+    out
+}
+
 /// Consistency helper for tests and EXPERIMENTS.md: recompute the geomean
 /// speedup of a technique over Baseline-I across all five algorithms.
 pub fn geomean_speedup(suite: &Suite, technique: Technique, baseline: Baseline) -> f64 {
-    let algos: &[Algo] = match baseline {
-        Baseline::Lonestar => &ALL_ALGOS,
-        _ => &CORE_ALGOS,
-    };
     let mut speeds = Vec::new();
-    for &algo in algos {
+    for &algo in algos_of(baseline) {
         for gi in 0..suite.len() {
             speeds.push(measure(suite, gi, technique, baseline, algo).speedup);
         }
     }
     geomean(&speeds)
-}
-
-/// Sanity accessor used by tests: inaccuracy of a single cell.
-pub fn cell(
-    suite: &Suite,
-    gi: usize,
-    technique: Technique,
-    baseline: Baseline,
-    algo: Algo,
-) -> crate::experiments::Measurement {
-    measure(suite, gi, technique, baseline, algo)
-}
-
-/// Exposes the reference machinery for external consumers (examples).
-pub fn reference_inaccuracy(
-    suite: &Suite,
-    gi: usize,
-    algo: Algo,
-    run: &crate::experiments::AlgoValue,
-) -> f64 {
-    inaccuracy(run, &cpu_reference(suite, gi, algo))
-}
-
-/// Maps a bench algorithm onto the observability layer's algorithm set.
-fn observe_algo(algo: Algo) -> graffix::observe::Algo {
-    match algo {
-        Algo::Sssp => graffix::observe::Algo::Sssp,
-        Algo::Pr => graffix::observe::Algo::Pr,
-        Algo::Bc => graffix::observe::Algo::Bc,
-        Algo::Scc => graffix::observe::Algo::Scc,
-        Algo::Mst => graffix::observe::Algo::Mst,
-    }
 }
 
 /// One bench cell as a schema-versioned [`graffix_sim::RunReport`] — the
@@ -261,7 +260,7 @@ pub fn cell_run_report(
     let prepared = suite.prepared(gi, technique);
     graffix::observe::traced_run(
         "bench",
-        observe_algo(algo),
+        algo,
         suite.graph(gi),
         &prepared,
         baseline,
@@ -276,12 +275,8 @@ pub fn cell_run_report(
 /// graph's paper name. Serialized via the run-report schema.
 pub fn suite_reports_json(suite: &Suite, technique: Technique, baseline: Baseline) -> String {
     use graffix_sim::Json;
-    let algos: &[Algo] = match baseline {
-        Baseline::Lonestar => &ALL_ALGOS,
-        _ => &CORE_ALGOS,
-    };
     let mut cells = Vec::new();
-    for &algo in algos {
+    for &algo in algos_of(baseline) {
         for gi in 0..suite.len() {
             let report = cell_run_report(suite, gi, technique, baseline, algo);
             let mut cell = Json::obj();

@@ -12,7 +12,6 @@
 //! scales in use (8192 nodes in CI, 2^17 by default).
 
 use crate::baseline::GATE_ALGOS;
-use crate::experiments::{run_algo, AlgoValue};
 use crate::gate::{Cell, GateReport};
 use crate::suite::Suite;
 use graffix_baselines::Baseline;
@@ -74,20 +73,18 @@ pub fn compare_segmented(suite: &Suite, segment_bytes: usize) -> Vec<SegmentComp
             let seg_plan = Baseline::Lonestar
                 .plan(&prepared, &suite.cfg)
                 .with_segments(Arc::clone(&segments));
-            let flat = run_algo(suite, &flat_plan, algo, suite.graph(gi));
-            let seg = run_algo(suite, &seg_plan, algo, suite.graph(gi));
-            let identical = match (&flat.value, &seg.value) {
-                (AlgoValue::Vector(a), AlgoValue::Vector(b)) => {
-                    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                }
-                (AlgoValue::Scalar(a), AlgoValue::Scalar(b)) => a.to_bits() == b.to_bits(),
-                _ => false,
-            };
+            let run = |plan| algo.run(plan, suite.graph(gi), None, suite.options.bc_sources);
+            let (flat, flat_scalar) = run(&flat_plan);
+            let (seg, seg_scalar) = run(&seg_plan);
+            let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+            let identical = flat.values.len() == seg.values.len()
+                && flat.values.iter().zip(&seg.values).all(same_bits)
+                && flat_scalar == seg_scalar;
             rows.push(SegmentCompareRow {
                 graph: suite.kind(gi).paper_name().to_string(),
-                algo: algo.key().to_string(),
-                flat_cycles: flat.cycles,
-                segmented_cycles: seg.cycles,
+                algo: algo.name().to_string(),
+                flat_cycles: flat.elapsed_cycles(&suite.cfg),
+                segmented_cycles: seg.elapsed_cycles(&suite.cfg),
                 segments: segments.len(),
                 segments_skipped: seg.stats.segments_skipped,
                 identical,

@@ -1,16 +1,8 @@
 //! Measures what the memoized query graph buys a knob sweep: the combined
 //! pipeline is applied across several degreeSim thresholds through one
 //! shared in-memory [`QueryCtx`], so the coalescing and latency stages run
-//! once and every later sweep cell recomputes only the normalize stage.
-//!
-//! ```text
-//! stage_sweep [--nodes N] [--seed S]
-//! ```
-//!
-//! Prints one row per config (wall seconds, per-stage statuses, reuse
-//! ratio vs the cold first config) and exits non-zero if any warm config
-//! fails to come in under 50% of the cold one — the regression bar
-//! recorded in EXPERIMENTS.md.
+//! once and every later sweep cell recomputes only the normalize stage
+//! (`graffix bench --stage-sweep`).
 
 use graffix_core::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Pipeline, QueryCtx, StageStatus};
 use graffix_graph::generators::{GraphKind, GraphSpec};
@@ -19,22 +11,12 @@ use std::time::Instant;
 
 const THRESHOLDS: [f64; 4] = [0.2, 0.3, 0.4, 0.5];
 
-fn main() {
-    let mut nodes = 20_000usize;
-    let mut seed = 2020u64;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => nodes = it.next().unwrap().parse().unwrap(),
-            "--seed" => seed = it.next().unwrap().parse().unwrap(),
-            "--help" | "-h" => {
-                eprintln!("usage: stage_sweep [--nodes N] [--seed S]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-
+/// Runs the sweep on an rmat graph, printing one row per config (wall
+/// seconds, per-stage statuses, ratio vs the cold first config). Returns
+/// false if any warm config recomputes a stage upstream of normalize or
+/// fails to come in under 50% of the cold one — the regression bar
+/// recorded in EXPERIMENTS.md.
+pub fn stage_sweep(nodes: usize, seed: u64) -> bool {
     let g = GraphSpec::new(GraphKind::Rmat, nodes, seed).generate();
     let cfg = GpuConfig::k40c();
     let mut ctx = QueryCtx::memory();
@@ -98,9 +80,8 @@ fn main() {
             ok = false;
         }
     }
-
-    if !ok {
-        std::process::exit(1);
+    if ok {
+        println!("ok: every warm config under 50% of cold preprocess time");
     }
-    println!("ok: every warm config under 50% of cold preprocess time");
+    ok
 }

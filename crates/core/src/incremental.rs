@@ -33,13 +33,13 @@
 //! each batch the entries of the stages that just ran under other keys are
 //! dropped ([`QueryCtx::drop_superseded`]).
 
-use crate::knobs::{SegmentKnobs, StreamKnobs};
+use crate::knobs::StreamKnobs;
 use crate::pipeline::{Pipeline, PipelineError};
 use crate::prepared::Prepared;
 use crate::query::{QueryCtx, StageRecord};
-use crate::{segmenting, stages};
+use crate::stages;
 use graffix_graph::mutation::{BatchOutcome, EdgeBatch};
-use graffix_graph::{Csr, GraphError, NodeId, Segmentation, TriangleIndex};
+use graffix_graph::{Csr, GraphError, NodeId, TriangleIndex};
 use graffix_sim::GpuConfig;
 use std::time::Instant;
 
@@ -208,17 +208,6 @@ impl IncrementalPrepare {
     /// Number of stale prepares so far.
     pub fn stale_prepares(&self) -> usize {
         self.stale_prepares
-    }
-
-    /// Segments the current true graph through the stream's warm context:
-    /// after a batch, only segments whose CSR content changed recompute
-    /// (see [`crate::segmenting`]). Returns the partition plus the stage
-    /// records of just this call's `"segment"` queries.
-    pub fn segmentation(&mut self, knobs: &SegmentKnobs) -> (Segmentation, Vec<StageRecord>) {
-        let before = self.ctx.records().len();
-        let segs = segmenting::segmentation_with_ctx(&mut self.ctx, &self.graph, knobs);
-        let records = self.ctx.records()[before..].to_vec();
-        (segs, records)
     }
 
     /// The head stage that a stale prepare reuses, per pipeline shape.
@@ -535,10 +524,7 @@ mod tests {
             StreamKnobs::default().with_debt_threshold(0.02),
         )
         .unwrap();
-        // Segment entries are not a batch's to drop; they stay in the count.
-        let (segs, _) = inc.segmentation(&SegmentKnobs::default().with_segment_bytes(4096));
         let after_new = inc.ctx.memo_entries();
-        assert!(after_new > segs.len());
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         for round in 0..20 {
             let batch = random_batch(inc.graph(), &mut rng, 12);
@@ -623,48 +609,6 @@ mod tests {
         assert_eq!(out.mode, PrepareMode::Stale);
         let head = out.stages.iter().find(|r| r.stage == "bucket").unwrap();
         assert_eq!(head.status, StageStatus::Stale);
-    }
-
-    #[test]
-    fn stream_segmentation_recomputes_only_touched_segments() {
-        // Line graph, 2 nodes per 40-byte segment; rewiring one arc of
-        // node 50 preserves every degree, so the boundary pass (and every
-        // other segment's content key) is unchanged after the batch.
-        let adj: Vec<Vec<NodeId>> = (0..200)
-            .map(|v| {
-                if v + 1 < 200 {
-                    vec![v as NodeId + 1]
-                } else {
-                    vec![]
-                }
-            })
-            .collect();
-        let g = Csr::from_adjacency(adj, None);
-        let mut inc = IncrementalPrepare::new(
-            g,
-            Pipeline::default(),
-            GpuConfig::k40c(),
-            StreamKnobs::default().with_debt_threshold(0.0),
-        )
-        .unwrap();
-        let seg_knobs = SegmentKnobs::default().with_segment_bytes(40);
-        let (cold, records) = inc.segmentation(&seg_knobs);
-        assert_eq!(cold.len(), 100);
-        assert!(records.iter().all(|r| r.status == StageStatus::Recomputed));
-
-        let mut batch = EdgeBatch::new();
-        batch.delete(50, 51);
-        batch.insert(50, 70, 1);
-        inc.apply_batch(&batch).unwrap();
-
-        let (warm, records) = inc.segmentation(&seg_knobs);
-        assert_eq!(warm, Segmentation::build(inc.graph(), 40));
-        let recomputed = records
-            .iter()
-            .filter(|r| r.status == StageStatus::Recomputed)
-            .count();
-        assert_eq!(recomputed, 1, "only the rewired segment should recompute");
-        assert_eq!(records.len(), warm.len());
     }
 
     #[test]

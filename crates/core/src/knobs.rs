@@ -373,30 +373,6 @@ impl SegmentKnobs {
     }
 }
 
-/// Knob fields the `segment` stage reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentInputs {
-    pub segment_bytes: usize,
-}
-
-/// [`SegmentKnobs`] partitioned into per-stage input sets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentStageInputs {
-    pub segment: SegmentInputs,
-}
-
-impl SegmentKnobs {
-    /// Partitions the knobs into the input set of each segmenting stage;
-    /// see [`CoalesceKnobs::stage_inputs`] for the compile-error guard
-    /// this destructuring provides.
-    pub fn stage_inputs(&self) -> SegmentStageInputs {
-        let SegmentKnobs { segment_bytes } = *self;
-        SegmentStageInputs {
-            segment: SegmentInputs { segment_bytes },
-        }
-    }
-}
-
 /// Knob fields the `renumber` stage reads.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RenumberInputs {
@@ -674,12 +650,6 @@ mod tests {
                 "{tweaked:?} -> normalize"
             );
         }
-
-        let base = SegmentKnobs::default().stage_inputs();
-        let budget = SegmentKnobs::default()
-            .with_segment_bytes(4096)
-            .stage_inputs();
-        assert_ne!(base.segment, budget.segment, "segment_bytes -> segment");
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod latency;
 pub mod pipeline;
 pub mod prepared;
 pub mod query;
-pub mod segmenting;
 pub(crate) mod stages;
 pub mod tuning;
 
@@ -41,7 +40,6 @@ pub use knobs::{
 pub use pipeline::{Pipeline, PipelineError};
 pub use prepared::{PhaseTiming, Prepared, StageReport, Technique, Tile, TransformReport};
 pub use query::{Fingerprint, QueryCtx, StageRecord, StageStatus};
-pub use segmenting::segmentation_with_ctx;
 pub use tuning::{auto_tune, GraphProfile, TunedKnobs};
 
 /// Convenience prelude.

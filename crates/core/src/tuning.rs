@@ -11,6 +11,8 @@
 //! without reading §5.
 
 use crate::knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs};
+use crate::pipeline::Pipeline;
+use crate::prepared::Technique;
 use graffix_graph::{properties, Csr};
 
 /// Structural profile a graph is tuned from.
@@ -57,6 +59,37 @@ pub struct TunedKnobs {
     pub latency: LatencyKnobs,
     pub divergence: DivergenceKnobs,
     pub profile: GraphProfile,
+}
+
+impl TunedKnobs {
+    /// The pipeline that runs `technique` with these knobs. A `threshold`
+    /// override lands on the technique's primary knob (connectedness, CC
+    /// or degreeSim threshold); `exact` and `combined` have none and
+    /// ignore it. This is the one technique → pipeline table: the CLI's
+    /// `--technique`/`--threshold` and the daemon's request fields both
+    /// resolve through it.
+    pub fn pipeline(&self, technique: Technique, threshold: Option<f64>) -> Pipeline {
+        match technique {
+            Technique::Exact => Pipeline::default(),
+            Technique::Coalescing => Pipeline::default().with_coalesce(CoalesceKnobs {
+                threshold: threshold.unwrap_or(self.coalesce.threshold),
+                ..self.coalesce
+            }),
+            Technique::Latency => Pipeline::default().with_latency(LatencyKnobs {
+                cc_threshold: threshold.unwrap_or(self.latency.cc_threshold),
+                ..self.latency
+            }),
+            Technique::Divergence => Pipeline::default().with_divergence(DivergenceKnobs {
+                degree_sim_threshold: threshold.unwrap_or(self.divergence.degree_sim_threshold),
+                ..self.divergence
+            }),
+            Technique::Combined => Pipeline {
+                coalesce: Some(self.coalesce),
+                latency: Some(self.latency),
+                divergence: Some(self.divergence),
+            },
+        }
+    }
 }
 
 /// Applies §5's guidelines to a measured profile.
@@ -172,6 +205,28 @@ mod tests {
         crate::divergence::transform(&g, &tuned.divergence, gpu.warp_size)
             .validate()
             .unwrap();
+    }
+
+    #[test]
+    fn pipeline_applies_the_threshold_to_the_primary_knob_only() {
+        let tuned = auto_tune(&gen(GraphKind::Rmat), 7);
+        let p = tuned.pipeline(Technique::Exact, Some(0.9));
+        assert!(p.coalesce.is_none() && p.latency.is_none() && p.divergence.is_none());
+        let p = tuned.pipeline(Technique::Coalescing, Some(0.9));
+        assert_eq!(p.coalesce.unwrap().threshold, 0.9);
+        assert_eq!(p.coalesce.unwrap().chunk_size, tuned.coalesce.chunk_size);
+        assert!(p.latency.is_none() && p.divergence.is_none());
+        let p = tuned.pipeline(Technique::Latency, Some(0.9));
+        assert_eq!(p.latency.unwrap().cc_threshold, 0.9);
+        let p = tuned.pipeline(Technique::Divergence, Some(0.9));
+        assert_eq!(p.divergence.unwrap().degree_sim_threshold, 0.9);
+        let p = tuned.pipeline(Technique::Latency, None);
+        assert_eq!(p.latency, Some(tuned.latency));
+        // `combined` keeps all three tuned sets as they are.
+        let p = tuned.pipeline(Technique::Combined, Some(0.9));
+        assert_eq!(p.coalesce, Some(tuned.coalesce));
+        assert_eq!(p.latency, Some(tuned.latency));
+        assert_eq!(p.divergence, Some(tuned.divergence));
     }
 
     #[test]

@@ -55,22 +55,21 @@ pub use graffix_sim as sim;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use crate::observe::{
-        assemble_report, instrument_plan, observed_run, outcome_inaccuracy, provenance_from,
-        reference_outcome, traced_run, traced_run_directed, Algo, AlgoOutcome, RunSpec, TracedRun,
-        ALL_ALGOS,
+        assemble_report, instrument_plan, observed_run, provenance_from, traced_run,
+        traced_run_directed, Algo, AlgoOutcome, RunSpec, TracedRun, ALL_ALGOS,
     };
     pub use graffix_algos::accuracy::{geomean, max_abs_error, relative_l1, scalar_inaccuracy};
     pub use graffix_algos::{
-        bc, bfs, mst, pagerank, scc, sssp, wcc, Direction, Plan, Runner, SimRun, Strategy,
+        bc, bfs, mst, pagerank, scc, sssp, wcc, Direction, Plan, Runner, Scalar, SimRun, Strategy,
         VertexProgram,
     };
     pub use graffix_baselines::{gunrock, lonestar, tigr, Baseline, ALL_BASELINES};
     pub use graffix_core::{
-        auto_tune, coalesce, divergence, latency, prepare_with_cache, segmentation_with_ctx,
-        CacheConfig, CacheOutcome, CacheStatus, CoalesceKnobs, ConfluenceOp, DivergenceKnobs,
-        GraphProfile, IncrementalOutcome, IncrementalPrepare, LatencyKnobs, PhaseTiming, Pipeline,
-        PrepareMode, Prepared, QueryCtx, SegmentKnobs, StageRecord, StageStatus, StreamError,
-        StreamKnobs, Technique, Tile, TransformReport, TunedKnobs,
+        auto_tune, coalesce, divergence, latency, prepare_with_cache, CacheConfig, CacheOutcome,
+        CacheStatus, CoalesceKnobs, ConfluenceOp, DivergenceKnobs, GraphProfile,
+        IncrementalOutcome, IncrementalPrepare, LatencyKnobs, PhaseTiming, Pipeline, PrepareMode,
+        Prepared, QueryCtx, SegmentKnobs, StageRecord, StageStatus, StreamError, StreamKnobs,
+        Technique, Tile, TransformReport, TunedKnobs,
     };
     pub use graffix_graph::generators::paper_suite;
     pub use graffix_graph::{

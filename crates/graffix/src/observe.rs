@@ -11,8 +11,8 @@
 //! transform's `preprocess_seconds`) and any thread-count dependence, so
 //! its serialized bytes are identical at every `--threads` value.
 
-use graffix_algos::accuracy::{max_abs_error, relative_l1, scalar_inaccuracy};
-use graffix_algos::{bc, bfs, mst, pagerank, scc, sssp, wcc, Direction, Plan, SimRun};
+pub use graffix_algos::{Algo, AlgoOutcome, ALL_ALGOS};
+use graffix_algos::{Direction, Plan, SimRun};
 use graffix_baselines::Baseline;
 use graffix_core::{Pipeline, Prepared};
 use graffix_graph::Csr;
@@ -20,98 +20,6 @@ use graffix_sim::{
     AccuracyReport, GpuConfig, GraphMeta, Phase, ProvenanceReport, RunReport, StageProvenance,
     TraceHandle, ValueSummary,
 };
-
-/// The algorithms a traced run can execute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    Sssp,
-    Bfs,
-    Pr,
-    Bc,
-    Scc,
-    Mst,
-    Wcc,
-}
-
-/// All algorithms, in the CLI's usage order.
-pub const ALL_ALGOS: [Algo; 7] = [
-    Algo::Sssp,
-    Algo::Bfs,
-    Algo::Pr,
-    Algo::Bc,
-    Algo::Scc,
-    Algo::Mst,
-    Algo::Wcc,
-];
-
-impl Algo {
-    /// CLI name (`sssp`, `bfs`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Sssp => "sssp",
-            Algo::Bfs => "bfs",
-            Algo::Pr => "pr",
-            Algo::Bc => "bc",
-            Algo::Scc => "scc",
-            Algo::Mst => "mst",
-            Algo::Wcc => "wcc",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(name: &str) -> Option<Algo> {
-        ALL_ALGOS.into_iter().find(|a| a.name() == name)
-    }
-}
-
-/// What a run produced, in a form comparable against the exact reference.
-#[derive(Clone, Debug)]
-pub enum AlgoOutcome {
-    /// Per-original-vertex attributes (distances, ranks, BC values, labels).
-    Vector(Vec<f64>),
-    /// Scalar outcome (SCC/WCC component count, MST forest weight).
-    Scalar(f64),
-}
-
-impl AlgoOutcome {
-    /// The accuracy metric name this outcome kind is measured with.
-    pub fn metric(&self) -> &'static str {
-        match self {
-            AlgoOutcome::Vector(_) => "relative-l1",
-            AlgoOutcome::Scalar(_) => "scalar-relative",
-        }
-    }
-}
-
-/// Inaccuracy of `run` vs `exact`, plus the per-node max error (0 for
-/// scalar outcomes), per the paper's per-algorithm metric.
-pub fn outcome_inaccuracy(run: &AlgoOutcome, exact: &AlgoOutcome) -> (f64, f64) {
-    match (run, exact) {
-        (AlgoOutcome::Vector(a), AlgoOutcome::Vector(e)) => {
-            (relative_l1(a, e), max_abs_error(a, e))
-        }
-        (AlgoOutcome::Scalar(a), AlgoOutcome::Scalar(e)) => (scalar_inaccuracy(*a, *e), 0.0),
-        _ => panic!("mismatched outcome kinds"),
-    }
-}
-
-/// The exact CPU reference outcome for `algo` on the untransformed graph.
-pub fn reference_outcome(algo: Algo, original: &Csr, bc_sources: usize) -> AlgoOutcome {
-    match algo {
-        Algo::Sssp => {
-            AlgoOutcome::Vector(sssp::exact_cpu(original, sssp::default_source(original)))
-        }
-        Algo::Bfs => AlgoOutcome::Vector(bfs::exact_cpu(original, sssp::default_source(original))),
-        Algo::Pr => AlgoOutcome::Vector(pagerank::exact_cpu(original)),
-        Algo::Bc => AlgoOutcome::Vector(bc::exact_cpu(
-            original,
-            &bc::sample_sources(original, bc_sources),
-        )),
-        Algo::Scc => AlgoOutcome::Scalar(scc::exact_cpu_count(original) as f64),
-        Algo::Mst => AlgoOutcome::Scalar(mst::exact_cpu(original).0),
-        Algo::Wcc => AlgoOutcome::Scalar(wcc::exact_cpu_count(original) as f64),
-    }
-}
 
 /// One observed run: the serialized-ready report plus the raw outcome.
 #[derive(Clone, Debug)]
@@ -196,51 +104,6 @@ pub fn assemble_report(
     }
 }
 
-/// Runs `algo` on `plan` and returns both the raw [`SimRun`] and the
-/// comparable outcome (vector values or the scalar result).
-fn run_with_outcome(
-    algo: Algo,
-    plan: &Plan,
-    original: &Csr,
-    bc_sources: usize,
-) -> (SimRun, AlgoOutcome) {
-    match algo {
-        Algo::Sssp => {
-            let run = sssp::run_sim(plan, sssp::default_source(original));
-            let outcome = AlgoOutcome::Vector(run.values.clone());
-            (run, outcome)
-        }
-        Algo::Bfs => {
-            let run = bfs::run_sim(plan, sssp::default_source(original));
-            let outcome = AlgoOutcome::Vector(run.values.clone());
-            (run, outcome)
-        }
-        Algo::Pr => {
-            let run = pagerank::run_sim(plan);
-            let outcome = AlgoOutcome::Vector(run.values.clone());
-            (run, outcome)
-        }
-        Algo::Bc => {
-            let sources = bc::sample_sources(original, bc_sources);
-            let run = bc::run_sim(plan, &sources);
-            let outcome = AlgoOutcome::Vector(run.values.clone());
-            (run, outcome)
-        }
-        Algo::Scc => {
-            let result = scc::run_sim(plan);
-            (result.run, AlgoOutcome::Scalar(result.components as f64))
-        }
-        Algo::Mst => {
-            let result = mst::run_sim(plan);
-            (result.run, AlgoOutcome::Scalar(result.weight))
-        }
-        Algo::Wcc => {
-            let result = wcc::run_sim(plan);
-            (result.run, AlgoOutcome::Scalar(result.components as f64))
-        }
-    }
-}
-
 /// Runs `algo` on `prepared` under `baseline` with tracing enabled and
 /// assembles the run report. `original` is the untransformed graph (used
 /// for deterministic source selection). `bc_sources` bounds the BC source
@@ -285,8 +148,9 @@ pub fn traced_run_directed(
     let trace = instrument_plan(&mut plan, prepared);
 
     trace.span_enter(Phase::Run, algo.name());
-    let (run, outcome) = run_with_outcome(algo, &plan, original, bc_sources);
+    let (run, scalar) = algo.run(&plan, original, None, bc_sources);
     trace.span_exit();
+    let outcome = AlgoOutcome::of(&run, scalar);
 
     let report = assemble_report(
         command,
@@ -376,8 +240,7 @@ pub fn observed_run(
     if !spec.accuracy {
         return traced;
     }
-    let reference = reference_outcome(spec.algo, original, spec.bc_sources);
-    let (inaccuracy, max_node_error) = outcome_inaccuracy(&traced.outcome, &reference);
+    let reference = spec.algo.exact(original, None, spec.bc_sources);
     let mut reruns = Vec::new();
     if let Some(pipeline) = spec.pipeline {
         for (stage, variant) in stage_off_variants(pipeline) {
@@ -386,15 +249,14 @@ pub fn observed_run(
                 .baseline
                 .plan(&without, gpu)
                 .with_direction(spec.direction);
-            let (_, outcome) = run_with_outcome(spec.algo, &plan, original, spec.bc_sources);
-            let (without_inaccuracy, _) = outcome_inaccuracy(&outcome, &reference);
-            reruns.push((stage, without_inaccuracy));
+            let (run, scalar) = spec.algo.run(&plan, original, None, spec.bc_sources);
+            reruns.push((stage, AlgoOutcome::of(&run, scalar).inaccuracy(&reference)));
         }
     }
     traced.report.accuracy = Some(AccuracyReport::from_reruns(
         traced.outcome.metric(),
-        inaccuracy,
-        max_node_error,
+        traced.outcome.inaccuracy(&reference),
+        traced.outcome.max_node_error(&reference),
         reruns,
     ));
     traced

@@ -42,6 +42,32 @@ pub enum GraphKind {
 }
 
 impl GraphKind {
+    /// Every family, in the CLI's usage order.
+    pub const ALL: [GraphKind; 5] = [
+        GraphKind::Rmat,
+        GraphKind::Random,
+        GraphKind::SocialLiveJournal,
+        GraphKind::SocialTwitter,
+        GraphKind::Road,
+    ];
+
+    /// Short machine-readable key: the CLI's `--kind` values and the
+    /// `kind:nodes:seed` specs of the server's graph registry.
+    pub fn key(self) -> &'static str {
+        match self {
+            GraphKind::Rmat => "rmat",
+            GraphKind::Random => "random",
+            GraphKind::SocialLiveJournal => "livejournal",
+            GraphKind::SocialTwitter => "twitter",
+            GraphKind::Road => "road",
+        }
+    }
+
+    /// Parses a [`GraphKind::key`].
+    pub fn from_key(key: &str) -> Option<GraphKind> {
+        GraphKind::ALL.into_iter().find(|k| k.key() == key)
+    }
+
     /// Paper-suite name for table headers.
     pub fn paper_name(self) -> &'static str {
         match self {
@@ -245,13 +271,8 @@ mod tests {
 
     #[test]
     fn specs_generate_roughly_requested_size() {
-        for kind in [
-            GraphKind::Rmat,
-            GraphKind::Random,
-            GraphKind::SocialLiveJournal,
-            GraphKind::SocialTwitter,
-            GraphKind::Road,
-        ] {
+        for kind in GraphKind::ALL {
+            assert_eq!(GraphKind::from_key(kind.key()), Some(kind));
             let g = GraphSpec::new(kind, 2000, 7).generate();
             assert!(
                 g.num_nodes() >= 1800 && g.num_nodes() <= 2600,
@@ -261,6 +282,7 @@ mod tests {
             assert!(g.num_edges() > 0, "{kind:?} generated no edges");
             g.validate().unwrap();
         }
+        assert_eq!(GraphKind::from_key("rmat26"), None);
     }
 
     #[test]

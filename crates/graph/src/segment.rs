@@ -124,15 +124,18 @@ impl Segmentation {
             .into_iter()
             .map(|r| Segmentation::analyze_range(g, r, &starts))
             .collect();
-        Segmentation::from_segments(segment_bytes, segments)
+        Segmentation {
+            segment_bytes,
+            segments,
+            starts,
+        }
     }
 
     /// The greedy boundary pass alone: contiguous node ranges of at most
     /// `segment_bytes` estimated bytes, covering every slot, with no
-    /// routing analysis. O(|V|) — cheap enough to always recompute; the
-    /// per-range [`Segmentation::analyze_range`] pass is the O(|E|) part
-    /// worth caching segment-by-segment.
-    pub fn split_ranges(g: &Csr, segment_bytes: usize) -> Vec<std::ops::Range<NodeId>> {
+    /// routing analysis. O(|V|); the per-range
+    /// [`Segmentation::analyze_range`] pass is the O(|E|) part.
+    fn split_ranges(g: &Csr, segment_bytes: usize) -> Vec<std::ops::Range<NodeId>> {
         let n = g.num_nodes();
         let per_edge = bytes_per_edge(g.is_weighted());
         let offsets = g.offsets();
@@ -156,10 +159,8 @@ impl Segmentation {
 
     /// Routing analysis for one range of a split: counts the range's arcs
     /// by destination segment against the full boundary list (`starts`
-    /// must be the starts of *every* range, ascending). Independent per
-    /// range, so callers may cache each resulting [`Segment`] keyed on
-    /// that range's content alone (plus the boundary list).
-    pub fn analyze_range(g: &Csr, range: std::ops::Range<NodeId>, starts: &[NodeId]) -> Segment {
+    /// must be the starts of *every* range, ascending).
+    fn analyze_range(g: &Csr, range: std::ops::Range<NodeId>, starts: &[NodeId]) -> Segment {
         let offsets = g.offsets();
         let edges = g.edges_raw();
         let edge_start = offsets[range.start as usize];
@@ -197,21 +198,6 @@ impl Segmentation {
             }
         }
         seg
-    }
-
-    /// Assembles a partition from per-range segments. The segments must
-    /// tile the node range in ascending order (debug-asserted) — the shape
-    /// [`Segmentation::build`] produces, whether the per-range analyses
-    /// were computed fresh or served from a cache.
-    pub fn from_segments(segment_bytes: usize, segments: Vec<Segment>) -> Segmentation {
-        debug_assert!(segments.windows(2).all(|w| w[0].end == w[1].start));
-        debug_assert!(segments.first().is_none_or(|s| s.start == 0));
-        let starts: Vec<NodeId> = segments.iter().map(|s| s.start).collect();
-        Segmentation {
-            segment_bytes,
-            segments,
-            starts,
-        }
     }
 
     /// The byte budget this partition was built for.

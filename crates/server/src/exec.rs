@@ -1,10 +1,10 @@
 //! Request execution: run one algorithm for one request and build the
 //! deterministic `result` excerpt.
 //!
-//! Two entry points share [`run_on_plan`] and [`result_excerpt`]:
+//! Two entry points share [`graffix_algos::Algo::run`] and [`result_excerpt`]:
 //!
 //! * the server's worker loop, which goes through the prepared-graph pool
-//!   and may batch compatible requests onto one shared [`Plan`];
+//!   and may batch compatible requests onto one shared `Plan`;
 //! * [`run_direct`], a reference path that loads and prepares everything
 //!   from scratch with **no** pool, cache, batching, or server threading.
 //!
@@ -15,107 +15,26 @@
 use crate::pool::pipeline_for_request;
 use crate::protocol::{ErrorKind, RunRequest, ServeError};
 use crate::registry::GraphRegistry;
-use graffix::prelude::Algo;
-use graffix_algos::{bc, bfs, mst, pagerank, scc, sssp, wcc, Plan, SimRun};
+use graffix_algos::{Scalar, SimRun};
 use graffix_core::Prepared;
 use graffix_graph::{Csr, NodeId};
 use graffix_sim::{GpuConfig, Json};
 
-/// A finished run: the raw simulation plus the scalar summary some
-/// algorithms add (component counts, forest weight).
-pub struct Executed {
-    pub run: SimRun,
-    /// `(key, value)` appended to the excerpt's `summary` object.
-    pub scalar: Option<(&'static str, Json)>,
-}
-
 /// The effective traversal source of a request: the explicit one, or the
 /// graph's deterministic default. `None` for algorithms without a source.
 pub fn effective_source(req: &RunRequest, original: &Csr) -> Result<Option<NodeId>, ServeError> {
-    match req.algo {
-        Algo::Sssp | Algo::Bfs => {
-            let src = match req.source {
-                Some(s) => {
-                    if (s as usize) >= original.num_nodes() {
-                        return Err(ServeError::new(
-                            ErrorKind::BadSource,
-                            format!(
-                                "source {s} out of range (graph has {} nodes)",
-                                original.num_nodes()
-                            ),
-                        ));
-                    }
-                    s
-                }
-                None => sssp::default_source(original),
-            };
-            Ok(Some(src))
-        }
-        _ => {
-            if let Some(s) = req.source {
-                if (s as usize) >= original.num_nodes() {
-                    return Err(ServeError::new(
-                        ErrorKind::BadSource,
-                        format!(
-                            "source {s} out of range (graph has {} nodes)",
-                            original.num_nodes()
-                        ),
-                    ));
-                }
-            }
-            Ok(None)
+    if let Some(s) = req.source {
+        if (s as usize) >= original.num_nodes() {
+            return Err(ServeError::new(
+                ErrorKind::BadSource,
+                format!(
+                    "source {s} out of range (graph has {} nodes)",
+                    original.num_nodes()
+                ),
+            ));
         }
     }
-}
-
-/// Runs `algo` on `plan`. `source` must already be validated/defaulted via
-/// [`effective_source`].
-pub fn run_on_plan(
-    algo: Algo,
-    plan: &Plan,
-    original: &Csr,
-    source: Option<NodeId>,
-    bc_sources: usize,
-) -> Executed {
-    match algo {
-        Algo::Sssp => Executed {
-            run: sssp::run_sim(plan, source.expect("sssp has a source")),
-            scalar: None,
-        },
-        Algo::Bfs => Executed {
-            run: bfs::run_sim(plan, source.expect("bfs has a source")),
-            scalar: None,
-        },
-        Algo::Pr => Executed {
-            run: pagerank::run_sim(plan),
-            scalar: None,
-        },
-        Algo::Bc => Executed {
-            run: bc::run_sim(plan, &bc::sample_sources(original, bc_sources)),
-            scalar: None,
-        },
-        Algo::Scc => {
-            let r = scc::run_sim(plan);
-            Executed {
-                run: r.run,
-                scalar: Some(("components", Json::U64(r.components as u64))),
-            }
-        }
-        Algo::Mst => {
-            let r = mst::run_sim(plan);
-            Executed {
-                run: r.run,
-                scalar: Some(("weight", Json::F64(r.weight))),
-            }
-        }
-        Algo::Wcc => {
-            let r = wcc::run_sim(plan);
-            Executed {
-                run: r.run,
-                scalar: Some(("components", Json::U64(r.components as u64))),
-            }
-        }
-    }
+    Ok(req.algo.source(original, req.source))
 }
 
 /// Builds the deterministic `result` excerpt for one executed request —
@@ -127,9 +46,9 @@ pub fn result_excerpt(
     prepared: &Prepared,
     gpu: &GpuConfig,
     source: Option<NodeId>,
-    executed: &Executed,
+    run: &SimRun,
+    scalar: Option<Scalar>,
 ) -> Json {
-    let run = &executed.run;
     let mut root = Json::obj();
     root.set("algo", Json::Str(req.algo.name().to_string()));
     root.set("graph", Json::Str(req.graph.clone()));
@@ -163,9 +82,13 @@ pub fn result_excerpt(
     values.set("min_finite", Json::F64(v.min_finite));
     values.set("max_finite", Json::F64(v.max_finite));
     root.set("values", values);
-    if let Some((key, value)) = &executed.scalar {
+    if let Some(scalar) = scalar {
+        let value = match scalar {
+            Scalar::Components(c) => Json::U64(c as u64),
+            Scalar::Weight(w) => Json::F64(w),
+        };
         let mut summary = Json::obj();
-        summary.set(key, value.clone());
+        summary.set(scalar.name(), value);
         root.set("summary", summary);
     }
     root
@@ -207,14 +130,14 @@ pub fn run_direct(
         .baseline
         .plan(&prepared, gpu)
         .with_direction(req.direction);
-    let executed = run_on_plan(req.algo, &plan, &original, src, req.bc_sources);
-    Ok(result_excerpt(req, &prepared, gpu, src, &executed))
+    let (run, scalar) = req.algo.run(&plan, &original, src, req.bc_sources);
+    Ok(result_excerpt(req, &prepared, gpu, src, &run, scalar))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graffix_algos::Direction;
+    use graffix_algos::{Algo, Direction};
     use graffix_baselines::Baseline;
 
     fn reg() -> GraphRegistry {

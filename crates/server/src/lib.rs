@@ -27,7 +27,7 @@ pub mod registry;
 pub mod server;
 
 pub use client::Client;
-pub use exec::{run_direct, run_on_plan, Executed};
+pub use exec::run_direct;
 pub use metrics::ServerMetrics;
 pub use pool::{pipeline_for_request, Checkout, PoolKey, PoolStats, PreparedPool};
 pub use protocol::{

@@ -26,6 +26,7 @@ use crate::protocol::{ErrorKind, ServeError};
 use crate::registry::GraphRegistry;
 use graffix_core::{
     auto_tune, prepare_with_cache, CacheConfig, CacheStatus, Pipeline, Prepared, StageRecord,
+    Technique,
 };
 use graffix_graph::mutation::{BatchOutcome, EdgeBatch};
 use graffix_graph::{Csr, Segmentation};
@@ -53,43 +54,14 @@ impl PoolKey {
     }
 }
 
-/// Builds the pipeline for a request's technique/threshold on `g`,
-/// mirroring the CLI's `prepare` (auto-tuned knobs, threshold override on
-/// the technique's primary knob). `None` for `exact`.
+/// Builds the pipeline for a request's technique/threshold on `g`: the
+/// CLI's `--technique`/`--threshold` resolution ([`TunedKnobs::pipeline`]
+/// over the same fixed tuning seed). `None` for `exact`.
+///
+/// [`TunedKnobs::pipeline`]: graffix_core::TunedKnobs::pipeline
 pub fn pipeline_for_request(g: &Csr, technique: &str, threshold: Option<f64>) -> Option<Pipeline> {
-    if technique == "exact" {
-        return None;
-    }
-    let tuned = auto_tune(g, 7);
-    Some(match technique {
-        "coalescing" => {
-            let mut k = tuned.coalesce;
-            if let Some(t) = threshold {
-                k.threshold = t;
-            }
-            Pipeline::default().with_coalesce(k)
-        }
-        "latency" => {
-            let mut k = tuned.latency;
-            if let Some(t) = threshold {
-                k.cc_threshold = t;
-            }
-            Pipeline::default().with_latency(k)
-        }
-        "divergence" => {
-            let mut k = tuned.divergence;
-            if let Some(t) = threshold {
-                k.degree_sim_threshold = t;
-            }
-            Pipeline::default().with_divergence(k)
-        }
-        "combined" => Pipeline {
-            coalesce: Some(tuned.coalesce),
-            latency: Some(tuned.latency),
-            divergence: Some(tuned.divergence),
-        },
-        other => unreachable!("technique `{other}` validated at parse time"),
-    })
+    let technique = Technique::from_key(technique).expect("technique validated at parse time");
+    (technique != Technique::Exact).then(|| auto_tune(g, 7).pipeline(technique, threshold))
 }
 
 struct PoolEntry {

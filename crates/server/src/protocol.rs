@@ -19,9 +19,9 @@
 //! Every failure mode maps to a typed error (`kind` + human `message`)
 //! instead of a panic or a dropped connection; see [`ErrorKind`].
 
-use graffix::prelude::Algo;
-use graffix_algos::Direction;
+use graffix_algos::{Algo, Direction};
 use graffix_baselines::Baseline;
+use graffix_core::Technique;
 use graffix_graph::mutation::EdgeBatch;
 use graffix_graph::NodeId;
 use graffix_sim::Json;
@@ -287,10 +287,7 @@ fn parse_run(doc: &Json, id: u64) -> Result<RunRequest, ServeError> {
         ),
     };
     let technique = field_str(doc, "technique")?.unwrap_or("exact");
-    if !matches!(
-        technique,
-        "exact" | "coalescing" | "latency" | "divergence" | "combined"
-    ) {
+    if Technique::from_key(technique).is_none() {
         return Err(ServeError::new(
             ErrorKind::UnknownTechnique,
             format!("unknown technique `{technique}`"),

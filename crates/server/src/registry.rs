@@ -23,24 +23,13 @@ pub enum GraphSource {
     File(PathBuf),
 }
 
-fn kind_from_key(key: &str) -> Option<GraphKind> {
-    Some(match key {
-        "rmat" => GraphKind::Rmat,
-        "random" => GraphKind::Random,
-        "livejournal" => GraphKind::SocialLiveJournal,
-        "twitter" => GraphKind::SocialTwitter,
-        "road" => GraphKind::Road,
-        _ => return None,
-    })
-}
-
 impl GraphSource {
     /// Parses the value side of a registry entry: `kind:nodes:seed` when it
     /// matches a known generator, otherwise a file path.
     pub fn parse(value: &str) -> Result<GraphSource, String> {
         let parts: Vec<&str> = value.split(':').collect();
         if parts.len() == 3 {
-            if let Some(kind) = kind_from_key(parts[0]) {
+            if let Some(kind) = GraphKind::from_key(parts[0]) {
                 let nodes: usize = parts[1]
                     .parse()
                     .map_err(|_| format!("bad node count in spec `{value}`"))?;

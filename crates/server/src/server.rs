@@ -34,7 +34,7 @@
 //! lets workers drain everything already admitted; [`Server::join`] returns
 //! once the last in-flight response is handed to its connection writer.
 
-use crate::exec::{effective_source, result_excerpt, run_on_plan, Executed};
+use crate::exec::{effective_source, result_excerpt};
 use crate::metrics::ServerMetrics;
 use crate::pool::{PoolKey, PreparedPool};
 use crate::protocol::{
@@ -42,7 +42,7 @@ use crate::protocol::{
     RunRequest, ServeError, MAX_REQUEST_BYTES,
 };
 use crate::registry::GraphRegistry;
-use graffix::prelude::Algo;
+use graffix_algos::{Algo, Scalar, SimRun};
 use graffix_core::CacheConfig;
 use graffix_graph::NodeId;
 use graffix_sim::{GpuConfig, Json};
@@ -670,7 +670,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
     }
 
     // Source-fused traversals: one run per distinct effective source.
-    let mut memo: HashMap<Option<NodeId>, Executed> = HashMap::new();
+    let mut memo: HashMap<Option<NodeId>, (SimRun, Option<Scalar>)> = HashMap::new();
     let batch_size = batch.len();
     for job in &batch {
         let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
@@ -692,29 +692,15 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
                 .fused_runs_saved
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let executed = if fusable(job.req.algo) {
-            memo.entry(src).or_insert_with(|| {
-                run_on_plan(
-                    job.req.algo,
-                    &plan,
-                    &checkout.original,
-                    src,
-                    job.req.bc_sources,
-                )
-            })
-        } else {
+        if !fusable(job.req.algo) {
             memo.clear();
-            memo.entry(src).or_insert_with(|| {
-                run_on_plan(
-                    job.req.algo,
-                    &plan,
-                    &checkout.original,
-                    src,
-                    job.req.bc_sources,
-                )
-            })
-        };
-        let result = result_excerpt(&job.req, &checkout.prepared, &shared.gpu, src, executed);
+        }
+        let (run, scalar) = memo.entry(src).or_insert_with(|| {
+            job.req
+                .algo
+                .run(&plan, &checkout.original, src, job.req.bc_sources)
+        });
+        let result = result_excerpt(&job.req, &checkout.prepared, &shared.gpu, src, run, *scalar);
 
         let mut serving = Json::obj();
         serving.set("queue_ms", Json::F64(queue_ms));

@@ -49,9 +49,9 @@ fn bfs_sssp_pr_byte_identical_flat_vs_segmented() {
     let src = sssp::default_source(&g);
     let flat = Plan::exact(&g, &cfg, Strategy::Frontier);
     let flat_runs = [
-        ("bfs", bfs::run_sim(&flat, src)),
-        ("sssp", sssp::run_sim(&flat, src)),
-        ("pr", pagerank::run_sim(&flat)),
+        (Algo::Bfs, bfs::run_sim(&flat, src)),
+        (Algo::Sssp, sssp::run_sim(&flat, src)),
+        (Algo::Pr, pagerank::run_sim(&flat)),
     ];
     for (bi, &budget) in BUDGETS.iter().enumerate() {
         let (plan, n_segments) = segmented_plan(&g, &cfg, budget);
@@ -61,13 +61,9 @@ fn bfs_sssp_pr_byte_identical_flat_vs_segmented() {
         } else {
             assert!(n_segments > 1, "budget {budget} produced one segment");
         }
-        for (name, flat_run) in &flat_runs {
-            let seg_run = match *name {
-                "bfs" => bfs::run_sim(&plan, src),
-                "sssp" => sssp::run_sim(&plan, src),
-                "pr" => pagerank::run_sim(&plan),
-                _ => unreachable!(),
-            };
+        for (algo, flat_run) in &flat_runs {
+            let name = algo.name();
+            let (seg_run, _) = algo.run(&plan, &g, None, 0);
             assert_eq!(
                 bits(&seg_run.values),
                 bits(&flat_run.values),
@@ -96,23 +92,17 @@ fn segmented_matrix_deterministic_across_threads_and_budgets() {
     let src = sssp::default_source(&g);
     let flat = Plan::exact(&g, &cfg, Strategy::Frontier);
     let reference = [
-        ("bfs", bfs::run_sim(&flat, src)),
-        ("sssp", sssp::run_sim(&flat, src)),
-        ("pr", pagerank::run_sim(&flat)),
+        (Algo::Bfs, bfs::run_sim(&flat, src)),
+        (Algo::Sssp, sssp::run_sim(&flat, src)),
+        (Algo::Pr, pagerank::run_sim(&flat)),
     ];
     for &budget in &BUDGETS {
         let (plan, _) = segmented_plan(&g, &cfg, budget);
-        for (name, flat_run) in &reference {
+        for (algo, flat_run) in &reference {
+            let name = algo.name();
             let runs: Vec<SimRun> = THREAD_COUNTS
                 .iter()
-                .map(|&n| {
-                    with_threads(n, || match *name {
-                        "bfs" => bfs::run_sim(&plan, src),
-                        "sssp" => sssp::run_sim(&plan, src),
-                        "pr" => pagerank::run_sim(&plan),
-                        _ => unreachable!(),
-                    })
-                })
+                .map(|&n| with_threads(n, || algo.run(&plan, &g, None, 0).0))
                 .collect();
             for (i, r) in runs.iter().enumerate().skip(1) {
                 assert_eq!(
