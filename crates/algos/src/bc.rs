@@ -124,7 +124,7 @@ pub fn run_sim(plan: &Plan, sources: &[NodeId]) -> SimRun {
         // Reset kernel (one attribute write per node — the paper includes
         // attribute initialization in the measured time). State itself is
         // rebuilt host-side per source.
-        let reset = runner.run_tiled_superstep(&all, |v, lane: &mut Lane| {
+        let reset = runner.launch(&all, |v, lane: &mut Lane| {
             lane.write(ArrayId::NODE_ATTR, plan.slot(v) as usize);
             false
         });
@@ -161,7 +161,7 @@ pub fn run_sim(plan: &Plan, sources: &[NodeId]) -> SimRun {
         let delta = FixedPointF64Array::with_frac_bits(n_logical, DELTA_FRAC_BITS);
         for lvl_nodes in fwd.levels.iter().rev().skip(1) {
             iterations += 1;
-            let outcome = runner.run_tiled_superstep(lvl_nodes, |v, lane: &mut Lane| {
+            let outcome = runner.launch(lvl_nodes, |v, lane: &mut Lane| {
                 lane.read(ArrayId::OFFSETS, v as usize);
                 let lv = plan.logical_of(v) as usize;
                 let vl = level[lv];

@@ -101,7 +101,7 @@ pub fn run_sim(plan: &Plan) -> MstResult {
             r
         };
         let best = AtomicU64Array::new(plan.attr_len, u64::MAX);
-        let outcome = runner.run_tiled_superstep(&active, |v, lane: &mut Lane| {
+        let outcome = runner.launch(&active, |v, lane: &mut Lane| {
             let slot = plan.slot(v);
             lane.read(ArrayId::NODE_ATTR, slot as usize);
             let root_v = root_of[slot as usize];
@@ -146,7 +146,7 @@ pub fn run_sim(plan: &Plan) -> MstResult {
             let su = plan.slot(graph.edges_raw()[e]);
             proposals.push((w, e, slot, su));
         }
-        let merge = runner.run_tiled_superstep(&roots, |r, lane: &mut Lane| {
+        let merge = runner.launch(&roots, |r, lane: &mut Lane| {
             lane.read(ArrayId::NODE_ATTR_AUX, r as usize);
             lane.write(ArrayId::NODE_ATTR, r as usize);
             true
@@ -170,7 +170,7 @@ pub fn run_sim(plan: &Plan) -> MstResult {
 
         // --- Pointer jumping: compress labels (metered read+write per
         // slot; the union-find paths compress host-side after the launch).
-        let compress = runner.run_tiled_superstep(&active, |v, lane: &mut Lane| {
+        let compress = runner.launch(&active, |v, lane: &mut Lane| {
             let slot = plan.slot(v);
             lane.read(ArrayId::NODE_ATTR, slot as usize);
             lane.write(ArrayId::NODE_ATTR, slot as usize);

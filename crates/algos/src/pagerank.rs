@@ -123,7 +123,7 @@ impl VertexProgram for PrTopology<'_> {
         _next: &mut Vec<NodeId>,
     ) -> (KernelStats, bool) {
         // Apply: the designated copy folds the accumulator into the rank.
-        let outcome = runner.run_tiled_superstep(&self.active, |v, lane: &mut Lane| {
+        let outcome = runner.launch(&self.active, |v, lane: &mut Lane| {
             let slot = self.plan.slot(v) as usize;
             if !self.applier[v as usize] {
                 return false; // virtual copies apply once per slot

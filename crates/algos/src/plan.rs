@@ -115,6 +115,8 @@ pub struct PlanDerived {
     /// CSC mirror of the processing graph (pull-mode gather topology),
     /// shared with the graph's memoized transpose view.
     csc: OnceLock<Arc<Csr>>,
+    /// Whether `attr_of` is the identity (an O(n) scan, asked per tile).
+    identity_attrs: OnceLock<bool>,
 }
 
 impl Clone for PlanDerived {
@@ -195,12 +197,14 @@ impl Plan {
 
     /// True when `attr_of` is the identity (no virtual splitting).
     pub fn identity_attrs(&self) -> bool {
-        self.attr_of.len() == self.attr_len
-            && self
-                .attr_of
-                .iter()
-                .enumerate()
-                .all(|(i, &a)| i as NodeId == a)
+        *self.derived.identity_attrs.get_or_init(|| {
+            self.attr_of.len() == self.attr_len
+                && self
+                    .attr_of
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &a)| i as NodeId == a)
+        })
     }
 
     /// Maps an attribute vector (attr-slot space) back to original space

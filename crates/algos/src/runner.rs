@@ -1,6 +1,8 @@
 //! Shared iteration machinery: the [`VertexProgram`] engine plus the
 //! topology fixpoint, frontier loop, tile phase, and metered confluence
-//! drivers every algorithm composes.
+//! drivers every algorithm composes. Every kernel launch those drivers
+//! make is laid out by [`Runner::launch`] (or is a one-line block list) and
+//! executed, priced and snapshotted by the private `Runner::launch_blocks`.
 //!
 //! Kernels execute in parallel on the host (see `graffix_sim::executor`),
 //! so a program's `process` takes `&self` and mutates attribute state only
@@ -12,9 +14,16 @@ use crate::plan::{Direction, Plan, Strategy};
 use graffix_core::confluence;
 use graffix_graph::{NodeId, INVALID_NODE};
 use graffix_sim::{
-    run_blocks, run_superstep, ArrayId, Block, KernelStats, Lane, Phase, Superstep,
-    SuperstepOutcome,
+    run_blocks, ArrayId, Block, KernelStats, Lane, Phase, Residency, SuperstepOutcome,
 };
+
+/// `assignment` as one block with nothing resident.
+fn global(assignment: &[NodeId]) -> Block<'_> {
+    Block {
+        assignment,
+        residency: Residency::Global,
+    }
+}
 
 /// A vertex-centric algorithm, expressed as a kernel over processing nodes
 /// plus host-side hooks around each superstep. Programs own their attribute
@@ -176,232 +185,168 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Runs one launch over `assignment` with **block-accurate tile
-    /// pricing**: nodes belonging to a shared-memory tile execute in that
-    /// tile's block (their tile-resident attribute accesses cost shared
-    /// latency), everything else runs in untiled blocks at global prices.
-    /// Without tiles this is a plain superstep — or, when the plan carries
-    /// a [`Segmentation`](graffix_graph::Segmentation), a segment-major
-    /// launch (see [`Runner::run_segmented_superstep`]).
-    pub fn run_tiled_superstep<F>(&self, assignment: &[NodeId], kernel: F) -> SuperstepOutcome
+    /// The launch seam: the one place a kernel launch reaches the executor,
+    /// is priced for what the executor cannot see, and enters the trace.
+    /// `blocks` is the launch's layout; everything charged or counted here
+    /// is read off it:
+    ///
+    /// * a [`Residency::Segment`] block is one segment of a segment-major
+    ///   launch (DESIGN.md §12) — processed, or, when its routing buffer is
+    ///   empty, skipped outright (it contributes no warp);
+    /// * a [`Residency::Tile`] block of a superstep stages its subgraph
+    ///   into shared memory before it runs and writes it back after. The
+    ///   rounds of a tile phase are not charged: the model keeps a tile
+    ///   resident from one round to the next.
+    ///
+    /// The snapshot is taken at the barrier — `run_blocks` has merged all
+    /// chunk results — so it is thread-count independent, and the counters
+    /// land in the stats *before* it so per-launch snapshots still sum to
+    /// run totals (the observability invariant).
+    fn launch_blocks<F>(
+        &self,
+        phase: Phase,
+        label: &str,
+        blocks: &[Block<'_>],
+        kernel: F,
+    ) -> SuperstepOutcome
     where
         F: Fn(NodeId, &mut Lane) -> bool + Sync,
     {
-        if self.plan.tiles.is_empty() {
-            if self.plan.segments.is_some() {
-                return self.run_segmented_superstep(assignment, kernel);
-            }
-            let outcome = run_superstep(
-                &self.plan.cfg,
-                Superstep {
-                    assignment,
-                    resident: None,
-                },
-                kernel,
-            );
-            // Snapshot-at-barrier: `run_superstep` has merged all chunk
-            // results, so the snapshot is thread-count independent.
-            self.plan
-                .trace
-                .snapshot(Phase::Launch, "superstep", &outcome.stats);
-            return outcome;
-        }
-        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); self.tile_nodes.len()];
-        let mut rest: Vec<NodeId> = Vec::new();
-        for &v in assignment {
-            if v == INVALID_NODE {
-                rest.push(v);
-                continue;
-            }
-            match self.tile_of[v as usize] {
-                u32::MAX => rest.push(v),
-                t => groups[t as usize].push(v),
-            }
-        }
-        let rest_groups: Vec<Vec<NodeId>>;
-        let mut blocks: Vec<Block<'_>> = Vec::with_capacity(groups.len() + 1);
+        let plan = self.plan;
+        let mut outcome = run_blocks(&plan.cfg, blocks, kernel);
+        let stats = &mut outcome.stats;
         let mut staged_words = 0u64;
-        for (t, g) in groups.iter().enumerate() {
-            if !g.is_empty() {
-                blocks.push(Block {
-                    assignment: g,
-                    resident: Some(&self.tile_masks[t]),
-                    span: None,
-                });
-                // Words staged into this superblock's shared memory: its
-                // CSR slice (offset + edges per node) plus attribute words
-                // per resident node — loaded before and written back after
-                // the block runs.
-                let edge_words: usize = g.iter().map(|&v| self.plan.graph.degree(v)).sum();
-                staged_words += (edge_words + 3 * g.len()) as u64;
-            }
-        }
-        let mut segments_processed = 0u64;
-        let mut segments_skipped = 0u64;
-        if !rest.is_empty() {
-            match &self.plan.segments {
-                // Segment-aware rest blocks: tile blocks keep their shared-
-                // memory masks, everything untiled runs one block per active
-                // segment with that segment's attribute window as its L2
-                // span. Idle slots are dropped — they issue nothing.
-                Some(segs) => {
-                    let mut g: Vec<Vec<NodeId>> = vec![Vec::new(); segs.len()];
-                    for &v in &rest {
-                        if v != INVALID_NODE {
-                            g[segs.segment_of(v) as usize].push(v);
-                        }
-                    }
-                    rest_groups = g;
-                    for (seg, grp) in segs.segments().iter().zip(&rest_groups) {
-                        if grp.is_empty() {
-                            segments_skipped += 1;
-                            continue;
-                        }
-                        segments_processed += 1;
-                        blocks.push(Block {
-                            assignment: grp,
-                            resident: None,
-                            span: Some((seg.start as u64, seg.end as u64)),
-                        });
-                    }
+        for block in blocks {
+            match block.residency {
+                Residency::Global => {}
+                Residency::Segment { .. } if block.assignment.is_empty() => {
+                    stats.segments_skipped += 1
                 }
-                None => blocks.push(Block {
-                    assignment: &rest,
-                    resident: None,
-                    span: None,
-                }),
+                Residency::Segment { .. } => stats.segments_processed += 1,
+                // The block's CSR slice (offset + edges per node) plus
+                // attribute words per resident node.
+                Residency::Tile(_) if phase == Phase::Launch => {
+                    let nodes = block.assignment;
+                    let edge_words: usize = nodes.iter().map(|&v| plan.graph.degree(v)).sum();
+                    staged_words += (edge_words + 3 * nodes.len()) as u64;
+                }
+                Residency::Tile(_) => {}
             }
         }
-        let mut outcome = run_blocks(&self.plan.cfg, &blocks, kernel);
-        outcome.stats.segments_processed += segments_processed;
-        outcome.stats.segments_skipped += segments_skipped;
+        if stats.segments_processed + stats.segments_skipped > 0 {
+            plan.trace
+                .add_counter(phase, "segments-processed", stats.segments_processed);
+            plan.trace
+                .add_counter(phase, "segments-skipped", stats.segments_skipped);
+        }
         if staged_words > 0 {
             // Metered load + writeback: fully coalesced bulk transfers.
-            let tx = 2 * staged_words.div_ceil(self.plan.cfg.segment_words);
-            outcome.stats.global_transactions += tx;
-            let cycles = self.plan.cfg.lat_global * tx;
-            outcome.stats.warp_cycles += cycles;
+            let tx = 2 * staged_words.div_ceil(plan.cfg.segment_words);
+            stats.global_transactions += tx;
+            let cycles = plan.cfg.lat_global * tx;
+            stats.warp_cycles += cycles;
             // Keep the exact component partition intact: staging is global
             // traffic, so its cycles land in the global bucket.
-            outcome.stats.global_cycles += cycles;
+            stats.global_cycles += cycles;
         }
-        self.plan
-            .trace
-            .snapshot(Phase::Launch, "tiled-superstep", &outcome.stats);
+        plan.trace.snapshot(phase, label, stats);
         outcome
     }
 
-    /// Segment-major superstep (DESIGN.md §12): one thread block per
-    /// *active* segment, in ascending segment order, all folded into a
-    /// **single** kernel launch (same launch overhead as the flat path).
-    /// Each block carries its segment's node range as an L2 residency span,
-    /// so in-segment attribute traffic and the segment's CSR slice price at
-    /// `lat_l2` while cross-segment destinations pay full DRAM latency.
+    /// Runs one superstep over `assignment`, laid out in the blocks the
+    /// plan calls for — the only code that turns an assignment into blocks.
+    /// Nodes of a shared-memory tile run in that tile's block (their tile-
+    /// resident attribute accesses cost shared latency); the rest runs as
+    /// one global block, or, when the plan carries a
+    /// [`Segmentation`](graffix_graph::Segmentation), as one block per
+    /// segment in ascending segment order, each with its node range as an
+    /// L2 residency window — all folded into a **single** kernel launch.
     ///
-    /// Sorted assignments (frontiers out of [`HybridFrontier::compact`])
-    /// route through
-    /// [`split_sorted`](graffix_graph::Segmentation::split_sorted)'s
-    /// zero-copy subslices —
-    /// the per-segment frontier routing buffers; unsorted topology
-    /// assignments take a stable bucketing pass. Segments whose routing
-    /// buffer is empty are skipped outright and counted in
-    /// `segments_skipped`. Values are byte-identical to the flat path at
-    /// any thread count and segment size: re-grouping the same kernel
-    /// invocations into segment blocks is just another schedule, and the
-    /// engine's determinism contract (commutative folds, snapshot reads,
-    /// order-independent stat sums, compacted frontiers) is
-    /// schedule-independent.
-    pub fn run_segmented_superstep<F>(&self, assignment: &[NodeId], kernel: F) -> SuperstepOutcome
+    /// Values are byte-identical across layouts at any thread count and
+    /// segment size: re-grouping the same kernel invocations into blocks is
+    /// just another schedule, and the engine's determinism contract
+    /// (commutative folds, snapshot reads, order-independent stat sums,
+    /// compacted frontiers) is schedule-independent. Only the pricing
+    /// moves.
+    pub fn launch<F>(&self, assignment: &[NodeId], kernel: F) -> SuperstepOutcome
     where
         F: Fn(NodeId, &mut Lane) -> bool + Sync,
     {
-        let segs = self
-            .plan
+        let plan = self.plan;
+        if plan.tiles.is_empty() && plan.segments.is_none() {
+            // The flat launch borrows the caller's slice as it stands.
+            return self.launch_blocks(Phase::Launch, "superstep", &[global(assignment)], kernel);
+        }
+        // Tile groups first. Idle slots (`INVALID_NODE` lies past the end
+        // of `tile_of`) stay with the untiled rest, where they keep their
+        // place in the warp layout.
+        let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); self.tile_nodes.len()];
+        let mut untiled: Vec<NodeId> = Vec::new();
+        let rest: &[NodeId] = if plan.tiles.is_empty() {
+            assignment
+        } else {
+            for &v in assignment {
+                match self.tile_of.get(v as usize) {
+                    Some(&tile) if tile != u32::MAX => groups[tile as usize].push(v),
+                    _ => untiled.push(v),
+                }
+            }
+            &untiled
+        };
+        let routed = plan
             .segments
             .as_deref()
-            .expect("run_segmented_superstep requires plan.segments");
-        let mut processed = 0u64;
-        let mut skipped = 0u64;
-        let groups: Vec<Vec<NodeId>>;
-        let mut blocks: Vec<Block<'_>> = Vec::with_capacity(segs.len());
-        let sorted = assignment.windows(2).all(|w| w[0] <= w[1]);
-        if sorted {
-            for (seg, r) in segs.segments().iter().zip(segs.split_sorted(assignment)) {
-                if r.is_empty() {
-                    skipped += 1;
-                    continue;
-                }
-                processed += 1;
-                blocks.push(Block {
-                    assignment: &assignment[r],
-                    resident: None,
-                    span: Some((seg.start as u64, seg.end as u64)),
-                });
+            .map(|segs| (segs.segments(), segs.route(rest)));
+        let mut blocks: Vec<Block<'_>> = groups
+            .iter()
+            .zip(&self.tile_masks)
+            .filter(|(group, _)| !group.is_empty())
+            .map(|(group, mask)| Block {
+                assignment: group,
+                residency: Residency::Tile(mask),
+            })
+            .collect();
+        match &routed {
+            Some((segments, buffers)) => {
+                blocks.extend(segments.iter().zip(buffers).map(|(seg, nodes)| Block {
+                    assignment: nodes,
+                    residency: Residency::Segment {
+                        lo: seg.start as u64,
+                        hi: seg.end as u64,
+                    },
+                }))
             }
-        } else {
-            let mut g: Vec<Vec<NodeId>> = vec![Vec::new(); segs.len()];
-            for &v in assignment {
-                if v != INVALID_NODE {
-                    g[segs.segment_of(v) as usize].push(v);
-                }
-            }
-            groups = g;
-            for (seg, grp) in segs.segments().iter().zip(&groups) {
-                if grp.is_empty() {
-                    skipped += 1;
-                    continue;
-                }
-                processed += 1;
-                blocks.push(Block {
-                    assignment: grp,
-                    resident: None,
-                    span: Some((seg.start as u64, seg.end as u64)),
-                });
-            }
+            None => blocks.push(global(rest)),
         }
-        let mut outcome = run_blocks(&self.plan.cfg, &blocks, kernel);
-        // Counters land in the stats *before* the snapshot so per-launch
-        // snapshots still sum to run totals (the observability invariant).
-        outcome.stats.segments_processed += processed;
-        outcome.stats.segments_skipped += skipped;
-        self.plan
-            .trace
-            .add_counter(Phase::Launch, "segments-processed", processed);
-        self.plan
-            .trace
-            .add_counter(Phase::Launch, "segments-skipped", skipped);
-        self.plan
-            .trace
-            .snapshot(Phase::Launch, "segmented-superstep", &outcome.stats);
-        outcome
+        let label = if plan.tiles.is_empty() {
+            "segmented-superstep"
+        } else {
+            "tiled-superstep"
+        };
+        self.launch_blocks(Phase::Launch, label, &blocks, kernel)
     }
 
-    /// One tiled superstep driving a [`VertexProgram`]'s kernel.
+    /// One superstep driving a [`VertexProgram`]'s kernel.
     pub fn run_program<P: VertexProgram>(
         &self,
         assignment: &[NodeId],
         prog: &P,
     ) -> SuperstepOutcome {
-        self.run_tiled_superstep(assignment, |v, lane| prog.process(v, lane))
+        self.launch(assignment, |v, lane| prog.process(v, lane))
     }
 
     /// One pull (gather) superstep over the full assignment. Pull runs
-    /// untiled on purpose: tile residency masks describe push-CSR locality,
-    /// so pricing gather traffic through them would undercharge — the plain
-    /// global-memory superstep is the conservative model.
+    /// as one global block on purpose: tile residency masks describe
+    /// push-CSR locality, so pricing gather traffic through them would
+    /// undercharge — the plain global-memory superstep is the conservative
+    /// model.
     pub fn run_pull_program<P: VertexProgram>(&self, prog: &P) -> SuperstepOutcome {
-        let outcome = run_superstep(
-            &self.plan.cfg,
-            Superstep {
-                assignment: &self.plan.assignment,
-                resident: None,
-            },
+        self.launch_blocks(
+            Phase::Launch,
+            "pull-superstep",
+            &[global(&self.plan.assignment)],
             |v, lane| prog.process_pull(v, lane),
-        );
-        self.plan
-            .trace
-            .snapshot(Phase::Launch, "pull-superstep", &outcome.stats);
-        outcome
+        )
     }
 
     /// Decides push vs pull for the coming superstep and records the
@@ -468,11 +413,13 @@ impl<'a> Runner<'a> {
             .max()
             .unwrap_or(0)
             .min(cap);
-        let blocks: Vec<Block<'_>> = (0..self.tile_nodes.len())
-            .map(|i| Block {
-                assignment: &self.tile_nodes[i],
-                resident: Some(&self.tile_masks[i]),
-                span: None,
+        let blocks: Vec<Block<'_>> = self
+            .tile_nodes
+            .iter()
+            .zip(&self.tile_masks)
+            .map(|(nodes, mask)| Block {
+                assignment: nodes,
+                residency: Residency::Tile(mask),
             })
             .collect();
         self.plan.trace.span_enter(Phase::TilePhase, "tile-phase");
@@ -481,10 +428,9 @@ impl<'a> Runner<'a> {
             // detection is launch-granular (per-tile convergence would need
             // device-side flags, which real implementations also avoid).
             let p: &P = prog;
-            let outcome = run_blocks(&self.plan.cfg, &blocks, |v, lane| p.process(v, lane));
-            self.plan
-                .trace
-                .snapshot(Phase::TilePhase, "tile-round", &outcome.stats);
+            let outcome = self.launch_blocks(Phase::TilePhase, "tile-round", &blocks, |v, lane| {
+                p.process(v, lane)
+            });
             self.plan.trace.add_counter(Phase::TilePhase, "rounds", 1);
             stats += outcome.stats;
             changed |= outcome.changed;
@@ -591,34 +537,28 @@ impl<'a> Runner<'a> {
             // read + one compacted write per surviving element, mirroring
             // Gunrock's filter operator. Topology-style plans reusing this
             // loop (e.g. level-synchronous phases) skip the filter cost.
-            let raw_activations = next.len();
+            //
+            // Only the deduplicated count enters the trace: how many lanes
+            // see an accumulator cross its threshold (and so activate the
+            // same node) depends on how their atomic adds interleave; which
+            // nodes get activated does not.
             scratch.compact(&mut next);
-            self.plan.trace.push_series(
-                Phase::ActivationMerge,
-                "activations-raw",
-                raw_activations as f64,
-            );
             self.plan.trace.push_series(
                 Phase::ActivationMerge,
                 "activations-deduped",
                 next.len() as f64,
             );
             if self.plan.strategy == Strategy::Frontier && !next.is_empty() {
-                let filter = run_superstep(
-                    &self.plan.cfg,
-                    Superstep {
-                        assignment: &next,
-                        resident: None,
-                    },
+                let filter = self.launch_blocks(
+                    Phase::ActivationMerge,
+                    "frontier-filter",
+                    &[global(&next)],
                     |v, lane| {
                         lane.read(ArrayId::FRONTIER, v as usize);
                         lane.write(ArrayId::WORKLIST, v as usize);
                         false
                     },
                 );
-                self.plan
-                    .trace
-                    .snapshot(Phase::ActivationMerge, "frontier-filter", &filter.stats);
                 stats += filter.stats;
             }
             frontier = next;

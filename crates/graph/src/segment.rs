@@ -6,9 +6,10 @@
 //! so a segment is described by four indices plus a *boundary-edge
 //! table* counting how many of its arcs land in every other segment.
 //! Because segments are contiguous vertex ranges, a sorted frontier
-//! splits into per-segment subslices with two binary searches per
-//! segment — those subslices are the frontier routing buffers the
-//! runner feeds to each segment in order.
+//! splits into per-segment subslices with one binary search per segment
+//! — [`Segmentation::route`] hands those subslices (or, for unsorted
+//! input, stable buckets) to the runner as the per-segment routing
+//! buffers of one launch.
 //!
 //! The byte model per node mirrors what a superstep actually touches:
 //! one `u64` offset entry, one `u64` of node attribute, and 4 bytes per
@@ -17,7 +18,8 @@
 //! win GraphCage reports — while segments of an mmap-backed graph page
 //! in on demand, bounding peak RSS by the budget instead of the file.
 
-use crate::csr::{Csr, EdgeId, NodeId};
+use crate::csr::{Csr, EdgeId, NodeId, INVALID_NODE};
+use std::borrow::Cow;
 
 /// Bytes charged per node slot beyond its edges: a `u64` offset entry
 /// plus a `u64` of per-node attribute state.
@@ -233,10 +235,34 @@ impl Segmentation {
         }
     }
 
+    /// Routes the nodes of one launch to their segments: `out[i]` holds
+    /// segment `i`'s nodes in input order, and is empty for a segment the
+    /// launch skips. Ascending input (frontiers come sorted out of
+    /// compaction) splits into zero-copy subslices; anything else
+    /// (topology assignments with holes in them) takes one stable
+    /// bucketing pass. Idle slots (`INVALID_NODE`) issue nothing and are
+    /// dropped either way.
+    pub fn route<'a>(&self, nodes: &'a [NodeId]) -> Vec<Cow<'a, [NodeId]>> {
+        if nodes.windows(2).all(|w| w[0] <= w[1]) {
+            return self
+                .split_sorted(nodes)
+                .into_iter()
+                .map(|r| Cow::Borrowed(&nodes[r]))
+                .collect();
+        }
+        let mut buckets = vec![Vec::new(); self.segments.len()];
+        for &v in nodes {
+            if v != INVALID_NODE {
+                buckets[self.segment_of(v) as usize].push(v);
+            }
+        }
+        buckets.into_iter().map(Cow::Owned).collect()
+    }
+
     /// Splits an ascending-sorted node list into one contiguous subrange
-    /// per segment — the frontier routing buffers. `out[i]` indexes into
-    /// `nodes`; empty ranges mark segments the runner skips entirely.
-    pub fn split_sorted(&self, nodes: &[NodeId]) -> Vec<std::ops::Range<usize>> {
+    /// per segment. `out[i]` indexes into `nodes`; trailing idle slots fall
+    /// outside every range.
+    fn split_sorted(&self, nodes: &[NodeId]) -> Vec<std::ops::Range<usize>> {
         debug_assert!(nodes.windows(2).all(|w| w[0] <= w[1]));
         let mut out = Vec::with_capacity(self.segments.len());
         let mut lo = 0usize;
@@ -368,6 +394,42 @@ mod tests {
             covered += r.len();
         }
         assert_eq!(covered, frontier.len());
+    }
+
+    #[test]
+    fn route_borrows_ascending_input_and_buckets_the_rest() {
+        let g = GraphSpec::new(GraphKind::Road, 300, 2).generate();
+        let s = Segmentation::build(&g, 1024);
+        assert!(s.len() > 3);
+        // Every third node of the upper half, then two idle slots: the
+        // leading segments stay empty.
+        let half = g.num_nodes() as NodeId / 2;
+        let mut sorted: Vec<NodeId> = (half..g.num_nodes() as NodeId).step_by(3).collect();
+        sorted.extend([INVALID_NODE, INVALID_NODE]);
+        let routed = s.route(&sorted);
+        assert_eq!(routed.len(), s.len());
+        assert!(routed.iter().all(|r| matches!(r, Cow::Borrowed(_))));
+        assert!(
+            routed[0].is_empty(),
+            "no node of the first segment is active"
+        );
+        for (i, r) in routed.iter().enumerate() {
+            assert!(r.iter().all(|&v| s.segment_of(v) == i as u32));
+        }
+        let total: usize = routed.iter().map(|r| r.len()).sum();
+        assert_eq!(total, sorted.len() - 2, "idle slots are dropped");
+
+        // The same list back to front: owned buckets holding each
+        // segment's nodes in (reversed) input order.
+        let mut unsorted = sorted.clone();
+        unsorted.reverse();
+        let bucketed = s.route(&unsorted);
+        assert!(bucketed.iter().all(|r| matches!(r, Cow::Owned(_))));
+        for (b, r) in bucketed.iter().zip(&routed) {
+            let mut want = r.to_vec();
+            want.reverse();
+            assert_eq!(b.as_ref(), &want[..]);
+        }
     }
 
     #[test]

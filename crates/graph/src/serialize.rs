@@ -17,6 +17,7 @@
 //! ```
 
 use crate::csr::Csr;
+use crate::error::GraphError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -72,75 +73,114 @@ pub fn to_bytes(g: &Csr) -> Bytes {
     buf.freeze()
 }
 
+/// The fixed header: magic, flags, `n`, `m`.
+const HEADER_BYTES: usize = 24;
+
+/// A GFX1 header that has been parsed and bounded against the number of
+/// bytes actually present — the one reader of the layout table above, shared
+/// by the copying loader and the mapping loader.
+struct Layout {
+    n: usize,
+    m: usize,
+    weighted: bool,
+    has_holes: bool,
+}
+
+impl Layout {
+    /// Parses `header` (the image's first [`HEADER_BYTES`] bytes, fewer if
+    /// it is shorter than that) of an image `have` bytes long, and checks
+    /// that the arrays the header promises fit in those bytes.
+    fn parse(header: &[u8], have: u64) -> Result<Layout, GraphError> {
+        let Some(header) = header.first_chunk::<HEADER_BYTES>() else {
+            return Err(GraphError::Truncated {
+                what: "GFX1 header",
+                need: HEADER_BYTES as u64,
+                have,
+            });
+        };
+        if &header[0..4] != MAGIC {
+            return Err(GraphError::BadHeader {
+                what: "magic (not a GFX1 file)",
+            });
+        }
+        let flags = u32::from_le_bytes(header[4..8].try_into().expect("4 header bytes"));
+        if flags & !(FLAG_WEIGHTED | FLAG_HOLES) != 0 {
+            return Err(GraphError::BadHeader {
+                what: "unknown flags",
+            });
+        }
+        let n64 = u64::from_le_bytes(header[8..16].try_into().expect("8 header bytes"));
+        let m64 = u64::from_le_bytes(header[16..24].try_into().expect("8 header bytes"));
+        let weighted = flags & FLAG_WEIGHTED != 0;
+        let has_holes = flags & FLAG_HOLES != 0;
+
+        // Checked conversions: a hostile header can claim counts that would
+        // truncate through `as usize` (32-bit hosts) or overflow the size
+        // arithmetic below. Node slots beyond u32::MAX would also collide
+        // with the INVALID_NODE sentinel.
+        if n64 > u32::MAX as u64 {
+            return Err(GraphError::TooManyNodes {
+                nodes: n64 as usize,
+            });
+        }
+        // Each offset costs 8 bytes and each edge at least 4, so any honest
+        // n/m is bounded by the payload; this also keeps `need` from
+        // overflowing.
+        let payload = have.saturating_sub(HEADER_BYTES as u64);
+        if n64 > payload / 8 || m64 > payload / 4 {
+            return Err(GraphError::Truncated {
+                what: "GFX1 body",
+                need: (HEADER_BYTES as u64)
+                    .saturating_add(n64 * 8)
+                    .saturating_add(m64.saturating_mul(4)),
+                have,
+            });
+        }
+        let need = HEADER_BYTES as u64
+            + (n64 + 1) * 8
+            + m64 * 4
+            + if weighted { m64 * 4 } else { 0 }
+            + if has_holes { n64.div_ceil(8) } else { 0 };
+        if have < need {
+            return Err(GraphError::Truncated {
+                what: "GFX1 body",
+                need,
+                have,
+            });
+        }
+        Ok(Layout {
+            n: n64 as usize,
+            m: m64 as usize,
+            weighted,
+            has_holes,
+        })
+    }
+
+    /// Byte position of the edge array (the offsets sit right behind the
+    /// header).
+    fn edges_at(&self) -> usize {
+        HEADER_BYTES + (self.n + 1) * 8
+    }
+
+    fn weights_at(&self) -> usize {
+        self.edges_at() + self.m * 4
+    }
+
+    fn holes_at(&self) -> usize {
+        self.weights_at() + if self.weighted { self.m * 4 } else { 0 }
+    }
+}
+
 /// Deserializes a graph from `bytes`, validating the structure. Failures
 /// are typed [`crate::error::GraphError`]s wrapped in `io::Error`
 /// (recoverable via [`crate::error::GraphError::from_io`]).
 pub fn from_bytes(mut bytes: Bytes) -> io::Result<Csr> {
-    use crate::error::GraphError;
     let total = bytes.remaining() as u64;
-    if bytes.remaining() < 24 {
-        return Err(GraphError::Truncated {
-            what: "GFX1 header",
-            need: 24,
-            have: total,
-        }
-        .into());
-    }
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(GraphError::BadHeader {
-            what: "magic (not a GFX1 file)",
-        }
-        .into());
-    }
-    let flags = bytes.get_u32_le();
-    if flags & !(FLAG_WEIGHTED | FLAG_HOLES) != 0 {
-        return Err(GraphError::BadHeader {
-            what: "unknown flags",
-        }
-        .into());
-    }
-    let n64 = bytes.get_u64_le();
-    let m64 = bytes.get_u64_le();
-    let weighted = flags & FLAG_WEIGHTED != 0;
-    let has_holes = flags & FLAG_HOLES != 0;
-
-    // Checked conversions: a hostile header can claim counts that would
-    // truncate through `as usize` (32-bit hosts) or overflow the size
-    // arithmetic below. Node slots beyond u32::MAX would also collide with
-    // the INVALID_NODE sentinel.
-    if n64 > u32::MAX as u64 {
-        return Err(GraphError::TooManyNodes {
-            nodes: n64 as usize,
-        }
-        .into());
-    }
-    // Each offset costs 8 bytes and each edge at least 4, so any honest n/m
-    // is bounded by the remaining payload; this also keeps `need` from
-    // overflowing on 32-bit hosts.
-    if n64 > bytes.remaining() as u64 / 8 || m64 > bytes.remaining() as u64 / 4 {
-        return Err(GraphError::Truncated {
-            what: "GFX1 body",
-            need: 24 + n64.saturating_mul(8).saturating_add(m64.saturating_mul(4)),
-            have: total,
-        }
-        .into());
-    }
-    let n = n64 as usize;
-    let m = m64 as usize;
-    let need = (n + 1) * 8
-        + m * 4
-        + if weighted { m * 4 } else { 0 }
-        + if has_holes { n.div_ceil(8) } else { 0 };
-    if bytes.remaining() < need {
-        return Err(GraphError::Truncated {
-            what: "GFX1 body",
-            need: 24 + need as u64,
-            have: total,
-        }
-        .into());
-    }
+    let mut header = [0u8; HEADER_BYTES];
+    let got = HEADER_BYTES.min(bytes.remaining());
+    bytes.copy_to_slice(&mut header[..got]);
+    let layout = Layout::parse(&header[..got], total)?;
+    let (n, m, m64) = (layout.n, layout.m, layout.m as u64);
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..=n {
         let o = bytes.get_u64_le();
@@ -172,7 +212,7 @@ pub fn from_bytes(mut bytes: Bytes) -> io::Result<Csr> {
         }
         edges.push(e);
     }
-    let weights = if weighted {
+    let weights = if layout.weighted {
         let mut w = Vec::with_capacity(m);
         for _ in 0..m {
             w.push(bytes.get_u32_le());
@@ -181,7 +221,7 @@ pub fn from_bytes(mut bytes: Bytes) -> io::Result<Csr> {
     } else {
         Vec::new()
     };
-    let hole_mask = if has_holes {
+    let hole_mask = if layout.has_holes {
         let mut mask = Vec::with_capacity(n);
         let mut byte = 0u8;
         for v in 0..n {
@@ -241,91 +281,36 @@ pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
 /// mapping reference.
 #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
 pub fn open_mapped<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
-    use crate::error::GraphError;
     use crate::storage::{Buf as Storage, MappedRegion};
     use std::sync::Arc;
 
+    // The header is read and the whole layout bounded against the file
+    // length before anything is mapped.
     let file = std::fs::File::open(path)?;
     let have = file.metadata()?.len();
-    if have < 24 {
-        return Err(GraphError::Truncated {
-            what: "GFX1 header",
-            need: 24,
-            have,
-        }
-        .into());
-    }
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    (&file).take(HEADER_BYTES as u64).read_to_end(&mut header)?;
+    let layout = Layout::parse(&header, have)?;
+    let (n, m) = (layout.n, layout.m);
     let region = Arc::new(MappedRegion::map_file(&file)?);
     let bytes = region.bytes();
-    if &bytes[0..4] != MAGIC {
-        return Err(GraphError::BadHeader {
-            what: "magic (not a GFX1 file)",
-        }
-        .into());
-    }
-    let flags = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if flags & !(FLAG_WEIGHTED | FLAG_HOLES) != 0 {
-        return Err(GraphError::BadHeader {
-            what: "unknown flags",
-        }
-        .into());
-    }
-    let n64 = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let m64 = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let weighted = flags & FLAG_WEIGHTED != 0;
-    let has_holes = flags & FLAG_HOLES != 0;
-    if n64 > u32::MAX as u64 {
-        return Err(GraphError::TooManyNodes {
-            nodes: n64 as usize,
-        }
-        .into());
-    }
-    let n = n64 as usize;
-    // Bound m by the payload before sizing anything with it (a hostile
-    // header cannot make `need` overflow: n ≤ 2^32 and m ≤ file/4).
-    if m64 > (have - 24) / 4 {
-        return Err(GraphError::Truncated {
-            what: "GFX1 edge array",
-            need: 24 + m64.saturating_mul(4),
-            have,
-        }
-        .into());
-    }
-    let m = m64 as usize;
-    let need = 24
-        + (n as u64 + 1) * 8
-        + m64 * 4
-        + if weighted { m64 * 4 } else { 0 }
-        + if has_holes { n.div_ceil(8) as u64 } else { 0 };
-    if have < need {
-        return Err(GraphError::Truncated {
-            what: "GFX1 body",
-            need,
-            have,
-        }
-        .into());
-    }
     // Array windows into the mapping. The base is page-aligned, offsets
     // start at byte 24 (8-aligned) and edges/weights at 4-aligned byte
     // positions; `mapped_slice` re-checks both range and alignment.
     let misaligned = |_| GraphError::BadHeader {
         what: "misaligned array window",
     };
-    let offsets_at = 24usize;
-    let edges_at = offsets_at + (n + 1) * 8;
-    let weights_at = edges_at + m * 4;
-    let holes_at = weights_at + if weighted { m * 4 } else { 0 };
     let offsets: Storage<crate::csr::EdgeId> =
-        Storage::mapped_slice(&region, offsets_at, n + 1).map_err(misaligned)?;
+        Storage::mapped_slice(&region, HEADER_BYTES, n + 1).map_err(misaligned)?;
     let edges: Storage<crate::csr::NodeId> =
-        Storage::mapped_slice(&region, edges_at, m).map_err(misaligned)?;
-    let weights: Storage<u32> = if weighted {
-        Storage::mapped_slice(&region, weights_at, m).map_err(misaligned)?
+        Storage::mapped_slice(&region, layout.edges_at(), m).map_err(misaligned)?;
+    let weights: Storage<u32> = if layout.weighted {
+        Storage::mapped_slice(&region, layout.weights_at(), m).map_err(misaligned)?
     } else {
         Vec::new().into()
     };
-    let hole_mask = if has_holes {
-        let packed = &bytes[holes_at..holes_at + n.div_ceil(8)];
+    let hole_mask = if layout.has_holes {
+        let packed = &bytes[layout.holes_at()..][..n.div_ceil(8)];
         (0..n)
             .map(|v| packed[v / 8] & (1 << (v % 8)) != 0)
             .collect()
@@ -462,7 +447,6 @@ mod tests {
 
     #[test]
     fn open_mapped_rejects_truncation_with_typed_error() {
-        use crate::error::GraphError;
         let data = to_bytes(&GraphSpec::new(GraphKind::Random, 50, 2).generate());
         for cut in [0usize, 3, 20, data.len() / 2, data.len() - 1] {
             let path = temp_file(&format!("truncated-{cut}.gfx"), &data[..cut]);
@@ -478,9 +462,59 @@ mod tests {
         }
     }
 
+    /// Both loaders read the header through `Layout::parse`, so the same
+    /// damaged image is the same typed error from either.
+    #[test]
+    fn both_loaders_reject_a_damaged_header_with_the_same_error() {
+        let base = to_bytes(&GraphSpec::new(GraphKind::Random, 50, 2).generate()).to_vec();
+        let with_field = |at: usize, value: &[u8]| {
+            let mut data = base.clone();
+            data[at..at + value.len()].copy_from_slice(value);
+            data
+        };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty", Vec::new()),
+            ("cut inside the header", base[..20].to_vec()),
+            ("header only", base[..24].to_vec()),
+            ("cut inside the offsets", base[..100].to_vec()),
+            (
+                "cut inside the edges",
+                base[..base.len() / 2 + 200].to_vec(),
+            ),
+            ("last byte missing", base[..base.len() - 1].to_vec()),
+            ("bad magic", with_field(0, b"GFX2")),
+            ("unknown flag", with_field(4, &4u32.to_le_bytes())),
+            (
+                "hole flag without a mask",
+                with_field(4, &3u32.to_le_bytes()),
+            ),
+            ("n past u32", with_field(8, &(1u64 << 32).to_le_bytes())),
+            ("n inflated", with_field(8, &5_000u64.to_le_bytes())),
+            ("n one too many", with_field(8, &51u64.to_le_bytes())),
+            ("m inflated", with_field(16, &1_000_000u64.to_le_bytes())),
+            ("m overflowing", with_field(16, &u64::MAX.to_le_bytes())),
+        ];
+        for (i, (what, data)) in cases.iter().enumerate() {
+            let copied = from_bytes(Bytes::from(data.clone())).expect_err(what);
+            let path = temp_file(&format!("damaged-header-{i}.gfx"), data);
+            let mapped = open_mapped(&path).expect_err(what);
+            std::fs::remove_file(&path).ok();
+            let copied = GraphError::from_io(&copied).expect("typed error");
+            assert_eq!(Some(copied), GraphError::from_io(&mapped), "{what}");
+            assert!(
+                matches!(
+                    copied,
+                    GraphError::Truncated { .. }
+                        | GraphError::BadHeader { .. }
+                        | GraphError::TooManyNodes { .. }
+                ),
+                "{what}: {copied}"
+            );
+        }
+    }
+
     #[test]
     fn open_mapped_rejects_bit_flips_with_typed_error() {
-        use crate::error::GraphError;
         let g = {
             let mut b = GraphBuilder::new(3);
             b.add_edge(0, 2);

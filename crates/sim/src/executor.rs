@@ -16,7 +16,7 @@
 //!    which are independent of which thread ran which warp.
 
 use crate::config::GpuConfig;
-use crate::lane::Lane;
+use crate::lane::{Lane, Residency};
 use crate::stats::KernelStats;
 use crate::warp::{replay_lanes, ReplayScratch};
 use graffix_graph::{NodeId, INVALID_NODE};
@@ -55,24 +55,19 @@ where
         cfg,
         &[Block {
             assignment: step.assignment,
-            resident: step.resident,
-            span: None,
+            residency: step.resident.map_or(Residency::Global, Residency::Tile),
         }],
         kernel,
     )
 }
 
 /// One thread block of a block-structured launch: its vertex assignment
-/// and its shared-memory residency mask (e.g. one Graffix tile).
+/// and what the block keeps resident while it runs (a Graffix tile in
+/// shared memory, a segment's window in L2, or nothing).
 #[derive(Clone, Copy, Debug)]
 pub struct Block<'a> {
     pub assignment: &'a [NodeId],
-    pub resident: Option<&'a [bool]>,
-    /// L2 residency window `[lo, hi)` over attribute indices, set by
-    /// segment-major blocks (DESIGN.md §12). Mutually exclusive with
-    /// `resident` in practice: tile blocks carry a mask, segment blocks a
-    /// span; when both are set the mask wins (see [`Lane`]).
-    pub span: Option<(u64, u64)>,
+    pub residency: Residency<'a>,
 }
 
 /// Per-chunk partial result of the parallel warp sweep.
@@ -94,14 +89,13 @@ where
     F: Fn(NodeId, &mut Lane) -> bool + Sync,
 {
     // Flatten the launch into per-warp work items (warp slice + its
-    // block's residency mask + L2 span).
-    type WarpItem<'w> = (&'w [NodeId], Option<&'w [bool]>, Option<(u64, u64)>);
-    let warps: Vec<WarpItem<'_>> = blocks
+    // block's residency).
+    let warps: Vec<(&[NodeId], Residency<'_>)> = blocks
         .iter()
         .flat_map(|b| {
             b.assignment
                 .chunks(cfg.warp_size)
-                .map(move |w| (w, b.resident, b.span))
+                .map(move |w| (w, b.residency))
         })
         .collect();
 
@@ -117,12 +111,11 @@ where
             };
             let mut lanes: Vec<Lane<'_>> = (0..cfg.warp_size).map(|_| Lane::new()).collect();
             let mut scratch = ReplayScratch::default();
-            for &(warp_nodes, resident, span) in ws {
+            for &(warp_nodes, residency) in ws {
                 let lanes = &mut lanes[..warp_nodes.len()];
                 for (lane, &v) in lanes.iter_mut().zip(warp_nodes) {
                     lane.reset();
-                    lane.set_resident_mask(resident);
-                    lane.set_resident_span(span);
+                    lane.set_residency(residency);
                     if v != INVALID_NODE {
                         out.changed |= kernel(v, lane);
                     }
@@ -158,37 +151,10 @@ where
     outcome
 }
 
-/// Runs supersteps until no lane reports a change (or `max_iters` is hit),
-/// re-invoking `kernel` with the iteration number. Returns accumulated
-/// stats and the number of iterations executed. This is the fixpoint shape
-/// shared by all topology-driven algorithms in the paper's Baseline-I.
-pub fn run_to_fixpoint<F>(
-    cfg: &GpuConfig,
-    step: Superstep<'_>,
-    max_iters: usize,
-    kernel: F,
-) -> (KernelStats, usize)
-where
-    F: Fn(usize, NodeId, &mut Lane) -> bool + Sync,
-{
-    let mut total = KernelStats::default();
-    let mut iters = 0;
-    for iter in 0..max_iters {
-        let outcome = run_superstep(cfg, step, |v, lane| kernel(iter, v, lane));
-        total += outcome.stats;
-        iters = iter + 1;
-        if !outcome.changed {
-            break;
-        }
-    }
-    (total, iters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::ArrayId;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tiny() -> GpuConfig {
         GpuConfig::test_tiny()
@@ -270,45 +236,6 @@ mod tests {
             |_, _| false,
         );
         assert!(!out2.changed);
-    }
-
-    #[test]
-    fn fixpoint_stops_when_stable() {
-        let cfg = tiny();
-        let assignment = vec![0];
-        let countdown = AtomicUsize::new(3);
-        let (stats, iters) = run_to_fixpoint(
-            &cfg,
-            Superstep {
-                assignment: &assignment,
-                resident: None,
-            },
-            100,
-            |_, _, lane| {
-                lane.compute(1);
-                countdown
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| c.checked_sub(1))
-                    .is_ok()
-            },
-        );
-        assert_eq!(iters, 4); // 3 changing iterations + 1 stable
-        assert_eq!(stats.launches, 4);
-    }
-
-    #[test]
-    fn fixpoint_respects_max_iters() {
-        let cfg = tiny();
-        let assignment = vec![0];
-        let (_, iters) = run_to_fixpoint(
-            &cfg,
-            Superstep {
-                assignment: &assignment,
-                resident: None,
-            },
-            5,
-            |_, _, _| true,
-        );
-        assert_eq!(iters, 5);
     }
 
     #[test]

@@ -3,6 +3,27 @@
 use crate::event::{AccessKind, ArrayId, MemEvent, Space};
 use graffix_graph::NodeId;
 
+/// What a thread block keeps close to its lanes — the one thing that
+/// distinguishes the block shapes of a launch.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Residency<'a> {
+    /// Nothing staged: every access goes to global memory.
+    #[default]
+    Global,
+    /// A shared-memory tile block (paper §3): the whole tile subgraph — its
+    /// CSR slice and its nodes' attributes — is staged in shared memory, so
+    /// every access is shared *except* attribute accesses whose index the
+    /// mask does not mark resident (edges leaving the tile), which still go
+    /// to global memory. (See EXPERIMENTS.md for how this staging model
+    /// relates to the paper's Figure 8 shape.)
+    Tile(&'a [bool]),
+    /// A segment-major block (DESIGN.md §12): the segment's attribute
+    /// window `[lo, hi)` and its CSR slice are L2-resident; attribute
+    /// accesses escaping the window (cross-segment destinations) pay full
+    /// DRAM latency.
+    Segment { lo: u64, hi: u64 },
+}
+
 /// Records the memory/compute trace of one SIMT lane while the vertex
 /// program executes functionally. The kernel performs its *real* reads and
 /// writes on host data structures and mirrors each of them through the lane
@@ -10,17 +31,9 @@ use graffix_graph::NodeId;
 #[derive(Debug, Default)]
 pub struct Lane<'m> {
     trace: Vec<MemEvent>,
-    /// Residency predicate installed by the shared-memory scheduler: node-
-    /// attribute accesses whose index is resident are recorded as
-    /// [`Space::Shared`]. Borrowed from the launch's block, which outlives
-    /// the executor's lanes.
-    resident: Option<&'m [bool]>,
-    /// L2 residency window installed by segment-major execution: with no
-    /// shared-memory mask, node-attribute accesses inside `[lo, hi)` (and
-    /// all CSR-slice accesses, which segment execution streams through L2)
-    /// are recorded as [`Space::L2`]. A shared-memory mask takes precedence
-    /// — tile blocks keep their mask and never carry a span.
-    resident_span: Option<(u64, u64)>,
+    /// Residency of the block this lane runs in; borrowed from the launch's
+    /// block, which outlives the executor's lanes.
+    residency: Residency<'m>,
     /// Vertices this lane asked to enqueue for the next frontier. Collected
     /// by the executor in lane order so frontier construction stays
     /// deterministic under parallel warp execution.
@@ -32,48 +45,22 @@ impl<'m> Lane<'m> {
         Lane::default()
     }
 
-    pub(crate) fn set_resident_mask(&mut self, mask: Option<&'m [bool]>) {
-        self.resident = mask;
-    }
-
-    pub(crate) fn set_resident_span(&mut self, span: Option<(u64, u64)>) {
-        self.resident_span = span;
+    pub(crate) fn set_residency(&mut self, residency: Residency<'m>) {
+        self.residency = residency;
     }
 
     #[inline]
     fn space_for(&self, array: ArrayId, index: u64) -> Space {
-        // Inside a tile block (paper §3) the whole tile subgraph — its CSR
-        // slice and its nodes' attributes — is staged in shared memory, so
-        // every access is shared *except* attribute accesses that escape
-        // the tile (edges to non-resident nodes), which still go to global
-        // memory. Outside tile blocks everything is global. (See
-        // EXPERIMENTS.md for how this staging model relates to the paper's
-        // Figure 8 shape.)
-        let Some(mask) = self.resident else {
-            // Segment-major blocks (DESIGN.md §12): the active segment's
-            // attribute window and its CSR slice are L2-resident; attribute
-            // accesses escaping the window (cross-segment destinations) pay
-            // full DRAM latency.
-            if let Some((lo, hi)) = self.resident_span {
-                if matches!(array, ArrayId::NODE_ATTR | ArrayId::NODE_ATTR_AUX) {
-                    return if index >= lo && index < hi {
-                        Space::L2
-                    } else {
-                        Space::Global
-                    };
-                }
-                return Space::L2;
-            }
-            return Space::Global;
-        };
-        if matches!(array, ArrayId::NODE_ATTR | ArrayId::NODE_ATTR_AUX) {
-            if (index as usize) < mask.len() && mask[index as usize] {
-                Space::Shared
-            } else {
-                Space::Global
-            }
-        } else {
-            Space::Shared
+        let attr = matches!(array, ArrayId::NODE_ATTR | ArrayId::NODE_ATTR_AUX);
+        match self.residency {
+            Residency::Global => Space::Global,
+            Residency::Tile(mask) if attr => match mask.get(index as usize) {
+                Some(true) => Space::Shared,
+                _ => Space::Global,
+            },
+            Residency::Tile(_) => Space::Shared,
+            Residency::Segment { lo, hi } if attr && !(lo..hi).contains(&index) => Space::Global,
+            Residency::Segment { .. } => Space::L2,
         }
     }
 
@@ -145,8 +132,7 @@ impl<'m> Lane<'m> {
 
     pub(crate) fn reset(&mut self) {
         self.trace.clear();
-        self.resident = None;
-        self.resident_span = None;
+        self.residency = Residency::Global;
         self.activations.clear();
     }
 }
@@ -173,7 +159,7 @@ mod tests {
     fn residency_switches_space() {
         let mask = vec![false, true];
         let mut lane = Lane::new();
-        lane.set_resident_mask(Some(&mask));
+        lane.set_residency(Residency::Tile(&mask));
         // Non-resident node attribute escapes to global memory.
         lane.read(ArrayId::NODE_ATTR, 0);
         // Resident node attribute is shared.
@@ -189,7 +175,7 @@ mod tests {
     fn reset_clears_everything() {
         let mask = vec![true];
         let mut lane = Lane::new();
-        lane.set_resident_mask(Some(&mask));
+        lane.set_residency(Residency::Tile(&mask));
         lane.read(ArrayId::NODE_ATTR, 0);
         lane.reset();
         assert!(lane.is_empty());
@@ -201,7 +187,7 @@ mod tests {
     fn out_of_mask_indices_stay_global() {
         let mask = vec![true];
         let mut lane = Lane::new();
-        lane.set_resident_mask(Some(&mask));
+        lane.set_residency(Residency::Tile(&mask));
         lane.read(ArrayId::NODE_ATTR, 5);
         assert_eq!(lane.trace()[0].space, Space::Global);
     }
@@ -209,7 +195,7 @@ mod tests {
     #[test]
     fn resident_span_marks_l2() {
         let mut lane = Lane::new();
-        lane.set_resident_span(Some((4, 8)));
+        lane.set_residency(Residency::Segment { lo: 4, hi: 8 });
         // In-window attribute access hits L2.
         lane.read(ArrayId::NODE_ATTR, 5);
         // Out-of-window attribute access (cross-segment destination)
@@ -223,21 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn mask_takes_precedence_over_span() {
-        let mask = vec![false, true];
-        let mut lane = Lane::new();
-        lane.set_resident_mask(Some(&mask));
-        lane.set_resident_span(Some((0, 2)));
-        lane.read(ArrayId::NODE_ATTR, 1);
-        lane.read(ArrayId::NODE_ATTR, 0);
-        assert_eq!(lane.trace()[0].space, Space::Shared);
-        assert_eq!(lane.trace()[1].space, Space::Global);
-    }
-
-    #[test]
     fn reset_clears_span() {
         let mut lane = Lane::new();
-        lane.set_resident_span(Some((0, 4)));
+        lane.set_residency(Residency::Segment { lo: 0, hi: 4 });
         lane.read(ArrayId::NODE_ATTR, 1);
         assert_eq!(lane.trace()[0].space, Space::L2);
         lane.reset();

@@ -47,11 +47,9 @@ pub use attrs::{
 };
 pub use config::GpuConfig;
 pub use event::{AccessKind, ArrayId, MemEvent, Space};
-pub use executor::{
-    run_blocks, run_superstep, run_to_fixpoint, Block, Superstep, SuperstepOutcome,
-};
+pub use executor::{run_blocks, run_superstep, Block, Superstep, SuperstepOutcome};
 pub use json::Json;
-pub use lane::Lane;
+pub use lane::{Lane, Residency};
 pub use profile::CostBreakdown;
 pub use report::{
     AccuracyReport, AttributionEntry, GraphMeta, ProvenanceReport, RunReport, StageProvenance,
@@ -67,11 +65,9 @@ pub mod prelude {
     };
     pub use crate::config::GpuConfig;
     pub use crate::event::{AccessKind, ArrayId, Space};
-    pub use crate::executor::{
-        run_blocks, run_superstep, run_to_fixpoint, Block, Superstep, SuperstepOutcome,
-    };
+    pub use crate::executor::{run_blocks, run_superstep, Block, Superstep, SuperstepOutcome};
     pub use crate::json::Json;
-    pub use crate::lane::Lane;
+    pub use crate::lane::{Lane, Residency};
     pub use crate::profile::CostBreakdown;
     pub use crate::report::{
         AccuracyReport, AttributionEntry, GraphMeta, ProvenanceReport, RunReport, StageProvenance,

@@ -165,6 +165,48 @@ fn direction_modes_deterministic_and_bit_identical_to_push() {
     }
 }
 
+/// Residual-driven PageRank on a frontier baseline activates a node when a
+/// lane's atomic add carries its residual over the threshold; several lanes
+/// can see the crossing in one superstep, and how many do depends on how
+/// their adds interleave. The trace must therefore record nothing that
+/// counts activations before deduplication: the report of `profile --algo
+/// pr --technique combined --baseline gunrock --direction auto` is
+/// byte-identical at any thread count.
+#[test]
+fn residual_pagerank_report_byte_identical_at_any_thread_count() {
+    let g = GraphSpec::new(GraphKind::Rmat, 4_096, 7).generate();
+    let gpu = GpuConfig::k40c();
+    let prepared = auto_tune(&g, 7)
+        .pipeline(Technique::Combined, None)
+        .apply(&g, &gpu);
+    let reports: Vec<String> = THREAD_COUNTS
+        .iter()
+        .map(|&n| {
+            with_threads(n, || {
+                traced_run_directed(
+                    "profile",
+                    Algo::Pr,
+                    &g,
+                    &prepared,
+                    Baseline::Gunrock,
+                    &gpu,
+                    2,
+                    Direction::Auto,
+                )
+                .report
+                .to_pretty_string()
+            })
+        })
+        .collect();
+    for (i, r) in reports.iter().enumerate().skip(1) {
+        assert!(
+            r == &reports[0],
+            "report bytes differ at {} threads",
+            THREAD_COUNTS[i]
+        );
+    }
+}
+
 /// The perf claim the bench gate locks in, pinned at test scale: on a
 /// dense-frontier power-law graph, auto direction selection strictly beats
 /// always-push in simulated cycles while producing bit-identical ranks.

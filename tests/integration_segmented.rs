@@ -83,7 +83,7 @@ fn bfs_sssp_pr_byte_identical_flat_vs_segmented() {
 
 /// The full matrix: algorithms × thread counts × budgets. Within one
 /// budget, values and *stats* must be identical at every thread count
-/// (segment routing buffers merge in deterministic chunk order); across
+/// (routing is a pure function of the assignment); across
 /// budgets, values must match the flat reference bit for bit.
 #[test]
 fn segmented_matrix_deterministic_across_threads_and_budgets() {
@@ -159,4 +159,139 @@ fn frontier_skipping_does_not_change_results() {
         "a road BFS wavefront should leave some segments inactive"
     );
     assert_eq!(bits(&seg_run.values), bits(&flat_run.values));
+}
+
+/// Segment budget of the launch matrix: small enough that every test graph
+/// splits into several segments, so routing, skipping and L2 spans all run.
+const MATRIX_BUDGET: usize = 8 * 1024;
+
+/// The two graphs of the launch matrix.
+fn matrix_graphs() -> [(&'static str, Csr); 2] {
+    [
+        ("rmat", GraphSpec::new(GraphKind::Rmat, 1_200, 5).generate()),
+        (
+            "road",
+            GraphSpec::new(GraphKind::Road, 1_600, 13).generate(),
+        ),
+    ]
+}
+
+fn with_matrix_segments(plan: &Plan) -> Plan {
+    let segs = Segmentation::build(&plan.graph, MATRIX_BUDGET);
+    assert!(segs.len() > 2, "matrix budget should split the graph");
+    plan.clone().with_segments(Arc::new(segs))
+}
+
+fn ascending(nodes: &[NodeId]) -> bool {
+    nodes.windows(2).all(|w| w[0] <= w[1])
+}
+
+/// One golden row: the cell id, the iteration count, an FNV-1a digest of
+/// the value bits and every `KernelStats` field by name.
+fn golden_row(id: &str, run: &SimRun) -> String {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for byte in run.values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    let mut row = format!("{id} iterations={} values={digest:016x}", run.iterations);
+    for (name, value) in run.stats.field_pairs() {
+        row.push_str(&format!(" {name}={value}"));
+    }
+    row
+}
+
+/// Every simulated number of every launch shape, against rows recorded
+/// from the code *before* the runner's launch paths were merged into one
+/// seam (`tests/golden/launch_matrix.txt`; not regenerated since, apart
+/// from the cells CHANGES.md lists as deliberately moved). The matrix is
+/// {exact, coalescing, latency, combined} × {lonestar, tigr, gunrock} ×
+/// {push, auto} × {flat, segmented where the plan has identity attributes}
+/// × {bfs, sssp, pr}, plus mst and bc on lonestar — flat, sorted-segmented,
+/// unsorted-segmented (hole-bearing assignments), tiled and
+/// tiled+segmented launches, pull supersteps, tile rounds and the frontier
+/// filter all price into these rows. Every segmented cell must also agree
+/// bit for bit with its flat cell, which no other test checks for the
+/// bucketed and the tiled routing. On a mismatch the rows this build
+/// produces are left in `launch_matrix.actual.txt` under the test tmpdir.
+#[test]
+fn launch_matrix_equals_the_recorded_rows() {
+    let gpu = GpuConfig::k40c();
+    let mut rows: Vec<String> = Vec::new();
+    // Shapes the matrix must reach for the pin to mean anything.
+    let (mut unsorted_routed, mut tiled_routed) = (false, false);
+    for (graph_name, g) in matrix_graphs() {
+        let tuned = auto_tune(&g, 7);
+        for technique in [
+            Technique::Exact,
+            Technique::Coalescing,
+            Technique::Latency,
+            Technique::Combined,
+        ] {
+            let prepared = tuned.pipeline(technique, None).apply(&g, &gpu);
+            for baseline in ALL_BASELINES {
+                for direction in [Direction::Push, Direction::Auto] {
+                    let flat = baseline.plan(&prepared, &gpu).with_direction(direction);
+                    let mut plans = vec![("flat", flat.clone())];
+                    if flat.identity_attrs() {
+                        plans.push(("seg", with_matrix_segments(&flat)));
+                        unsorted_routed |= !ascending(&flat.assignment);
+                        tiled_routed |= !flat.tiles.is_empty();
+                    }
+                    let mut algos = vec![Algo::Bfs, Algo::Sssp, Algo::Pr];
+                    if baseline == Baseline::Lonestar && direction == Direction::Push {
+                        algos.extend([Algo::Mst, Algo::Bc]);
+                    }
+                    let mut flat_runs: Vec<SimRun> = Vec::new();
+                    for (shape, plan) in &plans {
+                        for (i, &algo) in algos.iter().enumerate() {
+                            let id = format!(
+                                "{graph_name}/{}/{}/{}/{shape}/{}",
+                                technique.key(),
+                                baseline.key(),
+                                direction.key(),
+                                algo.name()
+                            );
+                            let (run, _) = algo.run(plan, &g, None, 2);
+                            rows.push(golden_row(&id, &run));
+                            if *shape == "flat" {
+                                flat_runs.push(run);
+                                continue;
+                            }
+                            // Routing only moves prices: bucketed (hole-
+                            // bearing) and tiled launches included.
+                            let flat = &flat_runs[i];
+                            assert_eq!(bits(&run.values), bits(&flat.values), "{id}");
+                            assert_eq!(run.iterations, flat.iterations, "{id}");
+                            assert!(run.stats.segments_processed > 0, "{id}");
+                            assert_eq!(flat.stats.segments_processed, 0, "{id}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(unsorted_routed, "no hole-bearing assignment was segmented");
+    assert!(tiled_routed, "no tiled plan was segmented");
+
+    let actual = rows.join("\n") + "\n";
+    let golden = include_str!("golden/launch_matrix.txt");
+    if actual != golden {
+        let out =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("launch_matrix.actual.txt");
+        std::fs::write(&out, &actual).expect("write actual rows");
+        let moved: Vec<&str> = rows
+            .iter()
+            .zip(golden.lines())
+            .filter(|(a, g)| a != g)
+            .map(|(a, _)| a.split(' ').next().unwrap())
+            .collect();
+        panic!(
+            "{} of {} rows differ from the golden ({} recorded); first: {:?}; actual rows in {}",
+            moved.len(),
+            rows.len(),
+            golden.lines().count(),
+            &moved[..moved.len().min(8)],
+            out.display()
+        );
+    }
 }
