@@ -194,7 +194,7 @@ impl AlgoOutcome {
 mod tests {
     use super::*;
     use crate::Strategy;
-    use graffix_core::{coalesce, CoalesceKnobs};
+    use graffix_core::{CoalesceKnobs, Pipeline};
     use graffix_graph::generators::{GraphKind, GraphSpec};
     use graffix_sim::GpuConfig;
 
@@ -284,7 +284,9 @@ mod tests {
         let g = GraphSpec::new(GraphKind::SocialLiveJournal, 400, 17).generate();
         let cfg = GpuConfig::k40c();
         let exact_plan = Plan::exact(&g, &cfg, Strategy::Frontier);
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &cfg);
         let coalesced_plan = Plan::from_prepared(&prepared, &cfg, Strategy::Topology);
         let default = sssp::default_source(&g);
         for plan in [&exact_plan, &coalesced_plan] {

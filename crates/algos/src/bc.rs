@@ -352,10 +352,12 @@ mod tests {
 
     #[test]
     fn transformed_graph_bounded_error() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 300, 11).generate();
         let sources = sample_sources(&g, 4);
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &GpuConfig::k40c());
         let plan = Plan::from_prepared(&prepared, &GpuConfig::test_tiny(), Strategy::Topology);
         let run = run_sim(&plan, &sources);
         let exact = exact_cpu(&g, &sources);

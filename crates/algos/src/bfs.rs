@@ -181,14 +181,12 @@ mod tests {
 
     #[test]
     fn shortcut_edges_shrink_hop_counts() {
-        use graffix_core::{latency, LatencyKnobs};
+        use graffix_core::{LatencyKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::SocialLiveJournal, 600, 7).generate();
         let gpu = GpuConfig::k40c();
-        let prepared = latency::transform(
-            &g,
-            &LatencyKnobs::for_kind(GraphKind::SocialLiveJournal),
-            &gpu,
-        );
+        let prepared = Pipeline::default()
+            .with_latency(LatencyKnobs::for_kind(GraphKind::SocialLiveJournal))
+            .apply(&g, &gpu);
         let src = crate::sssp::default_source(&g);
         let plan = Plan::from_prepared(&prepared, &gpu, Strategy::Topology);
         let run = run_sim(&plan, src);

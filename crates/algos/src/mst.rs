@@ -307,10 +307,12 @@ mod tests {
 
     #[test]
     fn transformed_weight_close_to_exact() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 300, 9).generate();
         let (exact_w, _) = exact_cpu(&g);
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &GpuConfig::k40c());
         let plan = Plan::from_prepared(&prepared, &GpuConfig::test_tiny(), Strategy::Topology);
         let result = run_sim(&plan);
         let err = inaccuracy(&result, exact_w);

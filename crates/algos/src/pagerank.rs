@@ -505,9 +505,11 @@ mod tests {
 
     #[test]
     fn transformed_graph_terminates_with_bounded_error() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 400, 6).generate();
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &GpuConfig::k40c());
         let plan = Plan::from_prepared(&prepared, &GpuConfig::test_tiny(), Strategy::Topology);
         let run = run_sim(&plan);
         let exact = exact_cpu(&g);

@@ -379,10 +379,12 @@ mod tests {
 
     #[test]
     fn transformed_count_close() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 300, 4).generate();
         let exact = exact_cpu_count(&g) as f64;
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &GpuConfig::k40c());
         let plan = Plan::from_prepared(&prepared, &GpuConfig::test_tiny(), Strategy::Topology);
         let result = run_sim(&plan);
         let err = crate::accuracy::scalar_inaccuracy(result.components as f64, exact);

@@ -392,10 +392,12 @@ mod tests {
 
     #[test]
     fn transformed_plan_terminates_and_is_close() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 400, 7).generate();
         let src = default_source(&g);
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &GpuConfig::k40c());
         let plan = Plan::from_prepared(&prepared, &GpuConfig::test_tiny(), Strategy::Topology);
         let run = run_sim(&plan, src);
         let exact = exact_cpu(&g, src);

@@ -192,11 +192,13 @@ mod tests {
     fn transformed_graph_components_never_increase() {
         // Transforms only add edges or replicas, so weak components can
         // only merge.
-        use graffix_core::{divergence, DivergenceKnobs};
+        use graffix_core::{DivergenceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 300, 8).generate();
         let cfg = GpuConfig::test_tiny();
         let exact = exact_cpu_count(&g);
-        let prepared = divergence::transform(&g, &DivergenceKnobs::default(), cfg.warp_size);
+        let prepared = Pipeline::default()
+            .with_divergence(DivergenceKnobs::default())
+            .apply(&g, &cfg);
         let r = run_sim(&Plan::from_prepared(&prepared, &cfg, Strategy::Topology));
         assert!(r.components <= exact, "{} > {}", r.components, exact);
     }

@@ -3,7 +3,7 @@
 //! injected, and respect algorithmic invariants when it is.
 
 use graffix_algos::{bc, mst, pagerank, scc, sssp, Plan, Strategy as ExecStrategy};
-use graffix_core::{coalesce, CoalesceKnobs, Prepared};
+use graffix_core::{CoalesceKnobs, Pipeline, Prepared};
 use graffix_graph::{Csr, GraphBuilder};
 use graffix_sim::GpuConfig;
 use proptest::prelude::*;
@@ -131,7 +131,7 @@ proptest! {
         let g = build(n, &edges);
         let cfg = GpuConfig::test_tiny();
         let knobs = CoalesceKnobs { chunk_size: 4, threshold: thr, max_replicas_per_node: 2 };
-        let prepared = coalesce::transform(&g, &knobs);
+        let prepared = Pipeline::default().with_coalesce(knobs).apply(&g, &GpuConfig::k40c());
         let src = sssp::default_source(&g);
         let run = sssp::run_sim(&Plan::from_prepared(&prepared, &cfg, ExecStrategy::Topology), src);
         let reference = sssp::exact_cpu(&g, src);

@@ -30,9 +30,11 @@ mod tests {
 
     #[test]
     fn preserves_transform_artifacts() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::Rmat, 300, 2).generate();
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default());
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &GpuConfig::k40c());
         let p = plan(&prepared, &GpuConfig::k40c());
         assert_eq!(p.replica_groups.len(), prepared.replica_groups.len());
         assert_eq!(p.assignment, prepared.assignment);

@@ -195,9 +195,11 @@ mod tests {
 
     #[test]
     fn split_of_transformed_graph_keeps_replica_groups() {
-        use graffix_core::{coalesce, CoalesceKnobs};
+        use graffix_core::{CoalesceKnobs, Pipeline};
         let g = GraphSpec::new(GraphKind::SocialTwitter, 300, 4).generate();
-        let prepared = coalesce::transform(&g, &CoalesceKnobs::default().with_threshold(0.3));
+        let prepared = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default().with_threshold(0.3))
+            .apply(&g, &GpuConfig::k40c());
         let p = plan(&prepared, &GpuConfig::k40c(), 8);
         p.validate().unwrap();
         assert_eq!(p.replica_groups.len(), prepared.replica_groups.len());

@@ -196,8 +196,9 @@ pub fn measure_preprocess(suite: &Suite, repeats: usize) -> Vec<PreprocessMeasur
             let mut secs = Vec::with_capacity(repeats);
             for _ in 0..repeats {
                 secs.push(
-                    suite
-                        .prepare_uncached(gi, technique)
+                    Suite::pipeline_for(suite.kind(gi), technique)
+                        .try_apply(suite.graph(gi), &suite.cfg)
+                        .expect("paper-guideline knobs are always valid")
                         .report
                         .preprocess_seconds,
                 );

@@ -169,21 +169,20 @@ pub struct SweepPoint {
 /// threshold range the paper's figure spans.
 pub fn figure_sweep(suite: &Suite, figure: usize) -> (TextTable, Vec<SweepPoint>) {
     let gi = 0; // rmat
-    type Maker<'a> = Box<dyn Fn(f64) -> graffix_core::Prepared + 'a>;
-    let (name, maker, thresholds): (&str, Maker<'_>, Vec<f64>) = match figure {
+    let (name, technique, thresholds): (&str, Technique, Vec<f64>) = match figure {
         7 => (
             "Figure 7: connectedness threshold (node replication)",
-            Box::new(|thr| suite.prepared_coalescing_with(gi, thr)),
+            Technique::Coalescing,
             (1..=9).map(|i| i as f64 / 10.0).collect(),
         ),
         8 => (
             "Figure 8: clustering-coefficient threshold",
-            Box::new(|thr| suite.prepared_latency_with(gi, thr)),
+            Technique::Latency,
             vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95],
         ),
         9 => (
             "Figure 9: degreeSim threshold (degree normalization)",
-            Box::new(|thr| suite.prepared_divergence_with(gi, thr)),
+            Technique::Divergence,
             vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
         ),
         _ => panic!("figures are 7, 8, 9"),
@@ -192,7 +191,7 @@ pub fn figure_sweep(suite: &Suite, figure: usize) -> (TextTable, Vec<SweepPoint>
     let exact = suite.prepared(gi, Technique::Exact);
     let mut points = Vec::new();
     for thr in thresholds {
-        let approx = maker(thr);
+        let approx = suite.prepared_with(gi, technique, thr);
         let mut speeds = Vec::new();
         let mut errs = Vec::new();
         for algo in CORE_ALGOS {

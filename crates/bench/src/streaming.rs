@@ -16,11 +16,11 @@
 
 use crate::gate::{Cell, GateReport};
 use graffix_core::{
-    IncrementalPrepare, Pipeline, PrepareMode, Prepared, StageRecord, StageStatus, StreamKnobs,
+    IncrementalPrepare, Pipeline, PrepareMode, StageRecord, StageStatus, StreamKnobs,
 };
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::mutation::EdgeBatch;
-use graffix_graph::{serialize, Csr, NodeId};
+use graffix_graph::{Csr, NodeId};
 use graffix_sim::GpuConfig;
 use std::time::Instant;
 
@@ -114,17 +114,6 @@ fn churn_batch(g: &Csr, rng: &mut Rng, arcs: usize) -> EdgeBatch {
     batch
 }
 
-/// Semantic equality of two prepared outputs (wall timings excluded).
-fn same_prepared(a: &Prepared, b: &Prepared) -> bool {
-    serialize::to_bytes(&a.graph).as_ref() == serialize::to_bytes(&b.graph).as_ref()
-        && a.assignment == b.assignment
-        && a.to_original == b.to_original
-        && a.primary == b.primary
-        && a.replica_groups == b.replica_groups
-        && a.tiles == b.tiles
-        && a.technique == b.technique
-}
-
 /// True when a stale batch's records show the seeded `head` stage served
 /// `Stale` and nothing recomputed.
 fn all_reused(stages: &[StageRecord], head: &str) -> bool {
@@ -173,7 +162,7 @@ pub fn measure_streaming() -> Vec<StreamCell> {
         let cold = pipeline
             .try_apply(inc.graph(), &gpu)
             .expect("bench cold oracle");
-        same_prepared(inc.prepared(), &cold)
+        inc.prepared().first_difference(&cold).is_none()
     };
 
     // Reuse: replay the script in the stale regime, reading each batch's

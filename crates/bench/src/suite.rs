@@ -1,8 +1,8 @@
 //! The input suite and transform cache shared by all experiments.
 
 use graffix_core::{
-    coalesce, divergence, latency, prepare_with_cache, CacheConfig, CoalesceKnobs, DivergenceKnobs,
-    LatencyKnobs, Pipeline, Prepared, QueryCtx, Technique,
+    prepare_with_cache, CacheConfig, CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Pipeline,
+    Prepared, QueryCtx, Technique,
 };
 use graffix_graph::generators::{paper_suite, GraphKind};
 use graffix_graph::Csr;
@@ -66,9 +66,9 @@ pub struct Suite {
     pub cache: CacheConfig,
     pub graphs: Vec<(GraphKind, Csr)>,
     prepared: RefCell<HashMap<(usize, Technique), Rc<Prepared>>>,
-    /// In-memory memoized stage queries shared by the knob-sweep helpers
-    /// (`prepared_*_with`): a sweep over one knob re-prepares only the
-    /// stages downstream of it, the rest hit this context.
+    /// In-memory memoized stage queries shared by the knob sweeps
+    /// ([`Suite::prepared_with`]): a sweep over one knob re-prepares only
+    /// the stages downstream of it, the rest hit this context.
     stage_ctx: RefCell<QueryCtx>,
 }
 
@@ -119,95 +119,51 @@ impl Suite {
         &self.graphs[gi].1
     }
 
-    /// The pipeline equivalent to [`Suite::prepare_uncached`]'s direct
-    /// transform calls for `technique` on a graph of `kind` (the paper's
-    /// per-family knob guidelines). `None` for [`Technique::Exact`], which
-    /// has nothing to transform (or cache).
-    pub fn pipeline_for(kind: GraphKind, technique: Technique) -> Option<Pipeline> {
+    /// The pipeline that runs `technique` on a graph of `kind` under the
+    /// paper's per-family knob guidelines. The empty pipeline *is*
+    /// [`Technique::Exact`]; `combined` is the all-defaults composition.
+    pub fn pipeline_for(kind: GraphKind, technique: Technique) -> Pipeline {
         match technique {
-            Technique::Exact => None,
+            Technique::Exact => Pipeline::default(),
             Technique::Coalescing => {
-                Some(Pipeline::default().with_coalesce(CoalesceKnobs::for_kind(kind)))
+                Pipeline::default().with_coalesce(CoalesceKnobs::for_kind(kind))
             }
-            Technique::Latency => {
-                Some(Pipeline::default().with_latency(LatencyKnobs::for_kind(kind)))
-            }
+            Technique::Latency => Pipeline::default().with_latency(LatencyKnobs::for_kind(kind)),
             Technique::Divergence => {
-                Some(Pipeline::default().with_divergence(DivergenceKnobs::for_kind(kind)))
+                Pipeline::default().with_divergence(DivergenceKnobs::for_kind(kind))
             }
-            Technique::Combined => Some(Pipeline::all_defaults()),
+            Technique::Combined => Pipeline::all_defaults(),
         }
     }
 
     /// The prepared (possibly transformed) version of graph `gi` under
     /// `technique`, using the paper's per-family knob guidelines. Memoized
-    /// in-process, and served from the on-disk cache when one is enabled.
+    /// in-process, and served from the on-disk cache when one is enabled
+    /// (a disabled cache and the empty pipeline run on a null context).
     pub fn prepared(&self, gi: usize, technique: Technique) -> Rc<Prepared> {
         if let Some(p) = self.prepared.borrow().get(&(gi, technique)) {
             return Rc::clone(p);
         }
-        let p = Rc::new(if self.cache.enabled {
-            match Self::pipeline_for(self.kind(gi), technique) {
-                Some(pipeline) => {
-                    prepare_with_cache(self.graph(gi), &pipeline, &self.cfg, &self.cache)
-                        .expect("paper-guideline knobs are always valid")
-                        .0
-                }
-                None => Prepared::exact(self.graph(gi).clone()),
-            }
-        } else {
-            self.prepare_uncached(gi, technique)
-        });
+        let pipeline = Self::pipeline_for(self.kind(gi), technique);
+        let (p, _) = prepare_with_cache(self.graph(gi), &pipeline, &self.cfg, &self.cache)
+            .expect("paper-guideline knobs are always valid");
+        let p = Rc::new(p);
         self.prepared
             .borrow_mut()
             .insert((gi, technique), Rc::clone(&p));
         p
     }
 
-    /// Runs the transform for (`gi`, `technique`) fresh — no in-process
-    /// memoization and no on-disk cache. This is what the bench baseline's
-    /// preprocess-time cells measure.
-    pub fn prepare_uncached(&self, gi: usize, technique: Technique) -> Prepared {
-        let (kind, g) = &self.graphs[gi];
-        match technique {
-            Technique::Exact => Prepared::exact(g.clone()),
-            Technique::Coalescing => coalesce::transform(g, &CoalesceKnobs::for_kind(*kind)),
-            Technique::Latency => latency::transform(g, &LatencyKnobs::for_kind(*kind), &self.cfg),
-            Technique::Divergence => {
-                divergence::transform(g, &DivergenceKnobs::for_kind(*kind), self.cfg.warp_size)
-            }
-            Technique::Combined => graffix_core::Pipeline::all_defaults().apply(g, &self.cfg),
-        }
-    }
-
-    /// Prepared graph with explicit coalescing knobs (Figure 7 sweeps).
-    /// Sweep cells share the renumber stage through the suite's in-memory
-    /// query context — only replication depends on the threshold.
-    pub fn prepared_coalescing_with(&self, gi: usize, threshold: f64) -> Prepared {
-        let (kind, g) = &self.graphs[gi];
-        let pipe = Pipeline::default()
-            .with_coalesce(CoalesceKnobs::for_kind(*kind).with_threshold(threshold));
-        pipe.try_apply_with(g, &self.cfg, &mut self.stage_ctx.borrow_mut())
-            .expect("sweep knobs are always valid")
-    }
-
-    /// Prepared graph with explicit CC threshold (Figure 8 sweeps). Shares
-    /// the clustering-coefficient pass across cells via the query context.
-    pub fn prepared_latency_with(&self, gi: usize, threshold: f64) -> Prepared {
-        let (kind, g) = &self.graphs[gi];
-        let pipe = Pipeline::default()
-            .with_latency(LatencyKnobs::for_kind(*kind).with_threshold(threshold));
-        pipe.try_apply_with(g, &self.cfg, &mut self.stage_ctx.borrow_mut())
-            .expect("sweep knobs are always valid")
-    }
-
-    /// Prepared graph with explicit degreeSim threshold (Figure 9 sweeps).
-    /// Shares the bucket order across cells via the query context.
-    pub fn prepared_divergence_with(&self, gi: usize, threshold: f64) -> Prepared {
-        let (kind, g) = &self.graphs[gi];
-        let pipe = Pipeline::default()
-            .with_divergence(DivergenceKnobs::for_kind(*kind).with_threshold(threshold));
-        pipe.try_apply_with(g, &self.cfg, &mut self.stage_ctx.borrow_mut())
+    /// Graph `gi` prepared by one transform with its primary knob at
+    /// `threshold` (the Figure 7–9 sweeps). Sweep cells share every stage
+    /// upstream of the knob — the renumbering, the triangle counts, the
+    /// bucket order — through the suite's in-memory query context.
+    pub fn prepared_with(&self, gi: usize, technique: Technique, threshold: f64) -> Prepared {
+        let mut pipe = Self::pipeline_for(self.kind(gi), technique);
+        pipe.coalesce = pipe.coalesce.map(|k| k.with_threshold(threshold));
+        pipe.latency = pipe.latency.map(|k| k.with_threshold(threshold));
+        pipe.divergence = pipe.divergence.map(|k| k.with_threshold(threshold));
+        pipe.try_apply_with(self.graph(gi), &self.cfg, &mut self.stage_ctx.borrow_mut())
             .expect("sweep knobs are always valid")
     }
 }
@@ -257,14 +213,11 @@ mod tests {
         }
     }
 
-    /// The on-disk cache must be invisible to everything the simulator
-    /// consumes: cold-cache (transform + store) and warm-cache (load) runs
-    /// must both match the direct transform calls structurally.
+    /// The on-disk cache must be invisible to everything a preparation
+    /// holds: a cold-cache suite (prepare + store) and a warm-cache one
+    /// (load) must both equal the uncached suite, field for field.
     #[test]
-    fn cached_suite_matches_direct_transforms() {
-        use graffix_core::CacheConfig;
-        use graffix_graph::serialize;
-
+    fn cached_suite_matches_the_uncached_suite() {
         let dir = std::env::temp_dir().join(format!("graffix-suite-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let opts = SuiteOptions {
@@ -276,26 +229,10 @@ mod tests {
         for pass in ["cold", "warm"] {
             let cached = Suite::new(opts.clone()).with_cache(CacheConfig::at(&dir));
             for gi in 0..plain.len() {
-                for t in [
-                    Technique::Exact,
-                    Technique::Coalescing,
-                    Technique::Latency,
-                    Technique::Divergence,
-                    Technique::Combined,
-                ] {
-                    let a = plain.prepared(gi, t);
-                    let b = cached.prepared(gi, t);
-                    let id = format!("{pass} {} {:?}", plain.kind(gi).paper_name(), t);
-                    assert_eq!(
-                        &serialize::to_bytes(&a.graph)[..],
-                        &serialize::to_bytes(&b.graph)[..],
-                        "{id}: graph bytes"
-                    );
-                    assert_eq!(a.assignment, b.assignment, "{id}: assignment");
-                    assert_eq!(a.to_original, b.to_original, "{id}: to_original");
-                    assert_eq!(a.primary, b.primary, "{id}: primary");
-                    assert_eq!(a.replica_groups, b.replica_groups, "{id}: replica groups");
-                    assert_eq!(a.tiles, b.tiles, "{id}: tiles");
+                for t in Technique::ALL {
+                    let (a, b) = (plain.prepared(gi, t), cached.prepared(gi, t));
+                    let id = format!("{pass} {} {t:?}", plain.kind(gi).paper_name());
+                    assert_eq!(a.first_difference(&b), None, "{id}");
                 }
             }
         }

@@ -301,6 +301,27 @@ fn usage_errors_carry_their_reason_and_their_own_block() {
             "run --in g --algo pr --threshold high",
             "bad --threshold value: high",
         ),
+        // A threshold no knob would take, or one out of range.
+        (
+            "run --in g --algo pr --threshold 0.4",
+            "bad --threshold value: technique exact has no primary knob to set",
+        ),
+        (
+            "run --in g --algo pr --technique combined --threshold 0.4",
+            "bad --threshold value: technique combined has no primary knob to set",
+        ),
+        (
+            "transform --in g --technique combined --threshold 0.4 --out o",
+            "bad --threshold value: technique combined has no primary knob to set",
+        ),
+        (
+            "profile --in g --technique latency --threshold 7",
+            "bad --threshold value: 7 is outside [0, 1]",
+        ),
+        (
+            "stream --in g --stream d --technique divergence --threshold -0.1",
+            "bad --threshold value: -0.1 is outside [0, 1]",
+        ),
         (
             "run --in g --algo pr --threads two",
             "bad --threads value: two",

@@ -126,11 +126,24 @@ pub fn segment_bytes(bag: &mut Bag) -> Parsed<Option<usize>> {
     }
 }
 
-/// `--technique T`, `exact` when absent.
-pub fn technique(bag: &mut Bag) -> Parsed<Technique> {
-    Ok(bag
-        .opt_with("technique", Technique::from_key)?
-        .unwrap_or(Technique::Exact))
+/// `--technique T` (`exact` when absent and not `required`) with
+/// `--threshold X`, the override of its primary knob — judged here, before
+/// any file is opened: a usage error where the technique has no primary
+/// knob or the value is outside [0, 1].
+pub fn technique(bag: &mut Bag, required: bool) -> Parsed<(Technique, Option<f64>)> {
+    let technique = if required {
+        bag.req_with("technique", Technique::from_key)?
+    } else {
+        bag.opt_with("technique", Technique::from_key)?
+            .unwrap_or(Technique::Exact)
+    };
+    let threshold = bag.opt::<f64>("threshold")?;
+    if let Some(x) = threshold {
+        technique
+            .check_threshold(x)
+            .map_err(|e| format!("bad --threshold value: {e}"))?;
+    }
+    Ok((technique, threshold))
 }
 
 /// `--baseline B`, LonestarGPU when absent.

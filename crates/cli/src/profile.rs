@@ -39,12 +39,13 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
         "off" => Some(false),
         _ => None,
     };
+    let (technique, threshold) = common::technique(bag, false)?;
     Ok(Args {
         input: bag.req("in")?,
         seed: bag.opt("seed")?.unwrap_or(7),
         algo: bag.opt_with("algo", Algo::parse)?.unwrap_or(Algo::Sssp),
-        technique: common::technique(bag)?,
-        threshold: bag.opt("threshold")?,
+        technique,
+        threshold,
         baseline: common::baseline(bag)?,
         bc_sources: bag.opt("bc-sources")?.unwrap_or(4),
         accuracy: bag.opt_with("accuracy", on_off)?.unwrap_or(true),

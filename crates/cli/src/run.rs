@@ -17,6 +17,9 @@ pub const SUB: Sub = Sub {
 [--technique coalescing|latency|divergence|combined] [--threshold T]
 [--baseline lonestar|tigr|gunrock] [--direction push|pull|auto]
 [--segment-bytes N] [--report-json FILE] [--values-out FILE]
+--threshold sets the technique's primary knob (connectedness, CC or
+degreeSim threshold, in [0, 1]); exact and combined have none and
+reject it
 --direction steers frontier supersteps: push scatters over the CSR,
 pull gathers over a cached CSC mirror, auto picks per superstep from
 frontier density
@@ -41,11 +44,12 @@ pub struct Args {
 }
 
 fn parse(bag: &mut Bag) -> Parsed<Args> {
+    let (technique, threshold) = common::technique(bag, false)?;
     Ok(Args {
         input: bag.req("in")?,
         algo: bag.req_with("algo", Algo::parse)?,
-        technique: common::technique(bag)?,
-        threshold: bag.opt("threshold")?,
+        technique,
+        threshold,
         baseline: common::baseline(bag)?,
         direction: common::direction(bag)?,
         segment_bytes: common::segment_bytes(bag)?,

@@ -44,12 +44,13 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
     if let Some(debt) = bag.opt("debt-threshold")? {
         knobs = knobs.with_debt_threshold(debt);
     }
+    let (technique, threshold) = common::technique(bag, false)?;
     Ok(Args {
         input: bag.req("in")?,
         stream: bag.req("stream")?,
         algo: bag.opt_with("algo", Algo::parse)?.unwrap_or(Algo::Pr),
-        technique: common::technique(bag)?,
-        threshold: bag.opt("threshold")?,
+        technique,
+        threshold,
         knobs,
         checkpoint_every: bag.opt("checkpoint-every")?.unwrap_or(0),
         oracle: bag.switch("oracle")?,

@@ -2,7 +2,7 @@
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
-use crate::common::{build_pipeline, load, prepare, save};
+use crate::common::{self, build_pipeline, load, prepare, save};
 use graffix::log_info;
 use graffix::prelude::*;
 use std::path::PathBuf;
@@ -11,7 +11,9 @@ pub const SUB: Sub = Sub {
     name: "transform",
     usage: "\
 --in FILE --technique coalescing|latency|divergence|combined [--threshold T] --out FILE
-prints the preprocess phases, node/edge deltas and space overhead",
+prints the preprocess phases, node/edge deltas and space overhead
+--threshold sets the technique's primary knob, in [0, 1]; combined has
+none and rejects it",
     parse: |bag| parse(bag).map(Command::Transform),
 };
 
@@ -23,10 +25,11 @@ pub struct Args {
 }
 
 fn parse(bag: &mut Bag) -> Parsed<Args> {
+    let (technique, threshold) = common::technique(bag, true)?;
     Ok(Args {
         input: bag.req("in")?,
-        technique: bag.req_with("technique", Technique::from_key)?,
-        threshold: bag.opt("threshold")?,
+        technique,
+        threshold,
         out: bag.req("out")?,
     })
 }

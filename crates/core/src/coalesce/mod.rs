@@ -1,100 +1,29 @@
 //! §2 — the coalescing transform: BFS-forest renumbering with chunk-aligned
 //! levels (creating holes), followed by connectedness-driven node
 //! replication into the holes (Algorithm 2 of the paper).
+//!
+//! The two stages live here; [`crate::pipeline`] lays out the `Prepared`.
 
 pub mod renumber;
 pub mod replicate;
 
-use crate::knobs::CoalesceKnobs;
-use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique, TransformReport};
-use graffix_graph::{Csr, NodeId, INVALID_NODE};
-use std::time::Instant;
-
 pub use renumber::{apply_renumbering, renumber, Renumbering};
-pub use replicate::{replicate, replicate_renumbered, ReplicationResult};
-
-/// Applies the full coalescing transform (renumber + replicate) and returns
-/// a [`Prepared`] graph whose warp assignment follows the new numbering, so
-/// each warp covers one aligned run of chunks.
-pub fn transform(g: &Csr, knobs: &CoalesceKnobs) -> Prepared {
-    let start = Instant::now();
-    let ren = renumber(g, knobs.chunk_size);
-    let renumbered = apply_renumbering(g, &ren);
-    let renumber_seconds = start.elapsed().as_secs_f64();
-    let rep_start = Instant::now();
-    let rep = replicate_renumbered(&renumbered, &ren, knobs);
-    let replicate_seconds = rep_start.elapsed().as_secs_f64();
-    let phase_seconds = vec![
-        PhaseTiming::new("renumber", renumber_seconds),
-        PhaseTiming::new("replicate", replicate_seconds),
-    ];
-    assemble(g, &ren, rep, phase_seconds, start.elapsed().as_secs_f64())
-}
-
-/// Builds the coalescing [`Prepared`] from the stage outputs. Shared by the
-/// monolithic [`transform`] and the memoized query graph in
-/// [`crate::pipeline`], so both produce byte-identical results.
-pub(crate) fn assemble(
-    g: &Csr,
-    ren: &Renumbering,
-    rep: ReplicationResult,
-    phase_seconds: Vec<PhaseTiming>,
-    preprocess_seconds: f64,
-) -> Prepared {
-    let n_new = rep.graph.num_nodes();
-    let assignment: Vec<NodeId> = (0..n_new as NodeId)
-        .map(|v| {
-            if rep.graph.is_hole(v) {
-                INVALID_NODE
-            } else {
-                v
-            }
-        })
-        .collect();
-    let primary: Vec<NodeId> = ren.new_of_old.clone();
-
-    let old_fp = g.footprint_bytes().max(1);
-    let report = TransformReport {
-        technique_label: Technique::Coalescing.label().to_string(),
-        preprocess_seconds,
-        phase_seconds,
-        original_nodes: g.num_nodes(),
-        original_edges: g.num_edges(),
-        new_nodes: n_new,
-        new_edges: rep.graph.num_edges(),
-        holes_created: ren.holes_created,
-        holes_filled: rep.holes_filled,
-        replicas: rep.replicas,
-        edges_added: rep.edges_added,
-        space_overhead: rep.graph.footprint_bytes() as f64 / old_fp as f64 - 1.0,
-        stages: vec![StageReport {
-            transform: Technique::Coalescing.key().to_string(),
-            replicas: rep.replicas,
-            edges_added: rep.edges_added,
-            edge_budget_arcs: 0,
-        }],
-    };
-
-    let prepared = Prepared {
-        graph: rep.graph,
-        assignment,
-        to_original: rep.to_original,
-        primary,
-        replica_groups: rep.replica_groups,
-        tiles: Vec::new(),
-        confluence: Default::default(),
-        technique: Technique::Coalescing,
-        report,
-    };
-    debug_assert_eq!(prepared.validate(), Ok(()));
-    prepared
-}
+pub use replicate::{replicate_renumbered, ReplicationResult};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::knobs::CoalesceKnobs;
+    use crate::pipeline::Pipeline;
+    use crate::prepared::Prepared;
     use graffix_graph::generators::{GraphKind, GraphSpec};
-    use graffix_graph::GraphBuilder;
+    use graffix_graph::{Csr, GraphBuilder, NodeId, INVALID_NODE};
+    use graffix_sim::GpuConfig;
+
+    fn transform(g: &Csr, knobs: &CoalesceKnobs) -> Prepared {
+        Pipeline::default()
+            .with_coalesce(*knobs)
+            .apply(g, &GpuConfig::k40c())
+    }
 
     /// The paper's Figure 1 example graph.
     pub(crate) fn figure1_graph() -> Csr {

@@ -11,7 +11,7 @@
 //! the replica to its 2-hop neighbors inside `C` — the controlled source of
 //! approximation.
 
-use super::renumber::{apply_renumbering, Renumbering};
+use super::renumber::Renumbering;
 use crate::knobs::CoalesceKnobs;
 use graffix_graph::{Csr, NodeId, INVALID_NODE};
 use rayon::prelude::*;
@@ -39,15 +39,9 @@ struct Candidate {
     edge_count: usize,
 }
 
-/// Performs replication on the renumbered form of `old` and returns the
-/// final transformed graph.
-pub fn replicate(old: &Csr, ren: &Renumbering, knobs: &CoalesceKnobs) -> ReplicationResult {
-    replicate_renumbered(&apply_renumbering(old, ren), ren, knobs)
-}
-
-/// Same as [`replicate`], but takes the already-renumbered graph — the
-/// memoized query graph computes `apply_renumbering` once in the renumber
-/// stage and must not redo it per replication knob.
+/// Performs replication on `renumbered` — the already-renumbered graph:
+/// the renumber stage computes `apply_renumbering` once, and a replication
+/// knob change must not redo it — and returns the final transformed graph.
 pub fn replicate_renumbered(
     renumbered: &Csr,
     ren: &Renumbering,
@@ -282,10 +276,14 @@ impl ReplicationResult {
 
 #[cfg(test)]
 mod tests {
-    use super::super::renumber::renumber;
+    use super::super::renumber::{apply_renumbering, renumber};
     use super::*;
     use crate::coalesce::tests::figure1_graph;
     use graffix_graph::generators::{GraphKind, GraphSpec};
+
+    fn replicate(old: &Csr, ren: &Renumbering, knobs: &CoalesceKnobs) -> ReplicationResult {
+        replicate_renumbered(&apply_renumbering(old, ren), ren, knobs)
+    }
 
     fn paper_setup() -> (Csr, Renumbering) {
         let g = figure1_graph();

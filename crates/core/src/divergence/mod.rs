@@ -9,50 +9,18 @@
 //! `fill_fraction × maxWarpDegree` (85 % by default, matching the paper's
 //! example where node I of degree 4 is raised to 6 ≈ 85 % of 7). New edges
 //! carry the sum of the two hop weights.
+//!
+//! The bucket, normalize and relabel stages live here; [`crate::pipeline`]
+//! lays out the `Prepared` and picks the route (physical sort, or
+//! normalization along an earlier transform's assignment).
 
 pub mod bucket;
 pub mod normalize;
 
-use crate::knobs::DivergenceKnobs;
-use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique, TransformReport};
 use graffix_graph::{Csr, NodeId};
-use std::time::Instant;
 
 pub use bucket::bucket_order;
 pub use normalize::{normalize_degrees, NormalizeOutcome};
-
-/// Applies the divergence transform for the given warp size.
-///
-/// The bucket sort is applied *physically*: the paper sorts "the nodes
-/// array", i.e. the graph is relabeled so a node's new id is its bucket
-/// position. This keeps per-warp self accesses (offsets, own attributes)
-/// coalesced — a purely logical warp reassignment would scatter them and
-/// throw away more than the divergence reduction gains.
-pub fn transform(g: &Csr, knobs: &DivergenceKnobs, warp_size: usize) -> Prepared {
-    let start = Instant::now();
-    let order = bucket_order(g);
-    let bucket_seconds = start.elapsed().as_secs_f64();
-    let norm_start = Instant::now();
-    let norm = normalize_degrees(g, &order, knobs, warp_size);
-    let normalize_seconds = norm_start.elapsed().as_secs_f64();
-    let relabel_start = Instant::now();
-    let graph = relabel_by_order(&norm.graph, &order);
-    let relabel_seconds = relabel_start.elapsed().as_secs_f64();
-    let phase_seconds = vec![
-        PhaseTiming::new("bucket", bucket_seconds),
-        PhaseTiming::new("normalize", normalize_seconds),
-        PhaseTiming::new("relabel", relabel_seconds),
-    ];
-    assemble(
-        g,
-        order,
-        norm.edges_added,
-        graph,
-        knobs,
-        phase_seconds,
-        start.elapsed().as_secs_f64(),
-    )
-}
 
 /// Physically relabels `g` so a node's new id is its position in `order`
 /// (the paper sorts "the nodes array"). Adjacency lists are rebuilt in the
@@ -87,68 +55,26 @@ pub fn relabel_by_order(g: &Csr, order: &[NodeId]) -> Csr {
     Csr::from_adjacency(lists, wlists)
 }
 
-/// Builds the divergence [`Prepared`] from the stage outputs. Shared by the
-/// monolithic [`transform`] and the memoized query graph in
-/// [`crate::pipeline`], so both produce byte-identical results.
-pub(crate) fn assemble(
-    g: &Csr,
-    order: Vec<NodeId>,
-    edges_added: usize,
-    graph: Csr,
-    knobs: &DivergenceKnobs,
-    phase_seconds: Vec<PhaseTiming>,
-    preprocess_seconds: f64,
-) -> Prepared {
-    let n = g.num_nodes();
-    let mut new_of_old = vec![0 as NodeId; n];
-    for (pos, &old) in order.iter().enumerate() {
-        new_of_old[old as usize] = pos as NodeId;
-    }
-    let old_fp = g.footprint_bytes().max(1);
-    let report = TransformReport {
-        technique_label: Technique::Divergence.label().to_string(),
-        preprocess_seconds,
-        phase_seconds,
-        original_nodes: n,
-        original_edges: g.num_edges(),
-        new_nodes: n,
-        new_edges: graph.num_edges(),
-        edges_added,
-        space_overhead: graph.footprint_bytes() as f64 / old_fp as f64 - 1.0,
-        stages: vec![StageReport {
-            transform: Technique::Divergence.key().to_string(),
-            replicas: 0,
-            edges_added,
-            edge_budget_arcs: (g.num_edges() as f64 * knobs.edge_budget_frac) as usize,
-        }],
-        ..Default::default()
-    };
-
-    let prepared = Prepared {
-        graph,
-        assignment: (0..n as NodeId).collect(),
-        to_original: order,
-        primary: new_of_old,
-        replica_groups: Vec::new(),
-        tiles: Vec::new(),
-        confluence: Default::default(),
-        technique: Technique::Divergence,
-        report,
-    };
-    debug_assert_eq!(prepared.validate(), Ok(()));
-    prepared
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::DivergenceKnobs;
+    use crate::pipeline::Pipeline;
+    use crate::prepared::Prepared;
     use graffix_graph::generators::{GraphKind, GraphSpec};
+    use graffix_sim::GpuConfig;
+
+    fn transform(g: &Csr, knobs: &DivergenceKnobs) -> Prepared {
+        Pipeline::default()
+            .with_divergence(*knobs)
+            .apply(g, &GpuConfig::k40c())
+    }
 
     #[test]
     fn transform_reduces_intra_warp_degree_spread() {
         let g = GraphSpec::new(GraphKind::Rmat, 800, 3).generate();
         let warp = 32;
-        let p = transform(&g, &DivergenceKnobs::default(), warp);
+        let p = transform(&g, &DivergenceKnobs::default());
         p.validate().unwrap();
 
         let spread = |graph: &Csr, order: &[NodeId]| -> f64 {
@@ -178,14 +104,14 @@ mod tests {
     fn zero_threshold_adds_no_edges() {
         let g = GraphSpec::new(GraphKind::Random, 500, 5).generate();
         let knobs = DivergenceKnobs::default().with_threshold(0.0);
-        let p = transform(&g, &knobs, 32);
+        let p = transform(&g, &knobs);
         assert_eq!(p.report.edges_added, 0);
     }
 
     #[test]
     fn report_tracks_edge_delta() {
         let g = GraphSpec::new(GraphKind::Rmat, 500, 7).generate();
-        let p = transform(&g, &DivergenceKnobs::default(), 32);
+        let p = transform(&g, &DivergenceKnobs::default());
         assert_eq!(
             p.report.new_edges,
             p.report.original_edges + p.report.edges_added
@@ -195,7 +121,7 @@ mod tests {
     #[test]
     fn physical_renumbering_is_a_bijection() {
         let g = GraphSpec::new(GraphKind::Road, 400, 2).generate();
-        let p = transform(&g, &DivergenceKnobs::default(), 32);
+        let p = transform(&g, &DivergenceKnobs::default());
         // to_original is a permutation, primary its inverse.
         let mut sorted = p.to_original.clone();
         sorted.sort_unstable();
@@ -221,7 +147,7 @@ mod tests {
     fn renumbered_graph_preserves_edges() {
         let g = GraphSpec::new(GraphKind::Random, 300, 6).generate();
         let knobs = DivergenceKnobs::default().with_threshold(0.0); // no fills
-        let p = transform(&g, &knobs, 32);
+        let p = transform(&g, &knobs);
         assert_eq!(p.graph.num_edges(), g.num_edges());
         for (u, v, w) in g.edge_triples() {
             let nu = p.primary[u as usize];

@@ -2,10 +2,8 @@
 //! scenarios), under a global edge budget.
 
 use crate::knobs::LatencyKnobs;
-use graffix_graph::properties::triangle_counts;
 use graffix_graph::{Csr, GraphBuilder, NodeId, TriangleIndex};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Pair-scoring work below this size is done serially; the deterministic
 /// pool's chunk dispatch costs more than the intersections it would hide.
@@ -20,33 +18,18 @@ pub struct BoostOutcome {
     pub clustering: Vec<f64>,
     /// Directed arcs inserted.
     pub edges_added: usize,
-    /// Wall-clock time of the initial triangle-count pass (the `cc` phase
-    /// of the preprocess breakdown).
-    pub cc_seconds: f64,
 }
 
 /// Inserts CC-boosting edges per §3 and returns the new graph plus the
-/// post-boost clustering coefficients.
-pub fn boost_edges(g: &Csr, knobs: &LatencyKnobs) -> BoostOutcome {
-    let cc_start = Instant::now();
-    let counts = triangle_counts(&g.undirected());
-    let cc_seconds = cc_start.elapsed().as_secs_f64();
-    let mut out = boost_with_counts(g, counts, knobs);
-    out.cc_seconds = cc_seconds;
-    out
-}
-
-/// The edit phase of [`boost_edges`], taking `g`'s pre-computed per-node
-/// triangle counts. The memoized query graph caches the count pass
-/// separately (it reads no knobs, only the graph), so a boost-knob change
+/// post-boost clustering coefficients. `counts` are `g`'s per-node triangle
+/// counts (`triangle_counts(&g.undirected())`): the count pass is a stage
+/// of its own (it reads no knobs, only the graph), so a boost-knob change
 /// reuses it. Every inserted edge moves the counts by one short
 /// intersection, so the coefficient the scenario-1 loop re-reads after each
 /// insert and the post-boost clustering vector are read off the maintained
 /// integers — bit-identical to a fresh pass over the boosted graph (asserted
-/// by tests). `cc_seconds` in the returned outcome is zero; callers that
-/// timed the count pass themselves fill it in.
+/// by tests).
 pub fn boost_with_counts(g: &Csr, counts: Vec<u64>, knobs: &LatencyKnobs) -> BoostOutcome {
-    let cc_seconds = 0.0;
     let mut tri = TriangleIndex::with_counts(&g.undirected(), counts);
     let cc0 = tri.coefficients();
     let budget_arcs = (g.num_edges() as f64 * knobs.edge_budget_frac) as usize;
@@ -207,7 +190,6 @@ pub fn boost_with_counts(g: &Csr, counts: Vec<u64>, knobs: &LatencyKnobs) -> Boo
         graph,
         clustering: tri.coefficients(),
         edges_added,
-        cc_seconds,
     }
 }
 
@@ -215,8 +197,14 @@ pub fn boost_with_counts(g: &Csr, counts: Vec<u64>, knobs: &LatencyKnobs) -> Boo
 mod tests {
     use super::*;
     use graffix_graph::generators::{GraphKind, GraphSpec};
-    use graffix_graph::properties::{clustering_coefficients, local_clustering_coefficient};
+    use graffix_graph::properties::{
+        clustering_coefficients, local_clustering_coefficient, triangle_counts,
+    };
     use std::collections::HashSet;
+
+    fn boost_edges(g: &Csr, knobs: &LatencyKnobs) -> BoostOutcome {
+        boost_with_counts(g, triangle_counts(&g.undirected()), knobs)
+    }
 
     fn social() -> Csr {
         GraphSpec::new(GraphKind::SocialLiveJournal, 500, 7).generate()

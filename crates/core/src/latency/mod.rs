@@ -15,96 +15,28 @@
 //!
 //! In both cases the inserted edges connect 2-hop neighbors (faster
 //! convergence) and a global edge budget caps the total inaccuracy.
+//!
+//! The boost and tile-selection stages live here; [`crate::pipeline`] lays
+//! out the `Prepared` (tile-major assignment, node numbering unchanged).
 
 pub mod boost;
 pub mod select;
 
-use crate::knobs::LatencyKnobs;
-use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique, TransformReport};
-use graffix_graph::{Csr, NodeId};
-use graffix_sim::GpuConfig;
-use std::time::Instant;
-
-pub use boost::{boost_edges, boost_with_counts, BoostOutcome};
+pub use boost::{boost_with_counts, BoostOutcome};
 pub use select::{select_tiles, TileSelection};
-
-/// Applies the latency transform. The prepared graph keeps the original
-/// node numbering (the transform adds edges and tiles; it does not
-/// renumber), and the assignment groups each tile's nodes into consecutive
-/// warps followed by all remaining nodes.
-pub fn transform(g: &Csr, knobs: &LatencyKnobs, cfg: &GpuConfig) -> Prepared {
-    let start = Instant::now();
-    let boost = boost_edges(g, knobs);
-    let boost_seconds = start.elapsed().as_secs_f64() - boost.cc_seconds;
-    let select_start = Instant::now();
-    let selection = select_tiles(&boost.graph, &boost.clustering, knobs, cfg);
-    let tile_select_seconds = select_start.elapsed().as_secs_f64();
-    let preprocess_seconds = start.elapsed().as_secs_f64();
-    let phase_seconds = vec![
-        PhaseTiming::new("cc", boost.cc_seconds),
-        PhaseTiming::new("boost", boost_seconds.max(0.0)),
-        PhaseTiming::new("tile-select", tile_select_seconds),
-    ];
-
-    let n = boost.graph.num_nodes();
-    // Assignment: tile nodes first (tile by tile, so a block's warps cover
-    // one tile), then the rest in id order.
-    let mut assigned = vec![false; n];
-    let mut assignment: Vec<NodeId> = Vec::with_capacity(n);
-    for tile in &selection.tiles {
-        for &v in &tile.nodes {
-            if !assigned[v as usize] {
-                assigned[v as usize] = true;
-                assignment.push(v);
-            }
-        }
-    }
-    for v in 0..n as NodeId {
-        if !assigned[v as usize] {
-            assignment.push(v);
-        }
-    }
-
-    let ids: Vec<NodeId> = (0..n as NodeId).collect();
-    let old_fp = g.footprint_bytes().max(1);
-    let report = TransformReport {
-        technique_label: Technique::Latency.label().to_string(),
-        preprocess_seconds,
-        phase_seconds,
-        original_nodes: g.num_nodes(),
-        original_edges: g.num_edges(),
-        new_nodes: n,
-        new_edges: boost.graph.num_edges(),
-        edges_added: boost.edges_added,
-        space_overhead: boost.graph.footprint_bytes() as f64 / old_fp as f64 - 1.0,
-        stages: vec![StageReport {
-            transform: Technique::Latency.key().to_string(),
-            replicas: 0,
-            edges_added: boost.edges_added,
-            edge_budget_arcs: (g.num_edges() as f64 * knobs.edge_budget_frac) as usize,
-        }],
-        ..Default::default()
-    };
-
-    let prepared = Prepared {
-        graph: boost.graph,
-        assignment,
-        to_original: ids.clone(),
-        primary: ids,
-        replica_groups: Vec::new(),
-        tiles: selection.tiles,
-        confluence: Default::default(),
-        technique: Technique::Latency,
-        report,
-    };
-    debug_assert_eq!(prepared.validate(), Ok(()));
-    prepared
-}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::knobs::LatencyKnobs;
+    use crate::pipeline::Pipeline;
+    use crate::prepared::Prepared;
     use graffix_graph::generators::{GraphKind, GraphSpec};
+    use graffix_graph::{Csr, NodeId};
+    use graffix_sim::GpuConfig;
+
+    fn transform(g: &Csr, knobs: &LatencyKnobs, cfg: &GpuConfig) -> Prepared {
+        Pipeline::default().with_latency(*knobs).apply(g, cfg)
+    }
 
     fn social() -> Csr {
         GraphSpec::new(GraphKind::SocialLiveJournal, 600, 3).generate()

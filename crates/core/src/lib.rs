@@ -13,10 +13,12 @@
 //!   thresholded 2-hop edge-filling (sum-rule weights) to normalize
 //!   intra-warp degrees.
 //!
-//! All three produce a [`Prepared`] graph: the transformed CSR, the warp
-//! assignment order, old↔new id mappings, replica groups (for confluence),
-//! shared-memory tiles, and a [`TransformReport`] with the preprocessing
-//! cost and space overhead that Table 5 reports.
+//! Those modules hold the transforms' stages; a [`Pipeline`] with any
+//! subset of the three enabled runs them and produces the [`Prepared`]
+//! graph: the transformed CSR, the warp assignment order, old↔new id
+//! mappings, replica groups (for confluence), shared-memory tiles, and a
+//! [`TransformReport`] with the preprocessing cost and space overhead that
+//! Table 5 reports.
 
 pub mod cache;
 pub mod coalesce;

@@ -1,21 +1,24 @@
 //! Transform composition — the paper's "they can be combined for improved
-//! benefits" (§1, contributions).
+//! benefits" (§1, contributions) — and the only producer of a
+//! [`Prepared`]: a single transform is a pipeline with one stage enabled,
+//! the empty pipeline is the exact preparation.
 //!
 //! The composition order is fixed to coalescing → latency → divergence:
 //! renumbering must run first (it owns the id space), tile selection runs on
 //! the renumbered graph, and degree normalization runs last so it sees the
 //! final edge set.
 
-use crate::coalesce::{self, apply_renumbering, renumber, replicate_renumbered};
-use crate::divergence::{self, bucket_order, normalize_degrees, relabel_by_order};
+use crate::coalesce::{apply_renumbering, renumber, replicate_renumbered};
+use crate::divergence::{bucket_order, normalize_degrees, relabel_by_order};
 use crate::knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs};
 use crate::latency::{boost_with_counts, select_tiles};
-use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique};
+use crate::prepared::{PhaseTiming, Prepared, StageReport, Technique, TransformReport};
 use crate::query::{fingerprint_bytes, Fingerprint, QueryCtx, PIPELINE_VERSION};
 use crate::stages::{self, RenumberOut};
 use graffix_graph::properties::triangle_counts;
 use graffix_graph::{serialize, Csr, NodeId, INVALID_NODE};
 use graffix_sim::GpuConfig;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Name of the terminal entry: the assembled [`Prepared`].
@@ -179,8 +182,8 @@ impl Pipeline {
     /// back as a [`PipelineError`] diagnostic instead of aborting.
     ///
     /// This is [`Pipeline::try_apply_with`] on a null [`QueryCtx`]: the
-    /// cold monolithic run and the memoized query graph share one code
-    /// path, which is what guarantees their outputs are byte-identical.
+    /// cold uncached run and the memoized query graph are one code path,
+    /// which is what guarantees their outputs are byte-identical.
     pub fn try_apply(&self, g: &Csr, cfg: &GpuConfig) -> Result<Prepared, PipelineError> {
         self.try_apply_with(g, cfg, &mut QueryCtx::null())
     }
@@ -213,6 +216,10 @@ impl Pipeline {
 
     /// [`Pipeline::try_apply_with`] for a caller that already holds
     /// [`graph_fingerprint`] of `g`, so the graph is hashed once per call.
+    ///
+    /// The one body that builds a [`Prepared`]: the identity preparation of
+    /// `g` is the running value, each enabled transform's arm edits it, and
+    /// the tail finishes the report and validates once.
     pub(crate) fn try_apply_keyed(
         &self,
         g: &Csr,
@@ -231,126 +238,93 @@ impl Pipeline {
             k.validate().map_err(PipelineError::InvalidKnobs)?;
         }
         ctx.begin_run();
-
-        // A divergence-only pipeline matches the standalone transform
-        // (which renumbers physically): bucket → normalize → relabel, then
-        // the same assembly, so both paths agree byte-for-byte.
-        if self.coalesce.is_none() && self.latency.is_none() {
-            if let Some(k) = &self.divergence {
-                let start = Instant::now();
-                let bkey = stage_key("bucket", &[graph_fp], |_| {});
-                let (order, order_fp) = ctx.query(
-                    "bucket",
-                    bkey,
-                    || bucket_order(g),
-                    |v| stages::encode_ids(v),
-                    stages::decode_ids,
-                );
-                let bucket_seconds = ctx.last_seconds();
-                let nkey = stage_key("normalize", &[graph_fp, order_fp], |h| {
-                    self.write_inputs("normalize", cfg, h)
-                });
-                let (norm, norm_fp) = ctx.query(
-                    "normalize",
-                    nkey,
-                    || normalize_degrees(g, &order, k, cfg.warp_size),
-                    stages::encode_normalize,
-                    stages::decode_normalize,
-                );
-                let normalize_seconds = ctx.last_seconds();
-                let rkey = stage_key("relabel", &[norm_fp, order_fp], |_| {});
-                let (graph, _) = ctx.query(
-                    "relabel",
-                    rkey,
-                    || relabel_by_order(&norm.graph, &order),
-                    stages::encode_csr,
-                    stages::decode_csr,
-                );
-                let relabel_seconds = ctx.last_seconds();
-                let phase_seconds = vec![
-                    PhaseTiming::new("bucket", bucket_seconds),
-                    PhaseTiming::new("normalize", normalize_seconds),
-                    PhaseTiming::new("relabel", relabel_seconds),
-                ];
-                let prepared = divergence::assemble(
-                    g,
-                    order,
-                    norm.edges_added,
-                    graph,
-                    k,
-                    phase_seconds,
-                    start.elapsed().as_secs_f64(),
-                );
-                prepared
-                    .validate()
-                    .map_err(PipelineError::InvalidPrepared)?;
-                return Ok(prepared);
-            }
-        }
         let start = Instant::now();
-        // Stage 1: coalescing (or identity). `cur_fp` tracks the identity
+
+        // The running value. `graph` borrows the input until a transform
+        // replaces it, so no arm copies `g`; `cur_fp` tracks the identity
         // of the current graph for downstream stage keys.
-        let (mut prepared, mut cur_fp) = match &self.coalesce {
-            Some(k) => {
-                let rkey = stage_key("renumber", &[graph_fp], |h| {
-                    self.write_inputs("renumber", cfg, h)
-                });
-                let (ren_out, ren_fp) = ctx.query(
-                    "renumber",
-                    rkey,
-                    || {
-                        let ren = renumber(g, k.chunk_size);
-                        let graph = apply_renumbering(g, &ren);
-                        RenumberOut { ren, graph }
-                    },
-                    stages::encode_renumber,
-                    stages::decode_renumber,
-                );
-                let renumber_seconds = ctx.last_seconds();
-                let pkey = stage_key("replicate", &[ren_fp], |h| {
-                    self.write_inputs("replicate", cfg, h)
-                });
-                let (rep, rep_fp) = ctx.query(
-                    "replicate",
-                    pkey,
-                    || replicate_renumbered(&ren_out.graph, &ren_out.ren, k),
-                    stages::encode_replication,
-                    stages::decode_replication,
-                );
-                let phase_seconds = vec![
-                    PhaseTiming::new("renumber", renumber_seconds),
-                    PhaseTiming::new("replicate", ctx.last_seconds()),
-                ];
-                let p = coalesce::assemble(
-                    g,
-                    &ren_out.ren,
-                    rep,
-                    phase_seconds,
-                    start.elapsed().as_secs_f64(),
-                );
-                (p, rep_fp)
-            }
-            None => (Prepared::exact(g.clone()), graph_fp),
+        let ids: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        let mut graph = Cow::Borrowed(g);
+        let mut cur_fp = graph_fp;
+        let mut assignment = ids.clone();
+        let mut to_original = ids.clone();
+        let mut primary = ids;
+        let mut replica_groups = Vec::new();
+        let mut tiles = Vec::new();
+        let mut report = TransformReport {
+            original_nodes: g.num_nodes(),
+            original_edges: g.num_edges(),
+            ..Default::default()
         };
 
-        // Stage 2: latency — boost edges and select tiles on the current
-        // graph (ids unchanged). The cc pass is its own query (it reads no
-        // knobs), so boost-knob changes reuse it. Its output is the integer
-        // triangle count per node; boost derives coefficients from it.
+        // Coalescing: renumber into chunk-aligned levels, then replicate
+        // into the holes. The assignment follows the new numbering, so each
+        // warp covers one aligned run of chunks and skips only holes.
+        if let Some(k) = &self.coalesce {
+            let rkey = stage_key("renumber", &[graph_fp], |h| {
+                self.write_inputs("renumber", cfg, h)
+            });
+            let (ren_out, ren_fp) = ctx.query(
+                "renumber",
+                rkey,
+                || {
+                    let ren = renumber(g, k.chunk_size);
+                    let graph = apply_renumbering(g, &ren);
+                    RenumberOut { ren, graph }
+                },
+                stages::encode_renumber,
+                stages::decode_renumber,
+            );
+            let pkey = stage_key("replicate", &[ren_fp], |h| {
+                self.write_inputs("replicate", cfg, h)
+            });
+            let (rep, rep_fp) = ctx.query(
+                "replicate",
+                pkey,
+                || replicate_renumbered(&ren_out.graph, &ren_out.ren, k),
+                stages::encode_replication,
+                stages::decode_replication,
+            );
+            assignment = (0..rep.graph.num_nodes() as NodeId)
+                .map(|v| {
+                    if rep.graph.is_hole(v) {
+                        INVALID_NODE
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            to_original = rep.to_original;
+            primary = ren_out.ren.new_of_old;
+            replica_groups = rep.replica_groups;
+            report.holes_created = ren_out.ren.holes_created;
+            report.holes_filled = rep.holes_filled;
+            report.replicas = rep.replicas;
+            report.edges_added = rep.edges_added;
+            report.stages.push(StageReport {
+                transform: Technique::Coalescing.key().to_string(),
+                replicas: rep.replicas,
+                edges_added: rep.edges_added,
+                edge_budget_arcs: 0,
+            });
+            graph = Cow::Owned(rep.graph);
+            cur_fp = rep_fp;
+        }
+
+        // Latency: boost edges and select tiles on the current graph (ids
+        // unchanged). The cc pass is its own query (it reads no knobs), so
+        // boost-knob changes reuse it. Its output is the integer triangle
+        // count per node; boost derives coefficients from it.
         if let Some(k) = &self.latency {
-            let budget = (prepared.graph.num_edges() as f64 * k.edge_budget_frac) as usize;
+            let budget = (graph.num_edges() as f64 * k.edge_budget_frac) as usize;
             let cckey = stage_key("cc", &[cur_fp], |_| {});
             let (counts, cc_fp) = ctx.query(
                 "cc",
                 cckey,
-                || triangle_counts(&prepared.graph.undirected()),
+                || triangle_counts(&graph.undirected()),
                 |c| stages::encode_counts(c),
                 stages::decode_counts,
             );
-            prepared
-                .report
-                .phase_seconds
-                .push(PhaseTiming::new("cc", ctx.last_seconds()));
             let boost_input_fp = {
                 let mut h = Fingerprint::new();
                 self.write_inputs("boost", cfg, &mut h);
@@ -362,14 +336,10 @@ impl Pipeline {
             let (boost, boost_fp) = ctx.query(
                 "boost",
                 bkey,
-                || boost_with_counts(&prepared.graph, counts, k),
+                || boost_with_counts(&graph, counts, k),
                 stages::encode_boost,
                 stages::decode_boost,
             );
-            prepared
-                .report
-                .phase_seconds
-                .push(PhaseTiming::new("boost", ctx.last_seconds()));
             // tile-select reads `cc_threshold` (a boost knob) when filtering
             // centers, so its key carries the whole boost input set on top
             // of the boosted graph's content — over-invalidating on margin/
@@ -385,106 +355,132 @@ impl Pipeline {
                 stages::encode_tiles,
                 stages::decode_tiles,
             );
-            prepared
-                .report
-                .phase_seconds
-                .push(PhaseTiming::new("tile-select", ctx.last_seconds()));
-            prepared.report.edges_added += boost.edges_added;
-            prepared.report.new_edges = boost.graph.num_edges();
-            prepared.report.stages.push(StageReport {
+            report.edges_added += boost.edges_added;
+            report.stages.push(StageReport {
                 transform: Technique::Latency.key().to_string(),
                 replicas: 0,
                 edges_added: boost.edges_added,
                 edge_budget_arcs: budget,
             });
-            prepared.graph = boost.graph;
-            prepared.tiles = selection.tiles;
+            tiles = selection.tiles;
             // Without a coalescing stage the assignment is free to be
-            // tile-major; with one, chunk alignment wins and tiles are used
-            // only for residency.
+            // tile-major (tile by tile, so a block's warps cover one tile,
+            // then the rest in id order); with one, chunk alignment wins
+            // and tiles are used only for residency.
             if self.coalesce.is_none() {
-                let n = prepared.graph.num_nodes();
+                let n = boost.graph.num_nodes();
                 let mut assigned = vec![false; n];
-                let mut assignment = Vec::with_capacity(n);
-                for tile in &prepared.tiles {
-                    for &v in &tile.nodes {
-                        if !assigned[v as usize] {
-                            assigned[v as usize] = true;
-                            assignment.push(v);
-                        }
-                    }
-                }
-                for v in 0..n as NodeId {
-                    if !assigned[v as usize] {
-                        assignment.push(v);
-                    }
-                }
-                prepared.assignment = assignment;
+                let tiled = tiles.iter().flat_map(|tile| &tile.nodes).copied();
+                assignment = tiled
+                    .chain(0..n as NodeId)
+                    .filter(|&v| !std::mem::replace(&mut assigned[v as usize], true))
+                    .collect();
             }
+            graph = Cow::Owned(boost.graph);
             cur_fp = boost_fp;
         }
 
-        // Stage 3: divergence — normalize warp degrees along the current
-        // assignment order. The order is derived state (assignment), so it
-        // joins the key as its own fingerprint next to the graph identity.
+        // Divergence: normalize warp degrees along an order, last so it
+        // sees the final edge set. When no earlier transform owns the id
+        // space the order is the degree bucket sort and it is applied
+        // *physically* — the paper sorts "the nodes array", which keeps
+        // per-warp self accesses (offsets, own attributes) coalesced where
+        // a logical warp reassignment would scatter them. Otherwise the
+        // order is the current assignment: derived state, so it joins the
+        // key as its own fingerprint next to the graph identity.
         if let Some(k) = &self.divergence {
-            let order: Vec<NodeId> = prepared
-                .assignment
-                .iter()
-                .copied()
-                .filter(|&v| v != INVALID_NODE)
-                .collect();
-            let budget = (prepared.graph.num_edges() as f64 * k.edge_budget_frac) as usize;
-            let order_fp = if ctx.is_null() {
-                0
+            let physical = self.coalesce.is_none() && self.latency.is_none();
+            let (order, order_fp) = if physical {
+                let bkey = stage_key("bucket", &[cur_fp], |_| {});
+                ctx.query(
+                    "bucket",
+                    bkey,
+                    || bucket_order(&graph),
+                    |v| stages::encode_ids(v),
+                    stages::decode_ids,
+                )
             } else {
-                fingerprint_bytes(&stages::encode_ids(&order))
+                let order: Vec<NodeId> = assignment
+                    .iter()
+                    .copied()
+                    .filter(|&v| v != INVALID_NODE)
+                    .collect();
+                let order_fp = if ctx.is_null() {
+                    0
+                } else {
+                    fingerprint_bytes(&stages::encode_ids(&order))
+                };
+                (order, order_fp)
             };
+            let budget = (graph.num_edges() as f64 * k.edge_budget_frac) as usize;
             let nkey = stage_key("normalize", &[cur_fp, order_fp], |h| {
                 self.write_inputs("normalize", cfg, h)
             });
-            let (norm, _) = ctx.query(
+            let (norm, norm_fp) = ctx.query(
                 "normalize",
                 nkey,
-                || normalize_degrees(&prepared.graph, &order, k, cfg.warp_size),
+                || normalize_degrees(&graph, &order, k, cfg.warp_size),
                 stages::encode_normalize,
                 stages::decode_normalize,
             );
-            prepared
-                .report
-                .phase_seconds
-                .push(PhaseTiming::new("normalize", ctx.last_seconds()));
-            prepared.report.edges_added += norm.edges_added;
-            prepared.report.new_edges = norm.graph.num_edges();
-            prepared.report.stages.push(StageReport {
+            report.edges_added += norm.edges_added;
+            report.stages.push(StageReport {
                 transform: Technique::Divergence.key().to_string(),
                 replicas: 0,
                 edges_added: norm.edges_added,
                 edge_budget_arcs: budget,
             });
-            prepared.graph = norm.graph;
+            graph = Cow::Owned(if physical {
+                let rkey = stage_key("relabel", &[norm_fp, order_fp], |_| {});
+                let (relabeled, _) = ctx.query(
+                    "relabel",
+                    rkey,
+                    || relabel_by_order(&norm.graph, &order),
+                    stages::encode_csr,
+                    stages::decode_csr,
+                );
+                // A node's new id is its bucket position; the assignment
+                // stays the natural order of the new ids.
+                for (pos, &old) in order.iter().enumerate() {
+                    primary[old as usize] = pos as NodeId;
+                }
+                to_original = order;
+                relabeled
+            } else {
+                norm.graph
+            });
         }
 
-        let stages = [
-            self.coalesce.is_some(),
-            self.latency.is_some(),
-            self.divergence.is_some(),
-        ]
-        .iter()
-        .filter(|&&s| s)
-        .count();
-        prepared.technique = match (stages, &self.coalesce, &self.latency, &self.divergence) {
-            (0, ..) => Technique::Exact,
-            (1, Some(_), _, _) => Technique::Coalescing,
-            (1, _, Some(_), _) => Technique::Latency,
-            (1, _, _, Some(_)) => Technique::Divergence,
+        let technique = match (&self.coalesce, &self.latency, &self.divergence) {
+            (None, None, None) => Technique::Exact,
+            (Some(_), None, None) => Technique::Coalescing,
+            (None, Some(_), None) => Technique::Latency,
+            (None, None, Some(_)) => Technique::Divergence,
             _ => Technique::Combined,
         };
-        prepared.report.technique_label = prepared.technique.label().to_string();
-        prepared.report.preprocess_seconds = start.elapsed().as_secs_f64();
-        let old_fp = g.footprint_bytes().max(1);
-        prepared.report.space_overhead =
-            prepared.graph.footprint_bytes() as f64 / old_fp as f64 - 1.0;
+        let graph = graph.into_owned();
+        report.technique_label = technique.label().to_string();
+        report.new_nodes = graph.num_nodes();
+        report.new_edges = graph.num_edges();
+        report.space_overhead =
+            graph.footprint_bytes() as f64 / g.footprint_bytes().max(1) as f64 - 1.0;
+        report.phase_seconds = ctx
+            .records()
+            .iter()
+            .map(|r| PhaseTiming::new(r.stage, r.seconds))
+            .collect();
+        report.preprocess_seconds = start.elapsed().as_secs_f64();
+        let prepared = Prepared {
+            graph,
+            assignment,
+            to_original,
+            primary,
+            replica_groups,
+            tiles,
+            confluence: Default::default(),
+            technique,
+            report,
+        };
         prepared
             .validate()
             .map_err(PipelineError::InvalidPrepared)?;
@@ -505,8 +501,7 @@ mod tests {
     fn empty_pipeline_is_exact() {
         let g = graph();
         let p = Pipeline::default().apply(&g, &GpuConfig::k40c());
-        assert_eq!(p.technique, Technique::Exact);
-        assert_eq!(p.graph.num_edges(), g.num_edges());
+        assert_eq!(p.first_difference(&Prepared::exact(g)), None);
     }
 
     #[test]
@@ -570,13 +565,19 @@ mod tests {
     fn single_transforms_record_one_stage() {
         let g = graph();
         let cfg = GpuConfig::k40c();
-        let c = coalesce::transform(&g, &CoalesceKnobs::default());
+        let c = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &cfg);
         assert_eq!(c.report.stages.len(), 1);
         assert_eq!(c.report.stages[0].transform, "coalescing");
-        let l = crate::latency::transform(&g, &LatencyKnobs::default(), &cfg);
+        let l = Pipeline::default()
+            .with_latency(LatencyKnobs::default())
+            .apply(&g, &cfg);
         assert_eq!(l.report.stages[0].transform, "latency");
         assert!(l.report.stages[0].edge_budget_arcs > 0);
-        let d = crate::divergence::transform(&g, &DivergenceKnobs::default(), cfg.warp_size);
+        let d = Pipeline::default()
+            .with_divergence(DivergenceKnobs::default())
+            .apply(&g, &cfg);
         assert_eq!(d.report.stages[0].transform, "divergence");
         assert_eq!(d.report.stages[0].edges_added, d.report.edges_added);
     }
@@ -600,7 +601,17 @@ mod tests {
         let err = bad.try_apply(&g, &cfg).unwrap_err();
         assert!(matches!(err, PipelineError::InvalidKnobs(_)));
 
-        // The divergence-only fast path validates too.
+        // What the deleted standalone doors let through: a chunk wider than
+        // the warp (silently run) and a latency knob out of range.
+        let bad = Pipeline::default().with_coalesce(CoalesceKnobs {
+            chunk_size: cfg.warp_size + 1,
+            ..Default::default()
+        });
+        let err = bad.try_apply(&g, &cfg).unwrap_err();
+        assert!(matches!(err, PipelineError::InvalidKnobs(_)), "{err}");
+        let bad = Pipeline::default().with_latency(LatencyKnobs::default().with_threshold(7.0));
+        let err = bad.try_apply(&g, &cfg).unwrap_err();
+        assert!(matches!(err, PipelineError::InvalidKnobs(_)), "{err}");
         let bad = Pipeline::default().with_latency(LatencyKnobs {
             t_diameter_factor: 0,
             ..Default::default()

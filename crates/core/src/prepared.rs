@@ -58,6 +58,21 @@ impl Technique {
     pub fn from_key(key: &str) -> Option<Technique> {
         Technique::ALL.into_iter().find(|t| t.key() == key)
     }
+
+    /// Judges a threshold override (the CLI's `--threshold`, a request's
+    /// `threshold`) before any work: it lands on the technique's primary
+    /// knob — the connectedness, CC or degreeSim threshold, each a fraction
+    /// in `[0, 1]` — and `exact` and `combined` have none to take it.
+    pub fn check_threshold(self, threshold: f64) -> Result<(), String> {
+        match self {
+            Technique::Exact | Technique::Combined => Err(format!(
+                "technique {} has no primary knob to set",
+                self.key()
+            )),
+            _ if !(0.0..=1.0).contains(&threshold) => Err(format!("{threshold} is outside [0, 1]")),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Structural delta of one pipeline stage — the per-transform provenance

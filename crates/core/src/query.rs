@@ -191,7 +191,7 @@ enum StageOverride {
 
 impl QueryCtx {
     /// The zero-overhead context: every query computes, nothing is
-    /// encoded, fingerprints are 0. This is the cold monolithic path.
+    /// encoded, fingerprints are 0. This is the cold uncached path.
     pub fn null() -> QueryCtx {
         QueryCtx {
             enabled: false,
@@ -304,11 +304,6 @@ impl QueryCtx {
     /// this.
     pub fn last_payload(&self, stage: &'static str) -> Option<Bytes> {
         self.last_by_stage.get(stage).map(|e| e.payload.clone())
-    }
-
-    /// Wall seconds of the most recent stage query.
-    pub fn last_seconds(&self) -> f64 {
-        self.records.last().map_or(0.0, |r| r.seconds)
     }
 
     /// Satisfies one stage query: returns the stage value plus the

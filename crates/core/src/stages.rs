@@ -270,10 +270,6 @@ pub(crate) fn decode_replication(mut bytes: Bytes) -> io::Result<ReplicationResu
     })
 }
 
-/// `cc_seconds` is intentionally excluded: it is a wall-clock diagnostic,
-/// not content, and including it would defeat early cutoff (no two runs
-/// time identically). Decoded outcomes carry `cc_seconds = 0.0`; the
-/// pipeline reports stage timings from the query context instead.
 pub(crate) fn encode_boost(out: &BoostOutcome) -> Bytes {
     let mut buf = BytesMut::new();
     put_graph(&mut buf, &out.graph);
@@ -300,7 +296,6 @@ pub(crate) fn decode_boost(mut bytes: Bytes) -> io::Result<BoostOutcome> {
         graph,
         clustering,
         edges_added,
-        cc_seconds: 0.0,
     })
 }
 
@@ -347,48 +342,93 @@ const CONFLUENCES: [ConfluenceOp; 4] = [
     ConfluenceOp::Sum,
 ];
 
-/// The terminal payload: the assembled [`Prepared`]. Content only, like
-/// every stage payload — `preprocess_seconds` and `phase_seconds` are
-/// wall-clock diagnostics and decode as 0 / empty (the caller records the
-/// load time in their place).
+/// A stored field of a [`Prepared`]: its name and what writes it.
+type PreparedField = (&'static str, fn(&mut BytesMut, &Prepared));
+
+/// The terminal payload, field by field in stored order — the one list
+/// behind [`encode_prepared`] and [`Prepared::first_difference`]. Content
+/// only, like every stage payload: `preprocess_seconds` and `phase_seconds`
+/// are wall-clock diagnostics and are not in it.
+const PREPARED_FIELDS: [PreparedField; 12] = [
+    ("technique", |buf, p| {
+        buf.put_u8(
+            Technique::ALL
+                .iter()
+                .position(|&t| t == p.technique)
+                .unwrap() as u8,
+        )
+    }),
+    ("confluence", |buf, p| {
+        buf.put_u8(CONFLUENCES.iter().position(|&c| c == p.confluence).unwrap() as u8)
+    }),
+    ("graph", |buf, p| put_graph(buf, &p.graph)),
+    ("assignment", |buf, p| put_ids(buf, &p.assignment)),
+    ("to_original", |buf, p| put_ids(buf, &p.to_original)),
+    ("primary", |buf, p| put_ids(buf, &p.primary)),
+    ("replica_groups", |buf, p| {
+        put_groups(buf, &p.replica_groups)
+    }),
+    ("tiles", |buf, p| put_tiles(buf, &p.tiles)),
+    ("report.technique_label", |buf, p| {
+        put_str(buf, &p.report.technique_label)
+    }),
+    ("report counters", |buf, p| {
+        let r = &p.report;
+        for v in [
+            r.original_nodes,
+            r.original_edges,
+            r.new_nodes,
+            r.new_edges,
+            r.holes_created,
+            r.holes_filled,
+            r.replicas,
+            r.edges_added,
+        ] {
+            buf.put_u64_le(v as u64);
+        }
+    }),
+    ("report.space_overhead", |buf, p| {
+        buf.put_u64_le(p.report.space_overhead.to_bits())
+    }),
+    ("report.stages", |buf, p| {
+        buf.put_u64_le(p.report.stages.len() as u64);
+        for s in &p.report.stages {
+            put_str(buf, &s.transform);
+            buf.put_u64_le(s.replicas as u64);
+            buf.put_u64_le(s.edges_added as u64);
+            buf.put_u64_le(s.edge_budget_arcs as u64);
+        }
+    }),
+];
+
+/// The terminal payload: the assembled [`Prepared`]. Decodes with 0 / empty
+/// wall-clock diagnostics (the caller records the load time in their
+/// place).
 pub(crate) fn encode_prepared(p: &Prepared) -> Bytes {
     let mut buf = BytesMut::new();
-    buf.put_u8(
-        Technique::ALL
-            .iter()
-            .position(|&t| t == p.technique)
-            .unwrap() as u8,
-    );
-    buf.put_u8(CONFLUENCES.iter().position(|&c| c == p.confluence).unwrap() as u8);
-    put_graph(&mut buf, &p.graph);
-    put_ids(&mut buf, &p.assignment);
-    put_ids(&mut buf, &p.to_original);
-    put_ids(&mut buf, &p.primary);
-    put_groups(&mut buf, &p.replica_groups);
-    put_tiles(&mut buf, &p.tiles);
-    let r = &p.report;
-    put_str(&mut buf, &r.technique_label);
-    for v in [
-        r.original_nodes,
-        r.original_edges,
-        r.new_nodes,
-        r.new_edges,
-        r.holes_created,
-        r.holes_filled,
-        r.replicas,
-        r.edges_added,
-    ] {
-        buf.put_u64_le(v as u64);
-    }
-    buf.put_u64_le(r.space_overhead.to_bits());
-    buf.put_u64_le(r.stages.len() as u64);
-    for s in &r.stages {
-        put_str(&mut buf, &s.transform);
-        buf.put_u64_le(s.replicas as u64);
-        buf.put_u64_le(s.edges_added as u64);
-        buf.put_u64_le(s.edge_budget_arcs as u64);
+    for (_, put) in PREPARED_FIELDS {
+        put(&mut buf, p);
     }
     buf.freeze()
+}
+
+impl Prepared {
+    /// Names the first stored field in which `other` is not the same
+    /// prepared output as `self`, or `None` when they are the same. "Same"
+    /// is content — exactly what the terminal payload stores, field by
+    /// field — so the wall-clock diagnostics (`preprocess_seconds`,
+    /// `phase_seconds`) never count.
+    pub fn first_difference(&self, other: &Prepared) -> Option<&'static str> {
+        let stored = |put: fn(&mut BytesMut, &Prepared), p: &Prepared| {
+            let mut buf = BytesMut::new();
+            put(&mut buf, p);
+            buf.freeze()
+        };
+        PREPARED_FIELDS
+            .iter()
+            .find(|&&(_, put)| stored(put, self)[..] != stored(put, other)[..])
+            .map(|&(name, _)| name)
+    }
 }
 
 /// Structural consistency is re-validated, so an entry that decodes but
@@ -463,7 +503,7 @@ mod tests {
     use crate::coalesce::{apply_renumbering, renumber, replicate_renumbered};
     use crate::divergence::{bucket_order, normalize_degrees};
     use crate::knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs};
-    use crate::latency::{boost_edges, select_tiles};
+    use crate::latency::{boost_with_counts, select_tiles};
     use graffix_graph::generators::{GraphKind, GraphSpec};
     use graffix_sim::GpuConfig;
 
@@ -498,11 +538,11 @@ mod tests {
         assert!(rep.replicas > 0, "fixture should exercise replica groups");
 
         let lknobs = LatencyKnobs::default().with_threshold(0.4);
-        let boost = boost_edges(&g, &lknobs);
+        let counts = graffix_graph::properties::triangle_counts(&g.undirected());
+        let boost = boost_with_counts(&g, counts.clone(), &lknobs);
         let enc = encode_boost(&boost);
         let dec = decode_boost(enc.clone()).unwrap();
         assert_eq!(&encode_boost(&dec)[..], &enc[..], "boost codec");
-        assert_eq!(dec.cc_seconds, 0.0, "timings are not content");
 
         let sel = select_tiles(&boost.graph, &boost.clustering, &lknobs, &cfg);
         let enc = encode_tiles(&sel);
@@ -525,7 +565,6 @@ mod tests {
         let dec = decode_csr(enc.clone()).unwrap();
         assert_eq!(&encode_csr(&dec)[..], &enc[..], "csr codec");
 
-        let counts = graffix_graph::properties::triangle_counts(&g.undirected());
         let enc = encode_counts(&counts);
         assert_eq!(decode_counts(enc.clone()).unwrap(), counts, "count codec");
         assert!(counts.iter().any(|&c| c > 0), "fixture has triangles");
@@ -564,5 +603,83 @@ mod tests {
         assert!(decode_boost(Bytes::from(b"nope".to_vec())).is_err());
         assert!(decode_renumber(Bytes::default()).is_err());
         assert!(decode_prepared(Bytes::from(vec![9u8, 0])).is_err());
+    }
+    /// `first_difference` and the terminal codec must agree on what content
+    /// is: mutating any one field moves both or neither.
+    #[test]
+    fn first_difference_sees_exactly_what_the_terminal_payload_stores() {
+        let base = crate::Pipeline::all_defaults()
+            .with_coalesce(CoalesceKnobs::default().with_threshold(0.4))
+            .with_latency(LatencyKnobs::default().with_threshold(0.4))
+            .apply(&graph(), &GpuConfig::k40c());
+        assert!(!base.replica_groups.is_empty() && !base.tiles.is_empty());
+        // Naming every field makes a new one a compile error here.
+        let Prepared {
+            graph: _,
+            assignment: _,
+            to_original: _,
+            primary: _,
+            replica_groups: _,
+            tiles: _,
+            confluence: _,
+            technique: _,
+            report:
+                TransformReport {
+                    technique_label: _,
+                    preprocess_seconds: _,
+                    phase_seconds: _,
+                    original_nodes: _,
+                    original_edges: _,
+                    new_nodes: _,
+                    new_edges: _,
+                    holes_created: _,
+                    holes_filled: _,
+                    replicas: _,
+                    edges_added: _,
+                    space_overhead: _,
+                    stages: _,
+                },
+        } = &base;
+        type Mutation = (Option<&'static str>, fn(&mut Prepared));
+        let mutations: [Mutation; 21] = [
+            (Some("graph"), |p| p.graph = graph()),
+            (Some("assignment"), |p| p.assignment.swap(0, 1)),
+            (Some("to_original"), |p| p.to_original[0] ^= 1),
+            (Some("primary"), |p| p.primary[0] ^= 1),
+            (Some("replica_groups"), |p| p.replica_groups[0].0 ^= 1),
+            (Some("tiles"), |p| p.tiles[0].iterations += 1),
+            (Some("confluence"), |p| p.confluence = ConfluenceOp::Max),
+            (Some("technique"), |p| p.technique = Technique::Latency),
+            (Some("report.technique_label"), |p| {
+                p.report.technique_label.push('!')
+            }),
+            (None, |p| p.report.preprocess_seconds += 1.0),
+            (None, |p| p.report.phase_seconds.clear()),
+            (Some("report counters"), |p| p.report.original_nodes += 1),
+            (Some("report counters"), |p| p.report.original_edges += 1),
+            (Some("report counters"), |p| p.report.new_nodes += 1),
+            (Some("report counters"), |p| p.report.new_edges += 1),
+            (Some("report counters"), |p| p.report.holes_created += 1),
+            (Some("report counters"), |p| p.report.holes_filled += 1),
+            (Some("report counters"), |p| p.report.replicas += 1),
+            (Some("report counters"), |p| p.report.edges_added += 1),
+            (Some("report.space_overhead"), |p| {
+                p.report.space_overhead = -p.report.space_overhead
+            }),
+            (Some("report.stages"), |p| {
+                p.report.stages[1].edge_budget_arcs += 1
+            }),
+        ];
+        assert_eq!(base.first_difference(&base.clone()), None);
+        for (want, mutate) in mutations {
+            let mut changed = base.clone();
+            mutate(&mut changed);
+            assert_eq!(base.first_difference(&changed), want);
+            assert_eq!(
+                want.is_none(),
+                encode_prepared(&base)[..] == encode_prepared(&changed)[..],
+                "{want:?}: the codec disagrees"
+            );
+        }
     }
 }

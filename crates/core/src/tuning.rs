@@ -64,10 +64,11 @@ pub struct TunedKnobs {
 impl TunedKnobs {
     /// The pipeline that runs `technique` with these knobs. A `threshold`
     /// override lands on the technique's primary knob (connectedness, CC
-    /// or degreeSim threshold); `exact` and `combined` have none and
-    /// ignore it. This is the one technique → pipeline table: the CLI's
-    /// `--technique`/`--threshold` and the daemon's request fields both
-    /// resolve through it.
+    /// or degreeSim threshold); `exact` and `combined` have none, which is
+    /// why both doors reject the pair when they parse it
+    /// ([`Technique::check_threshold`]). This is the one technique →
+    /// pipeline table: the CLI's `--technique`/`--threshold` and the
+    /// daemon's request fields both resolve through it.
     pub fn pipeline(&self, technique: Technique, threshold: Option<f64>) -> Pipeline {
         match technique {
             Technique::Exact => Pipeline::default(),
@@ -196,15 +197,10 @@ mod tests {
         let g = gen(GraphKind::SocialTwitter);
         let tuned = auto_tune(&g, 5);
         let gpu = GpuConfig::k40c();
-        crate::coalesce::transform(&g, &tuned.coalesce)
-            .validate()
-            .unwrap();
-        crate::latency::transform(&g, &tuned.latency, &gpu)
-            .validate()
-            .unwrap();
-        crate::divergence::transform(&g, &tuned.divergence, gpu.warp_size)
-            .validate()
-            .unwrap();
+        for technique in Technique::ALL {
+            let p = tuned.pipeline(technique, None).apply(&g, &gpu);
+            assert_eq!(p.technique, technique);
+        }
     }
 
     #[test]

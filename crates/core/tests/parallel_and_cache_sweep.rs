@@ -17,7 +17,7 @@ use graffix_core::{
     Pipeline, Prepared,
 };
 use graffix_graph::generators::{GraphKind, GraphSpec};
-use graffix_graph::{serialize, Csr};
+use graffix_graph::Csr;
 use graffix_sim::GpuConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -73,22 +73,6 @@ fn random_pipeline(rng: &mut ChaCha8Rng) -> Pipeline {
     }
 }
 
-fn assert_same_prepared(a: &Prepared, b: &Prepared, ctx: &str) {
-    assert_eq!(
-        &serialize::to_bytes(&a.graph)[..],
-        &serialize::to_bytes(&b.graph)[..],
-        "{ctx}: transformed CSR bytes differ"
-    );
-    assert_eq!(a.assignment, b.assignment, "{ctx}: assignment differs");
-    assert_eq!(a.to_original, b.to_original, "{ctx}: to_original differs");
-    assert_eq!(a.primary, b.primary, "{ctx}: primary differs");
-    assert_eq!(
-        a.replica_groups, b.replica_groups,
-        "{ctx}: replica groups differ"
-    );
-    assert_eq!(a.tiles, b.tiles, "{ctx}: tiles differ");
-}
-
 #[test]
 fn random_configs_transform_identically_at_any_thread_count() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x9a11e1);
@@ -108,10 +92,11 @@ fn random_configs_transform_identically_at_any_thread_count() {
             .map(|&n| with_threads(n, || pipeline.apply(&g, &gpu)))
             .collect();
         for (ti, p) in prepared.iter().enumerate().skip(1) {
-            assert_same_prepared(
-                p,
-                &prepared[0],
-                &format!("{ctx} at {} threads", THREAD_COUNTS[ti]),
+            assert_eq!(
+                p.first_difference(&prepared[0]),
+                None,
+                "{ctx} at {} threads",
+                THREAD_COUNTS[ti]
             );
         }
     }
@@ -132,10 +117,10 @@ fn random_configs_round_trip_through_the_cache_bit_exactly() {
 
         let (cold, out) = prepare_with_cache(&g, &pipeline, &gpu, &cache).unwrap();
         assert_eq!(out.status, CacheStatus::MissStored, "{ctx}: cold");
-        assert_same_prepared(&cold, &p, &format!("{ctx}, cold"));
+        assert_eq!(cold.first_difference(&p), None, "{ctx}, cold");
         let (warm, out) = prepare_with_cache(&g, &pipeline, &gpu, &cache).unwrap();
         assert_eq!(out.status, CacheStatus::Hit, "{ctx}: warm");
-        assert_same_prepared(&warm, &p, &format!("{ctx}, warm"));
+        assert_eq!(warm.first_difference(&p), None, "{ctx}, warm");
         assert_eq!(warm.technique, p.technique, "{ctx}: technique");
         assert_eq!(warm.report.stages, p.report.stages, "{ctx}: stage reports");
     }

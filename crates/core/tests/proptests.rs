@@ -1,10 +1,8 @@
 //! Property-based tests of the three transforms: invariants that must hold
 //! for arbitrary graphs and knob settings.
 
-use graffix_core::coalesce::{renumber, transform as coalesce_transform};
-use graffix_core::divergence::transform as divergence_transform;
-use graffix_core::latency::transform as latency_transform;
-use graffix_core::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs};
+use graffix_core::coalesce::renumber;
+use graffix_core::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Pipeline};
 use graffix_graph::{Csr, GraphBuilder, NodeId, INVALID_NODE};
 use graffix_sim::GpuConfig;
 use proptest::prelude::*;
@@ -53,11 +51,11 @@ proptest! {
     #[test]
     fn coalescing_conserves_every_original_arc(
         (n, edges) in arb_graph(),
-        threshold in 0.05f64..1.2,
+        threshold in 0.05f64..1.0,
     ) {
         let g = build(n, &edges);
         let knobs = CoalesceKnobs { chunk_size: 4, threshold, max_replicas_per_node: 3 };
-        let p = coalesce_transform(&g, &knobs);
+        let p = Pipeline::default().with_coalesce(knobs).apply(&g, &GpuConfig::k40c());
         p.validate().unwrap();
         // copies-of map.
         let mut copies: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -81,7 +79,7 @@ proptest! {
     ) {
         let g = build(n, &edges);
         let knobs = CoalesceKnobs { chunk_size: 4, threshold, max_replicas_per_node: 2 };
-        let p = coalesce_transform(&g, &knobs);
+        let p = Pipeline::default().with_coalesce(knobs).apply(&g, &GpuConfig::k40c());
         // New slot count = old nodes + holes; replicas only fill holes.
         prop_assert_eq!(
             p.report.new_nodes,
@@ -97,7 +95,7 @@ proptest! {
     ) {
         let g = build(n, &edges);
         let knobs = DivergenceKnobs { degree_sim_threshold: 0.0, ..Default::default() };
-        let p = divergence_transform(&g, &knobs, 4);
+        let p = Pipeline::default().with_divergence(knobs).apply(&g, &GpuConfig::test_tiny());
         prop_assert_eq!(p.graph.num_edges(), g.num_edges());
         for (u, v, w) in g.edge_triples() {
             let (nu, nv) = (p.primary[u as usize], p.primary[v as usize]);
@@ -118,7 +116,7 @@ proptest! {
             edge_budget_frac: 0.5,
             ..Default::default()
         };
-        let p = divergence_transform(&g, &knobs, 4);
+        let p = Pipeline::default().with_divergence(knobs).apply(&g, &GpuConfig::test_tiny());
         prop_assert!(p.graph.num_edges() >= g.num_edges());
         prop_assert_eq!(p.report.edges_added, p.graph.num_edges() - g.num_edges());
     }
@@ -131,7 +129,7 @@ proptest! {
         let g = build(n, &edges);
         let cfg = GpuConfig::k40c();
         let knobs = LatencyKnobs { cc_threshold: thr, ..Default::default() };
-        let p = latency_transform(&g, &knobs, &cfg);
+        let p = Pipeline::default().with_latency(knobs).apply(&g, &cfg);
         p.validate().unwrap();
         let mut seen = vec![false; p.graph.num_nodes()];
         for tile in &p.tiles {
@@ -150,7 +148,7 @@ proptest! {
     ) {
         let g = build(n, &edges);
         let cfg = GpuConfig::k40c();
-        let p = latency_transform(&g, &LatencyKnobs::default(), &cfg);
+        let p = Pipeline::default().with_latency(LatencyKnobs::default()).apply(&g, &cfg);
         for (u, v, _) in g.edge_triples() {
             prop_assert!(p.graph.has_edge(u, v));
         }
@@ -163,9 +161,9 @@ proptest! {
         let g = build(n, &edges);
         let cfg = GpuConfig::k40c();
         for p in [
-            coalesce_transform(&g, &CoalesceKnobs::default()),
-            latency_transform(&g, &LatencyKnobs::default(), &cfg),
-            divergence_transform(&g, &DivergenceKnobs::default(), cfg.warp_size),
+            Pipeline::default().with_coalesce(CoalesceKnobs::default()).apply(&g, &cfg),
+            Pipeline::default().with_latency(LatencyKnobs::default()).apply(&g, &cfg),
+            Pipeline::default().with_divergence(DivergenceKnobs::default()).apply(&g, &cfg),
         ] {
             prop_assert!(p.report.preprocess_seconds >= 0.0);
             prop_assert!(p.report.space_overhead >= -1e-9);

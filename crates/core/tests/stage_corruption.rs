@@ -11,7 +11,7 @@ use graffix_core::{
     Pipeline, Prepared, QueryCtx, StageRecord, StageStatus,
 };
 use graffix_graph::generators::{GraphKind, GraphSpec};
-use graffix_graph::{serialize, Csr};
+use graffix_graph::Csr;
 use graffix_sim::GpuConfig;
 use std::path::{Path, PathBuf};
 
@@ -59,22 +59,6 @@ fn key_of(records: &[StageRecord], stage: &str) -> u64 {
         .key
 }
 
-fn assert_same_prepared(a: &Prepared, b: &Prepared, ctx: &str) {
-    assert_eq!(
-        &serialize::to_bytes(&a.graph)[..],
-        &serialize::to_bytes(&b.graph)[..],
-        "{ctx}: transformed CSR bytes differ"
-    );
-    assert_eq!(a.assignment, b.assignment, "{ctx}: assignment differs");
-    assert_eq!(a.to_original, b.to_original, "{ctx}: to_original differs");
-    assert_eq!(a.primary, b.primary, "{ctx}: primary differs");
-    assert_eq!(
-        a.replica_groups, b.replica_groups,
-        "{ctx}: replica groups differ"
-    );
-    assert_eq!(a.tiles, b.tiles, "{ctx}: tiles differ");
-}
-
 /// After corrupting the `boost` entry, a fresh run must re-run boost only:
 /// renumber/replicate/cc hit, tile-select/normalize reuse via cutoff (the
 /// recomputed boost output is content-identical), result unchanged.
@@ -113,7 +97,7 @@ fn assert_boost_degrades_alone(
             "{case}: downstream {stage} must reuse via cutoff"
         );
     }
-    assert_same_prepared(&rerun, reference, case);
+    assert_eq!(rerun.first_difference(reference), None, "{case}");
 
     // The recompute rewrote the entry: a clean follow-up run hits again.
     let (_, records) = staged_run(&pipeline(), g, dir);
@@ -189,7 +173,11 @@ fn garbage_entry_degrades_to_a_miss_for_that_stage_only() {
         );
     }
     assert_eq!(status_of(&records, "normalize"), StageStatus::Recomputed);
-    assert_same_prepared(&rerun, &reference, "garbage normalize entry");
+    assert_eq!(
+        rerun.first_difference(&reference),
+        None,
+        "garbage normalize entry"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -236,10 +224,10 @@ fn damaged_terminal_entry_is_a_miss_that_the_stage_entries_repair() {
             !out.stages.is_empty() && out.stages.iter().all(|r| r.status == StageStatus::Hit),
             "{case}: every stage entry must still hit"
         );
-        assert_same_prepared(&rerun, &cold, case);
+        assert_eq!(rerun.first_difference(&cold), None, "{case}");
         let (again, out) = prepare_with_cache(&g, &pipeline(), &gpu, &cache).unwrap();
         assert_eq!(out.status, CacheStatus::Hit, "{case}: repaired");
-        assert_same_prepared(&again, &cold, case);
+        assert_eq!(again.first_difference(&cold), None, "{case}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

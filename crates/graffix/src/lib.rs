@@ -20,8 +20,11 @@
 //! let source = sssp::default_source(&graph);
 //! let exact_run = sssp::run_sim(&exact_plan, source);
 //!
-//! // Approximate execution after the coalescing transform (§2).
-//! let prepared = coalesce::transform(&graph, &CoalesceKnobs::for_kind(GraphKind::Rmat));
+//! // Approximate execution after the coalescing transform (§2): a pipeline
+//! // with one stage. `with_latency`/`with_divergence` compose the others.
+//! let prepared = Pipeline::default()
+//!     .with_coalesce(CoalesceKnobs::for_kind(GraphKind::Rmat))
+//!     .apply(&graph, &gpu);
 //! let approx_plan = Baseline::Lonestar.plan(&prepared, &gpu);
 //! let approx_run = sssp::run_sim(&approx_plan, source);
 //!

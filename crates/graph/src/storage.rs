@@ -55,9 +55,14 @@ mod mapped {
         len: usize,
     }
 
-    // The mapping is read-only and owned until `Drop`; raw-pointer reads
-    // from any thread observe the same immutable bytes.
+    // SAFETY: `ptr` is the only field that is not `Send` by itself. It is
+    // the base of a `PROT_READ`/`MAP_PRIVATE` mapping this value owns from
+    // `map_file` until `Drop`: no thread can write through it, and
+    // `munmap` may run on whichever thread drops the value last.
     unsafe impl Send for MappedRegion {}
+    // SAFETY: every method takes `&self` and only reads `ptr`/`len` or the
+    // mapped bytes, which nothing writes while the mapping lives — sharing
+    // a `&MappedRegion` is sharing a read-only slice.
     unsafe impl Sync for MappedRegion {}
 
     impl MappedRegion {
@@ -71,6 +76,12 @@ mod mapped {
                 ));
             }
             let len = len as usize;
+            // SAFETY: a null hint lets the kernel choose the address, so no
+            // existing mapping is replaced; `len` is non-zero and the fd is
+            // open for the call (`file` is borrowed). `PROT_READ` with
+            // `MAP_PRIVATE` gives pages nothing in this process can write
+            // and writes to the file by others need not reach. The result
+            // is checked against `MAP_FAILED` before it is used.
             let ptr = unsafe {
                 mmap(
                     std::ptr::null_mut(),
@@ -86,6 +97,8 @@ mod mapped {
             }
             // Frontier-driven traversal touches segments out of order;
             // advisory only, failure is harmless.
+            // SAFETY: `ptr`/`len` are exactly the mapping `mmap` just
+            // returned, and `MADV_RANDOM` changes read-ahead, not contents.
             unsafe {
                 madvise(ptr, len, MADV_RANDOM);
             }
@@ -95,6 +108,13 @@ mod mapped {
         /// The mapped bytes.
         #[inline]
         pub fn bytes(&self) -> &[u8] {
+            // SAFETY: `ptr` is the non-null, page-aligned base of a mapping
+            // of `len` bytes (the length passed to `mmap`, below
+            // `isize::MAX` on a 64-bit target) that stays mapped and
+            // unwritten until `Drop`; the slice borrows `self`, so it
+            // cannot outlive the mapping. The one thing not ruled out is
+            // the file shrinking under the mapping (module docs, DESIGN.md
+            // §12): a read past the new end is a `SIGBUS`, not a wild read.
             unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
         }
 
@@ -113,6 +133,10 @@ mod mapped {
 
     impl Drop for MappedRegion {
         fn drop(&mut self) {
+            // SAFETY: `ptr`/`len` are the mapping `map_file` created and
+            // nothing else unmaps it; `drop` runs once, and every slice
+            // into the mapping holds an `Arc` of this value, so none
+            // outlives it.
             unsafe {
                 munmap(self.ptr, self.len);
             }
@@ -225,6 +249,9 @@ impl<T> Buf<T> {
         if need > region.len() {
             return Err("mapped slice extends past end of file");
         }
+        // SAFETY: `byte_offset <= need <= region.len()` was checked just
+        // above, so the offset stays inside (or one past the end of) the
+        // mapping `region.base()` points into.
         let ptr = unsafe { region.base().add(byte_offset) };
         if !(ptr as usize).is_multiple_of(std::mem::align_of::<T>()) {
             return Err("mapped slice is misaligned");

@@ -12,8 +12,7 @@
 //! Dev-dependency cycle note: this test pulls in `graffix-core`, which
 //! depends on `graffix-graph` — cargo permits the cycle for dev-deps.
 
-use graffix_core::{coalesce, divergence, latency};
-use graffix_core::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Prepared};
+use graffix_core::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs, Pipeline, Prepared};
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::{Csr, NodeId};
 use graffix_sim::GpuConfig;
@@ -122,7 +121,9 @@ fn coalescing_preserves_csr_invariants_across_random_configs() {
             max_replicas_per_node: rng.random_range(1..=8usize),
         };
         let ctx = format!("coalesce config {i} ({knobs:?})");
-        let p = coalesce::transform(&g, &knobs);
+        let p = Pipeline::default()
+            .with_coalesce(knobs)
+            .apply(&g, &GpuConfig::k40c());
         check_all(&g, &p, &ctx);
     }
 }
@@ -140,7 +141,7 @@ fn latency_preserves_csr_invariants_across_random_configs() {
             t_diameter_factor: rng.random_range(1..=4usize),
         };
         let ctx = format!("latency config {i} ({knobs:?})");
-        let p = latency::transform(&g, &knobs, &gpu);
+        let p = Pipeline::default().with_latency(knobs).apply(&g, &gpu);
         check_all(&g, &p, &ctx);
         // The edge budget is a hard cap (§3: "a global limit for the
         // number of edges added"), with slack for per-center rounding.
@@ -165,7 +166,11 @@ fn divergence_preserves_csr_invariants_across_random_configs() {
         };
         let warp_size = [4usize, 8, 16, 32][rng.random_range(0..4usize)];
         let ctx = format!("divergence config {i} (warp {warp_size}, {knobs:?})");
-        let p = divergence::transform(&g, &knobs, warp_size);
+        let gpu = GpuConfig {
+            warp_size,
+            ..GpuConfig::k40c()
+        };
+        let p = Pipeline::default().with_divergence(knobs).apply(&g, &gpu);
         check_all(&g, &p, &ctx);
     }
 }

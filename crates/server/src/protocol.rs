@@ -287,17 +287,25 @@ fn parse_run(doc: &Json, id: u64) -> Result<RunRequest, ServeError> {
         ),
     };
     let technique = field_str(doc, "technique")?.unwrap_or("exact");
-    if Technique::from_key(technique).is_none() {
-        return Err(ServeError::new(
+    let parsed_technique = Technique::from_key(technique).ok_or_else(|| {
+        ServeError::new(
             ErrorKind::UnknownTechnique,
             format!("unknown technique `{technique}`"),
-        ));
-    }
+        )
+    })?;
+    // The CLI's `--threshold` rule: a value no knob would take, or one out
+    // of range, is refused here and never reaches a pool or batch key.
     let threshold = match doc.get("threshold") {
         None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_f64().ok_or_else(|| {
-            ServeError::new(ErrorKind::BadRequest, "`threshold` must be a number")
-        })?),
+        Some(v) => {
+            let x = v.as_f64().ok_or_else(|| {
+                ServeError::new(ErrorKind::BadRequest, "`threshold` must be a number")
+            })?;
+            parsed_technique.check_threshold(x).map_err(|e| {
+                ServeError::new(ErrorKind::BadRequest, format!("bad `threshold`: {e}"))
+            })?;
+            Some(x)
+        }
     };
     let direction = match field_str(doc, "direction")? {
         None => Direction::Push,
@@ -550,6 +558,23 @@ mod tests {
             ),
             (r#"{"op":"explode"}"#, ErrorKind::UnknownOp),
             (r#"{"graph":3,"algo":"sssp"}"#, ErrorKind::BadRequest),
+            // A threshold no knob would take, or one out of range.
+            (
+                r#"{"graph":"g","algo":"sssp","threshold":0.4}"#,
+                ErrorKind::BadRequest,
+            ),
+            (
+                r#"{"graph":"g","algo":"sssp","technique":"combined","threshold":0.4}"#,
+                ErrorKind::BadRequest,
+            ),
+            (
+                r#"{"graph":"g","algo":"sssp","technique":"latency","threshold":7}"#,
+                ErrorKind::BadRequest,
+            ),
+            (
+                r#"{"graph":"g","algo":"sssp","technique":"divergence","threshold":-0.1}"#,
+                ErrorKind::BadRequest,
+            ),
         ];
         for (line, want) in cases {
             let (_, err) = parse_request(line).expect_err(line);

@@ -52,15 +52,13 @@ fn main() {
         }
 
         // Auto-tuned transforms, same attribution.
-        let candidates: Vec<(&str, Prepared)> = vec![
-            ("coalescing", coalesce::transform(&graph, &tuned.coalesce)),
-            ("latency", latency::transform(&graph, &tuned.latency, &gpu)),
-            (
-                "divergence",
-                divergence::transform(&graph, &tuned.divergence, gpu.warp_size),
-            ),
-        ];
-        for (name, prepared) in candidates {
+        for technique in [
+            Technique::Coalescing,
+            Technique::Latency,
+            Technique::Divergence,
+        ] {
+            let name = technique.key();
+            let prepared = tuned.pipeline(technique, None).apply(&graph, &gpu);
             let run = pagerank::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu));
             let b = CostBreakdown::attribute(&run.stats, &gpu);
             println!(

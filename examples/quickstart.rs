@@ -41,19 +41,21 @@ fn main() {
     let prepared: Vec<(&str, Prepared)> = vec![
         (
             "coalescing (renumber + replicate, thr 0.6, k 16)",
-            coalesce::transform(&graph, &CoalesceKnobs::for_kind(GraphKind::Rmat)),
+            Pipeline::default()
+                .with_coalesce(CoalesceKnobs::for_kind(GraphKind::Rmat))
+                .apply(&graph, &gpu),
         ),
         (
             "latency (shared-memory tiles by clustering coefficient)",
-            latency::transform(&graph, &LatencyKnobs::for_kind(GraphKind::Rmat), &gpu),
+            Pipeline::default()
+                .with_latency(LatencyKnobs::for_kind(GraphKind::Rmat))
+                .apply(&graph, &gpu),
         ),
         (
             "divergence (degree buckets + 2-hop fill)",
-            divergence::transform(
-                &graph,
-                &DivergenceKnobs::for_kind(GraphKind::Rmat),
-                gpu.warp_size,
-            ),
+            Pipeline::default()
+                .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+                .apply(&graph, &gpu),
         ),
     ];
 

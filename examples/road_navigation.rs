@@ -30,11 +30,9 @@ fn main() {
         .collect();
 
     let exact = Prepared::exact(graph.clone());
-    let transformed = divergence::transform(
-        &graph,
-        &DivergenceKnobs::for_kind(GraphKind::Road),
-        gpu.warp_size,
-    );
+    let transformed = Pipeline::default()
+        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Road))
+        .apply(&graph, &gpu);
 
     println!(
         "\n{:<28} {:>14} {:>14} {:>9} {:>12}",

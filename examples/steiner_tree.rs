@@ -83,7 +83,9 @@ fn main() {
     let (exact_cycles, exact_weight) = kmb(&exact_plan, &terminals, &gpu);
 
     // Transformed runs: one preprocessing, many SSSP executions.
-    let prepared = coalesce::transform(&graph, &CoalesceKnobs::for_kind(GraphKind::Road));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::Road))
+        .apply(&graph, &gpu);
     let approx_plan = Baseline::Lonestar.plan(&prepared, &gpu);
     let (approx_cycles, approx_weight) = kmb(&approx_plan, &terminals, &gpu);
 

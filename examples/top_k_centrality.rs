@@ -33,10 +33,9 @@ fn main() {
     let reference = bc::exact_cpu(&graph, &sources);
 
     // Approximate run on the coalescing-transformed graph.
-    let prepared = coalesce::transform(
-        &graph,
-        &CoalesceKnobs::for_kind(GraphKind::SocialLiveJournal),
-    );
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::SocialLiveJournal))
+        .apply(&graph, &gpu);
     let approx_plan = Baseline::Lonestar.plan(&prepared, &gpu);
     let approx_run = bc::run_sim(&approx_plan, &sources);
 

@@ -40,7 +40,7 @@ fn latency_inaccuracy_monotone_in_edge_budget() {
             edge_budget_frac: budget,
             ..LatencyKnobs::for_kind(GraphKind::SocialLiveJournal)
         };
-        let prepared = latency::transform(&g, &knobs, &gpu);
+        let prepared = Pipeline::default().with_latency(knobs).apply(&g, &gpu);
         let run = pagerank::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu));
         let err = relative_l1(&run.values, &reference);
         errs.push(err);
@@ -71,7 +71,9 @@ fn top_k_sets_are_robust_to_small_value_errors() {
     let gpu = GpuConfig::k40c();
     let sources = bc::sample_sources(&g, 6);
     let reference = bc::exact_cpu(&g, &sources);
-    let prepared = coalesce::transform(&g, &CoalesceKnobs::for_kind(GraphKind::SocialTwitter));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::SocialTwitter))
+        .apply(&g, &gpu);
     let run = bc::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu), &sources);
 
     let k = 10;
@@ -143,7 +145,9 @@ fn sssp_distance_mass_residual_settles() {
 
     // Replica-bearing plan: the run stops under the 0.1 % stability
     // criterion, so the last recorded step must satisfy exactly that bound.
-    let prepared = coalesce::transform(&g, &CoalesceKnobs::for_kind(GraphKind::Rmat));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     let t = traced_run(
         "test",
         Algo::Sssp,

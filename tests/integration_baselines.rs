@@ -81,11 +81,9 @@ fn graffix_speedups_lower_against_tigr_for_divergence() {
     let g = graph();
     let gpu = GpuConfig::k40c();
     let exact = Prepared::exact(g.clone());
-    let transformed = divergence::transform(
-        &g,
-        &DivergenceKnobs::for_kind(GraphKind::Rmat),
-        gpu.warp_size,
-    );
+    let transformed = Pipeline::default()
+        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     let src = sssp::default_source(&g);
 
     let speedup_vs = |baseline: Baseline| {

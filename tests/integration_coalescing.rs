@@ -12,7 +12,9 @@ fn coalescing_reduces_transactions_per_access_on_skewed_graphs() {
     let g = suite_graph(GraphKind::Rmat);
     let gpu = GpuConfig::k40c();
     let exact_plan = Baseline::Lonestar.plan(&Prepared::exact(g.clone()), &gpu);
-    let prepared = coalesce::transform(&g, &CoalesceKnobs::for_kind(GraphKind::Rmat));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     let approx_plan = Baseline::Lonestar.plan(&prepared, &gpu);
 
     let exact = pagerank::run_sim(&exact_plan);
@@ -29,14 +31,24 @@ fn coalescing_reduces_transactions_per_access_on_skewed_graphs() {
 
 #[test]
 fn renumbering_is_semantically_transparent_without_replication() {
-    // threshold > 1 disables replication: the transform is a pure graph
-    // isomorphism and every algorithm must return bit-equal results.
+    // The renumber stage alone, laid out by hand: no valid threshold turns
+    // replication off (a node linked to every real node of a chunk reaches
+    // connectedness 1). Without replicas the transform is a pure graph
+    // isomorphism with idle hole slots, and every algorithm must return
+    // bit-equal results.
     let g = suite_graph(GraphKind::SocialLiveJournal);
     let gpu = GpuConfig::k40c();
-    let knobs = CoalesceKnobs::default().with_threshold(1.5);
-    let prepared = coalesce::transform(&g, &knobs);
-    assert_eq!(prepared.report.replicas, 0);
-    assert_eq!(prepared.report.edges_added, 0);
+    let ren = coalesce::renumber(&g, CoalesceKnobs::default().chunk_size);
+    let mut prepared = Prepared::exact(coalesce::apply_renumbering(&g, &ren));
+    assert!(ren.holes_created > 0 && prepared.graph.has_holes());
+    for (slot, v) in prepared.assignment.iter_mut().enumerate() {
+        if prepared.graph.is_hole(slot as NodeId) {
+            *v = INVALID_NODE;
+        }
+    }
+    prepared.to_original = ren.old_of_new;
+    prepared.primary = ren.new_of_old;
+    prepared.validate().unwrap();
 
     let plan = Baseline::Lonestar.plan(&prepared, &gpu);
     let src = sssp::default_source(&g);
@@ -52,7 +64,9 @@ fn renumbering_is_semantically_transparent_without_replication() {
 fn all_five_algorithms_run_on_transformed_graphs() {
     let g = suite_graph(GraphKind::SocialTwitter);
     let gpu = GpuConfig::k40c();
-    let prepared = coalesce::transform(&g, &CoalesceKnobs::for_kind(GraphKind::SocialTwitter));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::SocialTwitter))
+        .apply(&g, &gpu);
     let plan = Baseline::Lonestar.plan(&prepared, &gpu);
 
     let src = sssp::default_source(&g);
@@ -79,7 +93,9 @@ fn all_five_algorithms_run_on_transformed_graphs() {
 fn confluence_operator_changes_results() {
     let g = suite_graph(GraphKind::Rmat);
     let gpu = GpuConfig::k40c();
-    let prepared = coalesce::transform(&g, &CoalesceKnobs::default().with_threshold(0.3));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::default().with_threshold(0.3))
+        .apply(&g, &gpu);
     if prepared.replica_groups.is_empty() {
         return; // nothing to merge at this scale
     }
@@ -101,7 +117,9 @@ fn confluence_operator_changes_results() {
 #[test]
 fn transform_report_matches_structure() {
     let g = suite_graph(GraphKind::Random);
-    let prepared = coalesce::transform(&g, &CoalesceKnobs::for_kind(GraphKind::Random));
+    let prepared = Pipeline::default()
+        .with_coalesce(CoalesceKnobs::for_kind(GraphKind::Random))
+        .apply(&g, &GpuConfig::k40c());
     let r = &prepared.report;
     assert_eq!(r.original_nodes, g.num_nodes());
     assert_eq!(r.original_edges, g.num_edges());
@@ -120,7 +138,9 @@ fn chunk_size_one_still_works() {
         threshold: 0.6,
         max_replicas_per_node: 2,
     };
-    let prepared = coalesce::transform(&g, &knobs);
+    let prepared = Pipeline::default()
+        .with_coalesce(knobs)
+        .apply(&g, &GpuConfig::k40c());
     prepared.validate().unwrap();
     assert_eq!(prepared.report.holes_created, 0, "k=1 creates no holes");
 }

@@ -11,11 +11,9 @@ fn skewed() -> Csr {
 fn divergent_slots_drop_substantially() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
-    let prepared = divergence::transform(
-        &g,
-        &DivergenceKnobs::for_kind(GraphKind::Rmat),
-        gpu.warp_size,
-    );
+    let prepared = Pipeline::default()
+        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     let exact = pagerank::run_sim(&Baseline::Lonestar.plan(&Prepared::exact(g.clone()), &gpu));
     let approx = pagerank::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu));
     assert!(
@@ -30,11 +28,9 @@ fn divergent_slots_drop_substantially() {
 fn lockstep_steps_shrink_on_skewed_degrees() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
-    let prepared = divergence::transform(
-        &g,
-        &DivergenceKnobs::for_kind(GraphKind::Rmat),
-        gpu.warp_size,
-    );
+    let prepared = Pipeline::default()
+        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     let exact = pagerank::run_sim(&Baseline::Lonestar.plan(&Prepared::exact(g.clone()), &gpu));
     let approx = pagerank::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu));
     let steps_exact = exact.stats.steps as f64 / exact.iterations as f64;
@@ -50,11 +46,9 @@ fn results_exact_when_no_edges_added() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
     // Threshold 0 disables filling: the transform is a pure renumbering.
-    let prepared = divergence::transform(
-        &g,
-        &DivergenceKnobs::default().with_threshold(0.0),
-        gpu.warp_size,
-    );
+    let prepared = Pipeline::default()
+        .with_divergence(DivergenceKnobs::default().with_threshold(0.0))
+        .apply(&g, &gpu);
     assert_eq!(prepared.report.edges_added, 0);
     let src = sssp::default_source(&g);
     let run = sssp::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu), src);
@@ -68,11 +62,9 @@ fn sum_rule_weights_preserve_sssp_distances() {
     // parallels, so shortest-path distances are invariant even with fills.
     let g = skewed();
     let gpu = GpuConfig::k40c();
-    let prepared = divergence::transform(
-        &g,
-        &DivergenceKnobs::for_kind(GraphKind::Rmat),
-        gpu.warp_size,
-    );
+    let prepared = Pipeline::default()
+        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     assert!(prepared.report.edges_added > 0, "expect fills on rmat");
     let src = sssp::default_source(&g);
     let run = sssp::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu), src);
@@ -95,7 +87,7 @@ fn pagerank_error_scales_with_threshold() {
             edge_budget_frac: 1.0,
             ..Default::default()
         };
-        let prepared = divergence::transform(&g, &knobs, gpu.warp_size);
+        let prepared = Pipeline::default().with_divergence(knobs).apply(&g, &gpu);
         assert!(
             prepared.report.edges_added >= last_edges,
             "higher threshold admits more fills"
@@ -111,11 +103,9 @@ fn pagerank_error_scales_with_threshold() {
 fn works_under_all_baselines() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
-    let prepared = divergence::transform(
-        &g,
-        &DivergenceKnobs::for_kind(GraphKind::Rmat),
-        gpu.warp_size,
-    );
+    let prepared = Pipeline::default()
+        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .apply(&g, &gpu);
     let src = sssp::default_source(&g);
     let reference = sssp::exact_cpu(&g, src);
     for baseline in ALL_BASELINES {

@@ -11,11 +11,9 @@ fn social() -> Csr {
 fn tiles_move_traffic_into_shared_memory() {
     let g = social();
     let gpu = GpuConfig::k40c();
-    let prepared = latency::transform(
-        &g,
-        &LatencyKnobs::for_kind(GraphKind::SocialLiveJournal),
-        &gpu,
-    );
+    let prepared = Pipeline::default()
+        .with_latency(LatencyKnobs::for_kind(GraphKind::SocialLiveJournal))
+        .apply(&g, &gpu);
     assert!(!prepared.tiles.is_empty());
     let plan = Baseline::Lonestar.plan(&prepared, &gpu);
     let run = pagerank::run_sim(&plan);
@@ -33,11 +31,9 @@ fn tiles_move_traffic_into_shared_memory() {
 fn latency_speeds_up_clustered_graphs() {
     let g = social();
     let gpu = GpuConfig::k40c();
-    let prepared = latency::transform(
-        &g,
-        &LatencyKnobs::for_kind(GraphKind::SocialLiveJournal),
-        &gpu,
-    );
+    let prepared = Pipeline::default()
+        .with_latency(LatencyKnobs::for_kind(GraphKind::SocialLiveJournal))
+        .apply(&g, &gpu);
     let exact_plan = Baseline::Lonestar.plan(&Prepared::exact(g.clone()), &gpu);
     let approx_plan = Baseline::Lonestar.plan(&prepared, &gpu);
     let exact = pagerank::run_sim(&exact_plan);
@@ -61,8 +57,8 @@ fn accuracy_cost_is_bounded_by_edge_budget() {
         edge_budget_frac: 0.08,
         ..LatencyKnobs::for_kind(GraphKind::SocialLiveJournal)
     };
-    let p_tight = latency::transform(&g, &tight, &gpu);
-    let p_loose = latency::transform(&g, &loose, &gpu);
+    let p_tight = Pipeline::default().with_latency(tight).apply(&g, &gpu);
+    let p_loose = Pipeline::default().with_latency(loose).apply(&g, &gpu);
     assert!(p_tight.report.edges_added <= p_loose.report.edges_added);
 
     let reference = pagerank::exact_cpu(&g);
@@ -82,11 +78,9 @@ fn sssp_distances_shorten_never_lengthen() {
     // less than or equal to exact distances (mean-of-hops chords shorten).
     let g = social();
     let gpu = GpuConfig::k40c();
-    let prepared = latency::transform(
-        &g,
-        &LatencyKnobs::for_kind(GraphKind::SocialLiveJournal),
-        &gpu,
-    );
+    let prepared = Pipeline::default()
+        .with_latency(LatencyKnobs::for_kind(GraphKind::SocialLiveJournal))
+        .apply(&g, &gpu);
     let src = sssp::default_source(&g);
     let run = sssp::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu), src);
     let reference = sssp::exact_cpu(&g, src);
@@ -104,7 +98,9 @@ fn sssp_distances_shorten_never_lengthen() {
 fn road_networks_barely_tile() {
     let g = GraphSpec::new(GraphKind::Road, 1600, 3).generate();
     let gpu = GpuConfig::k40c();
-    let prepared = latency::transform(&g, &LatencyKnobs::for_kind(GraphKind::Road), &gpu);
+    let prepared = Pipeline::default()
+        .with_latency(LatencyKnobs::for_kind(GraphKind::Road))
+        .apply(&g, &gpu);
     let covered: usize = prepared.tiles.iter().map(|t| t.nodes.len()).sum();
     assert!(
         covered < g.num_nodes() / 2,
@@ -121,8 +117,8 @@ fn tile_iterations_track_diameter_knob() {
         t_diameter_factor: 4,
         ..base
     };
-    let p1 = latency::transform(&g, &base, &gpu);
-    let p2 = latency::transform(&g, &doubled, &gpu);
+    let p1 = Pipeline::default().with_latency(base).apply(&g, &gpu);
+    let p2 = Pipeline::default().with_latency(doubled).apply(&g, &gpu);
     let max1 = p1.tiles.iter().map(|t| t.iterations).max().unwrap_or(0);
     let max2 = p2.tiles.iter().map(|t| t.iterations).max().unwrap_or(0);
     assert!(

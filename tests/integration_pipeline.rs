@@ -3,6 +3,8 @@
 
 use graffix::prelude::*;
 
+mod golden;
+
 fn graph() -> Csr {
     GraphSpec::new(GraphKind::SocialTwitter, 1200, 3).generate()
 }
@@ -80,4 +82,90 @@ fn pipeline_amortizes_across_multiple_queries() {
     let again = sssp::run_sim(&plan, sources[0]).elapsed_cycles(&gpu);
     let first = sssp::run_sim(&plan, sources[0]).elapsed_cycles(&gpu);
     assert_eq!(again, first, "simulation must be deterministic");
+}
+
+/// One golden row: every file the fresh cache directory `dir` holds after
+/// `pipe` was prepared into it, by name (which carries the stage or
+/// terminal key) with the FNV-1a of its bytes (envelope + payload —
+/// content only).
+fn prepared_matrix_row(
+    id: &str,
+    g: &Csr,
+    pipe: &Pipeline,
+    gpu: &GpuConfig,
+    dir: &std::path::Path,
+) -> String {
+    use graffix::core::query::fingerprint_bytes;
+    let (_, outcome) = prepare_with_cache(g, pipe, gpu, &CacheConfig::at(dir)).unwrap();
+    assert_eq!(outcome.status, CacheStatus::MissStored, "{id}");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let bytes = std::fs::read(entry.path()).unwrap();
+            format!(
+                "{}={:016x}",
+                entry.file_name().to_string_lossy(),
+                fingerprint_bytes(&bytes)
+            )
+        })
+        .collect();
+    files.sort();
+    format!("{id} {}", files.join(" "))
+}
+
+/// Every stage key, the terminal key and every stored byte of every
+/// pipeline shape, against rows recorded from the code *before* the three
+/// standalone `transform()` functions were deleted and `Pipeline` became
+/// the only producer of a `Prepared` (`tests/golden/prepared_matrix.txt`;
+/// not regenerated since). The matrix is `paper_suite(512, 2020)` and
+/// `paper_suite(2048, 7)` × the seven non-empty stage subsets under the
+/// per-family knobs plus `Pipeline::all_defaults()` (the gate's `combined`
+/// cell). On a mismatch the rows this build produces are left in
+/// `prepared_matrix.actual.txt` under the test tmpdir.
+#[test]
+fn prepared_matrix_equals_the_recorded_rows() {
+    let gpu = GpuConfig::k40c();
+    let scratch = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("prepared-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let mut rows: Vec<String> = Vec::new();
+    for (nodes, seed) in [(512, 2020), (2048, 7)] {
+        for (kind, g) in paper_suite(nodes, seed) {
+            let (c, l, d) = (
+                CoalesceKnobs::for_kind(kind),
+                LatencyKnobs::for_kind(kind),
+                DivergenceKnobs::for_kind(kind),
+            );
+            let mut shapes: Vec<(String, Pipeline)> = (1..8u8)
+                .map(|bits| {
+                    let pipe = Pipeline {
+                        coalesce: (bits & 1 != 0).then_some(c),
+                        latency: (bits & 2 != 0).then_some(l),
+                        divergence: (bits & 4 != 0).then_some(d),
+                    };
+                    let name: Vec<&str> = [(1, "coalescing"), (2, "latency"), (4, "divergence")]
+                        .iter()
+                        .filter(|(bit, _)| bits & bit != 0)
+                        .map(|&(_, name)| name)
+                        .collect();
+                    (name.join("+"), pipe)
+                })
+                .collect();
+            shapes.push(("all_defaults".to_string(), Pipeline::all_defaults()));
+            for (shape, pipe) in shapes {
+                let id = format!("{nodes}-{seed}/{}/{shape}", kind.paper_name());
+                let dir = scratch.join(rows.len().to_string());
+                rows.push(prepared_matrix_row(&id, &g, &pipe, &gpu, &dir));
+            }
+        }
+    }
+    assert_eq!(rows.len(), 80);
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    golden::assert_rows_equal(
+        "prepared_matrix",
+        &rows,
+        include_str!("golden/prepared_matrix.txt"),
+    );
 }

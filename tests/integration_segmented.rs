@@ -13,6 +13,8 @@
 use graffix::prelude::*;
 use std::sync::Arc;
 
+mod golden;
+
 /// Runs `f` inside a scoped rayon pool of `n` threads (the same mechanism
 /// the CLI's `--threads` flag uses).
 fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -273,25 +275,9 @@ fn launch_matrix_equals_the_recorded_rows() {
     assert!(unsorted_routed, "no hole-bearing assignment was segmented");
     assert!(tiled_routed, "no tiled plan was segmented");
 
-    let actual = rows.join("\n") + "\n";
-    let golden = include_str!("golden/launch_matrix.txt");
-    if actual != golden {
-        let out =
-            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("launch_matrix.actual.txt");
-        std::fs::write(&out, &actual).expect("write actual rows");
-        let moved: Vec<&str> = rows
-            .iter()
-            .zip(golden.lines())
-            .filter(|(a, g)| a != g)
-            .map(|(a, _)| a.split(' ').next().unwrap())
-            .collect();
-        panic!(
-            "{} of {} rows differ from the golden ({} recorded); first: {:?}; actual rows in {}",
-            moved.len(),
-            rows.len(),
-            golden.lines().count(),
-            &moved[..moved.len().min(8)],
-            out.display()
-        );
-    }
+    golden::assert_rows_equal(
+        "launch_matrix",
+        &rows,
+        include_str!("golden/launch_matrix.txt"),
+    );
 }
