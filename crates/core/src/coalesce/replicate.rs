@@ -235,20 +235,7 @@ pub fn replicate_renumbered(
         adj[hole as usize] = replica_edges;
     }
 
-    // Rebuild the CSR.
-    let mut lists = Vec::with_capacity(total);
-    let mut wlists = if weighted {
-        Some(Vec::with_capacity(total))
-    } else {
-        None
-    };
-    for l in &adj {
-        lists.push(l.iter().map(|p| p.0).collect::<Vec<_>>());
-        if let Some(w) = &mut wlists {
-            w.push(l.iter().map(|p| p.1).collect::<Vec<_>>());
-        }
-    }
-    let mut graph = Csr::from_adjacency(lists, wlists);
+    let mut graph = Csr::from_rows(&adj, weighted);
     let mask: Vec<bool> = to_original.iter().map(|&o| o == INVALID_NODE).collect();
     graph.set_hole_mask(mask);
 

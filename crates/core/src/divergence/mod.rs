@@ -31,28 +31,7 @@ pub fn relabel_by_order(g: &Csr, order: &[NodeId]) -> Csr {
     for (pos, &old) in order.iter().enumerate() {
         new_of_old[old as usize] = pos as NodeId;
     }
-    let weighted = g.is_weighted();
-    let mut adj: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); n];
-    for old_u in 0..n as NodeId {
-        let nu = new_of_old[old_u as usize] as usize;
-        for e in g.edge_range(old_u) {
-            adj[nu].push((new_of_old[g.edges_raw()[e] as usize], g.weight_at(e)));
-        }
-        adj[nu].sort_unstable();
-    }
-    let mut lists = Vec::with_capacity(n);
-    let mut wlists = if weighted {
-        Some(Vec::with_capacity(n))
-    } else {
-        None
-    };
-    for l in &adj {
-        lists.push(l.iter().map(|p| p.0).collect::<Vec<_>>());
-        if let Some(w) = &mut wlists {
-            w.push(l.iter().map(|p| p.1).collect::<Vec<_>>());
-        }
-    }
-    Csr::from_adjacency(lists, wlists)
+    g.relabeled(&new_of_old, n)
 }
 
 #[cfg(test)]

@@ -52,9 +52,12 @@ fn stage_key(tag: &str, upstream: &[u64], inputs: impl FnOnce(&mut Fingerprint))
     h.finish()
 }
 
-/// Content fingerprint of an input graph (its GFX1 serialization).
+/// Content fingerprint of an input graph: the hash of its GFX1
+/// serialization, taken section by section without building the image.
 pub(crate) fn graph_fingerprint(g: &Csr) -> u64 {
-    fingerprint_bytes(&serialize::to_bytes(g))
+    let mut h = Fingerprint::new();
+    serialize::write_sections(g, |piece| h.write(piece));
+    h.finish()
 }
 
 /// Why a pipeline could not produce a [`Prepared`] graph. Surfaced to the
@@ -65,6 +68,9 @@ pub enum PipelineError {
     /// A knob combination the transforms cannot honor (e.g. a zero chunk
     /// size or a threshold outside `[0, 1]`).
     InvalidKnobs(String),
+    /// An input graph an enabled transform cannot take (coalescing owns the
+    /// id space, so it needs a graph without hole slots).
+    InvalidInput(String),
     /// The composed transforms produced a structurally invalid preparation.
     InvalidPrepared(String),
 }
@@ -73,6 +79,7 @@ impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PipelineError::InvalidKnobs(msg) => write!(f, "invalid pipeline knobs: {msg}"),
+            PipelineError::InvalidInput(msg) => write!(f, "invalid pipeline input: {msg}"),
             PipelineError::InvalidPrepared(msg) => {
                 write!(f, "pipeline produced an invalid preparation: {msg}")
             }
@@ -230,6 +237,17 @@ impl Pipeline {
         if let Some(k) = &self.coalesce {
             k.validate(cfg.warp_size)
                 .map_err(PipelineError::InvalidKnobs)?;
+            // Renumbering hands every slot a place in the BFS forest, and
+            // the forest skips holes: the output of an earlier coalescing
+            // cannot be coalesced again.
+            if g.has_holes() {
+                return Err(PipelineError::InvalidInput(format!(
+                    "coalescing needs a graph without holes, and {} of the {} node slots \
+                     are holes (is this the output of an earlier coalescing transform?)",
+                    g.num_holes(),
+                    g.num_nodes()
+                )));
+            }
         }
         if let Some(k) = &self.latency {
             k.validate().map_err(PipelineError::InvalidKnobs)?;
@@ -497,6 +515,14 @@ mod tests {
         GraphSpec::new(GraphKind::SocialLiveJournal, 500, 17).generate()
     }
 
+    /// The output graph of a coalescing transform of [`graph`]: it has holes.
+    fn coalesced() -> Csr {
+        let coalesce = Pipeline::default().with_coalesce(CoalesceKnobs::default());
+        let holey = coalesce.apply(&graph(), &GpuConfig::k40c()).graph;
+        assert!(holey.has_holes(), "fixture must carry holes");
+        holey
+    }
+
     #[test]
     fn empty_pipeline_is_exact() {
         let g = graph();
@@ -621,6 +647,64 @@ mod tests {
         // Valid knobs still succeed through the fallible path.
         let p = Pipeline::all_defaults().try_apply(&g, &cfg).unwrap();
         assert_eq!(p.technique, Technique::Combined);
+    }
+
+    /// The output of a coalescing transform has holes, and `bfs_forest`
+    /// gives a hole no level: coalescing it again used to index with
+    /// `INVALID_NODE`. It is refused before any stage runs; the transforms
+    /// that keep the id space take such a graph as before.
+    #[test]
+    fn hole_bearing_input_to_coalescing_is_a_typed_error() {
+        let cfg = GpuConfig::k40c();
+        let holey = coalesced();
+        let holes = holey.num_holes();
+        for pipe in [
+            Pipeline::default().with_coalesce(CoalesceKnobs::default()),
+            Pipeline::all_defaults(),
+        ] {
+            let mut ctx = QueryCtx::memory();
+            let err = pipe.try_apply_with(&holey, &cfg, &mut ctx).unwrap_err();
+            assert!(matches!(err, PipelineError::InvalidInput(_)), "{err}");
+            assert!(
+                err.to_string().contains(&format!("{holes} of the")),
+                "{err}"
+            );
+            assert!(ctx.records().is_empty(), "refused before any stage ran");
+        }
+        for pipe in [
+            Pipeline::default().with_latency(LatencyKnobs::default()),
+            Pipeline::default().with_divergence(DivergenceKnobs::default()),
+        ] {
+            pipe.try_apply(&holey, &cfg).unwrap().validate().unwrap();
+        }
+    }
+
+    /// The fingerprint is the hash of the GFX1 image, whether or not the
+    /// image is ever built: every stage key and cache file name hangs off it.
+    #[test]
+    fn streamed_graph_fingerprint_is_the_hash_of_the_serialized_image() {
+        let weighted = graph();
+        let unweighted = GraphSpec::new(GraphKind::Road, 300, 3)
+            .with_max_weight(0)
+            .generate();
+        let holey = coalesced();
+        // 4 096 bytes is the walker's block: sizes on either side of it.
+        let tiny = GraphSpec::new(GraphKind::Random, 40, 1).generate();
+        let empty = Csr::from_adjacency(Vec::new(), None);
+        assert!(weighted.is_weighted() && !unweighted.is_weighted());
+        for (name, g) in [
+            ("weighted", &weighted),
+            ("unweighted", &unweighted),
+            ("hole-bearing", &holey),
+            ("tiny", &tiny),
+            ("empty", &empty),
+        ] {
+            assert_eq!(
+                graph_fingerprint(g),
+                fingerprint_bytes(&serialize::to_bytes(g)),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -436,7 +436,7 @@ pub fn stage_entry_path(dir: &Path, stage: &str, key: u64) -> PathBuf {
 /// fingerprint, so *any* flipped payload byte — not just structural
 /// damage — degrades to a miss of this entry alone.
 pub(crate) fn load_stage(dir: &Path, stage: &str, key: u64) -> Option<Entry> {
-    let mut raw = std::fs::read(stage_entry_path(dir, stage, key)).ok()?;
+    let raw = Bytes::from(std::fs::read(stage_entry_path(dir, stage, key)).ok()?);
     let header = STAGE_MAGIC.len() + 4 + 2 + stage.len() + 8;
     if raw.len() < header
         || &raw[..4] != STAGE_MAGIC
@@ -448,8 +448,7 @@ pub(crate) fn load_stage(dir: &Path, stage: &str, key: u64) -> Option<Entry> {
     }
     let fp_at = 10 + stage.len();
     let fp = u64::from_le_bytes(raw[fp_at..fp_at + 8].try_into().ok()?);
-    raw.drain(..header);
-    let payload = Bytes::from(raw);
+    let payload = raw.slice(header..raw.len());
     (fingerprint_bytes(&payload) == fp).then_some(Entry { payload, fp })
 }
 

@@ -35,6 +35,16 @@ pub fn undirected_build_count() -> usize {
     UNDIRECTED_BUILDS.load(Ordering::Relaxed)
 }
 
+/// Panics when `n` node slots would put the `INVALID_NODE` sentinel into the
+/// live id space.
+fn assert_slot_count(n: usize) {
+    assert!(
+        n <= INVALID_NODE as usize,
+        "{n} node slots would include id {}, reserved as INVALID_NODE",
+        u32::MAX
+    );
+}
+
 /// A directed graph in CSR form with optional edge weights and hole support.
 #[derive(Clone, Debug, Default)]
 pub struct Csr {
@@ -64,11 +74,7 @@ impl Csr {
     /// the same shape as `adj`.
     pub fn from_adjacency(adj: Vec<Vec<NodeId>>, weights: Option<Vec<Vec<u32>>>) -> Self {
         let n = adj.len();
-        assert!(
-            n <= INVALID_NODE as usize,
-            "{n} node slots would include id {}, reserved as INVALID_NODE",
-            u32::MAX
-        );
+        assert_slot_count(n);
         let mut offsets = Vec::with_capacity(n + 1);
         let total: usize = adj.iter().map(Vec::len).sum();
         let mut edges = Vec::with_capacity(total);
@@ -93,6 +99,78 @@ impl Csr {
             offsets: offsets.into(),
             edges: edges.into(),
             weights: flat_weights.into(),
+            hole_mask: Vec::new(),
+            undirected: OnceLock::new(),
+            transposed: OnceLock::new(),
+        }
+    }
+
+    /// Builds a CSR from per-node `(destination, weight)` rows, kept in the
+    /// order given. The weights are dropped when `weighted` is false.
+    pub fn from_rows(rows: &[Vec<(NodeId, u32)>], weighted: bool) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0);
+        for row in rows {
+            offsets.push(offsets[offsets.len() - 1] + row.len());
+        }
+        Csr::from_flat_pairs(offsets, rows.iter().flatten().copied(), weighted)
+    }
+
+    /// Relabels the graph through `new_of_old` into `total` node slots:
+    /// arc `u -> v` becomes `new_of_old[u] -> new_of_old[v]`, every row is
+    /// sorted by `(destination, weight)`, and a slot no node maps to gets an
+    /// empty row. The map is expected to be injective (nodes sharing a slot
+    /// would share its row) with every entry below `total`. The result
+    /// carries no hole mask: which slots are holes is the caller's call.
+    ///
+    /// One counting sort over flat arrays — count, prefix sum, scatter, sort
+    /// each row in place — the shape [`Csr::undirected`] is built in.
+    pub fn relabeled(&self, new_of_old: &[NodeId], total: usize) -> Csr {
+        let slot = |old: NodeId| new_of_old[old as usize] as usize;
+        let mut offsets = vec![0usize; total + 1];
+        for u in self.node_ids() {
+            offsets[slot(u) + 1] += self.degree(u);
+        }
+        for v in 0..total {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets.clone();
+        let mut pairs: Vec<(NodeId, u32)> = vec![(0, 0); offsets[total]];
+        for u in self.node_ids() {
+            let at = &mut cursor[slot(u)];
+            for e in self.edge_range(u) {
+                pairs[*at] = (new_of_old[self.edges[e] as usize], self.weight_at(e));
+                *at += 1;
+            }
+        }
+        for v in 0..total {
+            pairs[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        Csr::from_flat_pairs(offsets, pairs.into_iter(), self.is_weighted())
+    }
+
+    /// Splits flat `(destination, weight)` pairs, already laid out row by
+    /// row under `offsets`, into the edge and weight arrays.
+    fn from_flat_pairs(
+        offsets: Vec<EdgeId>,
+        pairs: impl Iterator<Item = (NodeId, u32)>,
+        weighted: bool,
+    ) -> Csr {
+        let n = offsets.len() - 1;
+        assert_slot_count(n);
+        let m = offsets[n];
+        let mut edges = Vec::with_capacity(m);
+        let mut weights = Vec::with_capacity(if weighted { m } else { 0 });
+        for (dst, w) in pairs {
+            edges.push(dst);
+            if weighted {
+                weights.push(w);
+            }
+        }
+        Csr {
+            offsets: offsets.into(),
+            edges: edges.into(),
+            weights: weights.into(),
             hole_mask: Vec::new(),
             undirected: OnceLock::new(),
             transposed: OnceLock::new(),
@@ -831,5 +909,103 @@ mod tests {
         let after = g.undirected();
         assert!(!Arc::ptr_eq(&before, &after), "mask change must rebuild");
         assert!(after.is_hole(2));
+    }
+
+    /// The relabeling written the slow way: one `Vec` per new slot, pushed
+    /// arc by arc and sorted.
+    fn relabeled_rows(g: &Csr, new_of_old: &[NodeId], total: usize) -> Vec<Vec<(NodeId, u32)>> {
+        let mut rows = vec![Vec::new(); total];
+        for (u, v, w) in g.edge_triples() {
+            rows[new_of_old[u as usize] as usize].push((new_of_old[v as usize], w));
+        }
+        rows.iter_mut().for_each(|row| row.sort_unstable());
+        rows
+    }
+
+    fn assert_same_arrays(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(got.offsets(), want.offsets(), "{what}: offsets");
+        assert_eq!(got.edges_raw(), want.edges_raw(), "{what}: edges");
+        assert_eq!(got.weights_raw(), want.weights_raw(), "{what}: weights");
+        assert!(!got.has_holes(), "{what}: no mask is set");
+        got.validate().unwrap();
+    }
+
+    #[test]
+    fn flat_relabel_equals_the_row_by_row_rebuild() {
+        use crate::generators::{GraphKind, GraphSpec};
+        let weighted = GraphSpec::new(GraphKind::Rmat, 400, 3).generate();
+        let unweighted = GraphSpec::new(GraphKind::SocialTwitter, 300, 5)
+            .with_max_weight(0)
+            .generate();
+        // Parallel arcs of different weights, a self loop, an empty row: a
+        // row is ordered by (destination, weight), not by arrival.
+        let parallel = Csr::from_adjacency(
+            vec![vec![2, 1, 2, 2, 0], vec![], vec![0, 0]],
+            Some(vec![vec![9, 5, 3, 7, 1], vec![], vec![8, 2]]),
+        );
+        assert!(weighted.is_weighted() && !unweighted.is_weighted());
+        for (name, g) in [
+            ("weighted", &weighted),
+            ("unweighted", &unweighted),
+            ("parallel", &parallel),
+        ] {
+            let n = g.num_nodes();
+            let identity: Vec<NodeId> = (0..n as NodeId).collect();
+            let reversed: Vec<NodeId> = identity.iter().rev().copied().collect();
+            // Every third slot of a wider id space stays unused.
+            let spread: Vec<NodeId> = identity.iter().map(|&v| v + v / 2 + 1).collect();
+            let total = n + n / 2 + 1;
+            for (map_name, map, total) in [
+                ("identity", &identity, n),
+                ("reversed", &reversed, n),
+                ("spread", &spread, total),
+            ] {
+                let what = format!("{name}/{map_name}");
+                let got = g.relabeled(map, total);
+                let want = Csr::from_rows(&relabeled_rows(g, map, total), g.is_weighted());
+                assert_eq!(got.num_nodes(), total, "{what}");
+                assert_same_arrays(&got, &want, &what);
+            }
+            // A graph whose rows are sorted is its own identity relabeling.
+            if name != "parallel" {
+                assert_same_arrays(&g.relabeled(&identity, n), g, name);
+            }
+            let used: Vec<bool> = (0..total as NodeId).map(|s| spread.contains(&s)).collect();
+            let wide = g.relabeled(&spread, total);
+            for slot in (0..total).filter(|&s| !used[s]) {
+                assert_eq!(wide.degree(slot as NodeId), 0, "{name}: unused slot {slot}");
+            }
+        }
+        assert_eq!(
+            parallel.relabeled(&[0, 1, 2], 3).neighbors(0),
+            &[0, 1, 2, 2, 2]
+        );
+        assert_eq!(
+            parallel.relabeled(&[0, 1, 2], 3).edge_weights(0),
+            &[1, 5, 3, 7, 9]
+        );
+    }
+
+    #[test]
+    fn relabel_reads_no_arc_of_a_hole_and_sets_no_mask() {
+        let mut g = Csr::from_adjacency(vec![vec![1], vec![0], vec![]], None);
+        g.set_hole_mask(vec![false, false, true]);
+        let h = g.relabeled(&[2, 0, 1], 3);
+        assert_eq!(h.neighbors(2), &[0]);
+        assert_eq!(h.neighbors(0), &[2]);
+        assert!(!h.has_holes());
+    }
+
+    #[test]
+    fn rows_are_kept_in_the_order_given() {
+        let rows = vec![vec![(2, 7), (0, 9), (2, 1)], vec![], vec![(1, 4)]];
+        let g = Csr::from_rows(&rows, true);
+        assert_eq!(g.offsets(), &[0, 3, 3, 4]);
+        assert_eq!(g.neighbors(0), &[2, 0, 2]);
+        assert_eq!(g.edge_weights(0), &[7, 9, 1]);
+        let bare = Csr::from_rows(&rows, false);
+        assert_eq!(bare.edges_raw(), g.edges_raw());
+        assert!(!bare.is_weighted());
+        assert_eq!(Csr::from_rows(&[], true).num_nodes(), 0);
     }
 }

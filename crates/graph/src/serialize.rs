@@ -26,14 +26,13 @@ const MAGIC: &[u8; 4] = b"GFX1";
 const FLAG_WEIGHTED: u32 = 1;
 const FLAG_HOLES: u32 = 2;
 
-/// Serializes `g` into a fresh byte buffer.
-pub fn to_bytes(g: &Csr) -> Bytes {
+/// Feeds `g`'s GFX1 image to `sink` piece by piece, in file order — the one
+/// writer of the layout table above. [`to_bytes`] collects the pieces; a
+/// hasher can take them without the image ever being built.
+pub fn write_sections(g: &Csr, mut sink: impl FnMut(&[u8])) {
     let n = g.num_nodes();
-    let m = g.num_edges();
     let weighted = g.is_weighted();
     let has_holes = g.has_holes();
-    let mut buf = BytesMut::with_capacity(24 + (n + 1) * 8 + m * 8 + n / 8);
-    buf.put_slice(MAGIC);
     let mut flags = 0u32;
     if weighted {
         flags |= FLAG_WEIGHTED;
@@ -41,35 +40,45 @@ pub fn to_bytes(g: &Csr) -> Bytes {
     if has_holes {
         flags |= FLAG_HOLES;
     }
-    buf.put_u32_le(flags);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(m as u64);
-    for &o in g.offsets() {
-        buf.put_u64_le(o as u64);
-    }
-    for &e in g.edges_raw() {
-        buf.put_u32_le(e);
-    }
+    sink(MAGIC);
+    sink(&flags.to_le_bytes());
+    sink(&(n as u64).to_le_bytes());
+    sink(&(g.num_edges() as u64).to_le_bytes());
+    feed_le(g.offsets(), |o| (o as u64).to_le_bytes(), &mut sink);
+    feed_le(g.edges_raw(), u32::to_le_bytes, &mut sink);
     if weighted {
-        for &w in g.weights_raw() {
-            buf.put_u32_le(w);
-        }
+        feed_le(g.weights_raw(), u32::to_le_bytes, &mut sink);
     }
     if has_holes {
-        let mut byte = 0u8;
-        for v in 0..n {
-            if g.is_hole(v as u32) {
-                byte |= 1 << (v % 8);
-            }
-            if v % 8 == 7 {
-                buf.put_u8(byte);
-                byte = 0;
-            }
+        let mut packed = vec![0u8; n.div_ceil(8)];
+        for v in (0..n).filter(|&v| g.is_hole(v as u32)) {
+            packed[v / 8] |= 1 << (v % 8);
         }
-        if !n.is_multiple_of(8) {
-            buf.put_u8(byte);
-        }
+        sink(&packed);
     }
+}
+
+/// Hands `vals` to `sink` as little-endian bytes, a block at a time rather
+/// than an element at a time.
+fn feed_le<T: Copy, const W: usize>(
+    vals: &[T],
+    le: impl Fn(T) -> [u8; W],
+    sink: &mut impl FnMut(&[u8]),
+) {
+    let mut block = [0u8; 4096];
+    for chunk in vals.chunks(block.len() / W) {
+        for (dst, &v) in block.chunks_exact_mut(W).zip(chunk) {
+            dst.copy_from_slice(&le(v));
+        }
+        sink(&block[..chunk.len() * W]);
+    }
+}
+
+/// Serializes `g` into a fresh byte buffer.
+pub fn to_bytes(g: &Csr) -> Bytes {
+    let (n, m) = (g.num_nodes(), g.num_edges());
+    let mut buf = BytesMut::with_capacity(HEADER_BYTES + (n + 1) * 8 + m * 8 + n / 8 + 1);
+    write_sections(g, |piece| buf.put_slice(piece));
     buf.freeze()
 }
 

@@ -428,6 +428,48 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::GraphLoad);
     }
 
+    /// A registered file that an earlier coalescing transform wrote carries
+    /// holes. Asking the daemon to coalesce it used to panic inside
+    /// `checkout` — under the pool lock, killing the worker; it is a typed
+    /// `bad-request` that names the holes, inserts nothing, and leaves the
+    /// pool serving.
+    #[test]
+    fn coalescing_a_hole_bearing_file_is_a_bad_request_and_the_pool_lives() {
+        let g = GraphSource::parse("rmat:300:1").unwrap().load().unwrap();
+        let holey = Pipeline::default()
+            .with_coalesce(Default::default())
+            .apply(&g, &GpuConfig::k40c())
+            .graph;
+        assert!(holey.has_holes());
+        let path =
+            std::env::temp_dir().join(format!("graffix-pool-holey-{}.gfx", std::process::id()));
+        graffix_graph::serialize::save_binary(&holey, &path).unwrap();
+        let mut reg = GraphRegistry::new();
+        reg.insert("holey", GraphSource::File(path.clone()));
+
+        let p = pool(2);
+        for technique in ["coalescing", "combined"] {
+            let err = p
+                .checkout(&PoolKey::new("holey", technique, None), &reg)
+                .unwrap_err();
+            assert_eq!(err.kind, ErrorKind::BadRequest, "{technique}");
+            assert!(
+                err.message
+                    .contains(&format!("{} of the", holey.num_holes())),
+                "{}",
+                err.message
+            );
+        }
+        assert_eq!(p.len(), 0, "a refused checkout inserts nothing");
+        let next = p
+            .checkout(&PoolKey::new("holey", "divergence", None), &reg)
+            .unwrap();
+        assert!(!next.pool_hit);
+        assert_eq!(next.original.num_holes(), holey.num_holes());
+        assert_eq!((p.stats().misses, p.len()), (3, 1));
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn mutation_invalidates_pooled_entries_and_persists() {
         let reg = registry(2);

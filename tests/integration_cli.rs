@@ -89,3 +89,48 @@ fn no_arguments_prints_every_subcommand_and_exits_2() {
     }
     assert!(stderr.contains("every subcommand also takes"));
 }
+
+/// The file a coalescing transform wrote has holes, and coalescing owns the
+/// id space: feeding it back in (`transform`, `run`, alone or as part of
+/// `combined`) is a configuration error naming the hole count — exit 2, not
+/// the out-of-bounds panic (exit 101) it used to be — while a transform that
+/// keeps the id space still takes the file.
+#[test]
+fn coalescing_an_already_coalesced_file_is_exit_2_not_a_panic() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-coalesce-twice");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (plain, once, twice) = (path("g.gfx"), path("c.gfx"), path("x.gfx"));
+    let transform = |input: &str, technique: &str, out: &str| {
+        let args = ["--in", input, "--technique", technique, "--out", out];
+        graffix(&[&["transform", "--no-cache"], &args[..]].concat())
+    };
+    let run = |input: &str, technique: &str| {
+        let args = ["--in", input, "--technique", technique, "--algo", "bfs"];
+        graffix(&[&["run", "--no-cache"], &args[..]].concat())
+    };
+    let generated = graffix(&[
+        "generate", "--kind", "rmat", "--nodes", "2000", "--seed", "7", "--out", &plain,
+    ]);
+    assert_eq!(generated.0, Some(0), "{}", generated.2);
+    let first = transform(&plain, "coalescing", &once);
+    assert_eq!(first.0, Some(0), "{}", first.2);
+    for technique in ["coalescing", "combined"] {
+        for (code, _, stderr) in [transform(&once, technique, &twice), run(&once, technique)] {
+            assert_eq!(code, Some(2), "{technique}: {stderr}");
+            assert!(
+                stderr.contains("invalid transform configuration")
+                    && stderr.contains("node slots are holes"),
+                "{technique}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{technique}: {stderr}");
+        }
+    }
+    assert!(
+        !std::path::Path::new(&twice).exists(),
+        "nothing was written"
+    );
+    let kept = transform(&once, "divergence", &twice);
+    assert_eq!(kept.0, Some(0), "{}", kept.2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
