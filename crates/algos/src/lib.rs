@@ -27,6 +27,9 @@ pub mod scc;
 pub mod sssp;
 pub mod wcc;
 
+#[cfg(test)]
+mod memo_tests;
+
 pub use accuracy::{geomean, max_abs_error, relative_l1, scalar_inaccuracy};
 pub use algo::{Algo, AlgoOutcome, Scalar, ALL_ALGOS};
 pub use plan::{Direction, Plan, PlanDerived, SimRun, Strategy};

@@ -14,7 +14,8 @@ use crate::plan::{Direction, Plan, Strategy};
 use graffix_core::confluence;
 use graffix_graph::{NodeId, INVALID_NODE};
 use graffix_sim::{
-    run_blocks, ArrayId, Block, KernelStats, Lane, Phase, Residency, SuperstepOutcome,
+    run_blocks, ArrayId, Block, KernelStats, Lane, MemoCounts, Phase, ReplayMemo, Residency,
+    SuperstepOutcome,
 };
 
 /// `assignment` as one block with nothing resident.
@@ -144,6 +145,58 @@ pub struct Runner<'a> {
     tile_nodes: Vec<Vec<NodeId>>,
     /// Tile index of each processing node (`u32::MAX` = untiled).
     tile_of: Vec<u32>,
+    /// Warp pricings of this run's launches, all made under `plan.cfg`. A
+    /// topology-driven run records the same traces iteration after
+    /// iteration; each distinct warp is replayed once.
+    memo: ReplayMemo,
+}
+
+/// Test access to the memo of the runners an algorithm builds for itself:
+/// which table they get, and what it had counted when they were dropped.
+#[cfg(test)]
+pub(crate) mod memo_probe {
+    use graffix_sim::MemoCounts;
+    use std::cell::{Cell, RefCell};
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(crate) enum MemoShape {
+        /// Sized from the plan, as outside tests.
+        Plan,
+        /// One probe window: every insert past the sixteenth evicts.
+        OneWindow,
+        /// No table: every warp is replayed.
+        Bypass,
+    }
+
+    thread_local! {
+        static SHAPE: Cell<MemoShape> = const { Cell::new(MemoShape::Plan) };
+        static DROPPED: RefCell<Vec<MemoCounts>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn shape() -> MemoShape {
+        SHAPE.with(Cell::get)
+    }
+
+    pub(super) fn dropped(counts: MemoCounts) {
+        DROPPED.with(|d| d.borrow_mut().push(counts));
+    }
+
+    /// Runs `f` with the runners this thread builds in `shape`; returns its
+    /// result and the final memo counts of each runner it dropped.
+    pub(crate) fn with<R>(shape: MemoShape, f: impl FnOnce() -> R) -> (R, Vec<MemoCounts>) {
+        let before = SHAPE.with(|s| s.replace(shape));
+        DROPPED.with(|d| d.borrow_mut().clear());
+        let out = f();
+        SHAPE.with(|s| s.set(before));
+        (out, DROPPED.with(|d| std::mem::take(&mut *d.borrow_mut())))
+    }
+}
+
+#[cfg(test)]
+impl Drop for Runner<'_> {
+    fn drop(&mut self) {
+        memo_probe::dropped(self.memo_counts());
+    }
 }
 
 impl<'a> Runner<'a> {
@@ -177,12 +230,30 @@ impl<'a> Runner<'a> {
             }
             tile_nodes.last_mut().unwrap().extend_from_slice(&nodes);
         }
+        // Sized by the warps of a full-assignment launch: a topology
+        // iteration is one or two such launches over fixed traces, and a
+        // frontier run, whose warps rarely repeat, needs no more.
+        let memo = ReplayMemo::for_launch(plan.assignment.len().div_ceil(plan.cfg.warp_size));
+        #[cfg(test)]
+        let memo = match memo_probe::shape() {
+            memo_probe::MemoShape::Plan => memo,
+            memo_probe::MemoShape::OneWindow => ReplayMemo::for_launch(0),
+            memo_probe::MemoShape::Bypass => ReplayMemo::none(),
+        };
         Runner {
             plan,
             tile_masks,
             tile_nodes,
             tile_of,
+            memo,
         }
+    }
+
+    /// What the run's replay memo has done so far. Host-side bookkeeping:
+    /// the counts depend on how warps were scheduled and belong in no
+    /// deterministic output.
+    pub fn memo_counts(&self) -> MemoCounts {
+        self.memo.counts()
     }
 
     /// The launch seam: the one place a kernel launch reaches the executor,
@@ -213,7 +284,7 @@ impl<'a> Runner<'a> {
         F: Fn(NodeId, &mut Lane) -> bool + Sync,
     {
         let plan = self.plan;
-        let mut outcome = run_blocks(&plan.cfg, blocks, kernel);
+        let mut outcome = run_blocks(&plan.cfg, &self.memo, blocks, kernel);
         let stats = &mut outcome.stats;
         let mut staged_words = 0u64;
         for block in blocks {

@@ -17,6 +17,7 @@
 
 use crate::config::GpuConfig;
 use crate::lane::{Lane, Residency};
+use crate::memo::ReplayMemo;
 use crate::stats::KernelStats;
 use crate::warp::{replay_lanes, ReplayScratch};
 use graffix_graph::{NodeId, INVALID_NODE};
@@ -46,13 +47,15 @@ pub struct SuperstepOutcome {
 
 /// Runs one superstep. The kernel receives each assigned vertex and its
 /// [`Lane`]; it must mirror every memory access it performs and return
-/// whether it changed any state.
+/// whether it changed any state. A launch on its own: every warp is
+/// replayed (a run's launches share the run's [`ReplayMemo`] instead).
 pub fn run_superstep<F>(cfg: &GpuConfig, step: Superstep<'_>, kernel: F) -> SuperstepOutcome
 where
     F: Fn(NodeId, &mut Lane) -> bool + Sync,
 {
     run_blocks(
         cfg,
+        &ReplayMemo::none(),
         &[Block {
             assignment: step.assignment,
             residency: step.resident.map_or(Residency::Global, Residency::Tile),
@@ -83,8 +86,15 @@ struct WarpChunkResult {
 ///
 /// Warps are distributed over the host thread pool (`rayon`); every counter
 /// in the reduced [`KernelStats`] is an order-independent `u64` sum, so the
-/// outcome is byte-identical at any thread count.
-pub fn run_blocks<F>(cfg: &GpuConfig, blocks: &[Block<'_>], kernel: F) -> SuperstepOutcome
+/// outcome is byte-identical at any thread count. A warp whose traces
+/// `memo` has priced before — under this `cfg`, which is the caller's
+/// promise — is not replayed again; what it adds to the stats is the same.
+pub fn run_blocks<F>(
+    cfg: &GpuConfig,
+    memo: &ReplayMemo,
+    blocks: &[Block<'_>],
+    kernel: F,
+) -> SuperstepOutcome
 where
     F: Fn(NodeId, &mut Lane) -> bool + Sync,
 {
@@ -120,13 +130,9 @@ where
                         out.changed |= kernel(v, lane);
                     }
                 }
-                replay_lanes(
-                    cfg,
-                    &mut scratch,
-                    lanes.len(),
-                    |i| lanes[i].trace(),
-                    &mut out.stats,
-                );
+                memo.price(lanes.iter().map(Lane::trace), &mut out.stats, |delta| {
+                    replay_lanes(cfg, &mut scratch, lanes.len(), |i| lanes[i].trace(), delta)
+                });
                 for lane in lanes.iter_mut() {
                     out.activated.extend(lane.drain_activations());
                 }
@@ -272,6 +278,57 @@ mod tests {
         assert_eq!(out.stats.warp_cycles, 0);
         assert!(!out.changed);
         assert_eq!(out.stats.launches, 1);
+    }
+
+    #[test]
+    fn warps_that_record_nothing_cost_a_launch_and_no_memo_entry() {
+        let cfg = tiny();
+        let memo = ReplayMemo::for_launch(16);
+        let assignment: Vec<NodeId> = (0..64).collect();
+        let blocks = [Block {
+            assignment: &assignment,
+            residency: Residency::Global,
+        }];
+        let out = run_blocks(&cfg, &memo, &blocks, |v, lane| {
+            lane.activate(v);
+            v == 63
+        });
+        assert_eq!(
+            out.stats,
+            KernelStats {
+                launches: 1,
+                ..KernelStats::default()
+            }
+        );
+        assert!(out.changed);
+        assert_eq!(out.activated, assignment);
+        let counts = memo.counts();
+        assert_eq!((counts.hits, counts.misses, counts.entries), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_repeated_launch_is_priced_from_the_memo_with_the_same_stats() {
+        let cfg = tiny();
+        let assignment: Vec<NodeId> = (0..256).rev().collect();
+        let blocks = [Block {
+            assignment: &assignment,
+            residency: Residency::Global,
+        }];
+        let launch = |memo: &ReplayMemo| {
+            run_blocks(&cfg, memo, &blocks, |v, lane| {
+                lane.read(ArrayId::EDGES, v as usize / 3);
+                lane.atomic(ArrayId::NODE_ATTR, v as usize % 11);
+                lane.compute(v as usize % 4);
+                false
+            })
+            .stats
+        };
+        let memo = ReplayMemo::for_launch(assignment.len() / cfg.warp_size);
+        let replayed = launch(&ReplayMemo::none());
+        assert_eq!(launch(&memo), replayed);
+        assert_eq!(launch(&memo), replayed);
+        let counts = memo.counts();
+        assert_eq!((counts.hits, counts.misses, counts.evictions), (64, 64, 0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-lane event recorder handed to vertex programs.
 
-use crate::event::{AccessKind, ArrayId, MemEvent, Space};
+use crate::event::{index_in_range, AccessKind, ArrayId, Space, Word};
 use graffix_graph::NodeId;
 
 /// What a thread block keeps close to its lanes — the one thing that
@@ -24,13 +24,25 @@ pub enum Residency<'a> {
     Segment { lo: u64, hi: u64 },
 }
 
+/// The failed range check of [`Lane::push`], out of line: an `assert!`
+/// that formats its message at every inlined `read`/`write`/`atomic` site
+/// costs 3 % of recording plus replay, this call nothing measurable.
+#[cold]
+#[inline(never)]
+fn outside_region(array: ArrayId, index: u64) -> ! {
+    panic!(
+        "array {} index {index} is outside its 2^44-word region",
+        array.0
+    )
+}
+
 /// Records the memory/compute trace of one SIMT lane while the vertex
 /// program executes functionally. The kernel performs its *real* reads and
 /// writes on host data structures and mirrors each of them through the lane
 /// so the warp cost model can replay them in lockstep.
 #[derive(Debug, Default)]
 pub struct Lane<'m> {
-    trace: Vec<MemEvent>,
+    trace: Vec<Word>,
     /// Residency of the block this lane runs in; borrowed from the launch's
     /// block, which outlives the executor's lanes.
     residency: Residency<'m>,
@@ -64,14 +76,15 @@ impl<'m> Lane<'m> {
         }
     }
 
+    /// The one place an event is recorded. An index outside the array's
+    /// 2^44-word region would alias another array (and rewrite the word's
+    /// kind and space bits), so it is a bug in the kernel, named here.
     #[inline]
     fn push(&mut self, array: ArrayId, index: u64, kind: AccessKind, space: Space) {
-        self.trace.push(MemEvent {
-            array,
-            index,
-            kind,
-            space,
-        });
+        if !index_in_range(index) {
+            outside_region(array, index);
+        }
+        self.trace.push(Word::pack(array, index, kind, space));
     }
 
     /// Records a read of `array[index]` (space chosen by residency).
@@ -126,7 +139,7 @@ impl<'m> Lane<'m> {
         self.trace.is_empty()
     }
 
-    pub(crate) fn trace(&self) -> &[MemEvent] {
+    pub(crate) fn trace(&self) -> &[Word] {
         &self.trace
     }
 
@@ -140,6 +153,11 @@ impl<'m> Lane<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::MemEvent;
+
+    fn event(lane: &Lane, at: usize) -> MemEvent {
+        lane.trace()[at].into()
+    }
 
     #[test]
     fn records_in_order() {
@@ -149,10 +167,10 @@ mod tests {
         lane.atomic(ArrayId::NODE_ATTR_AUX, 3);
         lane.compute(2);
         assert_eq!(lane.len(), 5);
-        assert_eq!(lane.trace()[0].kind, AccessKind::Read);
-        assert_eq!(lane.trace()[1].kind, AccessKind::Write);
-        assert_eq!(lane.trace()[2].kind, AccessKind::Atomic);
-        assert_eq!(lane.trace()[3].kind, AccessKind::Compute);
+        assert_eq!(event(&lane, 0).kind, AccessKind::Read);
+        assert_eq!(event(&lane, 1).kind, AccessKind::Write);
+        assert_eq!(event(&lane, 2).kind, AccessKind::Atomic);
+        assert_eq!(event(&lane, 3).kind, AccessKind::Compute);
     }
 
     #[test]
@@ -166,9 +184,9 @@ mod tests {
         lane.read(ArrayId::NODE_ATTR, 1);
         // The tile's CSR slice is staged in shared memory too.
         lane.read(ArrayId::EDGES, 1);
-        assert_eq!(lane.trace()[0].space, Space::Global);
-        assert_eq!(lane.trace()[1].space, Space::Shared);
-        assert_eq!(lane.trace()[2].space, Space::Shared);
+        assert_eq!(event(&lane, 0).space, Space::Global);
+        assert_eq!(event(&lane, 1).space, Space::Shared);
+        assert_eq!(event(&lane, 2).space, Space::Shared);
     }
 
     #[test]
@@ -180,7 +198,7 @@ mod tests {
         lane.reset();
         assert!(lane.is_empty());
         lane.read(ArrayId::NODE_ATTR, 0);
-        assert_eq!(lane.trace()[0].space, Space::Global);
+        assert_eq!(event(&lane, 0).space, Space::Global);
     }
 
     #[test]
@@ -189,7 +207,7 @@ mod tests {
         let mut lane = Lane::new();
         lane.set_residency(Residency::Tile(&mask));
         lane.read(ArrayId::NODE_ATTR, 5);
-        assert_eq!(lane.trace()[0].space, Space::Global);
+        assert_eq!(event(&lane, 0).space, Space::Global);
     }
 
     #[test]
@@ -203,9 +221,9 @@ mod tests {
         lane.atomic(ArrayId::NODE_ATTR, 9);
         // The segment's CSR slice streams through L2.
         lane.read(ArrayId::EDGES, 100);
-        assert_eq!(lane.trace()[0].space, Space::L2);
-        assert_eq!(lane.trace()[1].space, Space::Global);
-        assert_eq!(lane.trace()[2].space, Space::L2);
+        assert_eq!(event(&lane, 0).space, Space::L2);
+        assert_eq!(event(&lane, 1).space, Space::Global);
+        assert_eq!(event(&lane, 2).space, Space::L2);
     }
 
     #[test]
@@ -213,9 +231,28 @@ mod tests {
         let mut lane = Lane::new();
         lane.set_residency(Residency::Segment { lo: 0, hi: 4 });
         lane.read(ArrayId::NODE_ATTR, 1);
-        assert_eq!(lane.trace()[0].space, Space::L2);
+        assert_eq!(event(&lane, 0).space, Space::L2);
         lane.reset();
         lane.read(ArrayId::NODE_ATTR, 1);
-        assert_eq!(lane.trace()[0].space, Space::Global);
+        assert_eq!(event(&lane, 0).space, Space::Global);
+    }
+
+    #[test]
+    #[should_panic(expected = "array 4 index 17592186044416 is outside")]
+    fn an_index_past_the_array_region_panics_naming_the_array() {
+        // 2^44 in NODE_ATTR_AUX's region is index 0 of array 5's.
+        Lane::new().read(ArrayId::NODE_ATTR_AUX, 1 << 44);
+    }
+
+    #[test]
+    fn the_last_index_of_a_region_records() {
+        let mut lane = Lane::new();
+        lane.atomic(ArrayId::NODE_ATTR_AUX, (1 << 44) - 1);
+        let ev = event(&lane, 0);
+        assert_eq!(
+            (ev.array, ev.index),
+            (ArrayId::NODE_ATTR_AUX, (1 << 44) - 1)
+        );
+        assert_eq!((ev.kind, ev.space), (AccessKind::Atomic, Space::Global));
     }
 }

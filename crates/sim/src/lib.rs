@@ -36,6 +36,7 @@ pub mod event;
 pub mod executor;
 pub mod json;
 pub mod lane;
+pub mod memo;
 pub mod profile;
 pub mod report;
 pub mod stats;
@@ -50,6 +51,7 @@ pub use event::{AccessKind, ArrayId, MemEvent, Space};
 pub use executor::{run_blocks, run_superstep, Block, Superstep, SuperstepOutcome};
 pub use json::Json;
 pub use lane::{Lane, Residency};
+pub use memo::{MemoCounts, ReplayMemo};
 pub use profile::CostBreakdown;
 pub use report::{
     AccuracyReport, AttributionEntry, GraphMeta, ProvenanceReport, RunReport, StageProvenance,
