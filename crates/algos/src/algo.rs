@@ -5,7 +5,7 @@
 
 use crate::accuracy::{max_abs_error, relative_l1, scalar_inaccuracy};
 use crate::{bc, bfs, mst, pagerank, scc, sssp, wcc, Plan, SimRun};
-use graffix_graph::{Csr, NodeId};
+use graffix_graph::{Csr, NodeId, INVALID_NODE};
 
 /// The algorithms the library can execute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -57,10 +57,22 @@ impl Scalar {
     }
 }
 
-/// `explicit`, else the graph's deterministic default source.
-fn start(original: &Csr, explicit: Option<NodeId>) -> NodeId {
-    explicit.unwrap_or_else(|| sssp::default_source(original))
+/// A traversal asked for with no explicit source on a graph that has no
+/// real node to default to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NoSource(pub Algo);
+
+impl std::fmt::Display for NoSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} needs a source node and the graph has none",
+            self.0.name()
+        )
+    }
 }
+
+impl std::error::Error for NoSource {}
 
 impl Algo {
     /// Stable machine-readable name (`sssp`, `bfs`, …): CLI flags, wire
@@ -83,11 +95,33 @@ impl Algo {
     }
 
     /// The traversal source a run starts from: `explicit`, else the
-    /// graph's deterministic default. `None` for algorithms without one.
-    pub fn source(self, original: &Csr, explicit: Option<NodeId>) -> Option<NodeId> {
+    /// graph's deterministic default (see [`sssp::default_source`]).
+    /// `Ok(None)` for algorithms without one; [`NoSource`] when the graph
+    /// has no real node to default to.
+    pub fn source(
+        self,
+        original: &Csr,
+        explicit: Option<NodeId>,
+    ) -> Result<Option<NodeId>, NoSource> {
         match self {
-            Algo::Sssp | Algo::Bfs => Some(start(original, explicit)),
-            _ => None,
+            Algo::Sssp | Algo::Bfs => {
+                match explicit.unwrap_or_else(|| sssp::default_source(original)) {
+                    INVALID_NODE => Err(NoSource(self)),
+                    src => Ok(Some(src)),
+                }
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The source of a traversal whose caller has checked [`Algo::source`].
+    fn start(self, original: &Csr, explicit: Option<NodeId>) -> NodeId {
+        match self.source(original, explicit) {
+            Ok(Some(src)) => src,
+            other => panic!(
+                "no {} source ({other:?}): check Algo::source first",
+                self.name()
+            ),
         }
     }
 
@@ -95,6 +129,8 @@ impl Algo {
     /// untransformed graph, used only to pick the deterministic default
     /// source (when `source` is `None`) and the BC source sample (at most
     /// `bc_sources`), so exact and approximate runs use the same ones.
+    /// Panics when a traversal has no source: resolve it first with
+    /// [`Algo::source`], which reports that as a [`NoSource`].
     pub fn run(
         self,
         plan: &Plan,
@@ -102,7 +138,7 @@ impl Algo {
         source: Option<NodeId>,
         bc_sources: usize,
     ) -> (SimRun, Option<Scalar>) {
-        let src = || start(original, source);
+        let src = || self.start(original, source);
         match self {
             Algo::Sssp => (sssp::run_sim(plan, src()), None),
             Algo::Bfs => (bfs::run_sim(plan, src()), None),
@@ -129,7 +165,7 @@ impl Algo {
     /// The exact CPU reference on the untransformed graph, with the same
     /// source and BC-sample rules as [`Algo::run`].
     pub fn exact(self, original: &Csr, source: Option<NodeId>, bc_sources: usize) -> AlgoOutcome {
-        let src = || start(original, source);
+        let src = || self.start(original, source);
         match self {
             Algo::Sssp => AlgoOutcome::Vector(sssp::exact_cpu(original, src())),
             Algo::Bfs => AlgoOutcome::Vector(bfs::exact_cpu(original, src())),
@@ -305,9 +341,32 @@ mod tests {
                         outcome_bits(&want_exact),
                         "{name} exact"
                     );
-                    assert_eq!(algo.source(&g, explicit).is_some(), {
+                    assert_eq!(algo.source(&g, explicit).unwrap().is_some(), {
                         matches!(algo, Algo::Sssp | Algo::Bfs)
                     });
+                }
+            }
+        }
+    }
+
+    /// A graph with no real node — none at all, or holes only — has no
+    /// default source: a traversal is a typed error, the rest need none.
+    #[test]
+    fn a_graph_without_a_real_node_has_no_default_source() {
+        let mut holes = Csr::from_parts(vec![0, 0, 0], vec![], vec![], vec![]);
+        holes.set_hole_mask(vec![true, true]);
+        for g in [Csr::from_parts(vec![0], vec![], vec![], vec![]), holes] {
+            for algo in ALL_ALGOS {
+                let got = algo.source(&g, None);
+                match algo {
+                    Algo::Sssp | Algo::Bfs => {
+                        assert_eq!(got, Err(NoSource(algo)));
+                        assert_eq!(
+                            NoSource(algo).to_string(),
+                            format!("{} needs a source node and the graph has none", algo.name())
+                        );
+                    }
+                    _ => assert_eq!(got, Ok(None)),
                 }
             }
         }

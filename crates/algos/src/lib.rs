@@ -31,14 +31,14 @@ pub mod wcc;
 mod memo_tests;
 
 pub use accuracy::{geomean, max_abs_error, relative_l1, scalar_inaccuracy};
-pub use algo::{Algo, AlgoOutcome, Scalar, ALL_ALGOS};
+pub use algo::{Algo, AlgoOutcome, NoSource, Scalar, ALL_ALGOS};
 pub use plan::{Direction, Plan, PlanDerived, SimRun, Strategy};
 pub use runner::{HybridFrontier, Runner, VertexProgram};
 
 /// Convenience prelude.
 pub mod prelude {
     pub use crate::accuracy::{max_abs_error, relative_l1, scalar_inaccuracy};
-    pub use crate::algo::{Algo, AlgoOutcome, Scalar, ALL_ALGOS};
+    pub use crate::algo::{Algo, AlgoOutcome, NoSource, Scalar, ALL_ALGOS};
     pub use crate::plan::{Direction, Plan, PlanDerived, SimRun, Strategy};
     pub use crate::runner::{HybridFrontier, Runner, VertexProgram};
     pub use crate::{bc, bfs, mst, pagerank, scc, sssp, wcc};

@@ -13,7 +13,7 @@ use graffix_graph::{Csr, NodeId, Segmentation, INVALID_NODE};
 use graffix_sim::{GpuConfig, MemoCounts};
 use std::sync::Arc;
 
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+pub(crate) fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(n)
         .build()
@@ -25,7 +25,7 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// which depends on this crate): a node of degree above `bound` hands the
 /// rest of its arcs to one appended virtual node that shares its attribute
 /// slot.
-fn virtually_split(prepared: &Prepared, cfg: &GpuConfig, bound: usize) -> Plan {
+pub(crate) fn virtually_split(prepared: &Prepared, cfg: &GpuConfig, bound: usize) -> Plan {
     let base = Plan::from_prepared(prepared, cfg, Strategy::Topology);
     let g = &base.graph;
     let mut offsets = vec![0];

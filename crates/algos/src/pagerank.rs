@@ -4,14 +4,19 @@
 //! accumulation into a `next` array, then an apply kernel), the structure
 //! of the LonestarGPU/Gunrock PR operators. The frontier variant is
 //! residual-based delta-PageRank (Gunrock's formulation). Fractional
-//! accumulators use fixed-point atomics so concurrent adds commute exactly
-//! and results are bit-identical at any host thread count. Exact CPU
-//! reference: power iteration to tight tolerance.
+//! accumulators use fixed-point integers so adds commute exactly and
+//! results are bit-identical at any host thread count: the frontier
+//! variant's adds decide activations inside the launch and stay atomic,
+//! while the topology push's adds, which nothing reads until the launch
+//! ends, are metered in the kernel and summed on the host afterwards.
+//! Exact CPU reference: power iteration to tight tolerance.
 
 use crate::plan::{Plan, SimRun, Strategy};
 use crate::runner::{Runner, VertexProgram};
 use graffix_graph::{Csr, NodeId, INVALID_NODE};
-use graffix_sim::{ArrayId, AtomicF64Array, FixedPointF64Array, KernelStats, Lane, Phase};
+use graffix_sim::{
+    ArrayId, AtomicF64Array, FixedPoint, FixedPointF64Array, KernelStats, Lane, Phase,
+};
 
 /// Damping factor used throughout (paper-era conventional value).
 pub const DAMPING: f64 = 0.85;
@@ -75,24 +80,110 @@ fn appliers(plan: &Plan, active: &[NodeId]) -> Vec<bool> {
 }
 
 /// Synchronous push+apply PageRank. One outer iteration = a push superstep
-/// (the `process` kernel, scattering `DAMPING × rank/outdeg` into the
-/// fixed-point `next` accumulator) followed in `after_iteration` by a
-/// metered apply superstep (`rank = (1−d)/N + next`) and confluence. The
-/// two-superstep iteration cannot cascade within a tile round, so the
-/// program opts out of the tile phase; tile nodes still execute in their
-/// own blocks at shared-memory prices in both supersteps.
+/// (the `process` kernel, which meters the scatter of `DAMPING ×
+/// rank/outdeg` as one atomic add per arc into the fixed-point `next`
+/// accumulator) followed in `after_iteration` by the host fold of those
+/// adds, a metered apply superstep (`rank = (1−d)/N + next`) and
+/// confluence. The two-superstep iteration cannot cascade within a tile
+/// round, so the program opts out of the tile phase; tile nodes still
+/// execute in their own blocks at shared-memory prices in both supersteps.
 struct PrTopology<'p> {
     plan: &'p Plan,
     rank: AtomicF64Array,
-    next: FixedPointF64Array,
+    /// This iteration's pushed mass per slot, in `fixed`'s raw units.
+    next: Vec<i64>,
+    fixed: FixedPoint,
+    /// The attribute slot of each arc's destination, in arc order: the
+    /// push reads it as one sequential stream instead of a lookup per arc.
+    arc_slots: Vec<NodeId>,
     applier: Vec<bool>,
     active: Vec<NodeId>,
     slot_deg: Vec<usize>,
     base: f64,
     prev_rank: Vec<f64>,
+    /// The reference arm: executes each metered add inside the kernel, as
+    /// a real atomic, instead of folding them on the host.
+    #[cfg(test)]
+    in_kernel: Option<FixedPointF64Array>,
+}
+
+impl<'p> PrTopology<'p> {
+    fn new(plan: &'p Plan, runner: &Runner<'_>) -> Self {
+        let n = logical_n(plan);
+        let mut rank = vec![0.0f64; plan.attr_len];
+        for (slot, &orig) in plan.to_original.iter().enumerate() {
+            if orig != INVALID_NODE {
+                rank[slot] = 1.0 / n;
+            }
+        }
+        let active = runner.active_nodes();
+        PrTopology {
+            plan,
+            rank: AtomicF64Array::from_slice(&rank),
+            next: vec![0; plan.attr_len],
+            fixed: FixedPoint::new(PR_FRAC_BITS),
+            arc_slots: plan
+                .graph
+                .edges_raw()
+                .iter()
+                .map(|&u| plan.slot(u))
+                .collect(),
+            applier: appliers(plan, &active),
+            active,
+            slot_deg: slot_degrees(plan),
+            base: (1.0 - DAMPING) / n,
+            prev_rank: rank,
+            #[cfg(test)]
+            in_kernel: None,
+        }
+    }
+
+    fn run(mut self, runner: &Runner<'_>) -> SimRun {
+        let (stats, iterations) = runner.fixpoint(FIXED_ITERS, &mut self);
+        SimRun {
+            values: self.plan.map_back(&self.rank.to_vec()),
+            stats,
+            iterations,
+        }
+    }
+
+    /// What slot `slot` pushes along each of its arcs.
+    fn share(&self, slot: usize) -> f64 {
+        DAMPING * self.rank.load(slot) / self.slot_deg[slot] as f64
+    }
+
+    /// Executes the adds the push superstep metered: the same addend per
+    /// arc, summed in wrapping `i64`s in one serial pass. Nothing reads
+    /// `next` during the push launch, `rank` does not move in it, and
+    /// integer adds commute — so these are the bits the atomics would
+    /// have left, on every plan and at any thread count.
+    fn fold_push(&mut self) {
+        #[cfg(test)]
+        if let Some(acc) = &self.in_kernel {
+            for (slot, raw) in self.next.iter_mut().enumerate() {
+                *raw = acc.quantize_raw(acc.get(slot));
+            }
+            acc.clear();
+            return;
+        }
+        for &v in &self.active {
+            let slot = self.plan.slot(v) as usize;
+            let arcs = self.plan.graph.edge_range(v);
+            if arcs.is_empty() {
+                continue;
+            }
+            let raw = self.fixed.quantize_raw(self.share(slot));
+            for &slot_u in &self.arc_slots[arcs] {
+                let cell = &mut self.next[slot_u as usize];
+                *cell = cell.wrapping_add(raw);
+            }
+        }
+    }
 }
 
 impl VertexProgram for PrTopology<'_> {
+    /// Records one atomic add per arc; [`PrTopology::fold_push`] performs
+    /// them once the launch is over.
     fn process(&self, v: NodeId, lane: &mut Lane) -> bool {
         let plan = self.plan;
         let graph = &plan.graph;
@@ -102,13 +193,14 @@ impl VertexProgram for PrTopology<'_> {
         if graph.degree(v) == 0 || self.slot_deg[slot] == 0 {
             return false;
         }
-        let share = DAMPING * self.rank.load(slot) / self.slot_deg[slot] as f64;
         for e in graph.edge_range(v) {
             lane.read(ArrayId::EDGES, e);
-            let u = graph.edges_raw()[e];
-            let slot_u = plan.slot(u) as usize;
+            let slot_u = self.arc_slots[e] as usize;
             lane.atomic(ArrayId::NODE_ATTR_AUX, slot_u);
-            self.next.add(slot_u, share);
+            #[cfg(test)]
+            if let Some(acc) = &self.in_kernel {
+                acc.add(slot_u, self.share(slot));
+            }
         }
         true
     }
@@ -122,6 +214,7 @@ impl VertexProgram for PrTopology<'_> {
         runner: &Runner<'_>,
         _next: &mut Vec<NodeId>,
     ) -> (KernelStats, bool) {
+        self.fold_push();
         // Apply: the designated copy folds the accumulator into the rank.
         let outcome = runner.launch(&self.active, |v, lane: &mut Lane| {
             let slot = self.plan.slot(v) as usize;
@@ -131,11 +224,12 @@ impl VertexProgram for PrTopology<'_> {
             lane.read(ArrayId::NODE_ATTR_AUX, slot);
             lane.write(ArrayId::NODE_ATTR, slot);
             lane.write(ArrayId::NODE_ATTR_AUX, slot);
-            self.rank.store(slot, self.base + self.next.get(slot));
+            self.rank
+                .store(slot, self.base + self.fixed.value(self.next[slot]));
             true
         });
         let mut stats = outcome.stats;
-        self.next.clear();
+        self.next.fill(0);
         // Confluence, then converge on the *post-confluence* rank movement:
         // with mean-merged replicas the intra-iteration delta settles into
         // a limit cycle and never reaches zero, but the merged vector does.
@@ -162,30 +256,7 @@ impl VertexProgram for PrTopology<'_> {
 
 fn run_topology(plan: &Plan) -> SimRun {
     let runner = Runner::new(plan);
-    let n = logical_n(plan);
-    let mut rank = vec![0.0f64; plan.attr_len];
-    for (slot, &orig) in plan.to_original.iter().enumerate() {
-        if orig != INVALID_NODE {
-            rank[slot] = 1.0 / n;
-        }
-    }
-    let active = runner.active_nodes();
-    let mut prog = PrTopology {
-        plan,
-        rank: AtomicF64Array::from_slice(&rank),
-        next: FixedPointF64Array::with_frac_bits(plan.attr_len, PR_FRAC_BITS),
-        applier: appliers(plan, &active),
-        active,
-        slot_deg: slot_degrees(plan),
-        base: (1.0 - DAMPING) / n,
-        prev_rank: rank,
-    };
-    let (stats, iterations) = runner.fixpoint(FIXED_ITERS, &mut prog);
-    SimRun {
-        values: plan.map_back(&prog.rank.to_vec()),
-        stats,
-        iterations,
-    }
+    PrTopology::new(plan, &runner).run(&runner)
 }
 
 /// Residual-based delta-PageRank (Gunrock's push formulation): a node's
@@ -394,35 +465,37 @@ fn run_frontier(plan: &Plan) -> SimRun {
 }
 
 /// Exact CPU reference: synchronous power iteration at `DAMPING`, run to a
-/// much tighter tolerance than the simulated kernels.
+/// much tighter tolerance than the simulated kernels. The real nodes and
+/// the arc span of each one that has arcs are looked up once, so an
+/// iteration walks plain slices.
 pub fn exact_cpu(g: &Csr) -> Vec<f64> {
     let n = g.num_real_nodes().max(1) as f64;
-    let total = g.num_nodes();
-    let mut rank = vec![0.0f64; total];
-    for v in g.real_nodes() {
-        rank[v as usize] = 1.0 / n;
+    let real: Vec<usize> = g.real_nodes().map(|v| v as usize).collect();
+    let rows: Vec<(usize, std::ops::Range<usize>)> = real
+        .iter()
+        .map(|&v| (v, g.edge_range(v as NodeId)))
+        .filter(|(_, arcs)| !arcs.is_empty())
+        .collect();
+    let edges = g.edges_raw();
+    let mut rank = vec![0.0f64; g.num_nodes()];
+    for &v in &real {
+        rank[v] = 1.0 / n;
     }
     let base = (1.0 - DAMPING) / n;
-    let mut next = vec![0.0f64; total];
+    let mut next = vec![0.0f64; g.num_nodes()];
     for _ in 0..2000 {
-        for x in next.iter_mut() {
-            *x = 0.0;
-        }
-        for v in g.real_nodes() {
-            let deg = g.degree(v);
-            if deg == 0 {
-                continue;
-            }
-            let share = DAMPING * rank[v as usize] / deg as f64;
-            for &u in g.neighbors(v) {
+        next.fill(0.0);
+        for (v, arcs) in &rows {
+            let share = DAMPING * rank[*v] / arcs.len() as f64;
+            for &u in &edges[arcs.clone()] {
                 next[u as usize] += share;
             }
         }
         let mut delta = 0.0;
-        for v in g.real_nodes() {
-            let new_rank = base + next[v as usize];
-            delta += (new_rank - rank[v as usize]).abs();
-            rank[v as usize] = new_rank;
+        for &v in &real {
+            let new_rank = base + next[v];
+            delta += (new_rank - rank[v]).abs();
+            rank[v] = new_rank;
         }
         if delta < 1e-12 * n {
             break;
@@ -438,6 +511,159 @@ mod tests {
     use graffix_graph::generators::{GraphKind, GraphSpec};
     use graffix_graph::GraphBuilder;
     use graffix_sim::GpuConfig;
+    use proptest::prelude::{prop, prop_assert_eq, proptest, Just, ProptestConfig};
+    use proptest::Strategy as _;
+
+    /// The oracle as it was: the same power iteration through the checked
+    /// per-node accessors.
+    fn exact_cpu_by_node(g: &Csr) -> Vec<f64> {
+        let n = g.num_real_nodes().max(1) as f64;
+        let total = g.num_nodes();
+        let mut rank = vec![0.0f64; total];
+        for v in g.real_nodes() {
+            rank[v as usize] = 1.0 / n;
+        }
+        let base = (1.0 - DAMPING) / n;
+        let mut next = vec![0.0f64; total];
+        for _ in 0..2000 {
+            for x in next.iter_mut() {
+                *x = 0.0;
+            }
+            for v in g.real_nodes() {
+                let deg = g.degree(v);
+                if deg == 0 {
+                    continue;
+                }
+                let share = DAMPING * rank[v as usize] / deg as f64;
+                for &u in g.neighbors(v) {
+                    next[u as usize] += share;
+                }
+            }
+            let mut delta = 0.0;
+            for v in g.real_nodes() {
+                let new_rank = base + next[v as usize];
+                delta += (new_rank - rank[v as usize]).abs();
+                rank[v as usize] = new_rank;
+            }
+            if delta < 1e-12 * n {
+                break;
+            }
+        }
+        rank
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Rows in arbitrary order with parallel arcs, self-loops, holes and
+    /// dangling nodes, weighted or not, with 0–2 nodes drawn often.
+    fn adversarial_graph() -> impl proptest::Strategy<Value = Csr> {
+        (0usize..30, 0u8..2)
+            .prop_flat_map(|(n, weighted)| {
+                let n = if n < 24 { n } else { n % 3 };
+                let node = (0u8..5, prop::collection::vec((0u32..1_000, 1u32..6), 0..7));
+                (Just(weighted == 1), prop::collection::vec(node, n..n + 1))
+            })
+            .prop_map(|(weighted, nodes)| {
+                let hole: Vec<bool> = nodes.iter().map(|(h, _)| *h == 0).collect();
+                let real: Vec<NodeId> = (0..nodes.len() as NodeId)
+                    .filter(|&v| !hole[v as usize])
+                    .collect();
+                let (mut offsets, mut edges, mut weights) = (vec![0], Vec::new(), Vec::new());
+                for (v, (_, arcs)) in nodes.iter().enumerate() {
+                    if !hole[v] {
+                        for &(pick, w) in arcs {
+                            edges.push(real[pick as usize % real.len()]);
+                            if weighted {
+                                weights.push(w);
+                            }
+                        }
+                    }
+                    offsets.push(edges.len());
+                }
+                let mask = if hole.contains(&true) {
+                    hole
+                } else {
+                    Vec::new()
+                };
+                Csr::from_parts(offsets, edges, weights, mask)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn row_oracle_equals_the_per_node_oracle(g in adversarial_graph()) {
+            prop_assert_eq!(bits(&exact_cpu(&g)), bits(&exact_cpu_by_node(&g)));
+        }
+    }
+
+    #[test]
+    fn row_oracle_equals_the_per_node_oracle_at_2_14() {
+        for kind in [
+            GraphKind::Rmat,
+            GraphKind::Road,
+            GraphKind::SocialLiveJournal,
+        ] {
+            let g = GraphSpec::new(kind, 1 << 14, 7).generate();
+            assert_eq!(
+                bits(&exact_cpu(&g)),
+                bits(&exact_cpu_by_node(&g)),
+                "{}",
+                kind.key()
+            );
+        }
+    }
+
+    /// The host fold against the arm that adds inside the kernel, on the
+    /// two plan shapes where several processing nodes push into one slot:
+    /// a Tigr-shaped split and a coalesced plan with replicas. Values,
+    /// every `KernelStats` field and the iteration count, at 1, 2 and 8
+    /// threads.
+    #[test]
+    fn host_fold_equals_adding_inside_the_kernel() {
+        use crate::memo_tests::{virtually_split, with_threads};
+        use graffix_core::{CoalesceKnobs, Pipeline, Prepared};
+        let cfg = GpuConfig::k40c();
+        let g = GraphSpec::new(GraphKind::Rmat, 1_024, 5).generate();
+        let coalesced = Pipeline::default()
+            .with_coalesce(CoalesceKnobs::default())
+            .apply(&g, &cfg);
+        assert!(
+            !coalesced.replica_groups.is_empty(),
+            "no node was replicated"
+        );
+        let plans = [
+            (
+                "split",
+                virtually_split(&Prepared::exact(g.clone()), &cfg, 8),
+            ),
+            (
+                "coalesced",
+                Plan::from_prepared(&coalesced, &cfg, Strategy::Topology),
+            ),
+        ];
+        for (name, plan) in &plans {
+            for threads in [1, 2, 8] {
+                let folded = with_threads(threads, || run_sim(plan));
+                let in_kernel = with_threads(threads, || {
+                    let runner = Runner::new(plan);
+                    let mut prog = PrTopology::new(plan, &runner);
+                    prog.in_kernel = Some(FixedPointF64Array::with_frac_bits(
+                        plan.attr_len,
+                        PR_FRAC_BITS,
+                    ));
+                    prog.run(&runner)
+                });
+                let id = format!("{name}/{threads}t");
+                assert_eq!(bits(&folded.values), bits(&in_kernel.values), "{id}");
+                assert_eq!(folded.stats, in_kernel.stats, "{id}");
+                assert_eq!(folded.iterations, in_kernel.iterations, "{id}");
+            }
+        }
+    }
 
     #[test]
     fn exact_cpu_sums_to_near_one_on_cycle() {

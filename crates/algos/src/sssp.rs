@@ -278,6 +278,8 @@ pub fn exact_cpu(g: &Csr, source: NodeId) -> Vec<f64> {
 
 /// Picks a deterministic, well-connected source: the max-out-degree vertex
 /// (ties broken by id). The paper runs SSSP from a fixed source per graph.
+/// `INVALID_NODE` when the graph has no real node; [`crate::Algo::source`]
+/// turns that into a typed error.
 pub fn default_source(g: &Csr) -> NodeId {
     g.real_nodes()
         .max_by_key(|&v| (g.degree(v), Reverse(v)))

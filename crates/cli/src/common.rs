@@ -60,9 +60,23 @@ pub fn value_bytes(values: &[f64]) -> Vec<u8> {
 }
 
 /// The pipeline `--technique`/`--threshold` name on `g`: knobs auto-tuned
-/// under the fixed profiling seed the daemon uses too.
+/// under the fixed profiling seed the daemon uses too. `exact` reads no
+/// knob, so it profiles nothing.
 pub fn build_pipeline(g: &Csr, technique: Technique, threshold: Option<f64>) -> Pipeline {
-    auto_tune(g, 7).pipeline(technique, threshold)
+    match technique {
+        Technique::Exact => Pipeline::default(),
+        _ => auto_tune(g, 7).pipeline(technique, threshold),
+    }
+}
+
+/// The source `algo` starts from on the graph read from `path` (`None`
+/// for algorithms without one). Exits 1 naming the graph when a traversal
+/// has none.
+pub fn source(algo: Algo, g: &Csr, path: &Path) -> Option<NodeId> {
+    algo.source(g, None).unwrap_or_else(|e| {
+        eprintln!("cannot run on {}: {e}", path.display());
+        exit(1);
+    })
 }
 
 /// Applies `pipeline` through the prepared-graph cache, logging the cache

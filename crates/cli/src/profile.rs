@@ -56,6 +56,9 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
 
 pub fn run(args: Args, gpu: &GpuConfig, cache: &CacheConfig) {
     let g = load(&args.input);
+    // The traced run resolves the same source; a graph without one is
+    // refused here, before any profiling.
+    common::source(args.algo, &g, &args.input);
     let tuned = auto_tune(&g, args.seed);
     let p = tuned.profile;
     // Structural/knob diagnostics go to stderr so stdout can stay a pure

@@ -61,6 +61,7 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
 pub fn run(args: Args, gpu: &GpuConfig, cache: &CacheConfig) {
     let algo = args.algo;
     let g = load(&args.input);
+    let source = common::source(algo, &g, &args.input);
     let pipeline = build_pipeline(&g, args.technique, args.threshold);
     let prepared = prepare(&g, &pipeline, gpu, cache);
     let mut plan = args
@@ -91,8 +92,8 @@ pub fn run(args: Args, gpu: &GpuConfig, cache: &CacheConfig) {
         None => plan.trace.clone(), // disabled: zero-cost no-op sink
     };
 
-    let (run, scalar) = algo.run(&plan, &g, None, common::BC_SOURCES);
-    let exact = algo.exact(&g, None, common::BC_SOURCES);
+    let (run, scalar) = algo.run(&plan, &g, source, common::BC_SOURCES);
+    let exact = algo.exact(&g, source, common::BC_SOURCES);
     let summary = match (scalar, &exact) {
         (Some(Scalar::Components(c)), AlgoOutcome::Scalar(e)) => {
             format!("{c} components (exact {e})")
@@ -101,7 +102,7 @@ pub fn run(args: Args, gpu: &GpuConfig, cache: &CacheConfig) {
             format!("forest weight {w} (exact {e})")
         }
         _ => {
-            let from = match algo.source(&g, None) {
+            let from = match source {
                 Some(src) => format!("source {src}, "),
                 None if algo == Algo::Bc => {
                     let sources = bc::sample_sources(&g, common::BC_SOURCES);

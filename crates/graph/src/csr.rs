@@ -124,7 +124,7 @@ impl Csr {
     /// carries no hole mask: which slots are holes is the caller's call.
     ///
     /// One counting sort over flat arrays — count, prefix sum, scatter, sort
-    /// each row in place — the shape [`Csr::undirected`] is built in.
+    /// each row in place.
     pub fn relabeled(&self, new_of_old: &[NodeId], total: usize) -> Csr {
         let slot = |old: NodeId| new_of_old[old as usize] as usize;
         let mut offsets = vec![0usize; total + 1];
@@ -532,55 +532,88 @@ impl Csr {
         (*self.undirected()).clone()
     }
 
+    /// The undirected view, merge-built: one counting scatter lays out every
+    /// node's in-row (sources ascending, self-loops dropped), then each
+    /// out-row is merged with its in-row, keeping the minimum weight per
+    /// neighbor. An out-row not sorted by destination is merged from a
+    /// sorted scratch copy. The result is sorted, loop-free and
+    /// duplicate-free: each neighbor once, at its lightest arc in either
+    /// direction.
     fn build_undirected(&self) -> Csr {
         let n = self.num_nodes();
         let weighted = self.is_weighted();
-        // Counting pass: undirected degree with duplicates, self-loops
-        // dropped — replaces the per-node `Vec` pushes that dominated
-        // preparation at 2^20 nodes with one flat counting sort.
-        let mut bounds = vec![0usize; n + 1];
-        for (u, v, _) in self.edge_triples() {
-            if u != v {
-                bounds[u as usize + 1] += 1;
-                bounds[v as usize + 1] += 1;
+        let weight = |ws: &[u32], i: usize| if weighted { ws[i] } else { 1 };
+        let mut in_bounds = vec![0usize; n + 1];
+        for u in self.node_ids() {
+            for &v in self.neighbors(u) {
+                if v != u {
+                    in_bounds[v as usize + 1] += 1;
+                }
             }
         }
         for v in 0..n {
-            bounds[v + 1] += bounds[v];
+            in_bounds[v + 1] += in_bounds[v];
         }
-        let total = bounds[n];
-        let mut cursor = bounds.clone();
-        let mut pairs: Vec<(NodeId, u32)> = vec![(0, 0); total];
-        for (u, v, w) in self.edge_triples() {
-            if u != v {
-                pairs[cursor[u as usize]] = (v, w);
-                cursor[u as usize] += 1;
-                pairs[cursor[v as usize]] = (u, w);
-                cursor[v as usize] += 1;
+        let mut cursor = in_bounds.clone();
+        let mut in_src = vec![0 as NodeId; in_bounds[n]];
+        let mut in_w = vec![0u32; if weighted { in_bounds[n] } else { 0 }];
+        for u in self.node_ids() {
+            for e in self.edge_range(u) {
+                let v = self.edges[e] as usize;
+                if v != u as usize {
+                    in_src[cursor[v]] = u;
+                    if weighted {
+                        in_w[cursor[v]] = self.weights[e];
+                    }
+                    cursor[v] += 1;
+                }
             }
         }
-        // Canonicalize each neighbor range exactly as the old per-node
-        // path did: sort by (neighbor, weight), keep the first (minimum-
-        // weight) copy of each neighbor.
+        let bound = self.num_edges() + in_src.len();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        let mut edges = Vec::with_capacity(total);
-        let mut weights = if weighted {
-            Vec::with_capacity(total)
-        } else {
-            Vec::new()
-        };
-        for v in 0..n {
-            let range = &mut pairs[bounds[v]..bounds[v + 1]];
-            range.sort_unstable();
-            let mut last = INVALID_NODE;
-            for &(nbr, w) in range.iter() {
-                if nbr != last {
+        let mut edges = Vec::with_capacity(bound);
+        let mut weights = Vec::with_capacity(if weighted { bound } else { 0 });
+        for v in self.node_ids() {
+            let arcs = self.edge_range(v);
+            let mut out = &self.edges[arcs.clone()];
+            let mut out_w = if weighted {
+                &self.weights[arcs.clone()]
+            } else {
+                &[][..]
+            };
+            let (sorted_dst, sorted_w): (Vec<NodeId>, Vec<u32>);
+            if !out.is_sorted() {
+                let mut pairs: Vec<_> = arcs.map(|e| (self.edges[e], self.weight_at(e))).collect();
+                pairs.sort_unstable();
+                (sorted_dst, sorted_w) = pairs.into_iter().unzip();
+                (out, out_w) = (&sorted_dst, &sorted_w);
+            }
+            let ins = in_bounds[v as usize]..in_bounds[v as usize + 1];
+            let inn = &in_src[ins.clone()];
+            let inn_w = if weighted { &in_w[ins] } else { &[][..] };
+            let (mut i, mut j) = (0, 0);
+            loop {
+                let nbr = match (out.get(i), inn.get(j)) {
+                    (Some(&a), Some(&b)) => a.min(b),
+                    (Some(&a), None) => a,
+                    (None, Some(&b)) => b,
+                    (None, None) => break,
+                };
+                let mut lightest = u32::MAX;
+                while out.get(i) == Some(&nbr) {
+                    lightest = lightest.min(weight(out_w, i));
+                    i += 1;
+                }
+                while inn.get(j) == Some(&nbr) {
+                    lightest = lightest.min(weight(inn_w, j));
+                    j += 1;
+                }
+                if nbr != v {
                     edges.push(nbr);
                     if weighted {
-                        weights.push(w);
+                        weights.push(lightest);
                     }
-                    last = nbr;
                 }
             }
             offsets.push(edges.len());
@@ -739,8 +772,124 @@ impl Csr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Graphs no builder makes: rows in arbitrary order, parallel arcs of
+    /// unequal weights, self-loops, holes, dangling nodes — weighted or
+    /// not, with 0, 1 and 2 nodes drawn more often than the rest.
+    pub(crate) fn adversarial_graph() -> impl Strategy<Value = Csr> {
+        (0usize..30, 0u8..2)
+            .prop_flat_map(|(n, weighted)| {
+                let n = if n < 24 { n } else { n % 3 };
+                let node = (0u8..5, prop::collection::vec((0u32..1_000, 1u32..6), 0..7));
+                (Just(weighted == 1), prop::collection::vec(node, n..n + 1))
+            })
+            .prop_map(|(weighted, nodes)| {
+                let hole: Vec<bool> = nodes.iter().map(|(h, _)| *h == 0).collect();
+                let real: Vec<NodeId> = (0..nodes.len() as NodeId)
+                    .filter(|&v| !hole[v as usize])
+                    .collect();
+                let (mut offsets, mut edges, mut weights) = (vec![0], Vec::new(), Vec::new());
+                for (v, (_, arcs)) in nodes.iter().enumerate() {
+                    if !hole[v] {
+                        for &(pick, w) in arcs {
+                            edges.push(real[pick as usize % real.len()]);
+                            if weighted {
+                                weights.push(w);
+                            }
+                        }
+                    }
+                    offsets.push(edges.len());
+                }
+                let mask = if hole.contains(&true) {
+                    hole
+                } else {
+                    Vec::new()
+                };
+                Csr::from_parts(offsets, edges, weights, mask)
+            })
+    }
+
+    /// The undirected view as it was built before the merge: every arc
+    /// scattered both ways, each row sorted by (neighbor, weight), the first
+    /// copy of each neighbor kept.
+    fn sorted_undirected(g: &Csr) -> Csr {
+        let n = g.num_nodes();
+        let weighted = g.is_weighted();
+        let mut bounds = vec![0usize; n + 1];
+        for (u, v, _) in g.edge_triples() {
+            if u != v {
+                bounds[u as usize + 1] += 1;
+                bounds[v as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            bounds[v + 1] += bounds[v];
+        }
+        let mut cursor = bounds.clone();
+        let mut pairs: Vec<(NodeId, u32)> = vec![(0, 0); bounds[n]];
+        for (u, v, w) in g.edge_triples() {
+            if u != v {
+                pairs[cursor[u as usize]] = (v, w);
+                cursor[u as usize] += 1;
+                pairs[cursor[v as usize]] = (u, w);
+                cursor[v as usize] += 1;
+            }
+        }
+        let (mut offsets, mut edges, mut weights) = (vec![0usize], Vec::new(), Vec::new());
+        for v in 0..n {
+            let range = &mut pairs[bounds[v]..bounds[v + 1]];
+            range.sort_unstable();
+            let mut last = INVALID_NODE;
+            for &(nbr, w) in range.iter() {
+                if nbr != last {
+                    edges.push(nbr);
+                    if weighted {
+                        weights.push(w);
+                    }
+                    last = nbr;
+                }
+            }
+            offsets.push(edges.len());
+        }
+        Csr::from_parts(offsets, edges, weights, g.hole_mask.clone())
+    }
+
+    fn assert_same_view(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(got.offsets(), want.offsets(), "{what}: offsets");
+        assert_eq!(got.edges_raw(), want.edges_raw(), "{what}: edges");
+        assert_eq!(got.weights_raw(), want.weights_raw(), "{what}: weights");
+        assert_eq!(got.hole_mask, want.hole_mask, "{what}: hole mask");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merged_undirected_view_equals_the_sorted_build(g in adversarial_graph()) {
+            let got = g.build_undirected();
+            let want = sorted_undirected(&g);
+            prop_assert_eq!(got.offsets(), want.offsets());
+            prop_assert_eq!(got.edges_raw(), want.edges_raw());
+            prop_assert_eq!(got.weights_raw(), want.weights_raw());
+            prop_assert_eq!(&got.hole_mask, &want.hole_mask);
+        }
+    }
+
+    #[test]
+    fn merged_undirected_view_equals_the_sorted_build_at_2_14() {
+        use crate::generators::{GraphKind, GraphSpec};
+        for kind in [
+            GraphKind::Rmat,
+            GraphKind::Road,
+            GraphKind::SocialLiveJournal,
+        ] {
+            let g = GraphSpec::new(kind, 1 << 14, 7).generate();
+            assert_same_view(&g.build_undirected(), &sorted_undirected(&g), kind.key());
+        }
+    }
 
     fn diamond() -> Csr {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3

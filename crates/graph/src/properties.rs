@@ -184,7 +184,11 @@ pub fn clustering_coefficients(g: &Csr) -> Vec<f64> {
 }
 
 /// Sampled average clustering coefficient (cheap estimate used by tests and
-/// the threshold-guideline heuristics).
+/// the threshold-guideline heuristics). Per sample `v`, `N(v)` is marked
+/// once and each neighbor `a` counts the marked `w > a` of `N(a)` — only
+/// the window of `N(a)` up to `N(v)`'s largest member is read, so a hub
+/// neighbor costs two binary searches, not a merge against its whole list.
+/// The counts are [`local_clustering_coefficient`]'s `links`.
 pub fn average_clustering_coefficient(g: &Csr, samples: usize, seed: u64) -> f64 {
     let und = g.undirected();
     let real: Vec<NodeId> = und.real_nodes().collect();
@@ -193,10 +197,27 @@ pub fn average_clustering_coefficient(g: &Csr, samples: usize, seed: u64) -> f64
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let samples = samples.min(real.len()).max(1);
+    // `marks[w] == s + 1` while `w ∈ N(v)` for sample `s`.
+    let mut marks = vec![0usize; und.num_nodes()];
     let total: f64 = (0..samples)
-        .map(|_| {
+        .map(|s| {
             let v = real[rng.random_range(0..real.len())];
-            local_clustering_coefficient(&und, v)
+            let nbrs = und.neighbors(v);
+            let Some(&last) = nbrs.last() else {
+                return 0.0;
+            };
+            for &w in nbrs {
+                marks[w as usize] = s + 1;
+            }
+            let mut links = 0u64;
+            for &a in nbrs {
+                let row = und.neighbors(a);
+                let window = row.partition_point(|&w| w <= a)..row.partition_point(|&w| w <= last);
+                for &w in &row[window] {
+                    links += u64::from(marks[w as usize] == s + 1);
+                }
+            }
+            clustering_coefficient(links, nbrs.len())
         })
         .sum();
     total / samples as f64
@@ -297,6 +318,59 @@ pub fn summarize(g: &Csr, seed: u64) -> GraphSummary {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::tests::adversarial_graph;
+    use proptest::prelude::*;
+
+    /// The sampled average as it was: the same samples, each summed by
+    /// [`local_clustering_coefficient`]'s sorted merges.
+    fn average_by_merge(g: &Csr, samples: usize, seed: u64) -> f64 {
+        let und = g.undirected();
+        let real: Vec<NodeId> = und.real_nodes().collect();
+        if real.is_empty() {
+            return 0.0;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let samples = samples.min(real.len()).max(1);
+        let total: f64 = (0..samples)
+            .map(|_| {
+                let v = real[rng.random_range(0..real.len())];
+                local_clustering_coefficient(&und, v)
+            })
+            .sum();
+        total / samples as f64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn marked_clustering_equals_the_merge_sum(
+            g in adversarial_graph(),
+            samples in 0usize..40,
+            seed in 0u64..1_000,
+        ) {
+            let got = average_clustering_coefficient(&g, samples, seed);
+            let want = average_by_merge(&g, samples, seed);
+            prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn marked_clustering_equals_the_merge_sum_at_2_14() {
+        use crate::generators::{GraphKind, GraphSpec};
+        for kind in [
+            GraphKind::Rmat,
+            GraphKind::Road,
+            GraphKind::SocialLiveJournal,
+        ] {
+            let g = GraphSpec::new(kind, 1 << 14, 7).generate();
+            for (samples, seed) in [(400, 7), (500, 11)] {
+                let got = average_clustering_coefficient(&g, samples, seed);
+                let want = average_by_merge(&g, samples, seed);
+                assert_eq!(got.to_bits(), want.to_bits(), "{}", kind.key());
+            }
+        }
+    }
 
     fn triangle_plus_tail() -> Csr {
         // Triangle 0-1-2 plus a tail 2-3.

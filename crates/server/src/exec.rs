@@ -21,7 +21,9 @@ use graffix_graph::{Csr, NodeId};
 use graffix_sim::{GpuConfig, Json};
 
 /// The effective traversal source of a request: the explicit one, or the
-/// graph's deterministic default. `None` for algorithms without a source.
+/// graph's deterministic default. `None` for algorithms without a source;
+/// `bad-source` for an explicit one out of range, or a traversal on a graph
+/// with no node to default to.
 pub fn effective_source(req: &RunRequest, original: &Csr) -> Result<Option<NodeId>, ServeError> {
     if let Some(s) = req.source {
         if (s as usize) >= original.num_nodes() {
@@ -34,7 +36,9 @@ pub fn effective_source(req: &RunRequest, original: &Csr) -> Result<Option<NodeI
             ));
         }
     }
-    Ok(req.algo.source(original, req.source))
+    req.algo
+        .source(original, req.source)
+        .map_err(|e| ServeError::new(ErrorKind::BadSource, format!("graph `{}`: {e}", req.graph)))
 }
 
 /// Builds the deterministic `result` excerpt for one executed request —

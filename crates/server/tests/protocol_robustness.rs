@@ -288,3 +288,66 @@ fn graceful_shutdown_drains_and_then_rejects() {
         "join returns promptly after the drain"
     );
 }
+
+/// A sourceless traversal of a graph with no node is `bad-source`, and the
+/// one worker that answered it answers the next request too. It used to
+/// panic inside the worker, which then never answered again.
+#[test]
+fn a_traversal_of_an_empty_graph_is_bad_source_and_the_worker_lives_on() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("serve-empty-graph");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.txt");
+    std::fs::write(&empty, "").unwrap();
+    let mut graphs = registry();
+    graphs
+        .insert_entry(&format!("empty={}", empty.display()))
+        .unwrap();
+    let mut config = ServeConfig::local(graphs);
+    config.workers = 1;
+    let server = Server::start(config).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut c = Client::connect_tcp(&addr).unwrap();
+        for line in [
+            "{\"id\":1,\"graph\":\"empty\",\"algo\":\"sssp\"}",
+            "{\"id\":2,\"graph\":\"empty\",\"algo\":\"bfs\"}",
+            "{\"id\":3,\"graph\":\"empty\",\"algo\":\"pr\"}",
+            "{\"id\":4,\"graph\":\"small\",\"algo\":\"bfs\"}",
+        ] {
+            if tx.send(c.call_line(line).unwrap()).is_err() {
+                return;
+            }
+        }
+    });
+    let answer = || {
+        let line = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the worker answers");
+        Json::parse(&line).expect("response is valid JSON")
+    };
+    for algo in ["sssp", "bfs"] {
+        let doc = answer();
+        assert_eq!(
+            doc.path(&["error", "kind"]).and_then(Json::as_str),
+            Some("bad-source")
+        );
+        let message = doc
+            .path(&["error", "message"])
+            .and_then(Json::as_str)
+            .unwrap();
+        assert_eq!(
+            message,
+            format!("graph `empty`: {algo} needs a source node and the graph has none")
+        );
+    }
+    for id in [3, 4] {
+        let doc = answer();
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{doc:?}");
+        assert_eq!(doc.get("id").unwrap().as_u64(), Some(id));
+    }
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,7 +13,8 @@
 //! * [`FixedPointF64Array`] — an `f64` accumulator in 32.32 fixed point.
 //!   Integer wrapping adds commute exactly, so *fractional* accumulation
 //!   (PageRank shares, BC dependencies) is deterministic under any
-//!   interleaving, at ~2e-10 quantization per addend.
+//!   interleaving, at ~2e-10 quantization per addend. Its encoding,
+//!   [`FixedPoint`], serves host-side folds over plain `i64`s.
 //! * [`AtomicU32Array`] / [`AtomicU64Array`] — native integer atomics for
 //!   labels, levels and packed (weight, edge) keys.
 //! * [`DoubleBuffered`] — Jacobi-style read buffer + atomic write buffer
@@ -145,6 +146,39 @@ impl AtomicF64Array {
     }
 }
 
+/// The signed fixed-point encoding behind [`FixedPointF64Array`]. Host
+/// code that sums raw addends in plain `i64`s — a fold nothing reads while
+/// it runs — encodes and decodes through this to land on exactly the bits
+/// the array would hold.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FixedPoint {
+    scale: f64,
+}
+
+impl FixedPoint {
+    /// `frac_bits` fractional bits: resolution `2^-frac_bits`, range
+    /// `±2^(63-frac_bits)`.
+    pub fn new(frac_bits: u32) -> Self {
+        assert!(frac_bits < 63);
+        FixedPoint {
+            scale: (1u64 << frac_bits) as f64,
+        }
+    }
+
+    /// The raw encoding of `v`: the exact integer one add of `v`
+    /// contributes.
+    #[inline]
+    pub fn quantize_raw(self, v: f64) -> i64 {
+        (v * self.scale).round() as i64
+    }
+
+    /// The value a cell holding `raw` reads as.
+    #[inline]
+    pub fn value(self, raw: i64) -> f64 {
+        raw as f64 / self.scale
+    }
+}
+
 /// Deterministic fractional accumulator: signed fixed point over wrapping
 /// integer atomics. Integer adds commute exactly, so concurrent
 /// accumulation yields bit-identical totals at any thread count. The
@@ -155,7 +189,7 @@ impl AtomicF64Array {
 #[derive(Debug, Default)]
 pub struct FixedPointF64Array {
     cells: Vec<AtomicU64>,
-    scale: f64,
+    fixed: FixedPoint,
 }
 
 /// Default 32.32 split.
@@ -166,13 +200,11 @@ impl FixedPointF64Array {
         Self::with_frac_bits(len, DEFAULT_FRAC_BITS)
     }
 
-    /// `frac_bits` fractional bits: resolution `2^-frac_bits`, range
-    /// `±2^(63-frac_bits)`.
+    /// `frac_bits` fractional bits (see [`FixedPoint::new`]).
     pub fn with_frac_bits(len: usize, frac_bits: u32) -> Self {
-        assert!(frac_bits < 63);
         FixedPointF64Array {
             cells: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            scale: (1u64 << frac_bits) as f64,
+            fixed: FixedPoint::new(frac_bits),
         }
     }
 
@@ -186,7 +218,7 @@ impl FixedPointF64Array {
 
     #[inline]
     fn quantize(&self, v: f64) -> u64 {
-        (v * self.scale).round() as i64 as u64
+        self.fixed.quantize_raw(v) as u64
     }
 
     /// Atomically accumulates `v` (quantized) into cell `i`.
@@ -203,7 +235,7 @@ impl FixedPointF64Array {
     pub fn add_returning(&self, i: usize, v: f64) -> f64 {
         let q = self.quantize(v);
         let prev = self.cells[i].fetch_add(q, Ordering::Relaxed);
-        prev.wrapping_add(q) as i64 as f64 / self.scale
+        self.fixed.value(prev.wrapping_add(q) as i64)
     }
 
     /// Overwrites cell `i` with `v` (quantized). Only safe against
@@ -216,7 +248,8 @@ impl FixedPointF64Array {
 
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
-        self.cells[i].load(Ordering::Relaxed) as i64 as f64 / self.scale
+        self.fixed
+            .value(self.cells[i].load(Ordering::Relaxed) as i64)
     }
 
     /// The raw fixed-point encoding of `v` — the exact integer a single
@@ -226,7 +259,7 @@ impl FixedPointF64Array {
     /// on the same cell bits as the equivalent sequence of `add`s.
     #[inline]
     pub fn quantize_raw(&self, v: f64) -> i64 {
-        (v * self.scale).round() as i64
+        self.fixed.quantize_raw(v)
     }
 
     /// Atomically accumulates a pre-quantized raw addend (see
@@ -236,7 +269,7 @@ impl FixedPointF64Array {
     #[inline]
     pub fn add_raw_returning(&self, i: usize, raw: i64) -> f64 {
         let prev = self.cells[i].fetch_add(raw as u64, Ordering::Relaxed);
-        prev.wrapping_add(raw as u64) as i64 as f64 / self.scale
+        self.fixed.value(prev.wrapping_add(raw as u64) as i64)
     }
 
     /// Resets every cell to zero.

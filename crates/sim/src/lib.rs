@@ -44,7 +44,7 @@ pub mod trace;
 pub mod warp;
 
 pub use attrs::{
-    AtomicF64Array, AtomicU32Array, AtomicU64Array, DoubleBuffered, FixedPointF64Array,
+    AtomicF64Array, AtomicU32Array, AtomicU64Array, DoubleBuffered, FixedPoint, FixedPointF64Array,
 };
 pub use config::GpuConfig;
 pub use event::{AccessKind, ArrayId, MemEvent, Space};

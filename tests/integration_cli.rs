@@ -134,3 +134,36 @@ fn coalescing_an_already_coalesced_file_is_exit_2_not_a_panic() {
     assert_eq!(kept.0, Some(0), "{}", kept.2);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A traversal on a graph with no node has no source to start from: `run`
+/// and `profile` say so, naming the graph, and exit 1 — they used to panic
+/// (exit 101) inside the simulated run. Algorithms without a source still
+/// run.
+#[test]
+fn a_traversal_on_an_empty_graph_is_an_error_not_a_panic() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-empty-graph");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (edges, gfx) = (path("empty.txt"), path("empty.gfx"));
+    std::fs::write(&edges, "").unwrap();
+    let converted = graffix(&["convert", "--in", &edges, "--out", &gfx]);
+    assert_eq!(converted.0, Some(0), "{}", converted.2);
+    for algo in ["sssp", "bfs"] {
+        for cmd in ["run", "profile"] {
+            let (code, stdout, stderr) =
+                graffix(&[cmd, "--in", &gfx, "--algo", algo, "--no-cache"]);
+            assert_eq!(code, Some(1), "{cmd} {algo}: {stderr}");
+            assert!(stdout.is_empty(), "{cmd} {algo}: {stdout}");
+            assert!(
+                stderr.contains(&format!(
+                    "cannot run on {gfx}: {algo} needs a source node and the graph has none"
+                )),
+                "{cmd} {algo}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{cmd} {algo}: {stderr}");
+        }
+    }
+    let (code, _, stderr) = graffix(&["run", "--in", &gfx, "--algo", "wcc", "--no-cache"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
