@@ -15,6 +15,8 @@
 //! baselines' processing styles (topology-driven, frontier-driven, and
 //! Tigr-style virtual splitting via a non-identity attribute mapping).
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod algo;
 pub mod bc;

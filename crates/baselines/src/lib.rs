@@ -17,6 +17,8 @@
 //! produce Tables 6–14; these constructors accept any `Prepared` graph, so
 //! `tigr::plan(&coalesced, …)` is "approximate Graffix on Tigr".
 
+#![forbid(unsafe_code)]
+
 pub mod gunrock;
 pub mod lonestar;
 pub mod tigr;

@@ -14,6 +14,8 @@
 //! verdict table and the `graffix.gate-report` schema. Every gated number
 //! is simulated or a flag; host time is measured by `benchmark/` alone.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod experiments;
 pub mod gate;

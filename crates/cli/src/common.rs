@@ -5,7 +5,7 @@
 use crate::args::{Bag, Parsed};
 use graffix::log_info;
 use graffix::prelude::*;
-use graffix_graph::{io as gio, serialize};
+use graffix_graph::io as gio;
 use graffix_server::Bind;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -13,31 +13,19 @@ use std::process::exit;
 /// BC source-sample size of `run` and `stream` (`profile` has a flag).
 pub const BC_SOURCES: usize = 4;
 
-/// Reads a graph file: `.gfx` (binary GFX1), `.gr` (DIMACS), anything
-/// else as a whitespace edge list. Exits 1 with the reason on failure.
+/// Reads a graph file by extension ([`gio::load_graph_file`]). Exits 1
+/// with the reason on failure.
 pub fn load(path: &Path) -> Csr {
-    // `.gfx` opens through the mmap-backed loader: the offset/edge/weight
-    // arrays stay file-backed, so only the segments a run actually touches
-    // page in (falls back to a copying read off POSIX/64-bit LE).
-    let result = match path.extension().and_then(|e| e.to_str()) {
-        Some("gfx") => serialize::open_mapped(path),
-        Some("gr") => std::fs::File::open(path).and_then(gio::read_dimacs),
-        _ => gio::load_edge_list(path),
-    };
-    result.unwrap_or_else(|e| {
+    gio::load_graph_file(path).unwrap_or_else(|e| {
         eprintln!("could not read {}: {e}", path.display());
         exit(1);
     })
 }
 
-/// Writes a graph file in the format its extension names (see [`load`]).
+/// Writes a graph file by extension ([`gio::save_graph_file`]). Exits 1
+/// with the reason on failure.
 pub fn save(g: &Csr, path: &Path) {
-    let result = match path.extension().and_then(|e| e.to_str()) {
-        Some("gfx") => serialize::save_binary(g, path),
-        Some("gr") => std::fs::File::create(path).and_then(|f| gio::write_dimacs(g, f)),
-        _ => gio::save_edge_list(g, path),
-    };
-    if let Err(e) = result {
+    if let Err(e) = gio::save_graph_file(g, path) {
         eprintln!("could not write {}: {e}", path.display());
         exit(1);
     }

@@ -37,6 +37,8 @@
 //! Graph files: `.gfx` (binary GFX1), `.gr` (DIMACS), anything else is read
 //! as a whitespace edge list.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod bench;
 mod client;

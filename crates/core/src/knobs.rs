@@ -333,8 +333,7 @@ impl StreamKnobs {
 }
 
 /// Knobs for segmented execution (DESIGN.md §12): cache-sized contiguous
-/// vertex-range partitions with L2-resident pricing and bounded-RSS
-/// processing of mmap-backed graphs.
+/// vertex-range partitions with L2-resident pricing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentKnobs {
     /// Byte budget per segment — the estimated working set (offsets +

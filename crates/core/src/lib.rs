@@ -20,6 +20,8 @@
 //! [`TransformReport`] with the preprocessing cost and space overhead that
 //! Table 5 reports.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod coalesce;
 pub mod confluence;

@@ -51,11 +51,19 @@ fn get_len(bytes: &mut Bytes, what: &str) -> io::Result<usize> {
     Ok(bytes.get_u64_le() as usize)
 }
 
-fn get_ids(bytes: &mut Bytes, what: &str) -> io::Result<Vec<NodeId>> {
+/// Reads the length of a list of `width`-byte elements and checks that the
+/// whole list is present. A length whose byte size overflows is truncated
+/// by definition, never a panic.
+fn get_count(bytes: &mut Bytes, what: &str, width: usize) -> io::Result<usize> {
     let len = get_len(bytes, what)?;
-    if bytes.remaining() < len * 4 {
-        return Err(invalid(&format!("truncated {what}")));
+    match len.checked_mul(width) {
+        Some(size) if size <= bytes.remaining() => Ok(len),
+        _ => Err(invalid(&format!("truncated {what}"))),
     }
+}
+
+fn get_ids(bytes: &mut Bytes, what: &str) -> io::Result<Vec<NodeId>> {
+    let len = get_count(bytes, what, 4)?;
     Ok((0..len).map(|_| bytes.get_u32_le()).collect())
 }
 
@@ -169,10 +177,7 @@ pub(crate) fn encode_counts(vals: &[u64]) -> Bytes {
 }
 
 pub(crate) fn decode_counts(mut bytes: Bytes) -> io::Result<Vec<u64>> {
-    let len = get_len(&mut bytes, "count list")?;
-    if bytes.remaining() < len.saturating_mul(8) {
-        return Err(invalid("truncated count list"));
-    }
+    let len = get_count(&mut bytes, "count list", 8)?;
     let vals = (0..len).map(|_| bytes.get_u64_le()).collect();
     done(&bytes, "count list")?;
     Ok(vals)
@@ -208,10 +213,7 @@ pub(crate) fn encode_renumber(out: &RenumberOut) -> Bytes {
 pub(crate) fn decode_renumber(mut bytes: Bytes) -> io::Result<RenumberOut> {
     let new_of_old = get_ids(&mut bytes, "new_of_old")?;
     let old_of_new = get_ids(&mut bytes, "old_of_new")?;
-    let n_ranges = get_len(&mut bytes, "level_ranges")?;
-    if bytes.remaining() < n_ranges * 16 {
-        return Err(invalid("truncated level_ranges"));
-    }
+    let n_ranges = get_count(&mut bytes, "level_ranges", 16)?;
     let level_ranges: Vec<Range<usize>> = (0..n_ranges)
         .map(|_| {
             let start = bytes.get_u64_le() as usize;
@@ -219,10 +221,7 @@ pub(crate) fn decode_renumber(mut bytes: Bytes) -> io::Result<RenumberOut> {
             start..end
         })
         .collect();
-    let n_levels = get_len(&mut bytes, "level_of_new")?;
-    if bytes.remaining() < n_levels * 4 {
-        return Err(invalid("truncated level_of_new"));
-    }
+    let n_levels = get_count(&mut bytes, "level_of_new", 4)?;
     let level_of_new = (0..n_levels).map(|_| bytes.get_u32_le()).collect();
     let holes_created = get_u64(&mut bytes, "holes_created")? as usize;
     let k = get_u64(&mut bytes, "k")? as usize;
@@ -283,10 +282,7 @@ pub(crate) fn encode_boost(out: &BoostOutcome) -> Bytes {
 
 pub(crate) fn decode_boost(mut bytes: Bytes) -> io::Result<BoostOutcome> {
     let graph = get_graph(&mut bytes, "boosted graph")?;
-    let len = get_len(&mut bytes, "clustering")?;
-    if bytes.remaining() < len * 8 {
-        return Err(invalid("truncated clustering"));
-    }
+    let len = get_count(&mut bytes, "clustering", 8)?;
     let clustering = (0..len)
         .map(|_| f64::from_bits(bytes.get_u64_le()))
         .collect();
@@ -603,6 +599,46 @@ mod tests {
         assert!(decode_boost(Bytes::from(b"nope".to_vec())).is_err());
         assert!(decode_renumber(Bytes::default()).is_err());
         assert!(decode_prepared(Bytes::from(vec![9u8, 0])).is_err());
+    }
+
+    /// A length whose byte size overflows `usize` is a truncated entry, not
+    /// a multiply-overflow or capacity panic.
+    #[test]
+    fn decoders_reject_a_length_whose_byte_size_overflows() {
+        let huge = |len: u64, prefix: &[u8]| {
+            let mut data = prefix.to_vec();
+            data.extend_from_slice(&len.to_le_bytes());
+            data.extend_from_slice(&[0; 64]);
+            Bytes::from(data)
+        };
+        let empty_list = 0u64.to_le_bytes();
+        let two_empty_lists = [empty_list, empty_list].concat();
+        let mut graph = BytesMut::new();
+        put_graph(
+            &mut graph,
+            &Csr::from_parts(vec![0], vec![], vec![], vec![]),
+        );
+        let graph = graph.freeze();
+        for len in [1u64 << 62, 1 << 61, u64::MAX / 4 + 1, u64::MAX] {
+            assert!(decode_ids(huge(len, &[])).is_err(), "id list of {len}");
+            assert!(
+                decode_counts(huge(len, &[])).is_err(),
+                "count list of {len}"
+            );
+            assert!(
+                decode_renumber(huge(len, &two_empty_lists)).is_err(),
+                "level_ranges of {len}"
+            );
+            let no_ranges = [&two_empty_lists[..], &empty_list].concat();
+            assert!(
+                decode_renumber(huge(len, &no_ranges)).is_err(),
+                "level_of_new of {len}"
+            );
+            assert!(
+                decode_boost(huge(len, &graph[..])).is_err(),
+                "clustering of {len}"
+            );
+        }
     }
     /// `first_difference` and the terminal codec must agree on what content
     /// is: mutating any one field moves both or neither.

@@ -46,6 +46,8 @@
 //! | [`algos`] (`graffix-algos`) | SSSP/PR/BC/SCC/MST, exact references, metrics |
 //! | [`baselines`] (`graffix-baselines`) | LonestarGPU / Tigr / Gunrock execution styles |
 
+#![forbid(unsafe_code)]
+
 pub mod logging;
 pub mod observe;
 

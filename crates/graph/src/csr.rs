@@ -20,7 +20,6 @@ pub type EdgeId = usize;
 pub const INVALID_NODE: NodeId = u32::MAX;
 
 use crate::error::GraphError;
-use crate::storage::Buf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -46,20 +45,23 @@ fn assert_slot_count(n: usize) {
 }
 
 /// A directed graph in CSR form with optional edge weights and hole support.
+///
+/// The four arrays are immutable once built and shared behind `Arc`s, so a
+/// clone allocates nothing; every change (a new hole mask, a mutation
+/// batch) swaps in a whole new array and leaves other clones as they were.
+/// The `Vec` inside the `Arc` lets a builder's vector become an array
+/// without a copy.
 #[derive(Clone, Debug, Default)]
 pub struct Csr {
     /// `offsets[v]..offsets[v+1]` spans `v`'s out-edges. Length `n + 1`.
-    /// Owned, or a window into a shared GFX1 file mapping (see
-    /// [`crate::storage::Buf`] and `Csr::open_mapped`).
-    offsets: Buf<EdgeId>,
+    offsets: Arc<Vec<EdgeId>>,
     /// Flat destination array.
-    edges: Buf<NodeId>,
+    edges: Arc<Vec<NodeId>>,
     /// Parallel weight array; empty for unweighted graphs.
-    weights: Buf<u32>,
+    weights: Arc<Vec<u32>>,
     /// `hole_mask[v]` is true when slot `v` is a renumbering hole rather
-    /// than a logical vertex. Empty when the graph has no holes. Always
-    /// owned (unpacked eagerly from the bit-packed on-disk form).
-    hole_mask: Vec<bool>,
+    /// than a logical vertex. Empty when the graph has no holes.
+    hole_mask: Arc<Vec<bool>>,
     /// Lazily built, shared undirected view (see [`Csr::undirected`]).
     /// Cloning a `Csr` clones the `Arc`, so clones share the built view;
     /// the mask setters reset it because the view depends on the mask.
@@ -99,7 +101,7 @@ impl Csr {
             offsets: offsets.into(),
             edges: edges.into(),
             weights: flat_weights.into(),
-            hole_mask: Vec::new(),
+            hole_mask: Arc::default(),
             undirected: OnceLock::new(),
             transposed: OnceLock::new(),
         }
@@ -171,7 +173,7 @@ impl Csr {
             offsets: offsets.into(),
             edges: edges.into(),
             weights: weights.into(),
-            hole_mask: Vec::new(),
+            hole_mask: Arc::default(),
             undirected: OnceLock::new(),
             transposed: OnceLock::new(),
         }
@@ -191,39 +193,12 @@ impl Csr {
             offsets: offsets.into(),
             edges: edges.into(),
             weights: weights.into(),
-            hole_mask,
+            hole_mask: hole_mask.into(),
             undirected: OnceLock::new(),
             transposed: OnceLock::new(),
         };
         g.check()?;
         Ok(g)
-    }
-
-    /// Builds a CSR from pre-validated storage buffers (owned or mapped).
-    /// Runs the same invariant checks as [`Csr::try_from_parts`]; this is
-    /// the mmap-backed loading entry point (`Csr::open_mapped`).
-    pub(crate) fn from_checked_buffers(
-        offsets: Buf<EdgeId>,
-        edges: Buf<NodeId>,
-        weights: Buf<u32>,
-        hole_mask: Vec<bool>,
-    ) -> Result<Self, GraphError> {
-        let g = Csr {
-            offsets,
-            edges,
-            weights,
-            hole_mask,
-            undirected: OnceLock::new(),
-            transposed: OnceLock::new(),
-        };
-        g.check()?;
-        Ok(g)
-    }
-
-    /// True when any CSR array borrows a file mapping instead of owning
-    /// its storage (see `Csr::open_mapped`).
-    pub fn is_mapped(&self) -> bool {
-        self.offsets.is_mapped() || self.edges.is_mapped() || self.weights.is_mapped()
     }
 
     /// Builds a CSR directly from raw parts. Panics when the invariants do
@@ -527,7 +502,7 @@ impl Csr {
     /// Builds the undirected closure: for every arc `u -> v` the result also
     /// contains `v -> u` (duplicates removed). Used by clustering-coefficient
     /// analysis, which the paper computes on the undirected view (§3).
-    /// Returns an owned copy; prefer [`Csr::undirected`] for shared access.
+    /// The result shares the memoized view's arrays (see [`Csr::undirected`]).
     pub fn to_undirected(&self) -> Csr {
         (*self.undirected()).clone()
     }
@@ -719,7 +694,7 @@ impl Csr {
         {
             return Err(GraphError::EdgeIntoHole { dest: bad });
         }
-        self.hole_mask = mask;
+        self.hole_mask = mask.into();
         // The undirected and transpose views carry the hole mask, so a
         // mask change invalidates any cached copy of either.
         self.undirected = OnceLock::new();
@@ -854,7 +829,7 @@ pub(crate) mod tests {
             }
             offsets.push(edges.len());
         }
-        Csr::from_parts(offsets, edges, weights, g.hole_mask.clone())
+        Csr::from_parts(offsets, edges, weights, g.hole_mask.to_vec())
     }
 
     fn assert_same_view(got: &Csr, want: &Csr, what: &str) {
@@ -1019,6 +994,46 @@ pub(crate) mod tests {
         assert!(Arc::ptr_eq(&a, &c), "clones must share the cached view");
         assert_eq!(a.neighbors(3), &[1, 2]);
         assert_eq!(a.neighbors(0), &[] as &[NodeId]);
+    }
+
+    /// Cloning copies no array, and mutating a clone swaps its own arrays
+    /// in, leaving the graph it was cloned from as it was.
+    #[test]
+    fn a_clone_shares_every_array_and_a_mutated_clone_detaches() {
+        use crate::generators::{GraphKind, GraphSpec};
+        let mut generated = GraphSpec::new(GraphKind::Rmat, 512, 3).generate();
+        let isolated: Vec<bool> = generated
+            .node_ids()
+            .map(|v| generated.degree(v) == 0 && !generated.edges_raw().contains(&v))
+            .collect();
+        assert!(isolated.contains(&true), "fixture needs an isolated slot");
+        generated.set_hole_mask(isolated);
+        let path =
+            std::env::temp_dir().join(format!("graffix-csr-share-{}.gfx", std::process::id()));
+        crate::serialize::save_binary(&generated, &path).unwrap();
+        let loaded = crate::serialize::load_binary(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        for (name, g) in [("generated", &generated), ("loaded", &loaded)] {
+            assert!(g.is_weighted() && g.has_holes(), "{name}");
+            let mut c = g.clone();
+            assert_eq!(c.offsets.as_ptr(), g.offsets.as_ptr(), "{name}: offsets");
+            assert_eq!(c.edges.as_ptr(), g.edges.as_ptr(), "{name}: edges");
+            assert_eq!(c.weights.as_ptr(), g.weights.as_ptr(), "{name}: weights");
+            assert_eq!(c.hole_mask.as_ptr(), g.hole_mask.as_ptr(), "{name}: holes");
+            let before = (g.offsets().to_vec(), g.edges_raw().to_vec());
+            let before_weights = g.weights_raw().to_vec();
+            let mut batch = crate::mutation::EdgeBatch::new();
+            batch.insert(0, 1, 9);
+            batch.delete(g.real_nodes().next().unwrap(), g.edges_raw()[0]);
+            c.apply_batch(&batch).unwrap();
+            assert_ne!(c.edges_raw(), &before.1[..], "{name}: the clone changed");
+            assert_eq!(
+                (g.offsets().to_vec(), g.edges_raw().to_vec()),
+                before,
+                "{name}"
+            );
+            assert_eq!(g.weights_raw(), &before_weights[..], "{name}: weights");
+        }
     }
 
     #[test]

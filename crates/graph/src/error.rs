@@ -127,8 +127,8 @@ impl From<GraphError> for std::io::Error {
 
 impl GraphError {
     /// Recovers the typed error from an [`std::io::Error`] produced by the
-    /// `From<GraphError>` conversion above (graph deserialization and
-    /// mmap-backed loading both route structural failures through it).
+    /// `From<GraphError>` conversion above (the GFX1 reader routes every
+    /// structural failure through it).
     pub fn from_io(e: &std::io::Error) -> Option<&GraphError> {
         e.get_ref().and_then(|inner| inner.downcast_ref())
     }

@@ -1,9 +1,11 @@
 //! Graph I/O: plain edge-list text and DIMACS `.gr` (the format of the
-//! paper's USA-road input), both directions. Readers are tolerant of
+//! paper's USA-road input), both directions, and the one by-extension
+//! loader and saver every graph file goes through. Readers are tolerant of
 //! comments and blank lines so real downloaded datasets drop in unchanged.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Csr, NodeId};
+use crate::serialize;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -160,6 +162,26 @@ pub fn save_edge_list<P: AsRef<Path>>(g: &Csr, path: P) -> io::Result<()> {
 /// Convenience: reads an edge list from `path`.
 pub fn load_edge_list<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
     read_edge_list(std::fs::File::open(path)?, None)
+}
+
+/// Reads a graph file in the format its extension names: `.gfx` (binary
+/// GFX1), `.gr` (DIMACS), anything else a whitespace edge list.
+pub fn load_graph_file(path: &Path) -> io::Result<Csr> {
+    match path.extension().and_then(|e| e.to_str()) {
+        Some("gfx") => serialize::load_binary(path),
+        Some("gr") => std::fs::File::open(path).and_then(read_dimacs),
+        _ => load_edge_list(path),
+    }
+}
+
+/// Writes `g` in the format `path`'s extension names (see
+/// [`load_graph_file`]).
+pub fn save_graph_file(g: &Csr, path: &Path) -> io::Result<()> {
+    match path.extension().and_then(|e| e.to_str()) {
+        Some("gfx") => serialize::save_binary(g, path),
+        Some("gr") => std::fs::File::create(path).and_then(|f| write_dimacs(g, f)),
+        _ => save_edge_list(g, path),
+    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! All node ids are dense `u32` indices. Edges are directed; undirected
 //! graphs are represented by storing both arcs.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod csr;
 pub mod error;
@@ -19,7 +21,6 @@ pub mod mutation;
 pub mod properties;
 pub mod segment;
 pub mod serialize;
-pub(crate) mod storage;
 pub mod traversal;
 pub mod triangles;
 

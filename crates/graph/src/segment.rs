@@ -15,8 +15,8 @@
 //! one `u64` offset entry, one `u64` of node attribute, and 4 bytes per
 //! out-edge (8 when weighted). Segments sized under the L2 budget keep
 //! their working set resident across the superstep — the cache-reuse
-//! win GraphCage reports — while segments of an mmap-backed graph page
-//! in on demand, bounding peak RSS by the budget instead of the file.
+//! win GraphCage reports. The segments partition the *simulated* L2; the
+//! host holds the whole graph.
 
 use crate::csr::{Csr, EdgeId, NodeId, INVALID_NODE};
 use std::borrow::Cow;
@@ -274,8 +274,8 @@ impl Segmentation {
         out
     }
 
-    /// Largest estimated per-segment resident size — with an mmap-backed
-    /// graph this bounds the CSR portion of peak RSS.
+    /// Largest estimated per-segment resident size: the most any one
+    /// segment asks of the simulated L2.
     pub fn max_segment_bytes(&self, weighted: bool) -> usize {
         self.segments
             .iter()

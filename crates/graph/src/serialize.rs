@@ -16,9 +16,9 @@
 //! holes    ceil(n/8) bytes  (iff hole mask, bit-packed)
 //! ```
 
-use crate::csr::Csr;
+use crate::csr::{Csr, EdgeId};
 use crate::error::GraphError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
@@ -65,8 +65,8 @@ fn feed_le<T: Copy, const W: usize>(
     le: impl Fn(T) -> [u8; W],
     sink: &mut impl FnMut(&[u8]),
 ) {
-    let mut block = [0u8; 4096];
-    for chunk in vals.chunks(block.len() / W) {
+    let mut block = [0u8; BLOCK];
+    for chunk in vals.chunks(BLOCK / W) {
         for (dst, &v) in block.chunks_exact_mut(W).zip(chunk) {
             dst.copy_from_slice(&le(v));
         }
@@ -86,8 +86,7 @@ pub fn to_bytes(g: &Csr) -> Bytes {
 const HEADER_BYTES: usize = 24;
 
 /// A GFX1 header that has been parsed and bounded against the number of
-/// bytes actually present — the one reader of the layout table above, shared
-/// by the copying loader and the mapping loader.
+/// bytes actually present.
 struct Layout {
     n: usize,
     m: usize,
@@ -164,48 +163,38 @@ impl Layout {
             has_holes,
         })
     }
-
-    /// Byte position of the edge array (the offsets sit right behind the
-    /// header).
-    fn edges_at(&self) -> usize {
-        HEADER_BYTES + (self.n + 1) * 8
-    }
-
-    fn weights_at(&self) -> usize {
-        self.edges_at() + self.m * 4
-    }
-
-    fn holes_at(&self) -> usize {
-        self.weights_at() + if self.weighted { self.m * 4 } else { 0 }
-    }
 }
 
-/// Deserializes a graph from `bytes`, validating the structure. Failures
-/// are typed [`crate::error::GraphError`]s wrapped in `io::Error`
-/// (recoverable via [`crate::error::GraphError::from_io`]).
-pub fn from_bytes(mut bytes: Bytes) -> io::Result<Csr> {
-    let total = bytes.remaining() as u64;
-    let mut header = [0u8; HEADER_BYTES];
-    let got = HEADER_BYTES.min(bytes.remaining());
-    bytes.copy_to_slice(&mut header[..got]);
-    let layout = Layout::parse(&header[..got], total)?;
+/// Reads the GFX1 image of `have` bytes that `input` yields — the one
+/// reader of the layout table above, mirroring [`write_sections`]. The
+/// header is bounded by [`Layout::parse`] before any array is allocated;
+/// each array is then read a block at a time and checked before the next
+/// one is read, so nothing but the arrays themselves is ever held.
+/// Failures are typed [`GraphError`]s wrapped in `io::Error` (recoverable
+/// via [`GraphError::from_io`]).
+fn decode(mut input: impl Read, have: u64) -> io::Result<Csr> {
+    let mut header = Vec::with_capacity(HEADER_BYTES);
+    input
+        .by_ref()
+        .take(HEADER_BYTES as u64)
+        .read_to_end(&mut header)?;
+    let layout = Layout::parse(&header, have)?;
     let (n, m, m64) = (layout.n, layout.m, layout.m as u64);
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        let o = bytes.get_u64_le();
-        if o > m64 {
-            return Err(GraphError::ValueOutOfRange {
-                what: "offset",
-                value: o,
-                max: m64,
-            }
-            .into());
+    let offsets = read_le(&mut input, n + 1, u64::from_le_bytes)?;
+    if let Some(&o) = offsets.iter().find(|&&o| o > m64) {
+        return Err(GraphError::ValueOutOfRange {
+            what: "offset",
+            value: o,
+            max: m64,
         }
-        offsets.push(o as usize);
+        .into());
     }
-    if *offsets.last().unwrap() != m {
+    // Every offset is at most `m`, so none truncates (this collect reuses
+    // the allocation where `EdgeId` is 64 bits wide).
+    let offsets: Vec<EdgeId> = offsets.into_iter().map(|o| o as EdgeId).collect();
+    if offsets[n] != m {
         return Err(GraphError::OffsetEdgeMismatch {
-            last: *offsets.last().unwrap(),
+            last: offsets[n],
             edges: m,
         }
         .into());
@@ -213,41 +202,55 @@ pub fn from_bytes(mut bytes: Bytes) -> io::Result<Csr> {
     if let Some(at) = offsets.windows(2).position(|w| w[0] > w[1]) {
         return Err(GraphError::NonMonotoneOffsets { at }.into());
     }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let e = bytes.get_u32_le();
-        if e as usize >= n {
-            return Err(GraphError::EdgeTargetOutOfRange { dest: e, nodes: n }.into());
-        }
-        edges.push(e);
+    let edges = read_le(&mut input, m, u32::from_le_bytes)?;
+    if let Some(&dest) = edges.iter().find(|&&e| e as usize >= n) {
+        return Err(GraphError::EdgeTargetOutOfRange { dest, nodes: n }.into());
     }
     let weights = if layout.weighted {
-        let mut w = Vec::with_capacity(m);
-        for _ in 0..m {
-            w.push(bytes.get_u32_le());
-        }
-        w
+        read_le(&mut input, m, u32::from_le_bytes)?
     } else {
         Vec::new()
     };
     let hole_mask = if layout.has_holes {
-        let mut mask = Vec::with_capacity(n);
-        let mut byte = 0u8;
-        for v in 0..n {
-            if v % 8 == 0 {
-                byte = bytes.get_u8();
-            }
-            mask.push(byte & (1 << (v % 8)) != 0);
-        }
-        mask
+        let packed = read_le(&mut input, n.div_ceil(8), |[byte]| byte)?;
+        (0..n).map(|v| packed[v / 8] & (1 << (v % 8)) != 0).collect()
     } else {
         Vec::new()
     };
-    // try_from_parts checks the remaining invariants (including hole
-    // degrees) and reports a typed GraphError instead of panicking on
-    // corrupt input; From<GraphError> maps it onto io::ErrorKind::InvalidData.
-    let g = Csr::try_from_parts(offsets, edges, weights, hole_mask)?;
-    Ok(g)
+    // try_from_parts checks the remaining invariants (hole degrees, arcs
+    // into holes) and reports a typed GraphError instead of panicking on
+    // corrupt input.
+    Ok(Csr::try_from_parts(offsets, edges, weights, hole_mask)?)
+}
+
+/// Bytes per read of [`read_le`] and per piece of [`feed_le`].
+const BLOCK: usize = 4096;
+
+/// Reads `len` values of `W` little-endian bytes each from `input`, a
+/// [`BLOCK`] at a time — the mirror of [`feed_le`].
+fn read_le<T, const W: usize>(
+    input: &mut impl Read,
+    len: usize,
+    le: impl Fn([u8; W]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut vals = Vec::with_capacity(len);
+    let mut block = [0u8; BLOCK];
+    while vals.len() < len {
+        let bytes = &mut block[..(len - vals.len()).min(BLOCK / W) * W];
+        input.read_exact(bytes)?;
+        vals.extend(
+            bytes
+                .chunks_exact(W)
+                .map(|c| le(c.try_into().expect("W-byte chunk"))),
+        );
+    }
+    Ok(vals)
+}
+
+/// Deserializes a graph from `bytes`, validating the structure (see
+/// [`decode`]). Bytes past the image are ignored.
+pub fn from_bytes(bytes: Bytes) -> io::Result<Csr> {
+    decode(&bytes[..], bytes.len() as u64)
 }
 
 /// Writes `g` in GFX1 format.
@@ -255,97 +258,24 @@ pub fn write_binary<W: Write>(g: &Csr, mut out: W) -> io::Result<()> {
     out.write_all(&to_bytes(g))
 }
 
-/// Reads a GFX1 graph.
-pub fn read_binary<R: Read>(mut input: R) -> io::Result<Csr> {
-    let mut data = Vec::new();
-    input.read_to_end(&mut data)?;
-    from_bytes(Bytes::from(data))
-}
-
 /// Convenience: saves to `path`.
 pub fn save_binary<P: AsRef<Path>>(g: &Csr, path: P) -> io::Result<()> {
     write_binary(g, std::fs::File::create(path)?)
 }
 
-/// Convenience: loads from `path`.
+/// Loads a GFX1 file, with the same validation and the same typed errors as
+/// [`from_bytes`] on the same bytes.
 pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
-    read_binary(std::fs::File::open(path)?)
-}
-
-/// Memory-maps a GFX1 file and builds a `Csr` whose offset/edge/weight
-/// arrays are zero-copy windows into the mapping, so segments of graphs
-/// larger than RAM page in on demand instead of being read up front.
-///
-/// The entire layout is validated *before* the `Csr` is constructed — the
-/// same header, bounds, monotonicity, and hole checks as [`from_bytes`] —
-/// so a truncated or bit-flipped file surfaces as a typed
-/// [`GraphError`] (recoverable from the returned `io::Error` via
-/// [`GraphError::from_io`]), never as UB or a panic from a short map.
-///
-/// The file must not be truncated while the graph is alive: GFX1 files
-/// are written whole and replaced atomically, and a shrink under an
-/// established mapping is a `SIGBUS` on any POSIX mmap consumer (see
-/// DESIGN.md §12 for the lifetime/safety argument). Mutation via
-/// `Csr::apply_batch` is safe — it rebuilds owned arrays and drops the
-/// mapping reference.
-#[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-pub fn open_mapped<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
-    use crate::storage::{Buf as Storage, MappedRegion};
-    use std::sync::Arc;
-
-    // The header is read and the whole layout bounded against the file
-    // length before anything is mapped.
     let file = std::fs::File::open(path)?;
     let have = file.metadata()?.len();
-    let mut header = Vec::with_capacity(HEADER_BYTES);
-    (&file).take(HEADER_BYTES as u64).read_to_end(&mut header)?;
-    let layout = Layout::parse(&header, have)?;
-    let (n, m) = (layout.n, layout.m);
-    let region = Arc::new(MappedRegion::map_file(&file)?);
-    let bytes = region.bytes();
-    // Array windows into the mapping. The base is page-aligned, offsets
-    // start at byte 24 (8-aligned) and edges/weights at 4-aligned byte
-    // positions; `mapped_slice` re-checks both range and alignment.
-    let misaligned = |_| GraphError::BadHeader {
-        what: "misaligned array window",
-    };
-    let offsets: Storage<crate::csr::EdgeId> =
-        Storage::mapped_slice(&region, HEADER_BYTES, n + 1).map_err(misaligned)?;
-    let edges: Storage<crate::csr::NodeId> =
-        Storage::mapped_slice(&region, layout.edges_at(), m).map_err(misaligned)?;
-    let weights: Storage<u32> = if layout.weighted {
-        Storage::mapped_slice(&region, layout.weights_at(), m).map_err(misaligned)?
-    } else {
-        Vec::new().into()
-    };
-    let hole_mask = if layout.has_holes {
-        let packed = &bytes[layout.holes_at()..][..n.div_ceil(8)];
-        (0..n)
-            .map(|v| packed[v / 8] & (1 << (v % 8)) != 0)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Full structural validation (monotone offsets, last == m, edge
-    // targets in range, weight shape, hole degrees) before the graph is
-    // handed out — identical guarantees to the copying loader.
-    let g = Csr::from_checked_buffers(offsets, edges, weights, hole_mask)?;
-    Ok(g)
+    decode(file, have)
 }
 
-/// Fallback for targets without the zero-copy mapping path (non-unix,
-/// big-endian, or 32-bit hosts): loads an owned copy with identical
-/// validation semantics.
-#[cfg(not(all(unix, target_endian = "little", target_pointer_width = "64")))]
+/// [`load_binary`] under the name the benchmark harness in `benchmark/`
+/// times it by (its `graph.open_mapped` span). The file is read into owned
+/// arrays; nothing is memory-mapped.
 pub fn open_mapped<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
     load_binary(path)
-}
-
-impl Csr {
-    /// See [`open_mapped`].
-    pub fn open_mapped<P: AsRef<Path>>(path: P) -> io::Result<Csr> {
-        open_mapped(path)
-    }
 }
 
 #[cfg(test)]
@@ -427,6 +357,14 @@ mod tests {
         path
     }
 
+    /// `load_binary` on a file holding `data`.
+    fn load_file(name: &str, data: &[u8]) -> io::Result<Csr> {
+        let path = temp_file(name, data);
+        let got = load_binary(&path);
+        std::fs::remove_file(&path).ok();
+        got
+    }
+
     #[test]
     fn open_mapped_matches_copying_loader() {
         let mut g = GraphSpec::new(GraphKind::Rmat, 300, 4).generate();
@@ -443,23 +381,19 @@ mod tests {
         if marked > 0 {
             g.set_hole_mask(mask);
         }
-        let path = temp_file("mapped-roundtrip.gfx", &to_bytes(&g));
-        let m = open_mapped(&path).unwrap();
+        let m = load_file("roundtrip.gfx", &to_bytes(&g)).unwrap();
         assert_eq!(g.offsets(), m.offsets());
         assert_eq!(g.edges_raw(), m.edges_raw());
         assert_eq!(g.weights_raw(), m.weights_raw());
         assert_eq!(g.num_holes(), m.num_holes());
-        #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-        assert!(m.is_mapped(), "zero-copy path must borrow the mapping");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn open_mapped_rejects_truncation_with_typed_error() {
         let data = to_bytes(&GraphSpec::new(GraphKind::Random, 50, 2).generate());
         for cut in [0usize, 3, 20, data.len() / 2, data.len() - 1] {
-            let path = temp_file(&format!("truncated-{cut}.gfx"), &data[..cut]);
-            let err = open_mapped(&path).expect_err("truncated file accepted");
+            let err = load_file(&format!("truncated-{cut}.gfx"), &data[..cut])
+                .expect_err("truncated file accepted");
             assert!(
                 matches!(
                     GraphError::from_io(&err),
@@ -467,12 +401,11 @@ mod tests {
                 ),
                 "cut at {cut}: expected typed Truncated, got {err}"
             );
-            std::fs::remove_file(&path).ok();
         }
     }
 
-    /// Both loaders read the header through `Layout::parse`, so the same
-    /// damaged image is the same typed error from either.
+    /// A file and the same bytes in memory go through one reader, so the
+    /// same damaged image is the same typed error from either.
     #[test]
     fn both_loaders_reject_a_damaged_header_with_the_same_error() {
         let base = to_bytes(&GraphSpec::new(GraphKind::Random, 50, 2).generate()).to_vec();
@@ -504,20 +437,18 @@ mod tests {
             ("m overflowing", with_field(16, &u64::MAX.to_le_bytes())),
         ];
         for (i, (what, data)) in cases.iter().enumerate() {
-            let copied = from_bytes(Bytes::from(data.clone())).expect_err(what);
-            let path = temp_file(&format!("damaged-header-{i}.gfx"), data);
-            let mapped = open_mapped(&path).expect_err(what);
-            std::fs::remove_file(&path).ok();
-            let copied = GraphError::from_io(&copied).expect("typed error");
-            assert_eq!(Some(copied), GraphError::from_io(&mapped), "{what}");
+            let in_memory = from_bytes(Bytes::from(data.clone())).expect_err(what);
+            let from_file = load_file(&format!("damaged-header-{i}.gfx"), data).expect_err(what);
+            let in_memory = GraphError::from_io(&in_memory).expect("typed error");
+            assert_eq!(Some(in_memory), GraphError::from_io(&from_file), "{what}");
             assert!(
                 matches!(
-                    copied,
+                    in_memory,
                     GraphError::Truncated { .. }
                         | GraphError::BadHeader { .. }
                         | GraphError::TooManyNodes { .. }
                 ),
-                "{what}: {copied}"
+                "{what}: {in_memory}"
             );
         }
     }
@@ -535,34 +466,28 @@ mod tests {
         // Bad magic.
         let mut bad = base.clone();
         bad[0] = b'X';
-        let path = temp_file("badmagic.gfx", &bad);
-        let err = open_mapped(&path).unwrap_err();
+        let err = load_file("badmagic.gfx", &bad).unwrap_err();
         assert!(matches!(
             GraphError::from_io(&err),
             Some(GraphError::BadHeader { .. })
         ));
-        std::fs::remove_file(&path).ok();
 
         // Edge destination out of range.
         let mut bad = base.clone();
         let edge_pos = 4 + 4 + 8 + 8 + 4 * 8;
         bad[edge_pos..edge_pos + 4].copy_from_slice(&100u32.to_le_bytes());
-        let path = temp_file("badedge.gfx", &bad);
-        let err = open_mapped(&path).unwrap_err();
+        let err = load_file("badedge.gfx", &bad).unwrap_err();
         assert!(matches!(
             GraphError::from_io(&err),
             Some(GraphError::EdgeTargetOutOfRange { dest: 100, .. })
         ));
-        std::fs::remove_file(&path).ok();
 
         // Non-monotone offsets.
         let mut bad = base.clone();
         let off_pos = 4 + 4 + 8 + 8 + 8; // offsets[1]
         bad[off_pos..off_pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let path = temp_file("badoffset.gfx", &bad);
-        let err = open_mapped(&path).unwrap_err();
+        let err = load_file("badoffset.gfx", &bad).unwrap_err();
         assert!(GraphError::from_io(&err).is_some(), "untyped error: {err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -575,5 +500,122 @@ mod tests {
         let g2 = load_binary(&path).unwrap();
         assert_eq!(g.edges_raw(), g2.edges_raw());
         std::fs::remove_file(path).ok();
+    }
+
+    /// The element-at-a-time reader GFX1 had before the block decoder, kept
+    /// as the reference the decoder is held to.
+    fn element_reader(mut bytes: Bytes) -> io::Result<Csr> {
+        use bytes::Buf;
+        let total = bytes.remaining() as u64;
+        let mut header = [0u8; HEADER_BYTES];
+        let got = HEADER_BYTES.min(bytes.remaining());
+        bytes.copy_to_slice(&mut header[..got]);
+        let layout = Layout::parse(&header[..got], total)?;
+        let (n, m, m64) = (layout.n, layout.m, layout.m as u64);
+        let mut offsets = Vec::with_capacity(n + 1);
+        for _ in 0..=n {
+            let o = bytes.get_u64_le();
+            if o > m64 {
+                return Err(GraphError::ValueOutOfRange {
+                    what: "offset",
+                    value: o,
+                    max: m64,
+                }
+                .into());
+            }
+            offsets.push(o as usize);
+        }
+        if *offsets.last().unwrap() != m {
+            return Err(GraphError::OffsetEdgeMismatch {
+                last: *offsets.last().unwrap(),
+                edges: m,
+            }
+            .into());
+        }
+        if let Some(at) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(GraphError::NonMonotoneOffsets { at }.into());
+        }
+        let mut edges = Vec::with_capacity(m);
+        for _ in 0..m {
+            let e = bytes.get_u32_le();
+            if e as usize >= n {
+                return Err(GraphError::EdgeTargetOutOfRange { dest: e, nodes: n }.into());
+            }
+            edges.push(e);
+        }
+        let weights = if layout.weighted {
+            (0..m).map(|_| bytes.get_u32_le()).collect()
+        } else {
+            Vec::new()
+        };
+        let hole_mask = if layout.has_holes {
+            let mut mask = Vec::with_capacity(n);
+            let mut byte = 0u8;
+            for v in 0..n {
+                if v % 8 == 0 {
+                    byte = bytes.get_u8();
+                }
+                mask.push(byte & (1 << (v % 8)) != 0);
+            }
+            mask
+        } else {
+            Vec::new()
+        };
+        Ok(Csr::try_from_parts(offsets, edges, weights, hole_mask)?)
+    }
+
+    /// Equal arrays, or the equal typed error.
+    fn same_outcome(got: &io::Result<Csr>, want: &io::Result<Csr>) -> Result<(), String> {
+        let holes = |g: &Csr| g.node_ids().map(|v| g.is_hole(v)).collect::<Vec<_>>();
+        match (got, want) {
+            (Ok(a), Ok(b)) => {
+                let same = a.offsets() == b.offsets()
+                    && a.edges_raw() == b.edges_raw()
+                    && a.weights_raw() == b.weights_raw()
+                    && holes(a) == holes(b);
+                same.then_some(()).ok_or_else(|| "different arrays".into())
+            }
+            (Err(a), Err(b)) => match (GraphError::from_io(a), GraphError::from_io(b)) {
+                (Some(a), Some(b)) if a == b => Ok(()),
+                (a, b) => Err(format!("error {a:?}, want {b:?}")),
+            },
+            (a, b) => Err(format!("ok {}, want ok {}", a.is_ok(), b.is_ok())),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn block_decoder_equals_the_element_reader(
+            g in crate::csr::tests::adversarial_graph(),
+            damage in 0u8..6,
+            at in 0usize..1 << 20,
+            by in 1u8..=255,
+        ) {
+            let mut data = to_bytes(&g).to_vec();
+            let i = at % data.len();
+            match damage {
+                1 => data.truncate(i),
+                // Flip a byte, or one bit of it.
+                2 => data[i] ^= by,
+                3 => data[i] ^= 1 << (by % 8),
+                // Inflate `n` (byte 8) or `m` (byte 16) by `by`.
+                4 | 5 => {
+                    let field = if damage == 4 { 8 } else { 16 };
+                    let count = u64::from_le_bytes(data[field..field + 8].try_into().unwrap());
+                    data[field..field + 8].copy_from_slice(&(count + by as u64).to_le_bytes());
+                }
+                _ => {}
+            }
+            let want = element_reader(Bytes::from(data.clone()));
+            if damage == 0 {
+                proptest::prop_assert!(want.is_ok());
+            }
+            let in_memory = from_bytes(Bytes::from(data.clone()));
+            proptest::prop_assert_eq!(same_outcome(&in_memory, &want), Ok(()));
+            let from_file = load_file("decoder-parity.gfx", &data);
+            proptest::prop_assert_eq!(same_outcome(&from_file, &want), Ok(()));
+        }
     }
 }

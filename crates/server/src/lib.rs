@@ -18,6 +18,8 @@
 //!
 //! [`Prepared`]: graffix_core::Prepared
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod exec;
 pub mod metrics;

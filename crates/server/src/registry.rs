@@ -3,16 +3,17 @@
 //!
 //! A registered graph is either a **generator spec** (`kind:nodes:seed`,
 //! e.g. `rmat:4096:7`) or a **file path** (`.gfx` binary, `.gr` DIMACS,
-//! anything else as an edge list — same sniffing as the CLI). Generator
+//! anything else as an edge list — read by
+//! `graffix_graph::io::load_graph_file`, the CLI's loader too). Generator
 //! specs make serving fully hermetic: the daemon, the determinism tests,
 //! and the serving bench can all name identical graphs without shipping
 //! files.
 
 use graffix_graph::generators::{GraphKind, GraphSpec};
-use graffix_graph::{io as gio, serialize, Csr};
+use graffix_graph::{io as gio, Csr};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Where a registered graph's bytes come from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,18 +50,8 @@ impl GraphSource {
     pub fn load(&self) -> io::Result<Csr> {
         match self {
             GraphSource::Spec(spec) => Ok(spec.generate()),
-            GraphSource::File(path) => load_graph_file(path),
+            GraphSource::File(path) => gio::load_graph_file(path),
         }
-    }
-}
-
-/// CLI-compatible graph file loading: `.gfx` binary, `.gr` DIMACS,
-/// otherwise a whitespace edge list.
-pub fn load_graph_file(p: &Path) -> io::Result<Csr> {
-    match p.extension().and_then(|e| e.to_str()) {
-        Some("gfx") => serialize::load_binary(p),
-        Some("gr") => std::fs::File::open(p).and_then(gio::read_dimacs),
-        _ => gio::load_edge_list(p),
     }
 }
 
@@ -149,8 +140,8 @@ mod tests {
         let a = s.load().unwrap();
         let b = s.load().unwrap();
         assert_eq!(
-            &serialize::to_bytes(&a)[..],
-            &serialize::to_bytes(&b)[..],
+            &graffix_graph::serialize::to_bytes(&a)[..],
+            &graffix_graph::serialize::to_bytes(&b)[..],
             "generator specs must reload bit-identically"
         );
     }

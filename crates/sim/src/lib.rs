@@ -30,6 +30,8 @@
 //! Total elapsed cycles divide the summed warp cycles by an SM-parallelism
 //! and latency-hiding factor — a deterministic stand-in for occupancy.
 
+#![forbid(unsafe_code)]
+
 pub mod attrs;
 pub mod config;
 pub mod event;
