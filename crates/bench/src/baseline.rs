@@ -78,31 +78,6 @@ pub struct CellMeasurement {
     pub inaccuracy: f64,
 }
 
-/// One preprocess-time cell: wall seconds to run the transform for
-/// (`graph`, `technique`) from scratch — no in-process memoization, no
-/// on-disk cache. Wall-clock is inherently noisy, so the gate judges these
-/// with a coarse tolerance (the `preprocess_seconds` policy): the cells
-/// catch order-of-magnitude preprocessing regressions, not microsecond
-/// jitter.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PreprocessMeasurement {
-    /// Paper graph name (`rmat26`, `USA-road`, ...).
-    pub graph: String,
-    /// [`Technique::key`].
-    pub technique: String,
-    /// Mean wall seconds over the repeats.
-    pub seconds_mean: f64,
-    /// Stddev of wall seconds over the repeats.
-    pub seconds_stddev: f64,
-}
-
-impl PreprocessMeasurement {
-    /// Stable single-string id, used in gate reports and error messages.
-    pub fn id(&self) -> String {
-        format!("{}/{}/preprocess", self.graph, self.technique)
-    }
-}
-
 /// Algorithms the large-graph cells run. One traversal and one fixpoint,
 /// both with per-vertex vector outputs so the runs stay cheap enough for
 /// CI at 2^20 nodes.

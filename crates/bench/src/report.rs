@@ -4,7 +4,6 @@ use crate::experiments::{algos_of, measure, measure_prepared, CORE_ALGOS};
 use crate::suite::Suite;
 use crate::tables::{fmt_inaccuracy, fmt_seconds, fmt_speedup, TextTable};
 use graffix_algos::accuracy::geomean;
-use graffix_algos::Algo;
 use graffix_baselines::Baseline;
 use graffix_core::Technique;
 use graffix_graph::properties;
@@ -232,119 +231,4 @@ pub fn ascii_plot(points: &[SweepPoint]) -> String {
         ));
     }
     out
-}
-
-/// Consistency helper for tests and EXPERIMENTS.md: recompute the geomean
-/// speedup of a technique over Baseline-I across all five algorithms.
-pub fn geomean_speedup(suite: &Suite, technique: Technique, baseline: Baseline) -> f64 {
-    let mut speeds = Vec::new();
-    for &algo in algos_of(baseline) {
-        for gi in 0..suite.len() {
-            speeds.push(measure(suite, gi, technique, baseline, algo).speedup);
-        }
-    }
-    geomean(&speeds)
-}
-
-/// One bench cell as a schema-versioned [`graffix_sim::RunReport`] — the
-/// exact JSON `graffix profile` and `--report-json` emit, so downstream
-/// tooling parses bench output and CLI output identically.
-pub fn cell_run_report(
-    suite: &Suite,
-    gi: usize,
-    technique: Technique,
-    baseline: Baseline,
-    algo: Algo,
-) -> graffix_sim::RunReport {
-    let prepared = suite.prepared(gi, technique);
-    graffix::observe::traced_run(
-        "bench",
-        algo,
-        suite.graph(gi),
-        &prepared,
-        baseline,
-        &suite.cfg,
-        suite.options.bc_sources,
-    )
-    .report
-}
-
-/// A whole-suite JSON document for one (technique, baseline): an array of
-/// run reports, one per (algorithm, graph) cell, each tagged with the
-/// graph's paper name. Serialized via the run-report schema.
-pub fn suite_reports_json(suite: &Suite, technique: Technique, baseline: Baseline) -> String {
-    use graffix_sim::Json;
-    let mut cells = Vec::new();
-    for &algo in algos_of(baseline) {
-        for gi in 0..suite.len() {
-            let report = cell_run_report(suite, gi, technique, baseline, algo);
-            let mut cell = Json::obj();
-            cell.set("graph", Json::Str(suite.kind(gi).paper_name().to_string()));
-            cell.set("report", report.to_json());
-            cells.push(cell);
-        }
-    }
-    let mut doc = Json::obj();
-    doc.set("schema", Json::Str("graffix.bench-report".to_string()));
-    doc.set("version", Json::U64(graffix_sim::SCHEMA_VERSION));
-    doc.set("technique", Json::Str(technique.label().to_string()));
-    doc.set("baseline", Json::Str(baseline.label().to_string()));
-    doc.set("cells", Json::Arr(cells));
-    doc.to_pretty_string()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::suite::SuiteOptions;
-    use graffix_sim::Json;
-
-    fn tiny() -> Suite {
-        Suite::new(SuiteOptions {
-            nodes: 250,
-            seed: 3,
-            bc_sources: 2,
-        })
-    }
-
-    #[test]
-    fn cell_reports_use_the_run_report_schema() {
-        let s = tiny();
-        let r = cell_run_report(&s, 0, Technique::Coalescing, Baseline::Lonestar, Algo::Pr);
-        r.verify().unwrap();
-        assert_eq!(r.command, "bench");
-        assert_eq!(r.algo, "pr");
-        assert_eq!(r.technique, "improving coalescing");
-        let doc = Json::parse(&r.to_pretty_string()).unwrap();
-        assert_eq!(
-            doc.path(&["schema"]).unwrap().as_str(),
-            Some(graffix_sim::SCHEMA_NAME)
-        );
-    }
-
-    #[test]
-    fn suite_reports_json_collects_one_cell_per_algo_graph_pair() {
-        let s = tiny();
-        let text = suite_reports_json(&s, Technique::Exact, Baseline::Tigr);
-        let doc = Json::parse(&text).unwrap();
-        assert_eq!(
-            doc.path(&["schema"]).unwrap().as_str(),
-            Some("graffix.bench-report")
-        );
-        let cells = doc.path(&["cells"]).unwrap().as_arr().unwrap();
-        assert_eq!(cells.len(), CORE_ALGOS.len() * s.len());
-        for cell in cells {
-            assert_eq!(
-                cell.path(&["report", "schema"]).unwrap().as_str(),
-                Some(graffix_sim::SCHEMA_NAME)
-            );
-            assert!(
-                cell.path(&["report", "totals", "warp_cycles"])
-                    .unwrap()
-                    .as_u64()
-                    .unwrap()
-                    > 0
-            );
-        }
-    }
 }

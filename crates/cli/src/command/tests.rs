@@ -56,7 +56,7 @@ const ACCEPTED: &[&str] = &[
     "report verify r.json",
     "serve --graphs web=rmat:64:1",
     "serve --graphs web=rmat:64:1,f=graph.gfx --listen 127.0.0.1:0 --workers 1 \
-     --engine-threads 2 --pool-capacity 1 --queue-depth 4 --batch-max 2 --segment-bytes 4096",
+     --engine-threads 2 --pool-capacity 1 --queue-depth 4 --segment-bytes 4096",
     "client --ping",
     "client --connect 127.0.0.1:9 --stats",
     "client --shutdown",
@@ -259,6 +259,10 @@ fn usage_errors_carry_their_reason_and_their_own_block() {
         (
             "serve --graphs g=rmat:64:1 --bogus",
             "unknown flag --bogus for 'serve'",
+        ),
+        (
+            "serve --graphs g=rmat:64:1 --batch-max 2",
+            "unknown flag --batch-max for 'serve'",
         ),
         // Names are checked at parse time.
         (

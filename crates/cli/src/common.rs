@@ -47,16 +47,6 @@ pub fn value_bytes(values: &[f64]) -> Vec<u8> {
         .collect()
 }
 
-/// The pipeline `--technique`/`--threshold` name on `g`: knobs auto-tuned
-/// under the fixed profiling seed the daemon uses too. `exact` reads no
-/// knob, so it profiles nothing.
-pub fn build_pipeline(g: &Csr, technique: Technique, threshold: Option<f64>) -> Pipeline {
-    match technique {
-        Technique::Exact => Pipeline::default(),
-        _ => auto_tune(g, 7).pipeline(technique, threshold),
-    }
-}
-
 /// The source `algo` starts from on the graph read from `path` (`None`
 /// for algorithms without one). Exits 1 naming the graph when a traversal
 /// has none.

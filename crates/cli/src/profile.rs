@@ -42,7 +42,7 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
     let (technique, threshold) = common::technique(bag, false)?;
     Ok(Args {
         input: bag.req("in")?,
-        seed: bag.opt("seed")?.unwrap_or(7),
+        seed: bag.opt("seed")?.unwrap_or(TUNING_SEED),
         algo: bag.opt_with("algo", Algo::parse)?.unwrap_or(Algo::Sssp),
         technique,
         threshold,

@@ -4,7 +4,7 @@
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
-use crate::common::{self, build_pipeline, emit_report, load, prepare, value_bytes, write_file};
+use crate::common::{self, emit_report, load, prepare, value_bytes, write_file};
 use graffix::log_info;
 use graffix::prelude::*;
 use std::path::PathBuf;
@@ -62,7 +62,7 @@ pub fn run(args: Args, gpu: &GpuConfig, cache: &CacheConfig) {
     let algo = args.algo;
     let g = load(&args.input);
     let source = common::source(algo, &g, &args.input);
-    let pipeline = build_pipeline(&g, args.technique, args.threshold);
+    let pipeline = technique_pipeline(&g, args.technique, args.threshold).unwrap_or_default();
     let prepared = prepare(&g, &pipeline, gpu, cache);
     let mut plan = args
         .baseline

@@ -14,10 +14,10 @@ pub const SUB: Sub = Sub {
     usage: "\
 --graphs \"name=kind:nodes:seed|path,...\" [--listen HOST:PORT | --unix PATH]
 [--workers N] [--engine-threads N] [--pool-capacity N] [--queue-depth N]
-[--batch-max N] [--segment-bytes N]
+[--segment-bytes N]
 long-running daemon: newline-delimited JSON requests, LRU prepared-graph
-pool over the disk cache, request batching, typed overload rejection,
-graceful shutdown via the shutdown op
+pool over the disk cache, typed overload rejection, graceful shutdown via
+the shutdown op
 --segment-bytes runs segment-major over the pool's shared segmentations
 (byte-identical results)",
     parse: |bag| parse(bag).map(Command::Serve),
@@ -38,7 +38,6 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
     config.engine_threads = bag.opt("engine-threads")?.unwrap_or(1);
     config.pool_capacity = bag.opt("pool-capacity")?.unwrap_or(8);
     config.queue_depth = bag.opt("queue-depth")?.unwrap_or(256);
-    config.batch_max = bag.opt("batch-max")?.unwrap_or(16);
     config.segment_bytes = segment_bytes(bag)?;
     Ok(Args { config })
 }
@@ -48,13 +47,12 @@ pub fn run(args: Args, cache: CacheConfig) {
     config.cache = cache;
     let names: Vec<&str> = config.graphs.names().collect();
     log_info!(
-        "serve: {} graphs [{}], {} workers, pool capacity {}, queue depth {}, batch max {}",
+        "serve: {} graphs [{}], {} workers, pool capacity {}, queue depth {}",
         names.len(),
         names.join(", "),
         config.workers,
         config.pool_capacity,
-        config.queue_depth,
-        config.batch_max
+        config.queue_depth
     );
     let bind = config.bind.clone();
     let server = Server::start(config).unwrap_or_else(|e| {

@@ -5,7 +5,7 @@
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
-use crate::common::{self, build_pipeline, load, log_stage, save, value_bytes};
+use crate::common::{self, load, log_stage, save, value_bytes};
 use graffix::log_info;
 use graffix::prelude::*;
 use graffix_graph::mutation;
@@ -66,7 +66,7 @@ pub fn run(args: Args, gpu: &GpuConfig) {
             eprintln!("could not read {}: {e}", args.stream.display());
             exit(1);
         });
-    let pipeline = build_pipeline(&g, args.technique, args.threshold);
+    let pipeline = technique_pipeline(&g, args.technique, args.threshold).unwrap_or_default();
     let mut inc = IncrementalPrepare::new(g, pipeline.clone(), gpu.clone(), args.knobs)
         .unwrap_or_else(|e| {
             eprintln!("invalid stream configuration: {e}");

@@ -2,7 +2,7 @@
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
-use crate::common::{self, build_pipeline, load, prepare, save};
+use crate::common::{self, load, prepare, save};
 use graffix::log_info;
 use graffix::prelude::*;
 use std::path::PathBuf;
@@ -36,7 +36,7 @@ fn parse(bag: &mut Bag) -> Parsed<Args> {
 
 pub fn run(args: Args, gpu: &GpuConfig, cache: &CacheConfig) {
     let g = load(&args.input);
-    let pipeline = build_pipeline(&g, args.technique, args.threshold);
+    let pipeline = technique_pipeline(&g, args.technique, args.threshold).unwrap_or_default();
     let prepared = prepare(&g, &pipeline, gpu, cache);
     save(&prepared.graph, &args.out);
     let r = &prepared.report;

@@ -44,7 +44,7 @@ pub use knobs::{
 pub use pipeline::{Pipeline, PipelineError};
 pub use prepared::{PhaseTiming, Prepared, StageReport, Technique, Tile, TransformReport};
 pub use query::{Fingerprint, QueryCtx, StageRecord, StageStatus};
-pub use tuning::{auto_tune, GraphProfile, TunedKnobs};
+pub use tuning::{auto_tune, technique_pipeline, GraphProfile, TunedKnobs, TUNING_SEED};
 
 /// Convenience prelude.
 pub mod prelude {

@@ -136,6 +136,24 @@ pub fn auto_tune(g: &Csr, seed: u64) -> TunedKnobs {
     tune(profile(g, seed))
 }
 
+/// The clustering-sample seed every technique is tuned under, so the CLI
+/// and the daemon prepare the same pipeline for the same graph. `profile
+/// --seed` defaults to it.
+pub const TUNING_SEED: u64 = 7;
+
+/// The pipeline `technique` names on `g`, with `threshold` on its primary
+/// knob: knobs auto-tuned under [`TUNING_SEED`]. `None` for `exact`, which
+/// reads no knob and so profiles nothing. The CLI's `--technique` and
+/// `--threshold` and the daemon's request fields both resolve through it.
+pub fn technique_pipeline(
+    g: &Csr,
+    technique: Technique,
+    threshold: Option<f64>,
+) -> Option<Pipeline> {
+    (technique != Technique::Exact)
+        .then(|| auto_tune(g, TUNING_SEED).pipeline(technique, threshold))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,11 +70,11 @@ pub mod prelude {
     };
     pub use graffix_baselines::{gunrock, lonestar, tigr, Baseline, ALL_BASELINES};
     pub use graffix_core::{
-        auto_tune, coalesce, divergence, latency, prepare_with_cache, CacheConfig, CacheOutcome,
-        CacheStatus, CoalesceKnobs, ConfluenceOp, DivergenceKnobs, GraphProfile,
-        IncrementalOutcome, IncrementalPrepare, LatencyKnobs, PhaseTiming, Pipeline, PrepareMode,
-        Prepared, QueryCtx, SegmentKnobs, StageRecord, StageStatus, StreamError, StreamKnobs,
-        Technique, Tile, TransformReport, TunedKnobs,
+        auto_tune, coalesce, divergence, latency, prepare_with_cache, technique_pipeline,
+        CacheConfig, CacheOutcome, CacheStatus, CoalesceKnobs, ConfluenceOp, DivergenceKnobs,
+        GraphProfile, IncrementalOutcome, IncrementalPrepare, LatencyKnobs, PhaseTiming, Pipeline,
+        PrepareMode, Prepared, QueryCtx, SegmentKnobs, StageRecord, StageStatus, StreamError,
+        StreamKnobs, Technique, Tile, TransformReport, TunedKnobs, TUNING_SEED,
     };
     pub use graffix_graph::generators::paper_suite;
     pub use graffix_graph::{

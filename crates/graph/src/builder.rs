@@ -93,11 +93,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of arcs accumulated so far (before dedup).
-    pub fn num_pending_edges(&self) -> usize {
-        self.srcs.len()
-    }
-
     /// Builds the CSR: counting-sorts arcs by source, sorts each neighbor
     /// list, and removes parallel duplicates (keeping the *minimum* weight
     /// of a duplicate group, the conventional choice for shortest-path and

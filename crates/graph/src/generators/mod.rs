@@ -119,12 +119,6 @@ impl GraphSpec {
         }
     }
 
-    /// Overrides the average degree.
-    pub fn with_avg_degree(mut self, d: usize) -> Self {
-        self.avg_degree = d;
-        self
-    }
-
     /// Overrides the weight range (0 disables weights).
     pub fn with_max_weight(mut self, w: u32) -> Self {
         self.max_weight = w;

@@ -5,6 +5,7 @@
 //! all sit on this.
 
 use crate::protocol::MAX_REQUEST_BYTES;
+use crate::server::Stream;
 use graffix_sim::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -12,49 +13,9 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
 /// A connected client.
 pub struct Client {
-    reader: BufReader<ClientStream>,
-}
-
-impl io::Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl ClientStream {
-    fn write_all_flush(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => {
-                s.write_all(bytes)?;
-                s.flush()
-            }
-            #[cfg(unix)]
-            ClientStream::Unix(s) => {
-                s.write_all(bytes)?;
-                s.flush()
-            }
-        }
-    }
-
-    fn try_clone(&self) -> io::Result<ClientStream> {
-        Ok(match self {
-            ClientStream::Tcp(s) => ClientStream::Tcp(s.try_clone()?),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => ClientStream::Unix(s.try_clone()?),
-        })
-    }
+    reader: BufReader<Stream>,
 }
 
 impl Client {
@@ -64,7 +25,7 @@ impl Client {
         // One-line frames; don't let Nagle batch them.
         let _ = stream.set_nodelay(true);
         Ok(Client {
-            reader: BufReader::new(ClientStream::Tcp(stream)),
+            reader: BufReader::new(Stream::Tcp(stream)),
         })
     }
 
@@ -72,7 +33,7 @@ impl Client {
     #[cfg(unix)]
     pub fn connect_unix(path: &Path) -> io::Result<Client> {
         Ok(Client {
-            reader: BufReader::new(ClientStream::Unix(UnixStream::connect(path)?)),
+            reader: BufReader::new(Stream::Unix(UnixStream::connect(path)?)),
         })
     }
 
@@ -85,14 +46,16 @@ impl Client {
         if !line.ends_with('\n') {
             frame.push(b'\n');
         }
-        self.reader.get_mut().write_all_flush(&frame)?;
+        self.send_raw(&frame)?;
         self.read_response_line()
     }
 
     /// Sends raw bytes exactly as given (for truncated-frame tests) without
     /// waiting for a response.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.reader.get_mut().write_all_flush(bytes)
+        let stream = self.reader.get_mut();
+        stream.write_all(bytes)?;
+        stream.flush()
     }
 
     /// Reads the next response line.
@@ -144,30 +107,5 @@ impl Client {
     /// Asks the server to drain and stop.
     pub fn shutdown(&mut self) -> io::Result<Json> {
         self.admin("shutdown", 0)
-    }
-
-    /// A second independent connection to the same peer.
-    pub fn reconnect(&self) -> io::Result<Client> {
-        Ok(Client {
-            reader: BufReader::new(self.reader.get_ref().try_clone().and_then(
-                |s| -> io::Result<ClientStream> {
-                    match &s {
-                        ClientStream::Tcp(t) => {
-                            let s = TcpStream::connect(t.peer_addr()?)?;
-                            let _ = s.set_nodelay(true);
-                            Ok(ClientStream::Tcp(s))
-                        }
-                        #[cfg(unix)]
-                        ClientStream::Unix(u) => {
-                            let addr = u.peer_addr()?;
-                            let path = addr.as_pathname().ok_or_else(|| {
-                                io::Error::new(io::ErrorKind::InvalidInput, "unnamed peer")
-                            })?;
-                            Ok(ClientStream::Unix(UnixStream::connect(path)?))
-                        }
-                    }
-                },
-            )?),
-        })
     }
 }

@@ -4,19 +4,18 @@
 //! Two entry points share [`graffix_algos::Algo::run`] and [`result_excerpt`]:
 //!
 //! * the server's worker loop, which goes through the prepared-graph pool
-//!   and may batch compatible requests onto one shared `Plan`;
+//!   and runs one request per execution;
 //! * [`run_direct`], a reference path that loads and prepares everything
-//!   from scratch with **no** pool, cache, batching, or server threading.
+//!   from scratch with **no** pool, cache, or server threading.
 //!
 //! `tests/serve_determinism.rs` pins that both paths produce byte-
 //! identical `result` documents — i.e. none of the serving machinery can
 //! change an answer.
 
-use crate::pool::pipeline_for_request;
 use crate::protocol::{ErrorKind, RunRequest, ServeError};
 use crate::registry::GraphRegistry;
 use graffix_algos::{Scalar, SimRun};
-use graffix_core::Prepared;
+use graffix_core::{technique_pipeline, Prepared};
 use graffix_graph::{Csr, NodeId};
 use graffix_sim::{GpuConfig, Json};
 
@@ -120,7 +119,7 @@ pub fn run_direct(
             format!("could not load graph `{}`: {e}", req.graph),
         )
     })?;
-    let prepared = match pipeline_for_request(&original, &req.technique, req.threshold) {
+    let prepared = match technique_pipeline(&original, req.technique, req.threshold) {
         None => Prepared::exact(original.clone()),
         Some(pipeline) => pipeline.try_apply(&original, gpu).map_err(|e| {
             ServeError::new(
@@ -143,6 +142,7 @@ mod tests {
     use super::*;
     use graffix_algos::{Algo, Direction};
     use graffix_baselines::Baseline;
+    use graffix_core::Technique;
 
     fn reg() -> GraphRegistry {
         let mut r = GraphRegistry::new();
@@ -157,7 +157,7 @@ mod tests {
             algo,
             source: None,
             bc_sources: 2,
-            technique: "exact".to_string(),
+            technique: Technique::Exact,
             threshold: None,
             direction: Direction::Push,
             baseline: Baseline::Lonestar,

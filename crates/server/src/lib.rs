@@ -5,14 +5,13 @@
 //! [`Server`] listens on TCP or a Unix socket, speaks a newline-delimited
 //! JSON protocol ([`protocol`]), holds hot [`Prepared`] graphs in a
 //! capacity-bounded LRU [`PreparedPool`] backed by the content-addressed
-//! disk cache, batches compatible frontier requests behind one shared
-//! plan, applies bounded-queue admission control, and drains gracefully on
-//! shutdown.
+//! disk cache, executes one admitted request at a time per worker, applies
+//! bounded-queue admission control, and drains gracefully on shutdown.
 //!
 //! The load-bearing promise is the **determinism contract**: the `result`
 //! section of every response is a pure function of the request — byte-
 //! identical to a from-scratch [`run_direct`] invocation regardless of
-//! worker count, arrival order, pool state, batching, or cache hits.
+//! worker count, arrival order, pool state, or cache hits.
 //! `tests/serve_determinism.rs` pins it; everything wall-clock-flavored
 //! lives in the separate, never-compared `serving` section.
 //!

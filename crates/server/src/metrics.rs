@@ -20,13 +20,10 @@ pub struct ServerMetrics {
     pub completed: AtomicU64,
     /// Error responses by [`ErrorKind::ordinal`].
     errors: [AtomicU64; ALL_ERROR_KINDS.len()],
-    /// Dequeue batches executed.
+    /// Run executions started, one per dequeued request. The name is older
+    /// than single-request execution; `benchmark/` reads it as
+    /// `server.batches`.
     pub batches: AtomicU64,
-    /// Run requests that rode a batch behind its head request.
-    pub batched_requests: AtomicU64,
-    /// Traversals saved by source fusion (duplicate sources answered from
-    /// one run).
-    pub fused_runs_saved: AtomicU64,
     /// High-water mark of the admission queue.
     pub queue_peak: AtomicU64,
     /// Admin ops served.
@@ -71,14 +68,6 @@ impl ServerMetrics {
             Json::U64(self.mutations.load(Ordering::Relaxed)),
         );
         m.set("batches", Json::U64(self.batches.load(Ordering::Relaxed)));
-        m.set(
-            "batched_requests",
-            Json::U64(self.batched_requests.load(Ordering::Relaxed)),
-        );
-        m.set(
-            "fused_runs_saved",
-            Json::U64(self.fused_runs_saved.load(Ordering::Relaxed)),
-        );
         m.set(
             "queue_peak",
             Json::U64(self.queue_peak.load(Ordering::Relaxed)),

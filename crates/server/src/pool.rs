@@ -25,8 +25,8 @@
 use crate::protocol::{ErrorKind, ServeError};
 use crate::registry::GraphRegistry;
 use graffix_core::{
-    auto_tune, prepare_with_cache, CacheConfig, CacheStatus, Pipeline, Prepared, StageRecord,
-    Technique,
+    prepare_with_cache, technique_pipeline, CacheConfig, CacheStatus, Pipeline, Prepared,
+    StageRecord, Technique,
 };
 use graffix_graph::mutation::{BatchOutcome, EdgeBatch};
 use graffix_graph::{Csr, Segmentation};
@@ -38,30 +38,28 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PoolKey {
     pub graph: String,
-    pub technique: String,
+    pub technique: Technique,
     /// Threshold override as raw bits (`u64::MAX` when absent) so the key
     /// stays `Eq + Hash` without float comparisons.
     pub threshold_bits: u64,
 }
 
 impl PoolKey {
-    pub fn new(graph: &str, technique: &str, threshold: Option<f64>) -> PoolKey {
+    pub fn new(graph: &str, technique: Technique, threshold: Option<f64>) -> PoolKey {
         PoolKey {
             graph: graph.to_string(),
-            technique: technique.to_string(),
+            technique,
             threshold_bits: threshold.map_or(u64::MAX, f64::to_bits),
         }
     }
 }
 
-/// Builds the pipeline for a request's technique/threshold on `g`: the
-/// CLI's `--technique`/`--threshold` resolution ([`TunedKnobs::pipeline`]
-/// over the same fixed tuning seed). `None` for `exact`.
-///
-/// [`TunedKnobs::pipeline`]: graffix_core::TunedKnobs::pipeline
+/// [`technique_pipeline`] under a technique key (`None` for `exact` and for
+/// a key that names no technique). The daemon itself passes a typed
+/// [`Technique`]; this alias stays only because `benchmark/` fills its disk
+/// cache through it with a string, until that package's contract is re-cut.
 pub fn pipeline_for_request(g: &Csr, technique: &str, threshold: Option<f64>) -> Option<Pipeline> {
-    let technique = Technique::from_key(technique).expect("technique validated at parse time");
-    (technique != Technique::Exact).then(|| auto_tune(g, 7).pipeline(technique, threshold))
+    Technique::from_key(technique).and_then(|t| technique_pipeline(g, t, threshold))
 }
 
 struct PoolEntry {
@@ -226,7 +224,7 @@ impl PreparedPool {
         let threshold =
             (key.threshold_bits != u64::MAX).then(|| f64::from_bits(key.threshold_bits));
         let (prepared, cache, store_warning, stages) =
-            match pipeline_for_request(&original, &key.technique, threshold) {
+            match technique_pipeline(&original, key.technique, threshold) {
                 None => (
                     Prepared::exact((*original).clone()),
                     "exact (not cached)".to_string(),
@@ -336,17 +334,6 @@ impl PreparedPool {
         inner.stats.invalidations += dropped as u64;
         Ok((outcome, dropped))
     }
-
-    /// Drops every pooled preparation of `graph` without touching its
-    /// overlay. Returns the number of entries removed.
-    pub fn invalidate_graph(&self, graph: &str) -> usize {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let before = inner.entries.len();
-        inner.entries.retain(|k, _| k.graph != graph);
-        let dropped = before - inner.entries.len();
-        inner.stats.invalidations += dropped as u64;
-        dropped
-    }
 }
 
 #[cfg(test)]
@@ -371,7 +358,7 @@ mod tests {
     fn hit_after_miss_shares_the_arc() {
         let reg = registry(1);
         let p = pool(2);
-        let key = PoolKey::new("g0", "exact", None);
+        let key = PoolKey::new("g0", Technique::Exact, None);
         let a = p.checkout(&key, &reg).unwrap();
         assert!(!a.pool_hit);
         let b = p.checkout(&key, &reg).unwrap();
@@ -394,9 +381,9 @@ mod tests {
     fn lru_eviction_respects_recency() {
         let reg = registry(3);
         let p = pool(2);
-        let k0 = PoolKey::new("g0", "exact", None);
-        let k1 = PoolKey::new("g1", "exact", None);
-        let k2 = PoolKey::new("g2", "exact", None);
+        let k0 = PoolKey::new("g0", Technique::Exact, None);
+        let k1 = PoolKey::new("g1", Technique::Exact, None);
+        let k2 = PoolKey::new("g2", Technique::Exact, None);
         p.checkout(&k0, &reg).unwrap();
         p.checkout(&k1, &reg).unwrap();
         p.checkout(&k0, &reg).unwrap(); // g0 now most recent
@@ -411,7 +398,7 @@ mod tests {
         let reg = registry(1);
         let p = pool(1);
         let err = p
-            .checkout(&PoolKey::new("nope", "exact", None), &reg)
+            .checkout(&PoolKey::new("nope", Technique::Exact, None), &reg)
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::UnknownGraph);
         // A failed checkout must not count as an insert.
@@ -423,7 +410,7 @@ mod tests {
         let mut reg = GraphRegistry::new();
         reg.insert("bad", GraphSource::File("/definitely/not/here.gfx".into()));
         let err = pool(1)
-            .checkout(&PoolKey::new("bad", "exact", None), &reg)
+            .checkout(&PoolKey::new("bad", Technique::Exact, None), &reg)
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::GraphLoad);
     }
@@ -448,11 +435,11 @@ mod tests {
         reg.insert("holey", GraphSource::File(path.clone()));
 
         let p = pool(2);
-        for technique in ["coalescing", "combined"] {
+        for technique in [Technique::Coalescing, Technique::Combined] {
             let err = p
                 .checkout(&PoolKey::new("holey", technique, None), &reg)
                 .unwrap_err();
-            assert_eq!(err.kind, ErrorKind::BadRequest, "{technique}");
+            assert_eq!(err.kind, ErrorKind::BadRequest, "{technique:?}");
             assert!(
                 err.message
                     .contains(&format!("{} of the", holey.num_holes())),
@@ -462,7 +449,7 @@ mod tests {
         }
         assert_eq!(p.len(), 0, "a refused checkout inserts nothing");
         let next = p
-            .checkout(&PoolKey::new("holey", "divergence", None), &reg)
+            .checkout(&PoolKey::new("holey", Technique::Divergence, None), &reg)
             .unwrap();
         assert!(!next.pool_hit);
         assert_eq!(next.original.num_holes(), holey.num_holes());
@@ -474,9 +461,9 @@ mod tests {
     fn mutation_invalidates_pooled_entries_and_persists() {
         let reg = registry(2);
         let p = pool(4);
-        let k_exact = PoolKey::new("g0", "exact", None);
-        let k_div = PoolKey::new("g0", "divergence", None);
-        let k_other = PoolKey::new("g1", "exact", None);
+        let k_exact = PoolKey::new("g0", Technique::Exact, None);
+        let k_div = PoolKey::new("g0", Technique::Divergence, None);
+        let k_other = PoolKey::new("g1", Technique::Exact, None);
         let before = p.checkout(&k_exact, &reg).unwrap();
         p.checkout(&k_div, &reg).unwrap();
         p.checkout(&k_other, &reg).unwrap();
@@ -516,7 +503,7 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::UnknownGraph);
 
         // Out-of-range endpoint: typed BadMutation, pool untouched.
-        p.checkout(&PoolKey::new("g0", "exact", None), &reg)
+        p.checkout(&PoolKey::new("g0", Technique::Exact, None), &reg)
             .unwrap();
         let mut bad = EdgeBatch::new();
         bad.insert(0, 1_000_000, 1); // far beyond the 300-node graph
@@ -531,7 +518,7 @@ mod tests {
         let reg = registry(1);
         let p = PreparedPool::new(2, GpuConfig::k40c(), CacheConfig::disabled())
             .with_segment_bytes(Some(2048));
-        let key = PoolKey::new("g0", "exact", None);
+        let key = PoolKey::new("g0", Technique::Exact, None);
         let a = p.checkout(&key, &reg).unwrap();
         let segs = a.segments.expect("segment budget set");
         assert!(segs.len() > 1, "2 KiB budget must split a 300-node rmat");
@@ -550,12 +537,12 @@ mod tests {
     #[test]
     fn threshold_distinguishes_keys() {
         assert_ne!(
-            PoolKey::new("g", "coalescing", Some(0.5)),
-            PoolKey::new("g", "coalescing", Some(0.6))
+            PoolKey::new("g", Technique::Coalescing, Some(0.5)),
+            PoolKey::new("g", Technique::Coalescing, Some(0.6))
         );
         assert_ne!(
-            PoolKey::new("g", "coalescing", Some(0.5)),
-            PoolKey::new("g", "coalescing", None)
+            PoolKey::new("g", Technique::Coalescing, Some(0.5)),
+            PoolKey::new("g", Technique::Coalescing, None)
         );
     }
 }

@@ -151,8 +151,8 @@ pub struct RunRequest {
     pub source: Option<u32>,
     /// BC source-sample bound.
     pub bc_sources: usize,
-    /// Transform technique key (`exact` when absent).
-    pub technique: String,
+    /// Transform technique (`exact` when absent).
+    pub technique: Technique,
     /// Optional technique threshold override (same semantics as the CLI
     /// `--threshold` flag).
     pub threshold: Option<f64>,
@@ -286,22 +286,24 @@ fn parse_run(doc: &Json, id: u64) -> Result<RunRequest, ServeError> {
                 .ok_or_else(|| ServeError::new(ErrorKind::BadSource, "`source` must be a u32"))?,
         ),
     };
-    let technique = field_str(doc, "technique")?.unwrap_or("exact");
-    let parsed_technique = Technique::from_key(technique).ok_or_else(|| {
-        ServeError::new(
-            ErrorKind::UnknownTechnique,
-            format!("unknown technique `{technique}`"),
-        )
-    })?;
+    let technique = match field_str(doc, "technique")? {
+        None => Technique::Exact,
+        Some(s) => Technique::from_key(s).ok_or_else(|| {
+            ServeError::new(
+                ErrorKind::UnknownTechnique,
+                format!("unknown technique `{s}`"),
+            )
+        })?,
+    };
     // The CLI's `--threshold` rule: a value no knob would take, or one out
-    // of range, is refused here and never reaches a pool or batch key.
+    // of range, is refused here and never reaches a pool key.
     let threshold = match doc.get("threshold") {
         None | Some(Json::Null) => None,
         Some(v) => {
             let x = v.as_f64().ok_or_else(|| {
                 ServeError::new(ErrorKind::BadRequest, "`threshold` must be a number")
             })?;
-            parsed_technique.check_threshold(x).map_err(|e| {
+            technique.check_threshold(x).map_err(|e| {
                 ServeError::new(ErrorKind::BadRequest, format!("bad `threshold`: {e}"))
             })?;
             Some(x)
@@ -331,7 +333,7 @@ fn parse_run(doc: &Json, id: u64) -> Result<RunRequest, ServeError> {
         algo,
         source,
         bc_sources: field_u64(doc, "bc_sources", 4)? as usize,
-        technique: technique.to_string(),
+        technique,
         threshold,
         direction,
         baseline,
@@ -447,7 +449,7 @@ mod tests {
         assert_eq!(r.graph, "g");
         assert_eq!(r.algo, Algo::Sssp);
         assert_eq!(r.id, 0);
-        assert_eq!(r.technique, "exact");
+        assert_eq!(r.technique, Technique::Exact);
         assert_eq!(r.direction, Direction::Push);
         assert_eq!(r.baseline, Baseline::Lonestar);
         assert_eq!(r.source, None);
@@ -464,7 +466,7 @@ mod tests {
         };
         assert_eq!(r.id, 7);
         assert_eq!(r.source, Some(3));
-        assert_eq!(r.technique, "coalescing");
+        assert_eq!(r.technique, Technique::Coalescing);
         assert_eq!(r.threshold, Some(0.5));
         assert_eq!(r.direction, Direction::Auto);
         assert_eq!(r.baseline, Baseline::Gunrock);

@@ -1,5 +1,5 @@
 //! The `graffix serve` daemon: listener, admission queue, worker pool,
-//! request batching, and graceful shutdown.
+//! and graceful shutdown.
 //!
 //! Thread shape:
 //!
@@ -10,24 +10,16 @@
 //!   enqueue run jobs; writers own the socket's write half and serialize
 //!   responses from a channel (jobs keep a sender clone, so a connection's
 //!   writer survives until every in-flight response is delivered);
-//! * `workers` **worker** threads popping the shared bounded queue. Each
-//!   worker installs a private `engine_threads`-wide rayon scope, so with
-//!   the default of 1 the deterministic engine runs inline and workers
-//!   never contend on the shim's broadcast lock.
+//! * `workers` **worker** threads popping the shared bounded queue, one
+//!   admitted run per execution: pool checkout, plan, source, run,
+//!   response. Each worker installs a private `engine_threads`-wide rayon
+//!   scope, so with the default of 1 the deterministic engine runs inline
+//!   and workers never contend on the shim's broadcast lock.
 //!
 //! **Admission control**: the queue holds at most `queue_depth` jobs;
 //! submissions beyond that are rejected immediately with a typed
 //! `overloaded` error — the daemon's memory is bounded no matter how fast
 //! clients push.
-//!
-//! **Batching**: when a worker dequeues a frontier request (SSSP/BFS), it
-//! also claims every queued request with the same
-//! (graph, technique, threshold, baseline, direction, algo) key, up to
-//! `batch_max`. The batch shares one pool checkout and one [`Plan`]
-//! (including its lazily built CSC mirror and derived maps), and requests
-//! naming the same source share one traversal. Per-request results are
-//! byte-identical to unbatched execution — batching amortizes setup, it
-//! never changes answers.
 //!
 //! **Graceful shutdown**: the `shutdown` admin op (or [`Server::shutdown`])
 //! closes admission (`shutting-down` rejections), stops the acceptor, and
@@ -42,11 +34,9 @@ use crate::protocol::{
     RunRequest, ServeError, MAX_REQUEST_BYTES,
 };
 use crate::registry::GraphRegistry;
-use graffix_algos::{Algo, Scalar, SimRun};
 use graffix_core::CacheConfig;
-use graffix_graph::NodeId;
 use graffix_sim::{GpuConfig, Json};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -81,8 +71,6 @@ pub struct ServeConfig {
     pub pool_capacity: usize,
     /// Admission queue bound.
     pub queue_depth: usize,
-    /// Max requests fused into one dequeue batch.
-    pub batch_max: usize,
     /// Segment byte budget for segment-major execution: pool entries carry
     /// a shared segmentation of their prepared graph, and workers run
     /// identity-attribute plans segment-major. `None` = flat execution.
@@ -104,7 +92,6 @@ impl ServeConfig {
             engine_threads: 1,
             pool_capacity: 8,
             queue_depth: 256,
-            batch_max: 16,
             segment_bytes: None,
             cache: CacheConfig::disabled(),
             gpu: GpuConfig::k40c(),
@@ -135,7 +122,6 @@ struct Shared {
     cv: Condvar,
     shutdown: AtomicBool,
     queue_depth: usize,
-    batch_max: usize,
     engine_threads: usize,
     allow_debug_sleep: bool,
     gpu: GpuConfig,
@@ -172,7 +158,8 @@ enum Listener {
     Unix(UnixListener),
 }
 
-/// Either kind of accepted connection; reads and writes pass through.
+/// Either kind of connection, accepted by the daemon or opened by a
+/// [`Client`](crate::Client); reads and writes pass through.
 pub enum Stream {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -257,7 +244,6 @@ impl Server {
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             queue_depth: config.queue_depth.max(1),
-            batch_max: config.batch_max.max(1),
             engine_threads: config.engine_threads.max(1),
             allow_debug_sleep: config.allow_debug_sleep,
             gpu: config.gpu,
@@ -555,59 +541,17 @@ fn submit(shared: &Shared, tx: &Sender<String>, req: RunRequest) {
     shared.cv.notify_one();
 }
 
-/// Requests with equal keys may share one pool checkout and one plan;
-/// frontier algorithms additionally fuse into one dequeue batch.
-fn batch_key(
-    r: &RunRequest,
-) -> (
-    String,
-    String,
-    u64,
-    &'static str,
-    &'static str,
-    &'static str,
-) {
-    (
-        r.graph.clone(),
-        r.technique.clone(),
-        r.threshold.map_or(u64::MAX, f64::to_bits),
-        r.baseline.key(),
-        r.direction.key(),
-        r.algo.name(),
-    )
-}
-
-fn fusable(algo: Algo) -> bool {
-    matches!(algo, Algo::Sssp | Algo::Bfs)
-}
-
 fn worker_loop(shared: &Arc<Shared>) {
     let engine = rayon::ThreadPoolBuilder::new()
         .num_threads(shared.engine_threads)
         .build()
         .expect("engine pool");
     loop {
-        let batch = {
+        let job = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(head) = q.jobs.pop_front() {
-                    let mut batch = vec![head];
-                    if fusable(batch[0].req.algo) {
-                        let key = batch_key(&batch[0].req);
-                        let mut rest = VecDeque::with_capacity(q.jobs.len());
-                        while let Some(job) = q.jobs.pop_front() {
-                            if batch.len() < shared.batch_max
-                                && fusable(job.req.algo)
-                                && batch_key(&job.req) == key
-                            {
-                                batch.push(job);
-                            } else {
-                                rest.push_back(job);
-                            }
-                        }
-                        q.jobs = rest;
-                    }
-                    break batch;
+                if let Some(job) = q.jobs.pop_front() {
+                    break job;
                 }
                 if !q.open {
                     return;
@@ -615,7 +559,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 q = shared.cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        engine.install(|| execute_batch(shared, batch));
+        engine.install(|| execute(shared, job));
     }
 }
 
@@ -637,29 +581,20 @@ fn stage_records_json(stages: &[graffix_core::StageRecord]) -> Json {
     )
 }
 
-fn execute_batch(shared: &Shared, batch: Vec<Job>) {
+fn execute(shared: &Shared, job: Job) {
     shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-    if batch.len() > 1 {
-        shared
-            .metrics
-            .batched_requests
-            .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-    }
-    let head = &batch[0].req;
-    let key = PoolKey::new(&head.graph, &head.technique, head.threshold);
-    let checkout = match shared.pool.checkout(&key, &shared.registry) {
+    let req = &job.req;
+    let checkout = match shared.pool.checkout(
+        &PoolKey::new(&req.graph, req.technique, req.threshold),
+        &shared.registry,
+    ) {
         Ok(c) => c,
-        Err(err) => {
-            for job in &batch {
-                respond_error(shared, &job.out, job.req.id, &err);
-            }
-            return;
-        }
+        Err(err) => return respond_error(shared, &job.out, req.id, &err),
     };
-    let mut plan = head
+    let mut plan = req
         .baseline
         .plan(&checkout.prepared, &shared.gpu)
-        .with_direction(head.direction);
+        .with_direction(req.direction);
     // Segment-major execution when the pool carries a segmentation and the
     // plan addresses attributes by identity (results are byte-identical to
     // flat execution; only the simulated cost model differs).
@@ -669,64 +604,38 @@ fn execute_batch(shared: &Shared, batch: Vec<Job>) {
         }
     }
 
-    // Source-fused traversals: one run per distinct effective source.
-    let mut memo: HashMap<Option<NodeId>, (SimRun, Option<Scalar>)> = HashMap::new();
-    let batch_size = batch.len();
-    for job in &batch {
-        let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-        if shared.allow_debug_sleep && job.req.debug_sleep_ms > 0 {
-            thread::sleep(Duration::from_millis(job.req.debug_sleep_ms.min(5_000)));
-        }
-        let exec_start = Instant::now();
-        let src = match effective_source(&job.req, &checkout.original) {
-            Ok(s) => s,
-            Err(err) => {
-                respond_error(shared, &job.out, job.req.id, &err);
-                continue;
-            }
-        };
-        let fused = memo.contains_key(&src) && fusable(job.req.algo);
-        if fused {
-            shared
-                .metrics
-                .fused_runs_saved
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if !fusable(job.req.algo) {
-            memo.clear();
-        }
-        let (run, scalar) = memo.entry(src).or_insert_with(|| {
-            job.req
-                .algo
-                .run(&plan, &checkout.original, src, job.req.bc_sources)
-        });
-        let result = result_excerpt(&job.req, &checkout.prepared, &shared.gpu, src, run, *scalar);
-
-        let mut serving = Json::obj();
-        serving.set("queue_ms", Json::F64(queue_ms));
-        serving.set(
-            "exec_ms",
-            Json::F64(exec_start.elapsed().as_secs_f64() * 1e3),
-        );
-        serving.set(
-            "pool",
-            Json::Str(if checkout.pool_hit { "hit" } else { "miss" }.to_string()),
-        );
-        serving.set("cache", Json::Str(checkout.cache.clone()));
-        if let Some(warning) = &checkout.store_warning {
-            serving.set("cache_store_warning", Json::Str(warning.clone()));
-        }
-        if !checkout.stages.is_empty() {
-            serving.set("stages", stage_records_json(&checkout.stages));
-        }
-        let mut b = Json::obj();
-        b.set("size", Json::U64(batch_size as u64));
-        b.set("fused", Json::Bool(fused));
-        serving.set("batch", b);
-
-        shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        let _ = job
-            .out
-            .send(ok_response(job.req.id, result, Some(serving)).to_compact_string());
+    let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+    if shared.allow_debug_sleep && req.debug_sleep_ms > 0 {
+        thread::sleep(Duration::from_millis(req.debug_sleep_ms.min(5_000)));
     }
+    let exec_start = Instant::now();
+    let src = match effective_source(req, &checkout.original) {
+        Ok(s) => s,
+        Err(err) => return respond_error(shared, &job.out, req.id, &err),
+    };
+    let (run, scalar) = req.algo.run(&plan, &checkout.original, src, req.bc_sources);
+    let result = result_excerpt(req, &checkout.prepared, &shared.gpu, src, &run, scalar);
+
+    let mut serving = Json::obj();
+    serving.set("queue_ms", Json::F64(queue_ms));
+    serving.set(
+        "exec_ms",
+        Json::F64(exec_start.elapsed().as_secs_f64() * 1e3),
+    );
+    serving.set(
+        "pool",
+        Json::Str(if checkout.pool_hit { "hit" } else { "miss" }.to_string()),
+    );
+    serving.set("cache", Json::Str(checkout.cache.clone()));
+    if let Some(warning) = &checkout.store_warning {
+        serving.set("cache_store_warning", Json::Str(warning.clone()));
+    }
+    if !checkout.stages.is_empty() {
+        serving.set("stages", stage_records_json(&checkout.stages));
+    }
+
+    shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
+    let _ = job
+        .out
+        .send(ok_response(req.id, result, Some(serving)).to_compact_string());
 }

@@ -8,7 +8,7 @@
 //! * an eviction-triggered reload (from the disk cache when one is
 //!   configured) returns the same preparation bytes as the first load.
 
-use graffix_core::CacheConfig;
+use graffix_core::{CacheConfig, Technique};
 use graffix_server::{GraphRegistry, PoolKey, PreparedPool};
 use graffix_sim::GpuConfig;
 use std::sync::Arc;
@@ -39,7 +39,7 @@ fn registry(n: usize) -> GraphRegistry {
 fn keys(n: usize) -> Vec<PoolKey> {
     (0..n)
         .map(|i| {
-            let technique = ["exact", "coalescing", "latency"][i % 3];
+            let technique = [Technique::Exact, Technique::Coalescing, Technique::Latency][i % 3];
             PoolKey::new(&format!("g{i}"), technique, None)
         })
         .collect()
@@ -98,8 +98,8 @@ fn eviction_reload_through_disk_cache_is_identical() {
     let reg = registry(3);
     let pool = PreparedPool::new(1, GpuConfig::k40c(), CacheConfig::at(&dir));
 
-    let key = PoolKey::new("g0", "coalescing", None);
-    let other = PoolKey::new("g1", "coalescing", None);
+    let key = PoolKey::new("g0", Technique::Coalescing, None);
+    let other = PoolKey::new("g1", Technique::Coalescing, None);
 
     let first = pool.checkout(&key, &reg).unwrap();
     assert!(!first.pool_hit);

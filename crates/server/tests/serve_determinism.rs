@@ -2,14 +2,14 @@
 //!
 //! The daemon's load-bearing promise: the `result` section of every
 //! response is a pure function of the request. The same request mix —
-//! shuffled arrival order, 1, 2, and 8 worker threads, batching on —
-//! must produce byte-identical `result` documents to from-scratch
-//! [`run_direct`] invocations (no pool, no cache, no batching, no server
-//! threads).
+//! shuffled arrival order, 1, 2, and 8 worker threads, two pipelining
+//! connections — must produce byte-identical `result` documents to
+//! from-scratch [`run_direct`] invocations (no pool, no cache, no server
+//! threads), and every admitted request is its own execution.
 
-use graffix::prelude::Json;
 use graffix_server::{run_direct, Client, GraphRegistry, RunRequest, ServeConfig, Server};
 use graffix_sim::GpuConfig;
+use graffix_sim::Json;
 use std::collections::BTreeMap;
 
 fn registry() -> GraphRegistry {
@@ -38,8 +38,7 @@ fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
 }
 
 /// The request mix: every algorithm, both graphs, several techniques and
-/// directions, duplicate sources (to exercise fusion), and default
-/// sources.
+/// directions, duplicate sources, and default sources.
 fn request_mix() -> Vec<Json> {
     let mut reqs = Vec::new();
     let mut id = 0u64;
@@ -130,7 +129,6 @@ fn serve_mix(
     let mut config = ServeConfig::local(registry());
     config.workers = workers;
     config.pool_capacity = pool_capacity;
-    config.batch_max = 8;
     let server = Server::start(config).unwrap();
     let addr = server.local_addr().unwrap();
 
@@ -201,6 +199,81 @@ fn results_are_byte_identical_to_direct_runs_at_1_2_8_workers() {
     }
 }
 
+/// One connection pipelines `k` requests of one pool key, duplicate
+/// sources included, while the single worker is held by the first: the
+/// queue holds the other `k - 1` at once, and each is still executed on
+/// its own.
+#[test]
+fn every_queued_request_is_its_own_execution() {
+    let mut config = ServeConfig::local(registry());
+    config.workers = 1;
+    config.allow_debug_sleep = true;
+    let server = Server::start(config).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let mut c = Client::connect_tcp(&addr).unwrap();
+
+    let lines: Vec<String> = [Some(5), Some(5), Some(7), None, Some(7), Some(5)]
+        .iter()
+        .enumerate()
+        .map(|(i, source)| {
+            let mut o = Json::obj();
+            o.set("id", Json::U64(i as u64 + 1));
+            o.set("graph", Json::Str("small".to_string()));
+            o.set("algo", Json::Str("sssp".to_string()));
+            if let Some(s) = source {
+                o.set("source", Json::U64(*s));
+            }
+            if i == 0 {
+                o.set("debug_sleep_ms", Json::U64(250));
+            }
+            o.to_compact_string()
+        })
+        .collect();
+    let k = lines.len() as u64;
+    for line in &lines {
+        c.send_raw(format!("{line}\n").as_bytes()).unwrap();
+    }
+    for line in &lines {
+        let doc = Json::parse(&c.read_response_line().unwrap()).unwrap();
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{line}");
+        assert!(doc.path(&["serving", "batch"]).is_none(), "{line}");
+        let graffix_server::Request::Run(req) = graffix_server::parse_request(line).unwrap() else {
+            panic!("a run request")
+        };
+        let direct = run_direct(&req, &registry(), &GpuConfig::k40c()).unwrap();
+        assert_eq!(
+            doc.get("result").unwrap().to_compact_string(),
+            direct.to_compact_string(),
+            "{line}"
+        );
+    }
+
+    let stats = c.stats().unwrap();
+    assert_eq!(
+        stats
+            .path(&["result", "metrics", "batches"])
+            .unwrap()
+            .as_u64(),
+        Some(k)
+    );
+    assert_eq!(
+        stats
+            .path(&["result", "metrics", "completed"])
+            .unwrap()
+            .as_u64(),
+        Some(k)
+    );
+    assert!(
+        stats
+            .path(&["result", "metrics", "queue_peak"])
+            .unwrap()
+            .as_u64()
+            > Some(1)
+    );
+    c.shutdown().unwrap();
+    server.join();
+}
+
 #[test]
 fn serving_metadata_is_present_but_separate() {
     let config = ServeConfig::local(registry());
@@ -222,7 +295,7 @@ fn serving_metadata_is_present_but_separate() {
         doc.path(&["serving", "pool"]).unwrap().as_str(),
         Some("miss")
     );
-    assert!(doc.path(&["serving", "batch", "size"]).is_some());
+    assert!(doc.path(&["serving", "batch"]).is_none());
     assert!(doc.path(&["result", "queue_ms"]).is_none());
 
     // Second identical request: pool hit, same result bytes.

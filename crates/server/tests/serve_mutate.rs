@@ -5,8 +5,8 @@
 //! topology, and a revert batch must restore **byte-identical** results —
 //! the determinism contract extended across mutations.
 
-use graffix::prelude::Json;
 use graffix_server::{Client, GraphRegistry, ServeConfig, Server};
+use graffix_sim::Json;
 
 fn start() -> (Server, String) {
     let registry = GraphRegistry::parse_list("small=rmat:400:7").unwrap();
