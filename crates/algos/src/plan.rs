@@ -1,6 +1,6 @@
 //! Execution plans: everything an algorithm needs to run on the simulator.
 
-use graffix_core::{ConfluenceOp, DirectionKnobs, Prepared, Tile};
+use graffix_core::{ConfluenceOp, Prepared, Tile};
 use graffix_graph::{Csr, NodeId, Segmentation, INVALID_NODE};
 use graffix_sim::{GpuConfig, KernelStats, Lane, TraceHandle};
 use std::sync::{Arc, OnceLock};
@@ -22,7 +22,7 @@ pub enum Strategy {
 /// classic data-driven kernel). `Pull` gathers along in-edges of *every*
 /// vertex using the plan's memoized CSC mirror, trading wasted gathers for
 /// atomic-free, coalesced reads. `Auto` decides per superstep from frontier
-/// density (see [`DirectionKnobs`]). Programs that implement no pull kernel
+/// density (see `Runner::choose_pull`). Programs that implement no pull kernel
 /// silently run push regardless of the policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Direction {
@@ -86,8 +86,6 @@ pub struct Plan {
     pub strategy: Strategy,
     /// Traversal direction policy for frontier-driven supersteps.
     pub direction: Direction,
-    /// Thresholds steering [`Direction::Auto`].
-    pub direction_knobs: DirectionKnobs,
     /// Observability sink shared by the runner, vertex programs, and the
     /// caller (see `graffix_sim::trace`). Disabled by default — every
     /// recording call is then a single no-op branch. Clones share the sink.
@@ -145,7 +143,6 @@ impl Plan {
             confluence: prepared.confluence,
             strategy,
             direction: Direction::Push,
-            direction_knobs: DirectionKnobs::default(),
             trace: TraceHandle::default(),
             segments: None,
             derived: PlanDerived::default(),

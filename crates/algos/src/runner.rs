@@ -420,6 +420,28 @@ impl<'a> Runner<'a> {
         )
     }
 
+    /// [`Direction::Auto`] pulls when the frontier's out-edge mass `mf`
+    /// satisfies `mf × PULL_ALPHA > |E|` — i.e. the frontier covers more
+    /// than `1 / PULL_ALPHA` of the edges, so gathering over the CSC beats
+    /// scattering atomics.
+    ///
+    /// `PULL_ALPHA` is the assumed per-arc cost ratio `c_push / c_pull`.
+    /// Beamer's published BFS value is 14, but that assumes a pull kernel
+    /// that early-exits on the first discovered parent; our SSSP/PageRank
+    /// pull supersteps are *full gathers* (cost proportional to all of
+    /// `|E|`, with no early exit). A pushed arc pays a scattered atomic —
+    /// a read-modify-write worth two global transactions plus collision
+    /// serialization — while a gathered arc pays a scattered plain read,
+    /// so `c_push / c_pull ≈ 2` and pull pays off once `mf` exceeds
+    /// roughly half of `|E|`.
+    const PULL_ALPHA: f64 = 2.0;
+
+    /// Never pull while the frontier holds fewer than `|V| / PULL_BETA`
+    /// nodes (most gather candidates would find no active in-neighbor).
+    /// Beamer's default of 24 is kept — it is a guard, not a crossover, and
+    /// tiny frontiers are firmly push territory under any cost model.
+    const PULL_BETA: f64 = 24.0;
+
     /// Decides push vs pull for the coming superstep and records the
     /// decision (plus, under [`Direction::Auto`], the frontier's out-edge
     /// mass) in the trace. A pure function of host-owned data — the same
@@ -437,12 +459,11 @@ impl<'a> Runner<'a> {
                     self.plan
                         .trace
                         .push_series(Phase::ActivationMerge, "frontier-mass", mf as f64);
-                    let k = self.plan.direction_knobs;
                     // Pull only when the frontier is populous (beta guard)
                     // AND its out-edge mass crosses the full-gather
-                    // break-even |E|/alpha (see `DirectionKnobs`).
-                    frontier.len() as f64 * k.beta >= self.plan.graph.num_nodes() as f64
-                        && mf as f64 * k.alpha > self.plan.graph.num_edges() as f64
+                    // break-even |E| / PULL_ALPHA.
+                    frontier.len() as f64 * Self::PULL_BETA >= self.plan.graph.num_nodes() as f64
+                        && mf as f64 * Self::PULL_ALPHA > self.plan.graph.num_edges() as f64
                 }
             };
         self.plan.trace.push_series(

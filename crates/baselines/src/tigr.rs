@@ -108,7 +108,6 @@ pub fn plan(prepared: &Prepared, cfg: &GpuConfig, max_virtual_degree: usize) -> 
         confluence: prepared.confluence,
         strategy: Strategy::Topology,
         direction: Direction::Push,
-        direction_knobs: Default::default(),
         trace: Default::default(),
         segments: None,
         derived: PlanDerived::default(),

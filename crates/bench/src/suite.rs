@@ -33,30 +33,6 @@ impl Default for SuiteOptions {
     }
 }
 
-impl SuiteOptions {
-    /// Reads `GRAFFIX_NODES`, `GRAFFIX_SEED`, and `GRAFFIX_BC_SOURCES` from
-    /// the environment, falling back to the defaults.
-    pub fn from_env() -> Self {
-        let mut o = SuiteOptions::default();
-        if let Ok(n) = std::env::var("GRAFFIX_NODES") {
-            if let Ok(n) = n.parse() {
-                o.nodes = n;
-            }
-        }
-        if let Ok(s) = std::env::var("GRAFFIX_SEED") {
-            if let Ok(s) = s.parse() {
-                o.seed = s;
-            }
-        }
-        if let Ok(s) = std::env::var("GRAFFIX_BC_SOURCES") {
-            if let Ok(s) = s.parse() {
-                o.bc_sources = s;
-            }
-        }
-        o
-    }
-}
-
 /// The five paper graphs plus caches for prepared (transformed) versions.
 pub struct Suite {
     pub options: SuiteOptions,
@@ -94,11 +70,6 @@ impl Suite {
         self
     }
 
-    /// Suite from environment options.
-    pub fn from_env() -> Self {
-        Suite::new(SuiteOptions::from_env())
-    }
-
     /// Number of graphs (always 5).
     pub fn len(&self) -> usize {
         self.graphs.len()
@@ -130,7 +101,7 @@ impl Suite {
             }
             Technique::Latency => Pipeline::default().with_latency(LatencyKnobs::for_kind(kind)),
             Technique::Divergence => {
-                Pipeline::default().with_divergence(DivergenceKnobs::for_kind(kind))
+                Pipeline::default().with_divergence(DivergenceKnobs::default())
             }
             Technique::Combined => Pipeline::all_defaults(),
         }
@@ -240,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn env_options_fall_back_to_defaults() {
+    fn options_default_to_the_paper_shape() {
         let o = SuiteOptions::default();
         assert_eq!(o.nodes, 4096);
         assert_eq!(o.bc_sources, 4);

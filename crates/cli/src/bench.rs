@@ -80,11 +80,10 @@ pub enum Gate {
     },
 }
 
-/// Corpus shape: the suite defaults (`GRAFFIX_NODES`/`GRAFFIX_SEED`/
-/// `GRAFFIX_BC_SOURCES`), overridden by `--nodes` (else `nodes_default`)
-/// and `--seed`.
+/// Corpus shape: the suite defaults, overridden by `--nodes` (else
+/// `nodes_default`) and `--seed`.
 fn suite_options(bag: &mut Bag, nodes_default: Option<usize>) -> Parsed<SuiteOptions> {
-    let mut options = SuiteOptions::from_env();
+    let mut options = SuiteOptions::default();
     options.nodes = bag.opt("nodes")?.or(nodes_default).unwrap_or(options.nodes);
     options.seed = bag.opt("seed")?.unwrap_or(options.seed);
     Ok(options)

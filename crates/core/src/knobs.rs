@@ -124,86 +124,10 @@ impl Default for DivergenceKnobs {
 }
 
 impl DivergenceKnobs {
-    /// Paper guideline (§5.4): low threshold (< 0.4) when bucket degrees
-    /// are close to the bucket max — true for all our families at the
-    /// default bucketing, so the default is uniform.
-    pub fn for_kind(_kind: GraphKind) -> Self {
-        DivergenceKnobs::default()
-    }
-
     /// Overrides the degreeSim threshold.
     pub fn with_threshold(mut self, t: f64) -> Self {
         self.degree_sim_threshold = t;
         self
-    }
-}
-
-/// Knobs for direction-optimizing frontier execution (Beamer-style
-/// push↔pull switching, as popularized for GPUs by Gunrock). The runner
-/// compares *deterministic host-side* frontier statistics against these
-/// thresholds each superstep, so the decision — and therefore the trace —
-/// is identical at any thread count.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DirectionKnobs {
-    /// Pull when the frontier's out-edge mass `mf` satisfies
-    /// `mf × alpha > |E|` — i.e. the frontier covers more than `1/alpha`
-    /// of the edges, so gathering over the CSC beats scattering atomics.
-    ///
-    /// `alpha` is the assumed per-arc cost ratio `c_push / c_pull`.
-    /// Beamer's published BFS value is 14, but that assumes a pull kernel
-    /// that early-exits on the first discovered parent; our SSSP/PageRank
-    /// pull supersteps are *full gathers* (cost proportional to all of
-    /// `|E|`, with no early exit). A pushed arc pays a scattered atomic —
-    /// a read-modify-write worth two global transactions plus collision
-    /// serialization — while a gathered arc pays a scattered plain read,
-    /// so `c_push / c_pull ≈ 2` and pull pays off once `mf` exceeds
-    /// roughly half of `|E|`.
-    pub alpha: f64,
-    /// Never pull while the frontier holds fewer than `|V| / beta` nodes
-    /// (most gather candidates would find no active in-neighbor). Beamer's
-    /// default of 24 is kept — it is a guard, not a crossover, and tiny
-    /// frontiers are firmly push territory under any cost model.
-    pub beta: f64,
-}
-
-impl Default for DirectionKnobs {
-    fn default() -> Self {
-        DirectionKnobs {
-            alpha: 2.0,
-            beta: 24.0,
-        }
-    }
-}
-
-impl DirectionKnobs {
-    /// Overrides `alpha` (push → pull density threshold).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Overrides `beta` (pull → push sparsity threshold).
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        self.beta = beta;
-        self
-    }
-
-    /// Both thresholds must be positive and finite for the density
-    /// comparisons to be meaningful.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.alpha.is_finite() && self.alpha > 0.0) {
-            return Err(format!(
-                "direction alpha must be positive, got {}",
-                self.alpha
-            ));
-        }
-        if !(self.beta.is_finite() && self.beta > 0.0) {
-            return Err(format!(
-                "direction beta must be positive, got {}",
-                self.beta
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -372,131 +296,6 @@ impl SegmentKnobs {
     }
 }
 
-/// Knob fields the `renumber` stage reads.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RenumberInputs {
-    pub chunk_size: usize,
-}
-
-/// Knob fields the `replicate` stage reads.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReplicateInputs {
-    pub threshold: f64,
-    pub max_replicas_per_node: usize,
-}
-
-/// [`CoalesceKnobs`] partitioned into per-stage input sets.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CoalesceStageInputs {
-    pub renumber: RenumberInputs,
-    pub replicate: ReplicateInputs,
-}
-
-impl CoalesceKnobs {
-    /// Partitions the knobs into the input set of each coalescing stage.
-    ///
-    /// The destructuring deliberately names every field with no `..` rest
-    /// pattern: adding a knob field without assigning it to exactly one
-    /// stage's input set is a compile error, so a new knob can never be
-    /// silently left out of the cache keys (stage keys and the terminal key
-    /// both read the partitions, see `Pipeline::write_inputs`).
-    pub fn stage_inputs(&self) -> CoalesceStageInputs {
-        let CoalesceKnobs {
-            chunk_size,
-            threshold,
-            max_replicas_per_node,
-        } = *self;
-        CoalesceStageInputs {
-            renumber: RenumberInputs { chunk_size },
-            replicate: ReplicateInputs {
-                threshold,
-                max_replicas_per_node,
-            },
-        }
-    }
-}
-
-/// Knob fields the `boost` stage reads (the `cc` stage reads none — its
-/// only input is the current graph).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BoostInputs {
-    pub cc_threshold: f64,
-    pub margin: f64,
-    pub edge_budget_frac: f64,
-}
-
-/// Knob fields the `tile-select` stage reads beyond the boost output. Tile
-/// selection also re-reads the boost inputs (its center filter uses
-/// `cc_threshold`), so its cache key includes the [`BoostInputs`]
-/// fingerprint as a whole alongside these fields.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TileSelectInputs {
-    pub t_diameter_factor: usize,
-}
-
-/// [`LatencyKnobs`] partitioned into per-stage input sets.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencyStageInputs {
-    pub boost: BoostInputs,
-    pub tile_select: TileSelectInputs,
-}
-
-impl LatencyKnobs {
-    /// Partitions the knobs into the input set of each latency stage; see
-    /// [`CoalesceKnobs::stage_inputs`] for the compile-error guard this
-    /// destructuring provides.
-    pub fn stage_inputs(&self) -> LatencyStageInputs {
-        let LatencyKnobs {
-            cc_threshold,
-            margin,
-            edge_budget_frac,
-            t_diameter_factor,
-        } = *self;
-        LatencyStageInputs {
-            boost: BoostInputs {
-                cc_threshold,
-                margin,
-                edge_budget_frac,
-            },
-            tile_select: TileSelectInputs { t_diameter_factor },
-        }
-    }
-}
-
-/// Knob fields the `normalize` stage reads (the `bucket` and `relabel`
-/// stages read none — they depend only on the graph and the bucket order).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NormalizeInputs {
-    pub degree_sim_threshold: f64,
-    pub fill_fraction: f64,
-    pub edge_budget_frac: f64,
-}
-
-/// [`DivergenceKnobs`] partitioned into per-stage input sets.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DivergenceStageInputs {
-    pub normalize: NormalizeInputs,
-}
-
-impl DivergenceKnobs {
-    /// Partitions the knobs into the input set of each divergence stage;
-    /// see [`CoalesceKnobs::stage_inputs`] for the compile-error guard.
-    pub fn stage_inputs(&self) -> DivergenceStageInputs {
-        let DivergenceKnobs {
-            degree_sim_threshold,
-            fill_fraction,
-            edge_budget_frac,
-        } = *self;
-        DivergenceStageInputs {
-            normalize: NormalizeInputs {
-                degree_sim_threshold,
-                fill_fraction,
-                edge_budget_frac,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,22 +321,6 @@ mod tests {
             LatencyKnobs::for_kind(GraphKind::SocialTwitter).cc_threshold
                 > LatencyKnobs::for_kind(GraphKind::Road).cc_threshold
         );
-    }
-
-    #[test]
-    fn direction_defaults_fit_full_gather_cost_model() {
-        let d = DirectionKnobs::default();
-        assert!((d.alpha - 2.0).abs() < 1e-12);
-        assert!((d.beta - 24.0).abs() < 1e-12);
-        d.validate().unwrap();
-        assert!(DirectionKnobs::default()
-            .with_alpha(0.0)
-            .validate()
-            .is_err());
-        assert!(DirectionKnobs::default()
-            .with_beta(f64::NAN)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -577,78 +360,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    /// Exercises the stage-input destructuring: every knob field must land
-    /// in exactly one stage's input set, and changing a field must change
-    /// that stage's inputs alone. (The destructuring itself — no `..` —
-    /// makes *forgetting* a new field a compile error.)
-    #[test]
-    fn stage_inputs_partition_every_knob_field_once() {
-        let base = CoalesceKnobs::default().stage_inputs();
-        let chunk = CoalesceKnobs {
-            chunk_size: 8,
-            ..Default::default()
-        }
-        .stage_inputs();
-        assert_ne!(base.renumber, chunk.renumber, "chunk_size -> renumber");
-        assert_eq!(base.replicate, chunk.replicate);
-        let thr = CoalesceKnobs::default().with_threshold(0.3).stage_inputs();
-        assert_eq!(base.renumber, thr.renumber);
-        assert_ne!(base.replicate, thr.replicate, "threshold -> replicate");
-        let reps = CoalesceKnobs {
-            max_replicas_per_node: 9,
-            ..Default::default()
-        }
-        .stage_inputs();
-        assert_eq!(base.renumber, reps.renumber);
-        assert_ne!(base.replicate, reps.replicate, "max_replicas -> replicate");
-
-        let base = LatencyKnobs::default().stage_inputs();
-        for tweaked in [
-            LatencyKnobs::default().with_threshold(0.2),
-            LatencyKnobs {
-                margin: 0.05,
-                ..Default::default()
-            },
-            LatencyKnobs {
-                edge_budget_frac: 0.5,
-                ..Default::default()
-            },
-        ] {
-            let t = tweaked.stage_inputs();
-            assert_ne!(base.boost, t.boost, "{tweaked:?} -> boost");
-            assert_eq!(base.tile_select, t.tile_select);
-        }
-        let diam = LatencyKnobs {
-            t_diameter_factor: 5,
-            ..Default::default()
-        }
-        .stage_inputs();
-        assert_eq!(base.boost, diam.boost);
-        assert_ne!(
-            base.tile_select, diam.tile_select,
-            "t_diameter_factor -> tile-select"
-        );
-
-        let base = DivergenceKnobs::default().stage_inputs();
-        for tweaked in [
-            DivergenceKnobs::default().with_threshold(0.9),
-            DivergenceKnobs {
-                fill_fraction: 0.5,
-                ..Default::default()
-            },
-            DivergenceKnobs {
-                edge_budget_frac: 0.5,
-                ..Default::default()
-            },
-        ] {
-            assert_ne!(
-                base.normalize,
-                tweaked.stage_inputs().normalize,
-                "{tweaked:?} -> normalize"
-            );
-        }
     }
 
     #[test]

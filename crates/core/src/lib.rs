@@ -38,9 +38,7 @@ pub mod tuning;
 pub use cache::{prepare_with_cache, CacheConfig, CacheOutcome, CacheStatus};
 pub use confluence::ConfluenceOp;
 pub use incremental::{IncrementalOutcome, IncrementalPrepare, PrepareMode, StreamError};
-pub use knobs::{
-    CoalesceKnobs, DirectionKnobs, DivergenceKnobs, LatencyKnobs, SegmentKnobs, StreamKnobs,
-};
+pub use knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs, SegmentKnobs, StreamKnobs};
 pub use pipeline::{Pipeline, PipelineError};
 pub use prepared::{PhaseTiming, Prepared, StageReport, Technique, Tile, TransformReport};
 pub use query::{Fingerprint, QueryCtx, StageRecord, StageStatus};
@@ -52,9 +50,7 @@ pub mod prelude {
     pub use crate::coalesce;
     pub use crate::confluence::ConfluenceOp;
     pub use crate::divergence;
-    pub use crate::knobs::{
-        CoalesceKnobs, DirectionKnobs, DivergenceKnobs, LatencyKnobs, SegmentKnobs,
-    };
+    pub use crate::knobs::{CoalesceKnobs, DivergenceKnobs, LatencyKnobs, SegmentKnobs};
     pub use crate::latency;
     pub use crate::pipeline::{Pipeline, PipelineError};
     pub use crate::prepared::{

@@ -129,37 +129,72 @@ impl Pipeline {
     /// stage whose transform is off. The one place that decides which
     /// fields enter a key: each stage key hashes its own stage's, the
     /// terminal key every stage's, so a field cannot be in one and missing
-    /// from the other. Knob fields arrive through the `stage_inputs()`
-    /// partitions, which make an unassigned new knob a compile error.
+    /// from the other. Each knob set is destructured whole, with no `..`:
+    /// a new knob field left out of a pattern is a compile error, and one
+    /// bound but never hashed is an unused variable.
     fn write_inputs(&self, stage: &str, cfg: &GpuConfig, h: &mut Fingerprint) {
         debug_assert!(STAGES.contains(&stage), "undeclared stage {stage}");
-        let coalesce = self.coalesce.as_ref().map(CoalesceKnobs::stage_inputs);
-        let latency = self.latency.as_ref().map(LatencyKnobs::stage_inputs);
-        let divergence = self.divergence.as_ref().map(DivergenceKnobs::stage_inputs);
-        match (stage, coalesce, latency, divergence) {
-            ("renumber", Some(ci), ..) => h.write_u64(ci.renumber.chunk_size as u64),
-            ("replicate", Some(ci), ..) => {
-                h.write_f64(ci.replicate.threshold);
-                h.write_u64(ci.replicate.max_replicas_per_node as u64);
+        if let Some(CoalesceKnobs {
+            chunk_size,
+            threshold,
+            max_replicas_per_node,
+        }) = self.coalesce
+        {
+            match stage {
+                "renumber" => h.write_u64(chunk_size as u64),
+                "replicate" => {
+                    h.write_f64(threshold);
+                    h.write_u64(max_replicas_per_node as u64);
+                }
+                _ => {}
             }
-            ("boost", _, Some(li), _) => {
-                h.write_f64(li.boost.cc_threshold);
-                h.write_f64(li.boost.margin);
-                h.write_f64(li.boost.edge_budget_frac);
+        }
+        if let Some(LatencyKnobs {
+            cc_threshold,
+            margin,
+            edge_budget_frac,
+            t_diameter_factor,
+        }) = self.latency
+        {
+            match stage {
+                "boost" => {
+                    h.write_f64(cc_threshold);
+                    h.write_f64(margin);
+                    h.write_f64(edge_budget_frac);
+                }
+                "tile-select" => {
+                    h.write_u64(t_diameter_factor as u64);
+                    h.write_u64(cfg.shared_mem_words as u64);
+                }
+                _ => {}
             }
-            ("tile-select", _, Some(li), _) => {
-                h.write_u64(li.tile_select.t_diameter_factor as u64);
-                h.write_u64(cfg.shared_mem_words as u64);
-            }
-            ("normalize", _, _, Some(di)) => {
-                h.write_f64(di.normalize.degree_sim_threshold);
-                h.write_f64(di.normalize.fill_fraction);
-                h.write_f64(di.normalize.edge_budget_frac);
+        }
+        if let Some(DivergenceKnobs {
+            degree_sim_threshold,
+            fill_fraction,
+            edge_budget_frac,
+        }) = self.divergence
+        {
+            if stage == "normalize" {
+                h.write_f64(degree_sim_threshold);
+                h.write_f64(fill_fraction);
+                h.write_f64(edge_budget_frac);
                 h.write_u64(cfg.warp_size as u64);
             }
-            // cc, bucket and relabel read their upstream outputs only.
-            _ => {}
         }
+        // cc, bucket and relabel read their upstream outputs only.
+    }
+
+    /// Fingerprint of the boost stage's knob inputs. tile-select reads
+    /// `cc_threshold` (a boost knob) when filtering centers, so its key
+    /// carries this whole set on top of the boosted graph's content —
+    /// over-invalidating on margin/budget changes whose output happened to
+    /// be identical is the price of never reusing tiles across a
+    /// cc_threshold change.
+    fn boost_inputs_fp(&self, cfg: &GpuConfig) -> u64 {
+        let mut h = Fingerprint::new();
+        self.write_inputs("boost", cfg, &mut h);
+        h.finish()
     }
 
     /// Key of the terminal entry for input graph `graph_fp`: which
@@ -198,7 +233,7 @@ impl Pipeline {
     /// Applies the pipeline as a dependency graph of memoized stage
     /// queries. Each stage's key is (pipeline version, stage tag, upstream
     /// output fingerprints, declared knob fields — see
-    /// [`crate::knobs::CoalesceKnobs::stage_inputs`]); its output is
+    /// `Pipeline::write_inputs`); its output is
     /// content-fingerprinted via the bit-exact codecs in `stages`. A warm
     /// `ctx` therefore recomputes only the stages downstream of a changed
     /// input, and a recomputed stage whose bytes come out identical lets
@@ -343,11 +378,7 @@ impl Pipeline {
                 |c| stages::encode_counts(c),
                 stages::decode_counts,
             );
-            let boost_input_fp = {
-                let mut h = Fingerprint::new();
-                self.write_inputs("boost", cfg, &mut h);
-                h.finish()
-            };
+            let boost_input_fp = self.boost_inputs_fp(cfg);
             let bkey = stage_key("boost", &[cur_fp, cc_fp], |h| {
                 h.write_u64(boost_input_fp);
             });
@@ -358,11 +389,6 @@ impl Pipeline {
                 stages::encode_boost,
                 stages::decode_boost,
             );
-            // tile-select reads `cc_threshold` (a boost knob) when filtering
-            // centers, so its key carries the whole boost input set on top
-            // of the boosted graph's content — over-invalidating on margin/
-            // budget changes whose output happened to be identical is the
-            // price of never reusing tiles across a cc_threshold change.
             let tkey = stage_key("tile-select", &[boost_fp, boost_input_fp], |h| {
                 self.write_inputs("tile-select", cfg, h)
             });
@@ -716,5 +742,108 @@ mod tests {
             .apply(&g, &GpuConfig::k40c());
         assert_eq!(p.technique, Technique::Combined);
         p.validate().unwrap();
+    }
+
+    /// Every stage key over a fixed upstream fingerprint, in [`STAGES`]
+    /// order, then the terminal key: what each key reads of the knobs and
+    /// the GPU, apart from upstream content. tile-select carries the boost
+    /// inputs as an upstream, as in [`Pipeline::try_apply_keyed`].
+    fn input_keys(p: &Pipeline, cfg: &GpuConfig) -> Vec<u64> {
+        let mut keys: Vec<u64> = STAGES
+            .iter()
+            .map(|&stage| {
+                let upstream = match stage {
+                    "tile-select" => vec![1, p.boost_inputs_fp(cfg)],
+                    _ => vec![1],
+                };
+                stage_key(stage, &upstream, |h| p.write_inputs(stage, cfg, h))
+            })
+            .collect();
+        keys.push(p.prepared_key(1, cfg));
+        keys
+    }
+
+    /// Flipping each knob field, `shared_mem_words` or `warp_size` moves
+    /// exactly the stage keys that read it, plus the terminal key. (The
+    /// whole destructuring in `write_inputs` makes *forgetting* a new
+    /// field a compile error; this pins where each field goes.)
+    #[test]
+    fn every_knob_field_moves_exactly_the_keys_that_read_it() {
+        type Edit = fn(&mut Pipeline, &mut GpuConfig);
+        let cases: [(&str, Edit, &[&str]); 12] = [
+            (
+                "chunk_size",
+                |p, _| p.coalesce.as_mut().unwrap().chunk_size = 8,
+                &["renumber"],
+            ),
+            (
+                "threshold",
+                |p, _| p.coalesce.as_mut().unwrap().threshold = 0.3,
+                &["replicate"],
+            ),
+            (
+                "max_replicas_per_node",
+                |p, _| p.coalesce.as_mut().unwrap().max_replicas_per_node = 9,
+                &["replicate"],
+            ),
+            (
+                "cc_threshold",
+                |p, _| p.latency.as_mut().unwrap().cc_threshold = 0.2,
+                &["boost", "tile-select"],
+            ),
+            (
+                "margin",
+                |p, _| p.latency.as_mut().unwrap().margin = 0.05,
+                &["boost", "tile-select"],
+            ),
+            (
+                "latency edge_budget_frac",
+                |p, _| p.latency.as_mut().unwrap().edge_budget_frac = 0.5,
+                &["boost", "tile-select"],
+            ),
+            (
+                "t_diameter_factor",
+                |p, _| p.latency.as_mut().unwrap().t_diameter_factor = 5,
+                &["tile-select"],
+            ),
+            (
+                "degree_sim_threshold",
+                |p, _| p.divergence.as_mut().unwrap().degree_sim_threshold = 0.9,
+                &["normalize"],
+            ),
+            (
+                "fill_fraction",
+                |p, _| p.divergence.as_mut().unwrap().fill_fraction = 0.5,
+                &["normalize"],
+            ),
+            (
+                "divergence edge_budget_frac",
+                |p, _| p.divergence.as_mut().unwrap().edge_budget_frac = 0.5,
+                &["normalize"],
+            ),
+            (
+                "shared_mem_words",
+                |_, cfg| cfg.shared_mem_words += 1,
+                &["tile-select"],
+            ),
+            ("warp_size", |_, cfg| cfg.warp_size /= 2, &["normalize"]),
+        ];
+        let base = Pipeline::all_defaults();
+        let base_cfg = GpuConfig::k40c();
+        let before = input_keys(&base, &base_cfg);
+        for (field, edit, readers) in cases {
+            let (mut p, mut cfg) = (base.clone(), base_cfg.clone());
+            edit(&mut p, &mut cfg);
+            let after = input_keys(&p, &cfg);
+            for (i, stage) in STAGES.iter().chain([&PREPARED_STAGE]).enumerate() {
+                let reads = readers.contains(stage) || *stage == PREPARED_STAGE;
+                assert_eq!(
+                    before[i] != after[i],
+                    reads,
+                    "{field} {} the {stage} key",
+                    if reads { "must move" } else { "moved" }
+                );
+            }
+        }
     }
 }

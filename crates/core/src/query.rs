@@ -6,7 +6,7 @@
 //! relabel). Each stage declares its inputs as a content key: a
 //! [`Fingerprint`] over the pipeline code version, the upstream stages'
 //! *output* fingerprints, and exactly the knob fields the stage reads (see
-//! the `stage_inputs` partitions in [`crate::knobs`]). The stage's output
+//! `Pipeline::write_inputs`). The stage's output
 //! is serialized bit-exactly and fingerprinted, so downstream keys are
 //! functions of upstream *content*, not of whether upstream was cached.
 //!

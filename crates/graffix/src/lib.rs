@@ -60,8 +60,8 @@ pub use graffix_sim as sim;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use crate::observe::{
-        assemble_report, instrument_plan, observed_run, provenance_from, traced_run,
-        traced_run_directed, Algo, AlgoOutcome, RunSpec, TracedRun, ALL_ALGOS,
+        assemble_report, instrument_plan, observed_run, provenance_from, traced_run, Algo,
+        AlgoOutcome, RunSpec, TracedRun, ALL_ALGOS,
     };
     pub use graffix_algos::accuracy::{geomean, max_abs_error, relative_l1, scalar_inaccuracy};
     pub use graffix_algos::{

@@ -117,55 +117,20 @@ pub fn traced_run(
     gpu: &GpuConfig,
     bc_sources: usize,
 ) -> TracedRun {
-    traced_run_directed(
-        command,
-        algo,
+    observed_run(
+        RunSpec {
+            command,
+            algo,
+            baseline,
+            bc_sources,
+            direction: Direction::Push,
+            accuracy: false,
+            pipeline: None,
+        },
         original,
         prepared,
-        baseline,
         gpu,
-        bc_sources,
-        Direction::Push,
     )
-}
-
-/// [`traced_run`] with an explicit traversal direction policy. Under
-/// `Auto`/`Pull` the report's trace carries a per-superstep `direction`
-/// series (1 = pull) and, under `Auto`, the `frontier-mass` series the
-/// decision was made from.
-#[allow(clippy::too_many_arguments)]
-pub fn traced_run_directed(
-    command: &str,
-    algo: Algo,
-    original: &Csr,
-    prepared: &Prepared,
-    baseline: Baseline,
-    gpu: &GpuConfig,
-    bc_sources: usize,
-    direction: Direction,
-) -> TracedRun {
-    let mut plan = baseline.plan(prepared, gpu).with_direction(direction);
-    let trace = instrument_plan(&mut plan, prepared);
-
-    trace.span_enter(Phase::Run, algo.name());
-    let (run, scalar) = algo.run(&plan, original, None, bc_sources);
-    trace.span_exit();
-    let outcome = AlgoOutcome::of(&run, scalar);
-
-    let report = assemble_report(
-        command,
-        algo.name(),
-        prepared,
-        baseline,
-        &plan,
-        &run,
-        &trace,
-    );
-    TracedRun {
-        report,
-        run,
-        outcome,
-    }
 }
 
 /// Everything [`observed_run`] needs to know about one run.
@@ -212,10 +177,16 @@ fn stage_off_variants(pipeline: &Pipeline) -> Vec<(String, Pipeline)> {
     variants
 }
 
-/// Like [`traced_run`], but additionally fills the v2 `accuracy` section
-/// when `spec.accuracy` is set: the run's outcome is compared against the
-/// exact CPU reference, and — when the producing pipeline is known — each
-/// enabled transform stage is toggled off in turn and the run repeated, so
+/// Runs `spec.algo` on `prepared` under `spec.baseline` and
+/// `spec.direction` with tracing enabled and assembles the run report.
+/// Under `Auto`/`Pull` the report's trace carries a per-superstep
+/// `direction` series (1 = pull) and, under `Auto`, the `frontier-mass`
+/// series the decision was made from.
+///
+/// With `spec.accuracy` set it also fills the v2 `accuracy` section: the
+/// run's outcome is compared against the exact CPU reference, and — when
+/// the producing pipeline is known — each enabled transform stage is
+/// toggled off in turn and the run repeated, so
 /// the inaccuracy each stage is responsible for can be charged to it
 /// (`charged = max(0, total − without_stage)`).
 ///
@@ -227,16 +198,31 @@ pub fn observed_run(
     prepared: &Prepared,
     gpu: &GpuConfig,
 ) -> TracedRun {
-    let mut traced = traced_run_directed(
+    let mut plan = spec
+        .baseline
+        .plan(prepared, gpu)
+        .with_direction(spec.direction);
+    let trace = instrument_plan(&mut plan, prepared);
+
+    trace.span_enter(Phase::Run, spec.algo.name());
+    let (run, scalar) = spec.algo.run(&plan, original, None, spec.bc_sources);
+    trace.span_exit();
+    let outcome = AlgoOutcome::of(&run, scalar);
+
+    let report = assemble_report(
         spec.command,
-        spec.algo,
-        original,
+        spec.algo.name(),
         prepared,
         spec.baseline,
-        gpu,
-        spec.bc_sources,
-        spec.direction,
+        &plan,
+        &run,
+        &trace,
     );
+    let mut traced = TracedRun {
+        report,
+        run,
+        outcome,
+    };
     if !spec.accuracy {
         return traced;
     }

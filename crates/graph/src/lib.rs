@@ -28,7 +28,7 @@ pub use builder::GraphBuilder;
 pub use csr::{undirected_build_count, Csr, EdgeId, NodeId, INVALID_NODE};
 pub use error::GraphError;
 pub use generators::{GraphKind, GraphSpec};
-pub use mutation::{parse_stream, BatchOutcome, DeltaLog, EdgeBatch};
+pub use mutation::{parse_stream, BatchOutcome, EdgeBatch};
 pub use segment::{Segment, Segmentation};
 pub use triangles::TriangleIndex;
 

@@ -2,8 +2,8 @@
 //!
 //! A [`Csr`] is immutable-by-convention everywhere else in Graffix; this
 //! module is the one seam through which a graph changes. Mutations arrive
-//! as an [`EdgeBatch`] (inserts + deletes), are optionally buffered in a
-//! compacting [`DeltaLog`], and land through [`Csr::apply_batch`]:
+//! as an [`EdgeBatch`] (inserts + deletes) and land through
+//! [`Csr::apply_batch`]:
 //!
 //! 1. **Tombstone pass** — every deleted arc is overwritten with
 //!    `INVALID_NODE` in a working copy of the edge array. The sentinel is
@@ -31,7 +31,6 @@
 
 use crate::csr::{Csr, NodeId, INVALID_NODE};
 use crate::error::GraphError;
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read};
 
 /// One batch of edge mutations: arcs to delete and arcs to insert.
@@ -106,83 +105,6 @@ impl BatchOutcome {
     /// True when the batch left the graph byte-identical.
     pub fn is_noop(&self) -> bool {
         self.churn_arcs() == 0 && self.reweighted == 0
-    }
-}
-
-/// Pending state of one arc in the delta log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DeltaOp {
-    Insert(u32),
-    Delete,
-}
-
-/// A compacting buffer of pending mutations.
-///
-/// Operations are folded last-writer-wins per arc, so an insert followed
-/// by a delete of the same arc cancels down to a single delete (and
-/// vice versa) no matter how many times the arc flip-flops in between.
-/// `BTreeMap` keeps drain order deterministic.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaLog {
-    ops: BTreeMap<(NodeId, NodeId), DeltaOp>,
-    pushed: usize,
-}
-
-impl DeltaLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        DeltaLog::default()
-    }
-
-    /// Records an insert (last op for the arc wins).
-    pub fn insert(&mut self, u: NodeId, v: NodeId, w: u32) {
-        self.pushed += 1;
-        self.ops.insert((u, v), DeltaOp::Insert(w));
-    }
-
-    /// Records a delete (last op for the arc wins).
-    pub fn delete(&mut self, u: NodeId, v: NodeId) {
-        self.pushed += 1;
-        self.ops.insert((u, v), DeltaOp::Delete);
-    }
-
-    /// Folds a whole batch in (its deletes first, matching apply order).
-    pub fn record(&mut self, batch: &EdgeBatch) {
-        for &(u, v) in batch.deletes() {
-            self.delete(u, v);
-        }
-        for &(u, v, w) in batch.inserts() {
-            self.insert(u, v, w);
-        }
-    }
-
-    /// Number of distinct arcs with a pending operation.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Total operations recorded since the last drain, before compaction.
-    pub fn raw_len(&self) -> usize {
-        self.pushed
-    }
-
-    /// Drains the log into one compacted batch ready for
-    /// [`Csr::apply_batch`].
-    pub fn take_batch(&mut self) -> EdgeBatch {
-        let mut batch = EdgeBatch::new();
-        for ((u, v), op) in std::mem::take(&mut self.ops) {
-            match op {
-                DeltaOp::Insert(w) => batch.insert(u, v, w),
-                DeltaOp::Delete => batch.delete(u, v),
-            }
-        }
-        self.pushed = 0;
-        batch
     }
 }
 
@@ -537,23 +459,6 @@ mod tests {
             g.apply_batch(&b),
             Err(GraphError::NodeOutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn delta_log_compacts_opposing_ops() {
-        let mut log = DeltaLog::new();
-        log.insert(0, 1, 1);
-        log.delete(0, 1);
-        log.insert(2, 3, 5);
-        log.delete(2, 3);
-        log.insert(2, 3, 7);
-        assert_eq!(log.raw_len(), 5);
-        assert_eq!(log.len(), 2);
-        let batch = log.take_batch();
-        assert_eq!(batch.deletes(), &[(0, 1)]);
-        assert_eq!(batch.inserts(), &[(2, 3, 7)]);
-        assert!(log.is_empty());
-        assert_eq!(log.raw_len(), 0);
     }
 
     #[test]

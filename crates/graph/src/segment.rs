@@ -3,8 +3,7 @@
 //! The segmented execution path (DESIGN.md §12) splits the node range
 //! into contiguous segments sized to a byte budget; each segment's
 //! offset/edge/weight data is a contiguous window of the parent arrays,
-//! so a segment is described by four indices plus a *boundary-edge
-//! table* counting how many of its arcs land in every other segment.
+//! so a segment is described by its node range and its edge range.
 //! Because segments are contiguous vertex ranges, a sorted frontier
 //! splits into per-segment subslices with one binary search per segment
 //! — [`Segmentation::route`] hands those subslices (or, for unsorted
@@ -46,12 +45,6 @@ pub struct Segment {
     pub edge_start: EdgeId,
     /// One past the last edge index (`offsets[end]`).
     pub edge_end: EdgeId,
-    /// Boundary-edge table: `(destination segment, arc count)` for every
-    /// *other* segment this segment has arcs into, ascending by segment
-    /// index. Intra-segment arcs are in [`Segment::internal_edges`].
-    pub routes: Vec<(u32, u64)>,
-    /// Arcs whose destination stays inside this segment.
-    pub internal_edges: u64,
 }
 
 impl Segment {
@@ -73,32 +66,6 @@ impl Segment {
         self.edge_end - self.edge_start
     }
 
-    /// Arcs that cross into other segments (sum of the routing table).
-    pub fn boundary_edges(&self) -> u64 {
-        self.routes.iter().map(|&(_, c)| c).sum()
-    }
-
-    /// This segment's window of the parent offsets array
-    /// (`num_nodes() + 1` entries; subtract `edge_start` to localize).
-    pub fn offsets<'a>(&self, g: &'a Csr) -> &'a [EdgeId] {
-        &g.offsets()[self.start as usize..=self.end as usize]
-    }
-
-    /// This segment's window of the parent edge array.
-    pub fn edges<'a>(&self, g: &'a Csr) -> &'a [NodeId] {
-        &g.edges_raw()[self.edge_start..self.edge_end]
-    }
-
-    /// This segment's window of the parent weight array (`None` for
-    /// unweighted graphs).
-    pub fn weights<'a>(&self, g: &'a Csr) -> Option<&'a [u32]> {
-        if g.is_weighted() {
-            Some(&g.weights_raw()[self.edge_start..self.edge_end])
-        } else {
-            None
-        }
-    }
-
     /// Estimated resident bytes while this segment is being processed.
     pub fn bytes(&self, weighted: bool) -> usize {
         self.num_nodes() * BYTES_PER_NODE + self.num_edges() * bytes_per_edge(weighted)
@@ -108,10 +75,11 @@ impl Segment {
 /// A complete partition of a CSR's node range into contiguous segments.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Segmentation {
-    segment_bytes: usize,
     segments: Vec<Segment>,
     /// `starts[i] == segments[i].start`, for binary-search routing.
     starts: Vec<NodeId>,
+    /// Arcs whose destination lies outside their source's segment.
+    boundary_edges: u64,
 }
 
 impl Segmentation {
@@ -120,23 +88,36 @@ impl Segmentation {
     /// list alone exceeds the budget still gets its own segment — the
     /// partition always covers every slot).
     pub fn build(g: &Csr, segment_bytes: usize) -> Segmentation {
-        let ranges = Segmentation::split_ranges(g, segment_bytes);
-        let starts: Vec<NodeId> = ranges.iter().map(|r| r.start).collect();
-        let segments = ranges
+        let offsets = g.offsets();
+        let edges = g.edges_raw();
+        let mut boundary_edges = 0u64;
+        let segments: Vec<Segment> = Segmentation::split_ranges(g, segment_bytes)
             .into_iter()
-            .map(|r| Segmentation::analyze_range(g, r, &starts))
+            .map(|r| {
+                let seg = Segment {
+                    start: r.start,
+                    end: r.end,
+                    edge_start: offsets[r.start as usize],
+                    edge_end: offsets[r.end as usize],
+                };
+                boundary_edges += edges[seg.edge_start..seg.edge_end]
+                    .iter()
+                    .filter(|&d| !r.contains(d))
+                    .count() as u64;
+                seg
+            })
             .collect();
+        let starts = segments.iter().map(|s| s.start).collect();
         Segmentation {
-            segment_bytes,
             segments,
             starts,
+            boundary_edges,
         }
     }
 
     /// The greedy boundary pass alone: contiguous node ranges of at most
-    /// `segment_bytes` estimated bytes, covering every slot, with no
-    /// routing analysis. O(|V|); the per-range
-    /// [`Segmentation::analyze_range`] pass is the O(|E|) part.
+    /// `segment_bytes` estimated bytes, covering every slot. O(|V|);
+    /// counting boundary arcs in [`Segmentation::build`] is the O(|E|) part.
     fn split_ranges(g: &Csr, segment_bytes: usize) -> Vec<std::ops::Range<NodeId>> {
         let n = g.num_nodes();
         let per_edge = bytes_per_edge(g.is_weighted());
@@ -157,55 +138,6 @@ impl Segmentation {
             ranges.push(start as NodeId..n as NodeId);
         }
         ranges
-    }
-
-    /// Routing analysis for one range of a split: counts the range's arcs
-    /// by destination segment against the full boundary list (`starts`
-    /// must be the starts of *every* range, ascending).
-    fn analyze_range(g: &Csr, range: std::ops::Range<NodeId>, starts: &[NodeId]) -> Segment {
-        let offsets = g.offsets();
-        let edges = g.edges_raw();
-        let edge_start = offsets[range.start as usize];
-        let edge_end = offsets[range.end as usize];
-        let own = match starts.binary_search(&range.start) {
-            Ok(j) => j,
-            Err(j) => j - 1,
-        };
-        let mut counts = vec![0u64; starts.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        for &d in &edges[edge_start..edge_end] {
-            let t = match starts.binary_search(&d) {
-                Ok(j) => j,
-                Err(j) => j - 1,
-            };
-            if counts[t] == 0 {
-                touched.push(t as u32);
-            }
-            counts[t] += 1;
-        }
-        touched.sort_unstable();
-        let mut seg = Segment {
-            start: range.start,
-            end: range.end,
-            edge_start,
-            edge_end,
-            routes: Vec::new(),
-            internal_edges: 0,
-        };
-        for &t in &touched {
-            if t as usize == own {
-                seg.internal_edges = counts[t as usize];
-            } else {
-                seg.routes.push((t, counts[t as usize]));
-            }
-        }
-        seg
-    }
-
-    /// The byte budget this partition was built for.
-    #[inline]
-    pub fn segment_bytes(&self) -> usize {
-        self.segment_bytes
     }
 
     /// Number of segments.
@@ -286,14 +218,16 @@ impl Segmentation {
 
     /// Total cross-segment arcs (size of the routing workload).
     pub fn boundary_edges(&self) -> u64 {
-        self.segments.iter().map(|s| s.boundary_edges()).sum()
+        self.boundary_edges
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::tests::adversarial_graph;
     use crate::generators::{GraphKind, GraphSpec};
+    use proptest::prelude::*;
 
     fn line(n: usize) -> Csr {
         let adj: Vec<Vec<NodeId>> = (0..n)
@@ -347,9 +281,7 @@ mod tests {
         let g = line(10);
         let s = Segmentation::build(&g, usize::MAX / 2);
         assert_eq!(s.len(), 1);
-        let seg = &s.segments()[0];
-        assert_eq!(seg.routes, vec![]);
-        assert_eq!(seg.internal_edges, g.num_edges() as u64);
+        assert_eq!(s.boundary_edges(), 0);
         assert_eq!(s.segment_of(9), 0);
         assert_eq!(s.split_sorted(&[0, 3, 9]), vec![0..3]);
     }
@@ -361,22 +293,31 @@ mod tests {
         let g = line(8);
         let s = Segmentation::build(&g, 40);
         assert_eq!(s.len(), 4);
-        for (i, seg) in s.segments().iter().enumerate() {
+        for seg in s.segments() {
             assert_eq!(seg.num_nodes(), 2);
-            assert_eq!(seg.internal_edges, 1);
-            if i + 1 < s.len() {
-                assert_eq!(seg.routes, vec![(i as u32 + 1, 1)]);
-            } else {
-                assert_eq!(seg.routes, vec![]);
-            }
         }
-        let total: u64 = s
-            .segments()
-            .iter()
-            .map(|x| x.internal_edges + x.boundary_edges())
-            .sum();
-        assert_eq!(total, g.num_edges() as u64);
         assert_eq!(s.boundary_edges(), 3);
+    }
+
+    // The total `build` counts equals a brute-force count that looks up
+    // both ends' segments of every arc, at budgets from one node per
+    // segment to one segment.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn boundary_edges_equal_a_brute_force_count(
+            g in adversarial_graph(),
+            pick in 0usize..5,
+        ) {
+            let budget = [16, 40, 100, 512, usize::MAX / 2][pick];
+            let s = Segmentation::build(&g, budget);
+            let want = (0..g.num_nodes() as NodeId)
+                .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u, v)))
+                .filter(|&(u, v)| s.segment_of(u) != s.segment_of(v))
+                .count() as u64;
+            prop_assert_eq!(s.boundary_edges(), want);
+        }
     }
 
     #[test]
@@ -437,19 +378,10 @@ mod tests {
         let g = GraphSpec::new(GraphKind::Rmat, 200, 4).generate();
         let s = Segmentation::build(&g, 1500);
         for seg in s.segments() {
-            let offs = seg.offsets(&g);
-            assert_eq!(offs.len(), seg.num_nodes() + 1);
-            assert_eq!(offs[0], seg.edge_start);
-            assert_eq!(*offs.last().unwrap(), seg.edge_end);
-            assert_eq!(seg.edges(&g).len(), seg.num_edges());
-            if g.is_weighted() {
-                assert_eq!(seg.weights(&g).unwrap().len(), seg.num_edges());
-            }
-            for (local, v) in seg.nodes().enumerate() {
-                let lo = offs[local] - seg.edge_start;
-                let hi = offs[local + 1] - seg.edge_start;
-                assert_eq!(&seg.edges(&g)[lo..hi], g.neighbors(v));
-            }
+            assert_eq!(seg.edge_start, g.offsets()[seg.start as usize]);
+            assert_eq!(seg.edge_end, g.offsets()[seg.end as usize]);
+            let degrees: usize = seg.nodes().map(|v| g.degree(v)).sum();
+            assert_eq!(seg.num_edges(), degrees);
         }
     }
 

@@ -213,7 +213,9 @@ fn decode(mut input: impl Read, have: u64) -> io::Result<Csr> {
     };
     let hole_mask = if layout.has_holes {
         let packed = read_le(&mut input, n.div_ceil(8), |[byte]| byte)?;
-        (0..n).map(|v| packed[v / 8] & (1 << (v % 8)) != 0).collect()
+        (0..n)
+            .map(|v| packed[v / 8] & (1 << (v % 8)) != 0)
+            .collect()
     } else {
         Vec::new()
     };

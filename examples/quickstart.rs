@@ -54,7 +54,7 @@ fn main() {
         (
             "divergence (degree buckets + 2-hop fill)",
             Pipeline::default()
-                .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+                .with_divergence(DivergenceKnobs::default())
                 .apply(&graph, &gpu),
         ),
     ];

@@ -31,7 +31,7 @@ fn main() {
 
     let exact = Prepared::exact(graph.clone());
     let transformed = Pipeline::default()
-        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Road))
+        .with_divergence(DivergenceKnobs::default())
         .apply(&graph, &gpu);
 
     println!(

@@ -63,14 +63,14 @@ fn main() {
         ),
         (
             "divergence only",
-            Pipeline::default().with_divergence(DivergenceKnobs::for_kind(kind)),
+            Pipeline::default().with_divergence(DivergenceKnobs::default()),
         ),
         (
             "combined (coalesce -> latency -> divergence)",
             Pipeline::default()
                 .with_coalesce(CoalesceKnobs::for_kind(kind))
                 .with_latency(LatencyKnobs::for_kind(kind))
-                .with_divergence(DivergenceKnobs::for_kind(kind)),
+                .with_divergence(DivergenceKnobs::default()),
         ),
     ];
     for (label, pipeline) in single {

@@ -82,7 +82,7 @@ fn graffix_speedups_lower_against_tigr_for_divergence() {
     let gpu = GpuConfig::k40c();
     let exact = Prepared::exact(g.clone());
     let transformed = Pipeline::default()
-        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .with_divergence(DivergenceKnobs::default())
         .apply(&g, &gpu);
     let src = sssp::default_source(&g);
 

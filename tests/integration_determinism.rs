@@ -93,7 +93,7 @@ fn json_report_byte_identical_at_any_thread_count() {
     let transformed = Pipeline {
         coalesce: Some(CoalesceKnobs::for_kind(GraphKind::SocialLiveJournal)),
         latency: Some(LatencyKnobs::for_kind(GraphKind::SocialLiveJournal)),
-        divergence: Some(DivergenceKnobs::for_kind(GraphKind::SocialLiveJournal)),
+        divergence: Some(DivergenceKnobs::default()),
     }
     .apply(&g, &gpu);
 
@@ -183,15 +183,19 @@ fn residual_pagerank_report_byte_identical_at_any_thread_count() {
         .iter()
         .map(|&n| {
             with_threads(n, || {
-                traced_run_directed(
-                    "profile",
-                    Algo::Pr,
+                observed_run(
+                    RunSpec {
+                        command: "profile",
+                        algo: Algo::Pr,
+                        baseline: Baseline::Gunrock,
+                        bc_sources: 2,
+                        direction: Direction::Auto,
+                        accuracy: false,
+                        pipeline: None,
+                    },
                     &g,
                     &prepared,
-                    Baseline::Gunrock,
                     &gpu,
-                    2,
-                    Direction::Auto,
                 )
                 .report
                 .to_pretty_string()
@@ -252,14 +256,14 @@ fn transformed_csr_byte_identical_at_any_thread_count() {
         ),
         (
             "divergence",
-            Pipeline::default().with_divergence(DivergenceKnobs::for_kind(kind)),
+            Pipeline::default().with_divergence(DivergenceKnobs::default()),
         ),
         (
             "combined",
             Pipeline {
                 coalesce: Some(CoalesceKnobs::for_kind(kind)),
                 latency: Some(LatencyKnobs::for_kind(kind)),
-                divergence: Some(DivergenceKnobs::for_kind(kind)),
+                divergence: Some(DivergenceKnobs::default()),
             },
         ),
     ];
@@ -307,7 +311,7 @@ fn cold_and_warm_cache_runs_byte_identical() {
     let pipeline = Pipeline {
         coalesce: Some(CoalesceKnobs::for_kind(GraphKind::Rmat)),
         latency: Some(LatencyKnobs::for_kind(GraphKind::Rmat)),
-        divergence: Some(DivergenceKnobs::for_kind(GraphKind::Rmat)),
+        divergence: Some(DivergenceKnobs::default()),
     };
 
     let (cold, cold_outcome) = prepare_with_cache(&g, &pipeline, &gpu, &cache).unwrap();
@@ -340,7 +344,7 @@ fn transformed_plan_with_confluence_and_tiles_is_deterministic() {
     let prepared = Pipeline {
         coalesce: Some(CoalesceKnobs::for_kind(GraphKind::SocialLiveJournal)),
         latency: Some(LatencyKnobs::for_kind(GraphKind::SocialLiveJournal)),
-        divergence: Some(DivergenceKnobs::for_kind(GraphKind::SocialLiveJournal)),
+        divergence: Some(DivergenceKnobs::default()),
     }
     .apply(&g, &gpu);
     let plan = Baseline::Lonestar.plan(&prepared, &gpu);

@@ -12,7 +12,7 @@ fn divergent_slots_drop_substantially() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
     let prepared = Pipeline::default()
-        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .with_divergence(DivergenceKnobs::default())
         .apply(&g, &gpu);
     let exact = pagerank::run_sim(&Baseline::Lonestar.plan(&Prepared::exact(g.clone()), &gpu));
     let approx = pagerank::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu));
@@ -29,7 +29,7 @@ fn lockstep_steps_shrink_on_skewed_degrees() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
     let prepared = Pipeline::default()
-        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .with_divergence(DivergenceKnobs::default())
         .apply(&g, &gpu);
     let exact = pagerank::run_sim(&Baseline::Lonestar.plan(&Prepared::exact(g.clone()), &gpu));
     let approx = pagerank::run_sim(&Baseline::Lonestar.plan(&prepared, &gpu));
@@ -63,7 +63,7 @@ fn sum_rule_weights_preserve_sssp_distances() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
     let prepared = Pipeline::default()
-        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .with_divergence(DivergenceKnobs::default())
         .apply(&g, &gpu);
     assert!(prepared.report.edges_added > 0, "expect fills on rmat");
     let src = sssp::default_source(&g);
@@ -104,7 +104,7 @@ fn works_under_all_baselines() {
     let g = skewed();
     let gpu = GpuConfig::k40c();
     let prepared = Pipeline::default()
-        .with_divergence(DivergenceKnobs::for_kind(GraphKind::Rmat))
+        .with_divergence(DivergenceKnobs::default())
         .apply(&g, &gpu);
     let src = sssp::default_source(&g);
     let reference = sssp::exact_cpu(&g, src);

@@ -134,7 +134,7 @@ fn superstep_snapshots_sum_to_final_stats_for_all_algos() {
             ..CoalesceKnobs::for_kind(GraphKind::Rmat)
         }),
         latency: Some(LatencyKnobs::for_kind(GraphKind::Rmat)),
-        divergence: Some(DivergenceKnobs::for_kind(GraphKind::Rmat)),
+        divergence: Some(DivergenceKnobs::default()),
     }
     .apply(&g, &gpu);
 
@@ -210,7 +210,7 @@ fn observed_run_report_carries_v2_sections() {
             ..CoalesceKnobs::for_kind(GraphKind::Rmat)
         }),
         latency: Some(LatencyKnobs::for_kind(GraphKind::Rmat)),
-        divergence: Some(DivergenceKnobs::for_kind(GraphKind::Rmat)),
+        divergence: Some(DivergenceKnobs::default()),
     };
     let prepared = pipeline.apply(&g, &gpu);
     let t = observed_run(

@@ -135,7 +135,7 @@ fn prepared_matrix_equals_the_recorded_rows() {
             let (c, l, d) = (
                 CoalesceKnobs::for_kind(kind),
                 LatencyKnobs::for_kind(kind),
-                DivergenceKnobs::for_kind(kind),
+                DivergenceKnobs::default(),
             );
             let mut shapes: Vec<(String, Pipeline)> = (1..8u8)
                 .map(|bits| {

@@ -127,9 +127,8 @@ fn segmented_matrix_deterministic_across_threads_and_budgets() {
     }
 }
 
-/// Weighted SSSP exercises the weight windows of each segment; the
-/// boundary-edge table must route weighted relaxations across segments
-/// without touching the values.
+/// Weighted SSSP exercises each segment's weights; relaxations across
+/// segment boundaries must leave the values untouched.
 #[test]
 fn weighted_sssp_segmented_matches_flat_on_road_graph() {
     let g = GraphSpec::new(GraphKind::Road, 2_000, 13).generate();
