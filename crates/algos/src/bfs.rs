@@ -76,11 +76,12 @@ impl VertexProgram for BfsProgram<'_> {
             return false;
         }
         lane.read(ArrayId::T_OFFSETS, v as usize);
+        let sources = plan.csc_source_slots();
         for e in csc.edge_range(v) {
             lane.read(ArrayId::T_EDGES, e);
-            let u = csc.edges_raw()[e];
-            lane.read(ArrayId::NODE_ATTR, plan.slot(u) as usize);
-            if self.prev[plan.logical_of(u) as usize] != u32::MAX {
+            let slot_u = sources[e] as usize;
+            lane.read(ArrayId::NODE_ATTR, slot_u);
+            if self.prev[plan.to_original[slot_u] as usize] != u32::MAX {
                 lane.write(ArrayId::NODE_ATTR, slot);
                 self.next.fetch_min(lv as usize, self.cur + 1);
                 plan.activate_logical(lv, lane);

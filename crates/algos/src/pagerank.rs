@@ -93,9 +93,6 @@ struct PrTopology<'p> {
     /// This iteration's pushed mass per slot, in `fixed`'s raw units.
     next: Vec<i64>,
     fixed: FixedPoint,
-    /// The attribute slot of each arc's destination, in arc order: the
-    /// push reads it as one sequential stream instead of a lookup per arc.
-    arc_slots: Vec<NodeId>,
     applier: Vec<bool>,
     active: Vec<NodeId>,
     slot_deg: Vec<usize>,
@@ -122,12 +119,6 @@ impl<'p> PrTopology<'p> {
             rank: AtomicF64Array::from_slice(&rank),
             next: vec![0; plan.attr_len],
             fixed: FixedPoint::new(PR_FRAC_BITS),
-            arc_slots: plan
-                .graph
-                .edges_raw()
-                .iter()
-                .map(|&u| plan.slot(u))
-                .collect(),
             applier: appliers(plan, &active),
             active,
             slot_deg: slot_degrees(plan),
@@ -166,6 +157,7 @@ impl<'p> PrTopology<'p> {
             acc.clear();
             return;
         }
+        let arc_slots = self.plan.arc_slots();
         for &v in &self.active {
             let slot = self.plan.slot(v) as usize;
             let arcs = self.plan.graph.edge_range(v);
@@ -173,7 +165,7 @@ impl<'p> PrTopology<'p> {
                 continue;
             }
             let raw = self.fixed.quantize_raw(self.share(slot));
-            for &slot_u in &self.arc_slots[arcs] {
+            for &slot_u in &arc_slots[arcs] {
                 let cell = &mut self.next[slot_u as usize];
                 *cell = cell.wrapping_add(raw);
             }
@@ -193,9 +185,10 @@ impl VertexProgram for PrTopology<'_> {
         if graph.degree(v) == 0 || self.slot_deg[slot] == 0 {
             return false;
         }
+        let arc_slots = plan.arc_slots();
         for e in graph.edge_range(v) {
             lane.read(ArrayId::EDGES, e);
-            let slot_u = self.arc_slots[e] as usize;
+            let slot_u = arc_slots[e] as usize;
             lane.atomic(ArrayId::NODE_ATTR_AUX, slot_u);
             #[cfg(test)]
             if let Some(acc) = &self.in_kernel {
@@ -280,20 +273,25 @@ struct PrFrontier<'p> {
     claimed_nodes: Vec<NodeId>,
     slot_deg: Vec<usize>,
     threshold: f64,
-    /// Whether each slot emits a share this superstep (host-written; valid
-    /// only where `flush_epoch` matches the current epoch).
-    emitting: Vec<bool>,
-    /// The emitted share, pre-quantized to residual fixed-point raw units
-    /// so pull gathers can sum in a register and commit with one atomic,
-    /// landing on exactly the bits per-arc pushes would produce.
-    share_raw: Vec<i64>,
+    /// What each slot emits along each of its arcs this superstep, or
+    /// [`SILENT`] (host-written). The share is pre-quantized to residual
+    /// fixed-point raw units so pull gathers can sum in a register and
+    /// commit with one atomic, landing on exactly the bits per-arc pushes
+    /// would produce.
+    emit: Vec<i64>,
 }
+
+/// [`PrFrontier::emit`] of a slot that emits nothing this superstep.
+/// Shares are non-negative, so no quantized share equals it — a share
+/// that quantizes to 0 still counts as received.
+const SILENT: i64 = -1;
 
 impl VertexProgram for PrFrontier<'_> {
     fn begin_superstep(&mut self, frontier: &[NodeId]) {
         self.epoch += 1;
         for &v in &self.claimed_nodes {
             self.claimant[v as usize] = false;
+            self.emit[self.plan.slot(v) as usize] = SILENT;
         }
         self.claimed_nodes.clear();
         for &v in frontier {
@@ -306,14 +304,11 @@ impl VertexProgram for PrFrontier<'_> {
                 let r = self.residual.get(slot);
                 self.residual.set(slot, 0.0);
                 self.flush[slot] = r;
-                let emit = r > self.threshold && self.slot_deg[slot] > 0;
-                self.emitting[slot] = emit;
-                self.share_raw[slot] = if emit {
-                    self.residual
-                        .quantize_raw(DAMPING * r / self.slot_deg[slot] as f64)
-                } else {
-                    0
-                };
+                if r > self.threshold && self.slot_deg[slot] > 0 {
+                    self.emit[slot] = self
+                        .residual
+                        .quantize_raw(DAMPING * r / self.slot_deg[slot] as f64);
+                }
             }
         }
     }
@@ -334,10 +329,10 @@ impl VertexProgram for PrFrontier<'_> {
             return false;
         }
         let share = DAMPING * r / self.slot_deg[slot] as f64;
+        let arc_slots = plan.arc_slots();
         for e in graph.edge_range(v) {
             lane.read(ArrayId::EDGES, e);
-            let u = graph.edges_raw()[e];
-            let slot_u = plan.slot(u) as usize;
+            let slot_u = arc_slots[e] as usize;
             lane.atomic(ArrayId::NODE_ATTR_AUX, slot_u);
             // Same-signed fixed-point adds: the slot's final residual
             // crosses the threshold iff some lane's post-add value does,
@@ -357,10 +352,11 @@ impl VertexProgram for PrFrontier<'_> {
     /// claimed residual (the apply the push kernel's claimant performs),
     /// then sums the pre-quantized shares of every *emitting* in-neighbor
     /// in a register and commits them with a single fixed-point atomic.
-    /// Emission membership (`flush_epoch == epoch && emitting`) is
-    /// host-written in `begin_superstep`, and per-arc shares are the exact
-    /// raw addends push would add — integer addition commutes, so residual
-    /// bits, rank bits, and the activation set all match push exactly.
+    /// Emission (`emit`, one word per slot) is host-written in
+    /// `begin_superstep`, and per-arc shares are the exact raw addends push
+    /// would add — integer addition commutes, so residual bits, rank bits,
+    /// and the activation set all match push exactly. On the host a
+    /// gathered arc reads one slot-stream word and one emission word.
     fn process_pull(&self, v: NodeId, lane: &mut Lane) -> bool {
         let plan = self.plan;
         let csc = plan.csc();
@@ -383,13 +379,14 @@ impl VertexProgram for PrFrontier<'_> {
         }
         let mut acc_raw = 0i64;
         let mut received = false;
+        let sources = plan.csc_source_slots();
         for e in csc.edge_range(v) {
             lane.read(ArrayId::T_EDGES, e);
-            let u = csc.edges_raw()[e];
-            let slot_u = plan.slot(u) as usize;
+            let slot_u = sources[e] as usize;
             lane.read(ArrayId::FRONTIER, slot_u);
-            if self.flush_epoch[slot_u] == self.epoch && self.emitting[slot_u] {
-                acc_raw = acc_raw.wrapping_add(self.share_raw[slot_u]);
+            let raw = self.emit[slot_u];
+            if raw != SILENT {
+                acc_raw = acc_raw.wrapping_add(raw);
                 received = true;
             }
         }
@@ -452,8 +449,7 @@ fn run_frontier(plan: &Plan) -> SimRun {
         claimed_nodes: Vec::new(),
         slot_deg: slot_degrees(plan),
         threshold: TOLERANCE,
-        emitting: vec![false; plan.attr_len],
-        share_raw: vec![0i64; plan.attr_len],
+        emit: vec![SILENT; plan.attr_len],
     };
     let init = runner.active_nodes();
     let (stats, iterations) = runner.frontier_loop(init, MAX_ITERS, &mut prog);

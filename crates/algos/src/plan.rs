@@ -113,6 +113,12 @@ pub struct PlanDerived {
     /// CSC mirror of the processing graph (pull-mode gather topology),
     /// shared with the graph's memoized transpose view.
     csc: OnceLock<Arc<Csr>>,
+    /// Each CSR arc's destination as an attribute slot, in arc order
+    /// (`None` for identity plans).
+    arc_slots: OnceLock<Option<Vec<NodeId>>>,
+    /// Each CSC arc's source as an attribute slot, in CSC arc order
+    /// (`None` for identity plans).
+    csc_source_slots: OnceLock<Option<Vec<NodeId>>>,
     /// Whether `attr_of` is the identity (an O(n) scan, asked per tile).
     identity_attrs: OnceLock<bool>,
 }
@@ -185,6 +191,39 @@ impl Plan {
     /// and logical mappings apply to it directly.
     pub fn csc(&self) -> &Csr {
         self.derived.csc.get_or_init(|| self.graph.transposed())
+    }
+
+    /// The attribute slot of each CSR arc's destination, in arc order: a
+    /// push reads it as one sequential stream instead of a lookup per arc.
+    /// Identity plans return the graph's own edge array, copying nothing.
+    pub(crate) fn arc_slots(&self) -> &[NodeId] {
+        let edges = self.graph.edges_raw();
+        self.derived
+            .arc_slots
+            .get_or_init(|| self.slots_of(edges))
+            .as_deref()
+            .unwrap_or(edges)
+    }
+
+    /// The attribute slot of each CSC arc's source, in CSC arc order: the
+    /// pull-mode counterpart of [`Plan::arc_slots`]. Identity plans return
+    /// the CSC's own edge array, copying nothing.
+    pub(crate) fn csc_source_slots(&self) -> &[NodeId] {
+        let sources = self.csc().edges_raw();
+        self.derived
+            .csc_source_slots
+            .get_or_init(|| self.slots_of(sources))
+            .as_deref()
+            .unwrap_or(sources)
+    }
+
+    /// `nodes` mapped to their attribute slots, or `None` for identity
+    /// plans (where the mapping is the identity).
+    fn slots_of(&self, nodes: &[NodeId]) -> Option<Vec<NodeId>> {
+        if self.identity_attrs() {
+            return None;
+        }
+        Some(nodes.iter().map(|&u| self.slot(u)).collect())
     }
 
     /// Number of logical (original) vertices.
@@ -413,6 +452,62 @@ mod tests {
         // Clones reset the caches, so they may be mutated before use.
         let clone = split.clone();
         assert_eq!(clone.procs_of_slot().unwrap()[1], vec![1, 3]);
+    }
+
+    /// Both slot streams against the per-arc [`Plan::slot`] lookups they
+    /// replace, on an identity plan (which must borrow the graphs' own edge
+    /// arrays) and on a Tigr-shaped split, whose virtual copies appear as
+    /// CSC sources under ids that are not their slots.
+    #[test]
+    fn slot_streams_equal_the_per_arc_lookups() {
+        use crate::memo_tests::virtually_split;
+        use graffix_graph::generators::{GraphKind, GraphSpec};
+        let cfg = GpuConfig::k40c();
+        let g = GraphSpec::new(GraphKind::Rmat, 1_024, 5).generate();
+        let exact = Plan::exact(&g, &cfg, Strategy::Frontier);
+        assert!(std::ptr::eq(exact.arc_slots(), exact.graph.edges_raw()));
+        assert!(std::ptr::eq(
+            exact.csc_source_slots(),
+            exact.csc().edges_raw()
+        ));
+        let split = virtually_split(&Prepared::exact(g), &cfg, 8);
+        assert_ne!(split.csc_source_slots(), split.csc().edges_raw());
+        for plan in [&exact, &split] {
+            let slots =
+                |nodes: &[NodeId]| -> Vec<NodeId> { nodes.iter().map(|&u| plan.slot(u)).collect() };
+            assert_eq!(plan.arc_slots(), slots(plan.graph.edges_raw()));
+            assert_eq!(plan.csc_source_slots(), slots(plan.csc().edges_raw()));
+        }
+    }
+
+    /// Pull and auto supersteps on a Tigr-shaped frontier plan, where a
+    /// gathered arc's source may be a virtual copy: bfs, sssp and pr give
+    /// push's values and iteration counts, bit for bit, at 1, 2 and 8
+    /// threads.
+    #[test]
+    fn split_plan_pulls_equal_push() {
+        use crate::algo::Algo;
+        use crate::memo_tests::{virtually_split, with_threads};
+        use graffix_graph::generators::{GraphKind, GraphSpec};
+        let cfg = GpuConfig::k40c();
+        let g = GraphSpec::new(GraphKind::Rmat, 1_024, 5).generate();
+        let split = Plan {
+            strategy: Strategy::Frontier,
+            ..virtually_split(&Prepared::exact(g.clone()), &cfg, 8)
+        };
+        let bits = |run: &SimRun| -> Vec<u64> { run.values.iter().map(|v| v.to_bits()).collect() };
+        for algo in [Algo::Bfs, Algo::Sssp, Algo::Pr] {
+            let push = algo.run(&split, &g, None, 0).0;
+            for threads in [1, 2, 8] {
+                for dir in [Direction::Pull, Direction::Auto] {
+                    let plan = split.clone().with_direction(dir);
+                    let run = with_threads(threads, || algo.run(&plan, &g, None, 0).0);
+                    let id = format!("{}/{dir:?}/{threads}t", algo.name());
+                    assert_eq!(bits(&run), bits(&push), "{id}: values");
+                    assert_eq!(run.iterations, push.iterations, "{id}: iterations");
+                }
+            }
+        }
     }
 
     #[test]

@@ -129,15 +129,15 @@ impl VertexProgram for SsspProgram<'_> {
         lane.read(ArrayId::NODE_ATTR, slot);
         let dv = self.dist.read(slot);
         let mut best = f64::INFINITY;
+        let sources = plan.csc_source_slots();
         for e in csc.edge_range(v) {
             lane.read(ArrayId::T_EDGES, e);
-            let u = csc.edges_raw()[e];
             let w = if self.weighted {
                 csc.weight_at(e) as f64
             } else {
                 1.0
             };
-            let slot_u = plan.slot(u) as usize;
+            let slot_u = sources[e] as usize;
             lane.read(ArrayId::NODE_ATTR, slot_u);
             let du = self.dist.read(slot_u);
             if du + w < best {
