@@ -76,7 +76,7 @@ impl std::error::Error for NoSource {}
 
 impl Algo {
     /// Stable machine-readable name (`sssp`, `bfs`, …): CLI flags, wire
-    /// requests, run reports, bench-baseline cell ids.
+    /// requests, run reports, bench record row ids.
     pub fn name(self) -> &'static str {
         match self {
             Algo::Sssp => "sssp",

@@ -1,409 +1,270 @@
-//! Bench baselines: a committed snapshot of the regression-gate corpus.
+//! The bench record: one committed row file (`BENCH_ci.txt`) that holds
+//! every simulated number the repository pins, and the code that measures
+//! it. `graffix bench --save-baseline FILE` writes it and
+//! `graffix bench --gate FILE` re-measures every family it holds.
 //!
-//! A [`BenchBaseline`] records, for every cell of a small deterministic
-//! corpus (paper suite × technique × gated algorithm under Baseline-I),
-//! simulated `elapsed_cycles` and `inaccuracy` vs the exact CPU reference,
-//! plus the simulated cycles of segmented 2^20-node cells. All of them are
-//! pure functions of the seeded suite (no wall clock, no thread count), so
-//! a baseline saved on one machine is valid on any other, and the gate
-//! holds every cell to its recorded value exactly. The file stores the
-//! [`SuiteOptions`] the gate re-measures with and nothing it does not read.
+//! One row per line, `id key=value …`, in four families told apart by the
+//! id:
+//! * `suite` — the paper suite (`nodes`, `seed`, `bc_sources`) the paper
+//!   and large rows are measured at;
+//! * `paper/<graph>/<technique>/<baseline>/<algo>/<direction>` — simulated
+//!   `cycles` and `inaccuracy` vs the exact CPU reference of the gate
+//!   corpus: paper suite × technique × {sssp, pr} under Baseline-I, plus
+//!   push/auto cells under Gunrock on the two dense families;
+//! * `large/<graph>:<nodes>/<algo>/segmented/large` — `cycles`, `segments`
+//!   and `segment_bytes` of a segmented run on a 2^20-scale rmat graph;
+//! * `launch/…` — the launch matrix ([`crate::launch`]).
 //!
-//! Serialized as the `graffix.bench-baseline` v5 schema (v2 added the
-//! per-cell `direction` key alongside the direction-optimization cells;
-//! v4 added the `large` array of segmented 2^20-node bfs/pr cells; v5
-//! dropped every wall-clock field and the host provenance).
+//! Every value is a pure function of the seeded inputs (no wall clock, no
+//! thread count), so a record saved on one machine holds on any other, and
+//! the gate holds each (row id, key) to its recorded text exactly. Floats
+//! are written with `{}`, Rust's shortest round trip: equal text is equal
+//! bits.
 
 use crate::gate::{Cell, GateReport};
+use crate::launch::launch_rows;
 use crate::suite::{Suite, SuiteOptions};
-use graffix_algos::{Algo, AlgoOutcome, Direction, Plan};
+use graffix_algos::{Algo, AlgoOutcome, Direction};
 use graffix_baselines::Baseline;
-use graffix_core::{Prepared, Technique};
+use graffix_core::{CacheConfig, Prepared, SegmentKnobs, Technique};
 use graffix_graph::generators::{GraphKind, GraphSpec};
 use graffix_graph::Segmentation;
-use graffix_sim::{GpuConfig, Json};
+use graffix_sim::GpuConfig;
+use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
-
-/// Schema identifier for baseline files.
-pub const BASELINE_SCHEMA: &str = "graffix.bench-baseline";
-/// Baseline schema version.
-pub const BASELINE_VERSION: u64 = 5;
-
-/// Techniques the gate corpus covers, in order.
-pub const GATE_TECHNIQUES: [Technique; 5] = [
-    Technique::Exact,
-    Technique::Coalescing,
-    Technique::Latency,
-    Technique::Divergence,
-    Technique::Combined,
-];
 
 /// Algorithms the gate corpus runs (one frontier-driven, one fixpoint).
 /// Kept to two so `save-baseline` + `gate` stay fast enough for CI while
 /// still exercising every transform on every graph family.
 pub const GATE_ALGOS: [Algo; 2] = [Algo::Sssp, Algo::Pr];
 
-/// Identity of one corpus cell.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CellKey {
-    /// Paper graph name (`rmat26`, `USA-road`, ...).
-    pub graph: String,
-    /// [`Technique::key`].
-    pub technique: String,
-    /// [`Baseline::key`].
-    pub baseline: String,
-    /// [`Algo::name`].
-    pub algo: String,
-    /// [`Direction::key`] of the plan's traversal policy.
-    pub direction: String,
-}
+/// Algorithms the large rows run. One traversal and one fixpoint, both
+/// with per-vertex vector outputs so the runs stay cheap enough for CI at
+/// 2^20 nodes.
+const LARGE_ALGOS: [Algo; 2] = [Algo::Bfs, Algo::Pr];
 
-impl CellKey {
-    /// Stable single-string id, used in gate reports and error messages.
-    pub fn id(&self) -> String {
-        format!(
-            "{}/{}/{}/{}/{}",
-            self.graph, self.technique, self.baseline, self.algo, self.direction
-        )
-    }
-}
+/// Id of the suite row; the id prefixes of the other three families.
+pub const SUITE: &str = "suite";
+pub const PAPER: &str = "paper/";
+pub const LARGE: &str = "large/";
+pub const LAUNCH: &str = "launch/";
 
-/// One measured corpus cell.
+/// What a record's rows are measured at, and which families it holds.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CellMeasurement {
-    pub key: CellKey,
-    /// Simulated elapsed cycles.
-    pub elapsed_cycles: u64,
-    /// Inaccuracy vs the exact CPU reference.
-    pub inaccuracy: f64,
+pub struct Families {
+    /// The `suite` row: paper rows are measured on this suite and large
+    /// rows at its seed. `None` when the record holds neither.
+    pub suite: Option<SuiteOptions>,
+    /// Node count of the large rows; 0 when there are none.
+    pub large_nodes: usize,
+    /// Whether the record holds the launch rows.
+    pub launch: bool,
 }
 
-/// Algorithms the large-graph cells run. One traversal and one fixpoint,
-/// both with per-vertex vector outputs so the runs stay cheap enough for
-/// CI at 2^20 nodes.
-pub const LARGE_ALGOS: [Algo; 2] = [Algo::Bfs, Algo::Pr];
-
-/// One large-graph cell: a segmented run on a 2^20-scale rmat graph.
-/// These cells exist to keep the out-of-core path honest at a scale the
-/// regular corpus never reaches; like every corpus cell they are judged
-/// exactly (the `large_cycles` policy).
+/// A bench record: every (row id, key, value) in row order, and what the
+/// rows were measured at.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LargeCellMeasurement {
-    /// Paper graph name (always `rmat26` today).
-    pub graph: String,
-    /// Node count the graph was generated at (e.g. `1048576`).
-    pub nodes: usize,
-    /// Algorithm key (`bfs` or `pr`).
-    pub algo: String,
-    /// Segment byte budget the run was segmented under.
-    pub segment_bytes: usize,
-    /// Number of segments the budget produced (sanity: must be > 1).
-    pub segments: usize,
-    /// Simulated elapsed cycles of the segmented run.
-    pub elapsed_cycles: u64,
+pub struct BenchRecord {
+    pub families: Families,
+    pub cells: Vec<Cell>,
 }
 
-impl LargeCellMeasurement {
-    /// Stable single-string id, used in gate reports and error messages.
-    pub fn id(&self) -> String {
-        format!(
-            "{}:{}/{}/segmented/large",
-            self.graph, self.nodes, self.algo
-        )
-    }
-}
-
-/// Measures the large-graph cells: one rmat graph at `nodes` vertices,
-/// segmented under `segment_bytes`, running each of [`LARGE_ALGOS`] once.
-/// Cycles are pure functions of (nodes, seed, segment_bytes), so a single
-/// run per cell is exact.
-pub fn measure_large(nodes: usize, seed: u64, segment_bytes: usize) -> Vec<LargeCellMeasurement> {
+/// Measures the large rows: one rmat graph at `nodes` vertices, segmented
+/// under `segment_bytes`, running each of [`LARGE_ALGOS`] once. Cycles are
+/// pure functions of (nodes, seed, segment_bytes), so a single run per row
+/// is exact.
+fn measure_large(nodes: usize, seed: u64, segment_bytes: usize) -> Vec<Cell> {
     let cfg = GpuConfig::k40c();
     let g = GraphSpec::new(GraphKind::Rmat, nodes, seed).generate();
     let segments = Arc::new(Segmentation::build(&g, segment_bytes));
-    let n_segments = segments.len();
     let prepared = Prepared::exact(g.clone());
-    LARGE_ALGOS
-        .into_iter()
-        .map(|algo| {
-            let plan = Baseline::Lonestar
-                .plan(&prepared, &cfg)
-                .with_segments(Arc::clone(&segments));
-            let (run, _) = algo.run(&plan, &g, None, 0);
-            LargeCellMeasurement {
-                graph: GraphKind::Rmat.paper_name().to_string(),
-                nodes,
-                algo: algo.name().to_string(),
-                segment_bytes,
-                segments: n_segments,
-                elapsed_cycles: run.stats.elapsed_cycles(&cfg),
-            }
-        })
-        .collect()
-}
-
-/// A complete saved baseline: the suite options the corpus was measured
-/// at, one measurement per corpus cell and the optional segmented
-/// large-graph cells.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchBaseline {
-    /// The corpus shape; the gate re-measures with exactly these.
-    pub suite: SuiteOptions,
-    pub cells: Vec<CellMeasurement>,
-    /// Segmented 2^20-scale cells. Empty unless the baseline was saved
-    /// with `--large-nodes` — [`BenchBaseline::capture`] never measures
-    /// them implicitly because they dominate save time.
-    pub large: Vec<LargeCellMeasurement>,
-}
-
-/// Measures the full gate corpus on `suite`: every (graph, technique)
-/// pair under Baseline-I for each of [`GATE_ALGOS`], then the direction
-/// cells. One run per cell: every metric is deterministic.
-pub fn measure_corpus(suite: &Suite) -> Vec<CellMeasurement> {
-    let baseline = Baseline::Lonestar;
     let mut cells = Vec::new();
-    for gi in 0..suite.len() {
-        for technique in GATE_TECHNIQUES {
-            let prepared = suite.prepared(gi, technique);
-            let plan = baseline.plan(&prepared, &suite.cfg);
-            for algo in GATE_ALGOS {
-                cells.push(measure_cell(suite, gi, &plan, technique, baseline, algo));
-            }
-        }
+    for algo in LARGE_ALGOS {
+        let plan = Baseline::Lonestar
+            .plan(&prepared, &cfg)
+            .with_segments(Arc::clone(&segments));
+        let (run, _) = algo.run(&plan, &g, None, 0);
+        let paper_name = GraphKind::Rmat.paper_name();
+        let id = format!(
+            "{LARGE}{paper_name}:{nodes}/{}/segmented/large",
+            algo.name()
+        );
+        cells.push(Cell::new(&id, "cycles", run.stats.elapsed_cycles(&cfg)));
+        cells.push(Cell::new(&id, "segments", segments.len()));
+        cells.push(Cell::new(id, "segment_bytes", segment_bytes));
     }
-    // Direction-optimization cells (appended so pre-v2 cell ordering is
-    // stable): push vs auto under the frontier-driven baseline on the two
-    // densest graph families, where wavefronts grow wide enough for pull
-    // supersteps to fire.
-    for gi in 0..suite.len() {
-        if !direction_cell_kind(suite.kind(gi)) {
-            continue;
-        }
-        let prepared = suite.prepared(gi, Technique::Exact);
+    cells
+}
+
+/// Measures the gate corpus on `suite`: every (graph, technique) pair
+/// under Baseline-I for each of [`GATE_ALGOS`], then the direction cells —
+/// push vs auto under the frontier-driven baseline on the two densest
+/// graph families, where wavefronts grow wide enough for pull supersteps
+/// to fire. One run per cell: every metric is deterministic.
+fn measure_corpus(suite: &Suite) -> Vec<Cell> {
+    let graphs = 0..suite.len();
+    let lonestar = graphs
+        .clone()
+        .flat_map(|gi| Technique::ALL.map(|t| (gi, t, Baseline::Lonestar)));
+    let dense = graphs.filter(|&gi| matches!(suite.kind(gi), GraphKind::Rmat | GraphKind::Random));
+    let gunrock = dense.map(|gi| (gi, Technique::Exact, Baseline::Gunrock));
+    let (bc_sources, cfg) = (suite.options.bc_sources, &suite.cfg);
+    let mut cells = Vec::new();
+    for (gi, technique, baseline) in lonestar.chain(gunrock) {
+        let (graph, prepared) = (suite.graph(gi), suite.prepared(gi, technique));
+        let directions = match baseline {
+            Baseline::Gunrock => &[Direction::Push, Direction::Auto][..],
+            _ => &[Direction::Push],
+        };
         for algo in GATE_ALGOS {
-            for direction in [Direction::Push, Direction::Auto] {
-                let plan = Baseline::Gunrock
-                    .plan(&prepared, &suite.cfg)
-                    .with_direction(direction);
-                cells.push(measure_cell(
-                    suite,
-                    gi,
-                    &plan,
-                    Technique::Exact,
-                    Baseline::Gunrock,
-                    algo,
-                ));
+            let reference = algo.exact(graph, None, bc_sources);
+            for &direction in directions {
+                let plan = baseline.plan(&prepared, cfg).with_direction(direction);
+                let (run, scalar) = algo.run(&plan, graph, None, bc_sources);
+                let (kind, name) = (suite.kind(gi).paper_name(), algo.name());
+                let id = format!(
+                    "{PAPER}{kind}/{}/{}/{name}/{}",
+                    technique.key(),
+                    baseline.key(),
+                    direction.key()
+                );
+                let inaccuracy = AlgoOutcome::of(&run, scalar).inaccuracy(&reference);
+                cells.push(Cell::new(&id, "cycles", run.elapsed_cycles(cfg)));
+                cells.push(Cell::new(id, "inaccuracy", inaccuracy));
             }
         }
     }
     cells
 }
 
-/// Graph families the direction cells cover.
-pub fn direction_cell_kind(kind: GraphKind) -> bool {
-    matches!(kind, GraphKind::Rmat | GraphKind::Random)
-}
-
-fn measure_cell(
-    suite: &Suite,
-    gi: usize,
-    plan: &Plan,
-    technique: Technique,
-    baseline: Baseline,
-    algo: Algo,
-) -> CellMeasurement {
-    let original = suite.graph(gi);
-    let bc_sources = suite.options.bc_sources;
-    let reference = algo.exact(original, None, bc_sources);
-    let (run, scalar) = algo.run(plan, original, None, bc_sources);
-    CellMeasurement {
-        key: CellKey {
-            graph: suite.kind(gi).paper_name().to_string(),
-            technique: technique.key().to_string(),
-            baseline: baseline.key().to_string(),
-            algo: algo.name().to_string(),
-            direction: plan.direction.key().to_string(),
-        },
-        elapsed_cycles: run.elapsed_cycles(&suite.cfg),
-        inaccuracy: AlgoOutcome::of(&run, scalar).inaccuracy(&reference),
-    }
-}
-
-impl BenchBaseline {
-    /// Measures the corpus of `suite` (no large cells).
-    pub fn capture(suite: &Suite) -> BenchBaseline {
-        BenchBaseline {
-            suite: suite.options.clone(),
-            cells: measure_corpus(suite),
-            large: Vec::new(),
+impl BenchRecord {
+    /// Measures every family `families` names: the suite row and the paper
+    /// rows on a suite read through `cache` (cached loads are bit-identical
+    /// to fresh transforms), the large rows at the default segment budget,
+    /// the launch rows.
+    pub fn measure(families: Families, cache: &CacheConfig) -> BenchRecord {
+        let mut cells = Vec::new();
+        if let Some(options) = &families.suite {
+            cells.push(Cell::new(SUITE, "nodes", options.nodes));
+            cells.push(Cell::new(SUITE, "seed", options.seed));
+            cells.push(Cell::new(SUITE, "bc_sources", options.bc_sources));
+            let suite = Suite::new(options.clone()).with_cache(cache.clone());
+            cells.extend(measure_corpus(&suite));
+            if families.large_nodes > 0 {
+                let budget = SegmentKnobs::default().segment_bytes;
+                cells.extend(measure_large(families.large_nodes, options.seed, budget));
+            }
         }
-    }
-
-    /// Looks a cell up by id.
-    pub fn cell(&self, id: &str) -> Option<&CellMeasurement> {
-        self.cells.iter().find(|c| c.key.id() == id)
-    }
-
-    /// Everything the gate judges, flattened: `cycles` and `inaccuracy`
-    /// per corpus cell, then the large cells.
-    pub fn gate_cells(&self) -> Vec<Cell> {
-        let mut out = Vec::new();
-        for c in &self.cells {
-            out.push(Cell::new(c.key.id(), "cycles", c.elapsed_cycles as f64));
-            out.push(Cell::new(c.key.id(), "inaccuracy", c.inaccuracy));
+        if families.launch {
+            cells.extend(launch_rows());
         }
-        for c in &self.large {
-            out.push(Cell {
-                note: format!("{} segments", c.segments),
-                ..Cell::new(c.id(), "large_cycles", c.elapsed_cycles as f64)
-            });
+        BenchRecord { families, cells }
+    }
+
+    /// The cells of one family ([`SUITE`], [`PAPER`], [`LARGE`], [`LAUNCH`]).
+    pub fn family<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Cell> {
+        self.cells.iter().filter(move |c| c.id.starts_with(family))
+    }
+
+    /// The file text: one line per row, its cells in order.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for row in self.cells.chunk_by(|a, b| a.id == b.id) {
+            out.push_str(&row[0].id);
+            for c in row {
+                write!(out, " {}={}", c.metric, c.value).expect("writing to a String");
+            }
+            out.push('\n');
         }
         out
     }
 
-    /// Serializes to the `graffix.bench-baseline` document.
-    pub fn to_json(&self) -> Json {
-        let mut root = Json::obj();
-        root.set("schema", Json::Str(BASELINE_SCHEMA.to_string()));
-        root.set("version", Json::U64(BASELINE_VERSION));
-        let mut suite = Json::obj();
-        suite.set("nodes", Json::U64(self.suite.nodes as u64));
-        suite.set("seed", Json::U64(self.suite.seed));
-        suite.set("bc_sources", Json::U64(self.suite.bc_sources as u64));
-        root.set("suite", suite);
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut o = Json::obj();
-                o.set("graph", Json::Str(c.key.graph.clone()));
-                o.set("technique", Json::Str(c.key.technique.clone()));
-                o.set("baseline", Json::Str(c.key.baseline.clone()));
-                o.set("algo", Json::Str(c.key.algo.clone()));
-                o.set("direction", Json::Str(c.key.direction.clone()));
-                o.set("elapsed_cycles", Json::U64(c.elapsed_cycles));
-                o.set("inaccuracy", Json::F64(c.inaccuracy));
-                o
-            })
-            .collect();
-        root.set("cells", Json::Arr(cells));
-        let large = self
-            .large
-            .iter()
-            .map(|c| {
-                let mut o = Json::obj();
-                o.set("graph", Json::Str(c.graph.clone()));
-                o.set("nodes", Json::U64(c.nodes as u64));
-                o.set("algo", Json::Str(c.algo.clone()));
-                o.set("segment_bytes", Json::U64(c.segment_bytes as u64));
-                o.set("segments", Json::U64(c.segments as u64));
-                o.set("elapsed_cycles", Json::U64(c.elapsed_cycles));
-                o
-            })
-            .collect();
-        root.set("large", Json::Arr(large));
-        root
-    }
-
-    /// The serialized document (pretty JSON, trailing newline).
-    pub fn to_pretty_string(&self) -> String {
-        self.to_json().to_pretty_string()
-    }
-
-    /// Parses a `graffix.bench-baseline` document.
-    pub fn from_json(doc: &Json) -> Result<BenchBaseline, String> {
-        let schema = str_field(doc, "schema")?;
-        if schema != BASELINE_SCHEMA {
-            return Err(format!(
-                "schema is `{schema}`, expected `{BASELINE_SCHEMA}`"
-            ));
+    /// Reads a record, naming the line of the first thing a hand edit can
+    /// break: a token without `=`, an empty key or value, a key twice in a
+    /// row, a row id twice, an id of no family, a suite row without its
+    /// three counts, or paper or large rows without a suite row.
+    pub fn parse(text: &str) -> Result<BenchRecord, String> {
+        let mut cells: Vec<Cell> = Vec::new();
+        let mut lines: HashMap<&str, usize> = HashMap::new();
+        for (n, line) in (1..).zip(text.lines()) {
+            let at = |e: String| format!("line {n}: {e}");
+            let (id, pairs) = line.split_once(' ').unwrap_or((line, ""));
+            if id != SUITE && ![PAPER, LARGE, LAUNCH].iter().any(|f| id.starts_with(f)) {
+                return Err(at(format!("`{id}` is no row of a bench record")));
+            }
+            if let Some(first) = lines.insert(id, n) {
+                return Err(at(format!("row `{id}` is already on line {first}")));
+            }
+            let row = cells.len();
+            for token in pairs.split(' ') {
+                let (key, value) = token
+                    .split_once('=')
+                    .ok_or_else(|| at(format!("`{token}` has no `=`")))?;
+                if key.is_empty() || value.is_empty() {
+                    return Err(at(format!("`{token}` has an empty key or value")));
+                }
+                if cells[row..].iter().any(|c| c.metric == key) {
+                    return Err(at(format!("key `{key}` is twice in row `{id}`")));
+                }
+                cells.push(Cell::new(id, key, value));
+            }
         }
-        let version = u64_field(doc, "version")?;
-        if version != BASELINE_VERSION {
-            return Err(format!(
-                "unsupported baseline version {version} (this build reads v{BASELINE_VERSION})"
-            ));
-        }
-        let s = doc.get("suite").ok_or("missing `suite`")?;
-        let suite = SuiteOptions {
-            nodes: u64_field(s, "nodes")? as usize,
-            seed: u64_field(s, "seed")?,
-            bc_sources: u64_field(s, "bc_sources")? as usize,
+        let first = |family| {
+            lines
+                .iter()
+                .filter(|(id, _)| id.starts_with(family))
+                .min_by_key(|r| r.1)
         };
-        let array = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing `{key}` array"))
+        let count = |key| {
+            cells
+                .iter()
+                .find(|c| c.id == SUITE && c.metric == key)?
+                .value
+                .parse()
+                .ok()
         };
-        let mut cells = Vec::new();
-        for c in array("cells")? {
-            cells.push(CellMeasurement {
-                key: CellKey {
-                    graph: str_field(c, "graph")?,
-                    technique: str_field(c, "technique")?,
-                    baseline: str_field(c, "baseline")?,
-                    algo: str_field(c, "algo")?,
-                    direction: str_field(c, "direction")?,
-                },
-                elapsed_cycles: u64_field(c, "elapsed_cycles")?,
-                inaccuracy: f64_field(c, "inaccuracy")?,
-            });
+        let suite = match (count("nodes"), count("seed"), count("bc_sources")) {
+            (Some(nodes), Some(seed), Some(bc_sources)) => Some(SuiteOptions {
+                nodes,
+                seed: seed as u64,
+                bc_sources,
+            }),
+            _ if lines.contains_key(SUITE) => {
+                let n = lines[SUITE];
+                return Err(format!(
+                    "line {n}: the suite row needs `nodes`, `seed` and `bc_sources`"
+                ));
+            }
+            _ => None,
+        };
+        if let (None, Some((_, n))) = (&suite, first(PAPER).or(first(LARGE))) {
+            return Err(format!("line {n}: paper and large rows need a `suite` row"));
         }
-        let mut large = Vec::new();
-        for c in array("large")? {
-            large.push(LargeCellMeasurement {
-                graph: str_field(c, "graph")?,
-                nodes: u64_field(c, "nodes")? as usize,
-                algo: str_field(c, "algo")?,
-                segment_bytes: u64_field(c, "segment_bytes")? as usize,
-                segments: u64_field(c, "segments")? as usize,
-                elapsed_cycles: u64_field(c, "elapsed_cycles")?,
-            });
-        }
-        Ok(BenchBaseline {
+        let large_nodes = match first(LARGE) {
+            None => 0,
+            Some((id, n)) => {
+                let nodes = id.split('/').nth(1).and_then(|g| g.split_once(':'));
+                nodes
+                    .and_then(|(_, nodes)| nodes.parse().ok())
+                    .ok_or_else(|| format!("line {n}: large row `{id}` names no node count"))?
+            }
+        };
+        let launch = first(LAUNCH).is_some();
+        let families = Families {
             suite,
-            cells,
-            large,
-        })
-    }
-
-    /// Parses from serialized text.
-    pub fn parse(text: &str) -> Result<BenchBaseline, String> {
-        BenchBaseline::from_json(&Json::parse(text)?)
+            large_nodes,
+            launch,
+        };
+        Ok(BenchRecord { families, cells })
     }
 }
 
-/// Re-measures the corpus `baseline` records on `suite` (built from
-/// `baseline.suite`, optionally with the on-disk prepared-graph cache) and
-/// gates it.
-pub fn run_gate(baseline: &BenchBaseline, suite: &Suite) -> GateReport {
-    let mut current = BenchBaseline::capture(suite);
-    // Large cells share one (nodes, segment_bytes) configuration per
-    // baseline; the generator seed is the suite's, so the re-measured
-    // graph is the recorded one.
-    if let Some(c) = baseline.large.first() {
-        current.large = measure_large(c.nodes, baseline.suite.seed, c.segment_bytes);
-    }
-    GateReport::evaluate("bench", &baseline.gate_cells(), &current.gate_cells())
-}
-
-fn str_field(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing u64 field `{key}`"))
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing f64 field `{key}`"))
+/// Re-measures every family `record` holds, at the settings it records,
+/// and judges every (row id, key) exactly.
+pub fn run_gate(record: &BenchRecord, cache: &CacheConfig) -> GateReport {
+    let current = BenchRecord::measure(record.families.clone(), cache);
+    GateReport::exact("bench", &record.cells, &current.cells)
 }
 
 #[cfg(test)]
@@ -423,32 +284,24 @@ mod tests {
         let s = tiny();
         let cells = measure_corpus(&s);
         let dense = (0..s.len())
-            .filter(|&gi| direction_cell_kind(s.kind(gi)))
+            .filter(|&gi| matches!(s.kind(gi), GraphKind::Rmat | GraphKind::Random))
             .count();
-        assert_eq!(
-            cells.len(),
-            s.len() * GATE_TECHNIQUES.len() * GATE_ALGOS.len() + dense * GATE_ALGOS.len() * 2
-        );
-        let mut ids: Vec<String> = cells.iter().map(|c| c.key.id()).collect();
-        let before = ids.len();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), before, "cell ids must be unique");
+        let rows = s.len() * Technique::ALL.len() * GATE_ALGOS.len() + dense * GATE_ALGOS.len() * 2;
+        assert_eq!(cells.len(), 2 * rows);
+        // Two keys per row, and no (id, key) twice.
+        GateReport::exact("self", &cells, &cells);
         // The direction cells come in push/auto pairs on the gunrock
         // baseline.
-        let auto = cells
+        let auto: Vec<&str> = cells
             .iter()
-            .filter(|c| c.key.direction == "auto")
-            .collect::<Vec<_>>();
+            .filter(|c| c.metric == "cycles" && c.id.ends_with("/auto"))
+            .map(|c| c.id.as_str())
+            .collect();
         assert_eq!(auto.len(), dense * GATE_ALGOS.len());
-        for c in &auto {
-            assert_eq!(c.key.baseline, "gunrock");
-            assert!(cells.iter().any(|p| {
-                p.key.direction == "push"
-                    && p.key.graph == c.key.graph
-                    && p.key.algo == c.key.algo
-                    && p.key.baseline == c.key.baseline
-            }));
+        for id in auto {
+            assert!(id.contains("/gunrock/"), "{id}");
+            let push = id.replace("/auto", "/push");
+            assert!(cells.iter().any(|c| c.id == push), "{id} has no push cell");
         }
     }
 
@@ -459,75 +312,109 @@ mod tests {
     fn gated_metrics_are_deterministic_across_repeats() {
         let s = tiny();
         let first = measure_corpus(&s);
-        for (a, b) in first.iter().zip(&measure_corpus(&s)) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(
-                a.elapsed_cycles,
-                b.elapsed_cycles,
-                "{} cycles moved",
-                a.key.id()
-            );
-            assert_eq!(
-                a.inaccuracy.to_bits(),
-                b.inaccuracy.to_bits(),
-                "{}",
-                a.key.id()
-            );
-            assert!(a.inaccuracy.is_finite() && a.inaccuracy >= 0.0);
+        assert_eq!(first, measure_corpus(&s));
+        for c in first.iter().filter(|c| c.metric == "inaccuracy") {
+            let v: f64 = c.value.parse().unwrap();
+            assert!(v.is_finite() && v >= 0.0, "{} {}", c.id, c.value);
+            assert_eq!(v.to_string(), c.value, "{}: round trip", c.id);
         }
     }
 
-    #[test]
-    fn baseline_round_trips_through_json() {
-        let s = tiny();
-        let mut b = BenchBaseline::capture(&s);
-        b.large.push(LargeCellMeasurement {
-            graph: "rmat26".into(),
-            nodes: 1 << 20,
-            algo: "pr".into(),
-            segment_bytes: 1536 * 1024,
-            segments: 5580,
-            elapsed_cycles: 694_380_574,
-        });
-        let text = b.to_pretty_string();
-        let back = BenchBaseline::parse(&text).unwrap();
-        assert_eq!(back, b);
-        assert_eq!(back.to_pretty_string(), text);
-    }
-
-    /// Large cells at test scale: the measurement function must produce
-    /// one cell per [`LARGE_ALGOS`] entry, each recording a genuinely
-    /// multi-segment run, and the gated cycles must be deterministic.
+    /// Large rows at test scale: one row per [`LARGE_ALGOS`] entry, each
+    /// recording a genuinely multi-segment run, and deterministic.
     #[test]
     fn large_cells_are_segmented_and_deterministic() {
         let a = measure_large(1500, 11, 8 * 1024);
-        let b = measure_large(1500, 11, 8 * 1024);
-        assert_eq!(a.len(), LARGE_ALGOS.len());
-        let mut ids: Vec<String> = a.iter().map(|c| c.id()).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), LARGE_ALGOS.len(), "large ids must be unique");
-        for (x, y) in a.iter().zip(&b) {
-            assert!(x.segments > 1, "{} ran un-segmented", x.id());
-            assert_eq!(
-                x.elapsed_cycles,
-                y.elapsed_cycles,
-                "{} cycles moved",
-                x.id()
+        assert_eq!(a, measure_large(1500, 11, 8 * 1024));
+        let segments: Vec<&Cell> = a.iter().filter(|c| c.metric == "segments").collect();
+        assert_eq!(segments.len(), LARGE_ALGOS.len());
+        assert_eq!(a.len(), 3 * LARGE_ALGOS.len());
+        for c in segments {
+            assert!(
+                c.value.parse::<usize>().unwrap() > 1,
+                "{} ran un-segmented",
+                c.id
             );
         }
     }
 
+    /// Writing then reading gives back the same rows and families.
     #[test]
-    fn parse_rejects_wrong_schema() {
-        let s = tiny();
-        let mut doc = Json::parse(&BenchBaseline::capture(&s).to_pretty_string()).unwrap();
-        doc.set("schema", Json::Str("nope".into()));
-        assert!(BenchBaseline::from_json(&doc).is_err());
-        doc.set("schema", Json::Str(BASELINE_SCHEMA.into()));
-        // A v4 file (wall-clock fields, preprocess cells) names its version.
-        doc.set("version", Json::U64(4));
-        let err = BenchBaseline::from_json(&doc).unwrap_err();
-        assert!(err.contains("unsupported baseline version 4"), "{err}");
+    fn a_measured_record_reads_back() {
+        let families = Families {
+            suite: Some(tiny().options),
+            large_nodes: 1500,
+            launch: false,
+        };
+        let record = BenchRecord::measure(families, &CacheConfig::disabled());
+        let text = record.render();
+        assert_eq!(BenchRecord::parse(&text), Ok(record));
+    }
+
+    const SUITE_ROW: &str = "suite nodes=512 seed=2020 bc_sources=4\n";
+
+    /// Parses `rows` after a suite row and returns the error.
+    fn error(rows: &str) -> String {
+        BenchRecord::parse(&format!("{SUITE_ROW}{rows}")).unwrap_err()
+    }
+
+    #[test]
+    fn a_token_without_equals_is_rejected() {
+        let e = error("paper/a cycles=1 inaccuracy\n");
+        assert_eq!(e, "line 2: `inaccuracy` has no `=`");
+    }
+
+    #[test]
+    fn an_empty_key_or_value_is_rejected() {
+        assert_eq!(
+            error("paper/a cycles=\n"),
+            "line 2: `cycles=` has an empty key or value"
+        );
+        assert_eq!(
+            error("paper/a =1\n"),
+            "line 2: `=1` has an empty key or value"
+        );
+    }
+
+    #[test]
+    fn a_key_twice_in_a_row_is_rejected() {
+        let e = error("paper/a cycles=1 cycles=1\n");
+        assert_eq!(e, "line 2: key `cycles` is twice in row `paper/a`");
+    }
+
+    #[test]
+    fn a_row_id_twice_is_rejected() {
+        let e = error("paper/a cycles=1\nlaunch/b warps=2\npaper/a inaccuracy=0\n");
+        assert_eq!(e, "line 4: row `paper/a` is already on line 2");
+    }
+
+    #[test]
+    fn paper_rows_without_a_suite_row_are_rejected() {
+        let e = BenchRecord::parse("launch/b warps=2\npaper/a cycles=1\n").unwrap_err();
+        assert_eq!(e, "line 2: paper and large rows need a `suite` row");
+        // Launch rows alone need no suite.
+        let launch = BenchRecord::parse("launch/b warps=2\n").unwrap();
+        assert_eq!(launch.families.suite, None);
+        assert!(launch.families.launch);
+    }
+
+    /// The JSON baseline this file format replaced fails on its first line.
+    #[test]
+    fn a_json_baseline_is_rejected_on_line_one() {
+        let e = BenchRecord::parse("{\n  \"version\": 5,\n").unwrap_err();
+        assert_eq!(e, "line 1: `{` is no row of a bench record");
+    }
+
+    #[test]
+    fn families_come_from_the_rows() {
+        let text = format!(
+            "{SUITE_ROW}large/rmat26:1048576/bfs/segmented/large cycles=1 segments=2 segment_bytes=3\n"
+        );
+        let record = BenchRecord::parse(&text).unwrap();
+        let suite = record.families.suite.clone().unwrap();
+        assert_eq!((suite.nodes, suite.seed, suite.bc_sources), (512, 2020, 4));
+        assert_eq!(record.families.large_nodes, 1 << 20);
+        assert!(!record.families.launch);
+        assert_eq!(record.render(), text);
     }
 }

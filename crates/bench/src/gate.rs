@@ -1,103 +1,91 @@
-//! The one regression gate. Every bench suite — the deterministic corpus
+//! The one regression gate. Every bench suite — the bench record
 //! ([`crate::baseline`]), streaming, segmented — measures, flattens its
-//! result into [`Cell`]s and hands them to [`GateReport::evaluate`]; this
-//! module alone judges, renders and serialises them.
+//! result into [`Cell`]s and hands them to [`GateReport`]; this module
+//! alone judges, renders and serialises them.
 //!
-//! A cell is one number under one metric name, and each metric has exactly
-//! one [`Policy`] in [`POLICIES`] — the table that holds every threshold of
-//! every gate. Every gated number is a pure function of the seeded suite —
-//! simulated cycles, an inaccuracy, a flag, a ratio of simulated cycles —
-//! so there are two policies: a recorded value must come back exactly, and
-//! a baseline-free value must reach a floor. Host time is not judged here;
-//! `benchmark/` measures it. A cell that moved, a missing cell and a gate
-//! that judged no cell at all fail; new cells are reported but pass.
+//! A cell is one value, as text, under one key of one row id. Every gated
+//! value is a pure function of the seeded suite — simulated cycles, an
+//! inaccuracy, a stats field, a flag, a ratio of simulated cycles — so
+//! there are two policies. **Exact** ([`GateReport::exact`]): every
+//! (id, key) of a record must come back with the same text, or it fails
+//! `moved`. **Floor** ([`GateReport::floors`]): a baseline-free value must
+//! reach its metric's floor in [`FLOORS`], the table that holds every
+//! threshold of every gate. Host time is not judged here; `benchmark/`
+//! measures it. A cell that moved, a missing cell and a gate that judged
+//! no cell at all fail; new cells are reported but pass.
 //!
 //! Output is one human table plus a machine-readable `graffix.gate-report`
-//! v3 document (flat `cells`, one entry per verdict).
+//! v4 document (flat `cells`, one entry per verdict, values as text).
 
 use crate::tables::TextTable;
 use graffix_sim::Json;
+use std::collections::HashMap;
+use std::fmt::Display;
 
 /// Schema identifier for gate reports.
 pub const GATE_SCHEMA: &str = "graffix.gate-report";
 /// Gate report schema version.
-pub const GATE_VERSION: u64 = 3;
+pub const GATE_VERSION: u64 = 4;
 
-/// One measured number, as a suite hands it to the gate.
+/// One measured value, as a suite hands it to the gate.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cell {
-    /// Stable cell id (`rmat26/exact/lonestar/sssp/push`, `stream/...`).
+    /// Row id (`paper/rmat26/exact/lonestar/sssp/push`, `stream/...`).
     pub id: String,
-    /// Key into [`POLICIES`].
-    pub metric: &'static str,
-    pub value: f64,
+    /// The value's key within its row; a floor cell's key into [`FLOORS`].
+    pub metric: String,
+    /// The value as text: integers in decimal, floats in Rust's shortest
+    /// round-trip `{}`, so equal text means equal bits.
+    pub value: String,
     /// Free-form context shown beside the verdict; never judged.
     pub note: String,
 }
 
 impl Cell {
     /// A cell with no note.
-    pub fn new(id: impl Into<String>, metric: &'static str, value: f64) -> Cell {
+    pub fn new(id: impl Into<String>, metric: impl Into<String>, value: impl Display) -> Cell {
         Cell {
             id: id.into(),
-            metric,
-            value,
+            metric: metric.into(),
+            value: value.to_string(),
             note: String::new(),
         }
     }
 
-    /// A boolean cell for a `Floor(1.0)` metric: 1 when `holds`, else 0.
-    pub fn flag(id: impl Into<String>, metric: &'static str, holds: bool) -> Cell {
-        Cell::new(id, metric, f64::from(u8::from(holds)))
+    /// A boolean cell for a floor-1 metric: 1 when `holds`, else 0.
+    pub fn flag(id: impl Into<String>, metric: impl Into<String>, holds: bool) -> Cell {
+        Cell::new(id, metric, u8::from(holds))
     }
 }
 
-/// How one metric is judged.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Policy {
-    /// The value must `==` its baseline value, in either direction. For
-    /// pure functions of the seeded suite: any move is a model change that
-    /// a new baseline has to record on purpose. A cell with no baseline
-    /// entry is `new`.
-    Exact,
-    /// Baseline-free: the value must reach this floor. For ratios whose two
-    /// sides are measured back to back, and for flags (`Floor(1.0)`).
-    Floor(f64),
-}
+/// The label of a recorded value that came back as different text, up or
+/// down: any move is a model change that a new record has to hold on
+/// purpose.
+pub const MOVED: &str = "moved";
 
-/// Metric → (policy, label a failure carries). Every gate threshold lives
-/// here and nowhere else.
+/// Baseline-free metric → (floor, label a failure carries). Every gate
+/// threshold lives here and nowhere else.
 #[rustfmt::skip]
-pub const POLICIES: [(&str, Policy, &str); 7] = [
-    // Deterministic simulator metrics of the bench corpus.
-    ("cycles",       Policy::Exact, "cycles-moved"),
-    ("inaccuracy",   Policy::Exact, "inaccuracy-moved"),
-    ("large_cycles", Policy::Exact, "large-cycles-moved"),
+pub const FLOORS: [(&str, f64, &str); 4] = [
     // Streaming: every stale-regime batch is all reuse, exact-regime identity.
-    ("stale_reuse",     Policy::Floor(1.0), "recomputed"),
-    ("exact_identical", Policy::Floor(1.0), "diverged"),
+    ("stale_reuse",     1.0, "recomputed"),
+    ("exact_identical", 1.0, "diverged"),
     // Segmented vs flat: bit-identical values, ≥ 5 % fewer simulated cycles.
-    ("win",       Policy::Floor(0.05), "below-floor"),
-    ("identical", Policy::Floor(1.0),  "diverged"),
+    ("win",       0.05, "below-floor"),
+    ("identical", 1.0,  "diverged"),
 ];
-
-fn policy_of(metric: &str) -> (Policy, &'static str) {
-    let row = POLICIES.iter().find(|(m, ..)| *m == metric);
-    let (_, policy, label) = row.unwrap_or_else(|| panic!("no gate policy for metric `{metric}`"));
-    (*policy, label)
-}
 
 /// Outcome of one cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Status {
     Ok,
-    /// Failed its policy; carries the metric's label from [`POLICIES`], or
-    /// `no-cells` when the gate judged nothing.
+    /// Failed its policy; carries [`MOVED`] or the metric's label from
+    /// [`FLOORS`], or `no-cells` when the gate judged nothing.
     Failed(&'static str),
-    /// In the baseline but not measured now.
+    /// In the record but not measured now.
     Missing,
-    /// Measured now but absent from the baseline (not a failure — save a
-    /// new baseline to start tracking it).
+    /// Measured now but absent from the record (not a failure — save a
+    /// new record to start tracking it).
     New,
 }
 
@@ -122,41 +110,45 @@ impl Status {
 #[derive(Clone, Debug)]
 pub struct Verdict {
     pub id: String,
-    pub metric: &'static str,
+    pub metric: String,
     pub status: Status,
-    pub base: Option<f64>,
-    pub current: Option<f64>,
-    /// The value the cell was held to: its baseline value ([`Policy::Exact`])
-    /// or the floor ([`Policy::Floor`]); 0 for missing and new cells.
-    pub bound: f64,
+    pub base: Option<String>,
+    pub current: Option<String>,
+    /// What the cell was held to: its recorded text (exact) or the floor;
+    /// `None` for new cells.
+    pub bound: Option<String>,
     pub note: String,
 }
 
-/// Judges `cur` against its baseline cell, if any.
-fn judge(base: Option<&Cell>, cur: &Cell) -> Verdict {
-    let (policy, label) = policy_of(cur.metric);
-    let held = |bound: f64, holds: bool| {
-        let status = if holds {
-            Status::Ok
-        } else {
-            Status::Failed(label)
-        };
-        (bound, status)
-    };
-    let (bound, status) = match (policy, base) {
-        (Policy::Floor(floor), _) => held(floor, cur.value >= floor),
-        (Policy::Exact, Some(b)) => held(b.value, cur.value == b.value),
-        (Policy::Exact, None) => (0.0, Status::New),
-    };
-    Verdict {
-        id: cur.id.clone(),
-        metric: cur.metric,
-        status,
-        base: base.map(|b| b.value),
-        current: Some(cur.value),
-        bound,
-        note: cur.note.clone(),
+impl Verdict {
+    /// `cell` judged `status` against `base`, which is also its bound.
+    fn of(cell: &Cell, status: Status, base: Option<&Cell>) -> Verdict {
+        let base = base.map(|b| b.value.clone());
+        Verdict {
+            id: cell.id.clone(),
+            metric: cell.metric.clone(),
+            status,
+            bound: base.clone(),
+            base,
+            current: Some(cell.value.clone()),
+            note: cell.note.clone(),
+        }
     }
+}
+
+fn key(c: &Cell) -> (&str, &str) {
+    (&c.id, &c.metric)
+}
+
+/// `cells` by (id, key). Panics on a pair held twice: it could be matched
+/// against either copy.
+fn index(cells: &[Cell]) -> HashMap<(&str, &str), &Cell> {
+    let mut map = HashMap::with_capacity(cells.len());
+    for c in cells {
+        let twice = map.insert(key(c), c).is_some();
+        assert!(!twice, "cell {} {} is held twice", c.id, c.metric);
+    }
+    map
 }
 
 /// The outcome of one gate run.
@@ -168,41 +160,64 @@ pub struct GateReport {
 }
 
 impl GateReport {
-    /// Judges `current` against `baseline`, matching cells on (id, metric).
-    /// Order follows the baseline; cells without a baseline entry follow —
-    /// judged alone under a baseline-free policy, `new` otherwise. With no
-    /// cell on either side the report holds one `no-cells` failure named
-    /// after the gate: a suite that measured nothing has checked nothing.
-    pub fn evaluate(gate: &'static str, baseline: &[Cell], current: &[Cell]) -> GateReport {
-        let same = |a: &Cell, b: &Cell| a.id == b.id && a.metric == b.metric;
-        let mut verdicts = Vec::with_capacity(current.len());
-        for base in baseline {
-            verdicts.push(match current.iter().find(|c| same(c, base)) {
-                Some(cur) => judge(Some(base), cur),
+    /// Judges `measured` against `recorded` under the one exact policy:
+    /// matched on (id, key), each value must come back as the same text.
+    /// Order follows the record; measured cells it does not hold follow as
+    /// `new`. Panics when either side holds an (id, key) twice.
+    pub fn exact(gate: &'static str, recorded: &[Cell], measured: &[Cell]) -> GateReport {
+        let (now, then) = (index(measured), index(recorded));
+        let mut verdicts: Vec<Verdict> = recorded
+            .iter()
+            .map(|base| match now.get(&key(base)) {
+                Some(cur) if cur.value == base.value => Verdict::of(cur, Status::Ok, Some(base)),
+                Some(cur) => Verdict::of(cur, Status::Failed(MOVED), Some(base)),
                 None => Verdict {
-                    id: base.id.clone(),
-                    metric: base.metric,
-                    status: Status::Missing,
-                    base: Some(base.value),
                     current: None,
-                    bound: 0.0,
-                    note: base.note.clone(),
+                    ..Verdict::of(base, Status::Missing, Some(base))
                 },
-            });
-        }
-        for cur in current {
-            if !baseline.iter().any(|b| same(b, cur)) {
-                verdicts.push(judge(None, cur));
-            }
-        }
+            })
+            .collect();
+        let new = measured.iter().filter(|c| !then.contains_key(&key(c)));
+        verdicts.extend(new.map(|c| Verdict::of(c, Status::New, None)));
+        GateReport::of(gate, verdicts)
+    }
+
+    /// Judges baseline-free cells, each against its metric's floor in
+    /// [`FLOORS`]. Panics on a metric without one: a suite that hands over
+    /// a number nothing judges is a bug.
+    pub fn floors(gate: &'static str, measured: &[Cell]) -> GateReport {
+        let verdicts = measured
+            .iter()
+            .map(|cur| {
+                let row = FLOORS.iter().find(|(m, ..)| *m == cur.metric);
+                let (_, floor, label) =
+                    row.unwrap_or_else(|| panic!("no gate policy for metric `{}`", cur.metric));
+                let holds = cur.value.parse::<f64>().is_ok_and(|v| v >= *floor);
+                let status = if holds {
+                    Status::Ok
+                } else {
+                    Status::Failed(label)
+                };
+                Verdict {
+                    bound: Some(floor.to_string()),
+                    ..Verdict::of(cur, status, None)
+                }
+            })
+            .collect();
+        GateReport::of(gate, verdicts)
+    }
+
+    /// With no verdict at all the report holds one `no-cells` failure named
+    /// after the gate: a suite that measured nothing has checked nothing.
+    fn of(gate: &'static str, mut verdicts: Vec<Verdict>) -> GateReport {
         if verdicts.is_empty() {
             verdicts.push(Verdict {
                 id: gate.to_string(),
-                metric: "cells",
+                metric: "cells".to_string(),
                 status: Status::Failed("no-cells"),
                 base: None,
                 current: None,
-                bound: 0.0,
+                bound: None,
                 note: "the suite produced no cell to judge".to_string(),
             });
         }
@@ -227,7 +242,7 @@ impl GateReport {
     }
 
     /// The human table: one row per verdict, except `ok` cells equal to
-    /// their baseline — every recorded cell of a passing gate — which only
+    /// their record — every recorded cell of a passing gate — which only
     /// count in the title.
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new(
@@ -240,23 +255,18 @@ impl GateReport {
             ),
             &["Cell", "Metric", "Status", "Base", "Now", "Bound", "Note"],
         );
-        let num = |v: Option<f64>| match v {
-            None => "-".to_string(),
-            Some(v) if v.fract() == 0.0 && v.abs() < 1e15 => format!("{v:.0}"),
-            Some(v) if v.abs() >= 1e-3 => format!("{v:.4}"),
-            Some(v) => format!("{v:.3e}"),
-        };
         for v in &self.verdicts {
             if v.status == Status::Ok && v.current == v.base {
                 continue;
             }
+            let text = |s: &Option<String>| s.clone().unwrap_or_else(|| "-".to_string());
             t.row(vec![
                 v.id.clone(),
-                v.metric.to_string(),
+                v.metric.clone(),
                 v.status.label().to_string(),
-                num(v.base),
-                num(v.current),
-                num(Some(v.bound)),
+                text(&v.base),
+                text(&v.current),
+                text(&v.bound),
                 v.note.clone(),
             ]);
         }
@@ -275,17 +285,18 @@ impl GateReport {
         summary.set("failed", Json::U64(self.failures().len() as u64));
         summary.set("new", Json::U64(self.count(Status::New) as u64));
         root.set("summary", summary);
+        let text = |s: &Option<String>| s.clone().map_or(Json::Null, Json::Str);
         let cells = self
             .verdicts
             .iter()
             .map(|v| {
                 let mut o = Json::obj();
                 o.set("id", Json::Str(v.id.clone()));
-                o.set("metric", Json::Str(v.metric.to_string()));
+                o.set("metric", Json::Str(v.metric.clone()));
                 o.set("status", Json::Str(v.status.label().to_string()));
-                o.set("base", v.base.map_or(Json::Null, Json::F64));
-                o.set("current", v.current.map_or(Json::Null, Json::F64));
-                o.set("bound", Json::F64(v.bound));
+                o.set("base", text(&v.base));
+                o.set("current", text(&v.current));
+                o.set("bound", text(&v.bound));
                 o.set("note", Json::Str(v.note.clone()));
                 o
             })
@@ -298,10 +309,11 @@ impl GateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BenchBaseline;
+    use crate::baseline::{BenchRecord, LARGE, LAUNCH, PAPER, SUITE};
 
-    /// (test the row runs under, metric, baseline value, current value,
-    /// expected status label). Every row is judged alone as cell `x`.
+    /// (test the row runs under, metric, recorded value, measured value,
+    /// expected status label). Every row is judged alone as cell `x`: by
+    /// its floor when [`FLOORS`] has one, else exactly.
     type Row = (
         &'static str,
         &'static str,
@@ -312,26 +324,29 @@ mod tests {
 
     #[rustfmt::skip]
     const ROWS: &[Row] = &[
-        ("doubled_cycles_fail_naming_the_cell", "cycles", Some(56_080.0), Some(112_161.0), "cycles-moved"),
+        ("doubled_cycles_fail_naming_the_cell", "cycles", Some(56_080.0), Some(112_161.0), "moved"),
         ("doubled_cycles_fail_naming_the_cell", "cycles", Some(112_161.0), Some(112_161.0), "ok"),
-        ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some(0.012), Some(0.024), "inaccuracy-moved"),
+        ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some(0.012), Some(0.024), "moved"),
         ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some(0.012), Some(0.012), "ok"),
         ("doubled_inaccuracy_fails_as_drift", "inaccuracy", Some(0.0), Some(0.0), "ok"),
         // Exact judging has no band and no direction: the smallest step
         // either way fails.
-        ("a_move_either_way_fails", "cycles", Some(112_161.0), Some(112_162.0), "cycles-moved"),
-        ("a_move_either_way_fails", "cycles", Some(112_161.0), Some(112_160.0), "cycles-moved"),
-        ("a_move_either_way_fails", "cycles", Some(112_161.0), Some(56_080.0), "cycles-moved"),
-        ("a_move_either_way_fails", "inaccuracy", Some(0.012), Some(0.012_f64.next_up()), "inaccuracy-moved"),
-        ("a_move_either_way_fails", "inaccuracy", Some(0.012), Some(0.012_f64.next_down()), "inaccuracy-moved"),
-        ("a_move_either_way_fails", "inaccuracy", Some(0.0), Some(0.0_f64.next_up()), "inaccuracy-moved"),
+        ("a_move_either_way_fails", "cycles", Some(112_161.0), Some(112_162.0), "moved"),
+        ("a_move_either_way_fails", "cycles", Some(112_161.0), Some(112_160.0), "moved"),
+        ("a_move_either_way_fails", "cycles", Some(112_161.0), Some(56_080.0), "moved"),
+        ("a_move_either_way_fails", "inaccuracy", Some(0.012), Some(0.012_f64.next_up()), "moved"),
+        ("a_move_either_way_fails", "inaccuracy", Some(0.012), Some(0.012_f64.next_down()), "moved"),
+        ("a_move_either_way_fails", "inaccuracy", Some(0.0), Some(0.0_f64.next_up()), "moved"),
+        ("a_move_either_way_fails", "warp_cycles", Some(1_562_736.0), Some(1_562_737.0), "moved"),
         ("missing_and_new_cells_are_flagged", "cycles", Some(112_161.0), None, "missing"),
         ("missing_and_new_cells_are_flagged", "cycles", None, Some(112_161.0), "new"),
         ("missing_and_new_cells_are_flagged", "inaccuracy", None, Some(0.5), "new"),
-        ("missing_and_new_cells_are_flagged", "large_cycles", Some(1e9), None, "missing"),
-        ("large_cells_judged_exactly", "large_cycles", Some(694_380_574.0), Some(694_380_574.0), "ok"),
-        ("large_cells_judged_exactly", "large_cycles", Some(694_380_574.0), Some(694_380_575.0), "large-cycles-moved"),
-        ("large_cells_judged_exactly", "large_cycles", Some(694_380_574.0), Some(694_380_573.0), "large-cycles-moved"),
+        ("missing_and_new_cells_are_flagged", "warp_cycles", None, Some(1_562_736.0), "new"),
+        ("missing_and_new_cells_are_flagged", "segments", Some(93.0), None, "missing"),
+        ("large_cells_judged_exactly", "cycles", Some(694_380_574.0), Some(694_380_574.0), "ok"),
+        ("large_cells_judged_exactly", "cycles", Some(694_380_574.0), Some(694_380_575.0), "moved"),
+        ("large_cells_judged_exactly", "cycles", Some(694_380_574.0), Some(694_380_573.0), "moved"),
+        ("large_cells_judged_exactly", "segments", Some(93.0), Some(94.0), "moved"),
         ("stream_cells_need_reuse_and_identity", "stale_reuse", None, Some(1.0), "ok"),
         ("stream_cells_need_reuse_and_identity", "stale_reuse", None, Some(0.0), "recomputed"),
         ("stream_cells_need_reuse_and_identity", "exact_identical", None, Some(1.0), "ok"),
@@ -343,16 +358,22 @@ mod tests {
         ("segment_cells_need_identity_and_the_win", "win", None, Some(-0.02), "below-floor"),
     ];
 
-    /// Runs every row of `test` through the whole path: evaluate → verdict,
+    /// Runs every row of `test` through the whole path: judge → verdict,
     /// `failures()`, `table()`, `to_json()`.
     fn check(test: &str) {
         let rows: Vec<&Row> = ROWS.iter().filter(|r| r.0 == test).collect();
         assert!(!rows.is_empty(), "no rows for {test}");
         for &&(_, metric, base, current, want) in &rows {
             let row = format!("{metric} {base:?} -> {current:?}");
-            let base: Vec<Cell> = base.iter().map(|&v| Cell::new("x", metric, v)).collect();
-            let current: Vec<Cell> = current.iter().map(|&v| Cell::new("x", metric, v)).collect();
-            let report = GateReport::evaluate("test", &base, &current);
+            let cells = |v: Option<f64>| -> Vec<Cell> {
+                v.iter().map(|&v| Cell::new("x", metric, v)).collect()
+            };
+            let report = if FLOORS.iter().any(|(m, ..)| *m == metric) {
+                assert!(base.is_none(), "{row}: a floor cell has no record");
+                GateReport::floors("test", &cells(current))
+            } else {
+                GateReport::exact("test", &cells(base), &cells(current))
+            };
             assert_eq!(report.verdicts.len(), 1, "{row}");
             let v = &report.verdicts[0];
             assert_eq!(v.status.label(), want, "{row}");
@@ -362,11 +383,12 @@ mod tests {
             let doc = report.to_json();
             assert_eq!(doc.get("passed"), Some(&Json::Bool(!fails)), "{row}");
             if fails {
-                // A failure names its cell and label everywhere a reader looks.
-                assert_eq!((v.id.as_str(), v.metric), ("x", metric), "{row}");
+                // A failure names its cell, key and label everywhere a
+                // reader looks.
+                assert_eq!((v.id.as_str(), v.metric.as_str()), ("x", metric), "{row}");
                 let table = report.table().render();
                 assert!(
-                    table.contains(want) && table.contains("| x "),
+                    table.contains(want) && table.contains("| x ") && table.contains(metric),
                     "{row}: {table}"
                 );
                 assert!(doc.to_pretty_string().contains(want), "{row}");
@@ -397,33 +419,56 @@ mod tests {
         segment_cells_need_identity_and_the_win,
     );
 
-    /// A suite that hands over no cell — and has no baseline — checked
+    /// Exact means the same text, not the same number: a value a hand edit
+    /// rewrote in another spelling has moved.
+    #[test]
+    fn exact_judging_compares_text() {
+        let report = GateReport::exact(
+            "test",
+            &[Cell::new("x", "cycles", "1.0")],
+            &[Cell::new("x", "cycles", 1)],
+        );
+        assert_eq!(report.verdicts[0].status, Status::Failed(MOVED));
+    }
+
+    /// A suite that hands over no cell — and has no record — checked
     /// nothing, so its gate fails, naming the gate.
     #[test]
     fn an_empty_gate_fails() {
-        let report = GateReport::evaluate("stream", &[], &[]);
-        assert!(!report.passed());
-        let failures = report.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].id, "stream");
-        assert_eq!(failures[0].status.label(), "no-cells");
-        assert!(report.table().render().contains("no-cells"));
-        assert_eq!(report.to_json().get("passed"), Some(&Json::Bool(false)));
+        for report in [
+            GateReport::floors("stream", &[]),
+            GateReport::exact("stream", &[], &[]),
+        ] {
+            assert!(!report.passed());
+            let failures = report.failures();
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].id, "stream");
+            assert_eq!(failures[0].status.label(), "no-cells");
+            assert!(report.table().render().contains("no-cells"));
+            assert_eq!(report.to_json().get("passed"), Some(&Json::Bool(false)));
+        }
     }
 
-    /// Self-gate: the committed baseline, read in its on-disk format and
-    /// gated against its own cells, is all `ok` — two verdicts per corpus
-    /// cell, one per large cell. The file is byte for byte what
-    /// `--save-baseline` writes, so every value survives the round trip.
+    /// Self-gate: the committed record is byte for byte what the writer
+    /// prints from its parsed rows, holds every family at its full size,
+    /// and gated against itself is all `ok`.
     #[test]
     fn unchanged_tree_passes() {
-        let path = format!("{}/../../BENCH_ci.json", env!("CARGO_MANIFEST_DIR"));
+        let path = format!("{}/../../BENCH_ci.txt", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let baseline = BenchBaseline::parse(&text).unwrap();
-        assert_eq!(baseline.to_pretty_string(), text);
-        let cells = baseline.gate_cells();
-        let report = GateReport::evaluate("self", &cells, &cells);
-        assert_eq!(report.verdicts.len(), 58 * 2 + 2);
+        let record = BenchRecord::parse(&text).unwrap();
+        assert_eq!(record.render(), text);
+        let rows = |family| {
+            let ids: std::collections::BTreeSet<&str> =
+                record.family(family).map(|c| c.id.as_str()).collect();
+            ids.len()
+        };
+        assert_eq!(
+            [rows(SUITE), rows(PAPER), rows(LARGE), rows(LAUNCH)],
+            [1, 58, 2, 296]
+        );
+        let report = GateReport::exact("self", &record.cells, &record.cells);
+        assert_eq!(report.verdicts.len(), 3 + 58 * 2 + 2 * 3 + 296 * 23);
         assert!(report.verdicts.iter().all(|v| v.status == Status::Ok));
         assert!(report.passed());
         assert!(report.table().rows.is_empty(), "nothing moved: title only");
@@ -432,42 +477,58 @@ mod tests {
     #[test]
     fn gate_report_json_is_well_formed() {
         let base = [
-            Cell::new("a", "cycles", 1000.0),
-            Cell::new("a", "inaccuracy", 0.0),
+            Cell::new("a", "cycles", 1000),
+            Cell::new("a", "inaccuracy", 0),
         ];
         let mut current = base.to_vec();
-        current[0].value = 1001.0;
-        current.push(Cell::new("s", "win", 0.4));
-        let report = GateReport::evaluate("bench", &base, &current);
+        current[0].value = "1001".to_string();
+        current.push(Cell::new("a", "warp_cycles", 7));
+        let report = GateReport::exact("bench", &base, &current);
         let doc = Json::parse(&report.to_json().to_pretty_string()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(GATE_SCHEMA));
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(4));
         assert_eq!(doc.get("gate").and_then(Json::as_str), Some("bench"));
         assert_eq!(doc.get("passed"), Some(&Json::Bool(false)));
         let summary = doc.get("summary").and_then(Json::as_obj).unwrap();
         let keys: Vec<&str> = summary.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["ok", "failed", "new"]);
-        assert_eq!(doc.path(&["summary", "ok"]).and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            doc.path(&["summary", "failed"]).and_then(Json::as_u64),
-            Some(1)
-        );
+        let count = |key| doc.path(&["summary", key]).and_then(Json::as_u64);
+        assert_eq!([count("ok"), count("failed"), count("new")], [Some(1); 3]);
         let cells = doc.get("cells").and_then(Json::as_arr).unwrap();
         assert_eq!(cells.len(), 3);
-        assert_eq!(
-            cells[0].get("status").and_then(Json::as_str),
-            Some("cycles-moved")
-        );
-        // An exact cell is held to its baseline value, a floor cell to the floor.
-        assert_eq!(cells[0].get("bound").and_then(Json::as_f64), Some(1000.0));
-        assert_eq!(cells[2].get("bound").and_then(Json::as_f64), Some(0.05));
-        // Baseline-free cells serialise `base` as null.
+        let field = |i: usize, key| cells[i].get(key).and_then(Json::as_str);
+        assert_eq!(field(0, "status"), Some("moved"));
+        // Values are text; an exact cell is held to its recorded text.
+        assert_eq!(field(0, "base"), Some("1000"));
+        assert_eq!(field(0, "current"), Some("1001"));
+        assert_eq!(field(0, "bound"), Some("1000"));
+        // A new cell has no record and no bound.
+        assert_eq!(field(2, "status"), Some("new"));
         assert_eq!(cells[2].get("base"), Some(&Json::Null));
+        assert_eq!(cells[2].get("bound"), Some(&Json::Null));
+        // A floor cell is held to the floor and serialises `base` as null.
+        let floor = GateReport::floors("segment", &[Cell::new("s", "win", 0.4)]).to_json();
+        let cell = &floor.get("cells").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(cell.get("bound").and_then(Json::as_str), Some("0.05"));
+        assert_eq!(cell.get("current").and_then(Json::as_str), Some("0.4"));
+        assert_eq!(cell.get("base"), Some(&Json::Null));
     }
 
     #[test]
     #[should_panic(expected = "no gate policy")]
     fn unknown_metric_is_a_bug() {
-        GateReport::evaluate("test", &[], &[Cell::new("x", "nope", 1.0)]);
+        GateReport::floors("test", &[Cell::new("x", "nope", 1.0)]);
+    }
+
+    /// An (id, key) held twice could be matched against either copy, so it
+    /// is never matched at all — on either side.
+    #[test]
+    fn a_cell_held_twice_is_never_matched() {
+        let once = [Cell::new("x", "cycles", 1)];
+        let twice = [Cell::new("x", "cycles", 1), Cell::new("x", "cycles", 2)];
+        for (recorded, measured) in [(&once[..], &twice[..]), (&twice[..], &once[..])] {
+            let judged = std::panic::catch_unwind(|| GateReport::exact("test", recorded, measured));
+            assert!(judged.is_err(), "{recorded:?} against {measured:?}");
+        }
     }
 }

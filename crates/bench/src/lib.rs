@@ -8,17 +8,22 @@
 //!
 //! `graffix bench` drives this library: `--paper-tables` and `--figures`
 //! print the [`report`] builders' output, `--stage-sweep` runs [`sweep`].
-//! The regression gates (`--gate | --stream-gate | --segment-gate`) are
-//! three suites that each measure and flatten their result into
-//! [`gate::Cell`]s, and one judge: [`gate`] holds every threshold, the
-//! verdict table and the `graffix.gate-report` schema. Every gated number
-//! is simulated or a flag; host time is measured by `benchmark/` alone.
+//! `--save-baseline` and `--gate` write and judge the one bench record,
+//! `BENCH_ci.txt` ([`baseline`]): every simulated number the repository
+//! pins, the paper corpus, the large segmented runs and the launch matrix
+//! ([`launch`]) alike, as `id key=value` rows. The regression gates
+//! (`--gate | --stream-gate | --segment-gate`) are three suites that each
+//! measure and flatten their result into [`gate::Cell`]s, and one judge:
+//! [`gate`] holds both policies, every threshold, the verdict table and
+//! the `graffix.gate-report` schema. Every gated value is simulated or a
+//! flag; host time is measured by `benchmark/` alone.
 
 #![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod experiments;
 pub mod gate;
+pub mod launch;
 pub mod report;
 pub mod segmented;
 pub mod streaming;
@@ -26,12 +31,10 @@ pub mod suite;
 pub mod sweep;
 pub mod tables;
 
-pub use baseline::{
-    measure_large, run_gate, BenchBaseline, CellKey, CellMeasurement, LargeCellMeasurement,
-    LARGE_ALGOS,
-};
+pub use baseline::{run_gate, BenchRecord, Families};
 pub use experiments::{measure, Measurement, ALL_ALGOS, CORE_ALGOS};
-pub use gate::{Cell, GateReport, Policy, Status, Verdict, POLICIES};
+pub use gate::{Cell, GateReport, Status, Verdict, FLOORS, MOVED};
+pub use launch::launch_rows;
 pub use segmented::{compare_segmented, run_segment_gate, SegmentCompareRow};
 pub use streaming::{measure_streaming, run_stream_gate, StreamCell};
 pub use suite::{Suite, SuiteOptions};

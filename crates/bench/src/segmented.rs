@@ -102,7 +102,7 @@ pub fn run_segment_gate(suite: &Suite, segment_bytes: usize) -> GateReport {
 /// Judges comparison rows; baseline-free, so there is nothing to compare to.
 fn gate_rows(rows: &[SegmentCompareRow]) -> GateReport {
     let cells: Vec<Cell> = rows.iter().flat_map(|r| r.gate_cells()).collect();
-    GateReport::evaluate("segment", &[], &cells)
+    GateReport::floors("segment", &cells)
 }
 
 #[cfg(test)]

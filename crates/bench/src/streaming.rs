@@ -210,7 +210,7 @@ pub fn run_stream_gate() -> GateReport {
         .iter()
         .flat_map(StreamCell::gate_cells)
         .collect();
-    GateReport::evaluate("stream", &[], &cells)
+    GateReport::floors("stream", &cells)
 }
 
 #[cfg(test)]
@@ -231,7 +231,7 @@ mod tests {
             stale_reuse: true,
             exact_identical: true,
         };
-        let gate = |c: &StreamCell| GateReport::evaluate("stream", &[], &c.gate_cells());
+        let gate = |c: &StreamCell| GateReport::floors("stream", &c.gate_cells());
         let report = gate(&cell);
         assert_eq!(report.verdicts.len(), 2);
         assert!(report.passed());

@@ -1,7 +1,8 @@
-//! `graffix bench` — the one entry point of `graffix_bench`: save a
-//! baseline, run one of the three gates, or regenerate the paper's tables,
+//! `graffix bench` — the one entry point of `graffix_bench`: save the bench
+//! record, run one of the three gates, or regenerate the paper's tables,
 //! figures and the stage-cache sweep. Every gate is measure → cells →
-//! [`finish_gate`]; thresholds are fixed in `graffix_bench::gate::POLICIES`.
+//! [`finish_gate`]; the record is judged exactly, the other two gates
+//! against the floors fixed in `graffix_bench::gate::FLOORS`.
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
@@ -9,7 +10,7 @@ use crate::common::{segment_bytes, write_file};
 use graffix::log_info;
 use graffix::prelude::{CacheConfig, SegmentKnobs};
 use graffix_bench::gate::{GateReport, GATE_SCHEMA};
-use graffix_bench::{report, BenchBaseline, Suite, SuiteOptions, TextTable};
+use graffix_bench::{report, BenchRecord, Families, Suite, SuiteOptions, TextTable};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::Instant;
@@ -19,19 +20,21 @@ pub const SUB: Sub = Sub {
     usage: "\
 exactly one mode, with only the flags listed beside it:
 --save-baseline FILE [--nodes N] [--seed S] [--bc-sources N]
-    [--large-nodes N]  measure the gate corpus and save a bench baseline;
-    --large-nodes adds segmented 2^20-scale bfs/pr cells (default
-    1048576, 0 to skip)
---gate FILE  re-measure the corpus; exit 1 unless every simulated cell
-    equals its recorded value exactly
+    [--large-nodes N]  measure every row family and write the bench
+    record (`id key=value` rows), after printing how the old FILE's rows
+    moved; an existing FILE sets each flag's default (else 4096 nodes,
+    seed 2020, 4 bc sources); --large-nodes sizes the segmented
+    2^20-scale bfs/pr rows (default 1048576, 0 to skip)
+--gate FILE  re-measure every row family FILE holds; exit 1 unless every
+    (row, key) comes back as its recorded text
 --segment-gate [--nodes N] [--seed S] [--segment-bytes N]
     flat vs segmented on the gate cells: every cell must be
     byte-identical and at least 5% faster segmented
 --stream-gate  measure incremental vs full re-prepare under 1% churn and
     gate on all-reuse stale batches + exact-mode identity
     every gate prints one verdict table, names failures as
-    `FAIL id [label]`, and takes --gate-report FILE (JSON,
-    graffix.gate-report v3); thresholds are fixed, one policy per
+    `FAIL id [label] key`, and takes --gate-report FILE (JSON,
+    graffix.gate-report v4); thresholds are fixed, one policy per
     metric (see EXPERIMENTS.md); host time is judged by benchmark/
 --paper-tables [--table N]... [--all] [--nodes N] [--seed S] [--out DIR]
     print the paper's tables (1-14, default all) and save each as CSV
@@ -46,10 +49,13 @@ exactly one mode, with only the flags listed beside it:
 
 /// What `bench` does; each variant carries only the flags it reads.
 pub enum BenchMode {
+    /// Each flag left out defaults to what an existing record holds.
     SaveBaseline {
         path: PathBuf,
-        options: SuiteOptions,
-        large_nodes: usize,
+        nodes: Option<usize>,
+        seed: Option<u64>,
+        bc_sources: Option<usize>,
+        large_nodes: Option<usize>,
     },
     Gate {
         gate: Gate,
@@ -125,13 +131,12 @@ type ModeParser = fn(&mut Bag) -> Parsed<BenchMode>;
 /// own flags.
 const MODES: [(&str, ModeParser); 7] = [
     ("save-baseline", |bag| {
-        let path = bag.req("save-baseline")?;
-        let mut options = suite_options(bag, None)?;
-        options.bc_sources = bag.opt("bc-sources")?.unwrap_or(options.bc_sources);
         Ok(BenchMode::SaveBaseline {
-            path,
-            options,
-            large_nodes: bag.opt("large-nodes")?.unwrap_or(1 << 20),
+            path: bag.req("save-baseline")?,
+            nodes: bag.opt("nodes")?,
+            seed: bag.opt("seed")?,
+            bc_sources: bag.opt("bc-sources")?,
+            large_nodes: bag.opt("large-nodes")?,
         })
     }),
     ("gate", |bag| {
@@ -192,15 +197,15 @@ fn parse(bag: &mut Bag) -> Parsed<BenchMode> {
     }
 }
 
-/// Reads the bench baseline `--gate` compares against; exits 1 with the
-/// reason when the file is unreadable or not a v5 bench baseline.
-fn read_baseline(path: &Path) -> BenchBaseline {
+/// Reads a bench record; exits 1 with the reason, naming the line, when
+/// the file is unreadable or not a bench record.
+fn read_record(path: &Path) -> BenchRecord {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("could not read {}: {e}", path.display());
         exit(1);
     });
-    BenchBaseline::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{} is not a bench baseline: {e}", path.display());
+    BenchRecord::parse(&text).unwrap_or_else(|e| {
+        eprintln!("{} is not a bench record: {e}", path.display());
         exit(1);
     })
 }
@@ -258,37 +263,39 @@ pub fn run(mode: BenchMode, cache: &CacheConfig) {
         // (bit-identical loads, so gated metrics are unaffected).
         BenchMode::SaveBaseline {
             path,
-            options,
+            nodes,
+            seed,
+            bc_sources,
             large_nodes,
         } => {
+            // An existing record is the refresh's defaults; one that does
+            // not read stops the save before anything is overwritten.
+            let old = path.exists().then(|| read_record(&path));
+            let recorded = old.as_ref().map(|r| &r.families);
+            let mut options = recorded.and_then(|f| f.suite.clone()).unwrap_or_default();
+            options.nodes = nodes.unwrap_or(options.nodes);
+            options.seed = seed.unwrap_or(options.seed);
+            options.bc_sources = bc_sources.unwrap_or(options.bc_sources);
+            let large_nodes = large_nodes
+                .or(recorded.map(|f| f.large_nodes))
+                .unwrap_or(1 << 20);
             log_info!(
-                "measuring gate corpus: nodes {}, seed {}",
+                "measuring every row family: nodes {}, seed {}, large nodes {large_nodes}",
                 options.nodes,
                 options.seed
             );
-            let seed = options.seed;
-            let mut baseline =
-                BenchBaseline::capture(&Suite::new(options).with_cache(cache.clone()));
-            if large_nodes > 0 {
-                let budget = SegmentKnobs::default().segment_bytes;
-                log_info!("measuring large cells: {large_nodes} nodes segmented at {budget} bytes");
-                baseline.large = graffix_bench::measure_large(large_nodes, seed, budget);
-                for c in &baseline.large {
-                    log_info!(
-                        "  {} -> {} cycles across {} segments",
-                        c.id(),
-                        c.elapsed_cycles,
-                        c.segments
-                    );
-                }
+            let families = Families {
+                suite: Some(options),
+                large_nodes,
+                launch: true,
+            };
+            let record = BenchRecord::measure(families, cache);
+            if let Some(old) = &old {
+                let diff = GateReport::exact("bench", &old.cells, &record.cells);
+                print!("{}", diff.table().render());
             }
-            write_file(&path, baseline.to_pretty_string());
-            log_info!(
-                "wrote baseline {} ({} cells, {} large)",
-                path.display(),
-                baseline.cells.len(),
-                baseline.large.len()
-            );
+            write_file(&path, record.render());
+            log_info!("wrote {} ({} cells)", path.display(), record.cells.len());
         }
         BenchMode::Gate { gate, report } => finish_gate(&run_gate(gate, cache), report.as_deref()),
         BenchMode::PaperTables {
@@ -327,22 +334,13 @@ pub fn run(mode: BenchMode, cache: &CacheConfig) {
 fn run_gate(gate: Gate, cache: &CacheConfig) -> GateReport {
     match gate {
         Gate::Bench(path) => {
-            let baseline = read_baseline(&path);
+            let record = read_record(&path);
             log_info!(
-                "gating against {} (nodes {}, seed {})",
-                path.display(),
-                baseline.suite.nodes,
-                baseline.suite.seed
+                "re-measuring the {} cells of {}",
+                record.cells.len(),
+                path.display()
             );
-            if let Some(c) = baseline.large.first() {
-                log_info!(
-                    "re-measuring {} large cells at {} nodes (takes a minute or two)",
-                    baseline.large.len(),
-                    c.nodes
-                );
-            }
-            let suite = Suite::new(baseline.suite.clone()).with_cache(cache.clone());
-            graffix_bench::run_gate(&baseline, &suite)
+            graffix_bench::run_gate(&record, cache)
         }
         // No baseline file: the gate judges stage records, which no host
         // can move.

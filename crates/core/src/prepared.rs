@@ -43,7 +43,7 @@ impl Technique {
     }
 
     /// Short machine-readable key used in JSON schemas, CLI flags, and
-    /// bench-baseline cell identifiers.
+    /// bench record row ids.
     pub fn key(self) -> &'static str {
         match self {
             Technique::Exact => "exact",
@@ -95,7 +95,7 @@ pub struct StageReport {
 /// Wall-clock duration of one host-side preprocessing phase. These are
 /// diagnostics, not payload: phase timings never enter run reports (which
 /// must be byte-identical across thread counts and cache temperature) —
-/// they surface on the CLI and in the bench-baseline preprocess cells.
+/// they surface on the CLI (`transform` prints each phase).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseTiming {
     /// Phase key: `cc`, `renumber`, `replicate`, `boost`, `tile-select`,

@@ -1,4 +1,6 @@
-//! The comparison both golden-matrix tests end with.
+//! The comparison the one golden-matrix test
+//! (`prepared_matrix_equals_the_recorded_rows`) ends with. The launch
+//! matrix is part of the bench record, `BENCH_ci.txt`.
 
 /// Panics unless `rows` are exactly the lines of `golden` (the committed
 /// `tests/golden/<name>.txt`), leaving this build's rows in
