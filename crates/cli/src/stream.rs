@@ -144,7 +144,9 @@ fn checkpoint(
 }
 
 /// Runs `algo` on a prepared graph and condenses the result vector (and the
-/// simulated cost) into a short deterministic digest string.
+/// simulated cost) into a short deterministic digest string. `fp=` is the
+/// cache's content hash of the value bits, so it moves whenever that hash
+/// does (it did at `PIPELINE_VERSION` 3): compare digests of one build.
 fn run_digest(algo: Algo, prepared: &Prepared, g: &Csr, gpu: &GpuConfig) -> String {
     let plan = Baseline::Lonestar.plan(prepared, gpu);
     let (run, _) = algo.run(&plan, g, None, common::BC_SOURCES);

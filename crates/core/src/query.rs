@@ -25,7 +25,10 @@
 //! written by [`crate::cache::prepare_with_cache`] through the same
 //! envelope. Every payload is hashed once: its fingerprint is the envelope
 //! checksum, the output fingerprint downstream keys hash, and what the
-//! in-process memo keeps beside the bytes.
+//! in-process memo keeps beside the bytes. Keys, checksums and the input
+//! graph's fingerprint are all the one word-at-a-time [`Fingerprint`], at
+//! memory speed; its steps are bijections, so two payloads of one length
+//! that differ in any one byte never share a checksum.
 //! The [`QueryCtx::null`] context skips memoization, encoding, and
 //! fingerprinting entirely — it is the zero-overhead cold path that
 //! `Pipeline::try_apply` runs on, and the reference the cached paths must
@@ -38,17 +41,56 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Bumped whenever any transform's output for the same (graph, knobs)
-/// changes or a stage payload changes shape, so stale cache entries can
-/// never resurface old behavior. 2: the `cc` stage stores integer triangle
-/// counts where it stored `f64` coefficients (same length, other meaning).
-pub const PIPELINE_VERSION: u32 = 2;
+/// changes, a stage payload changes shape, or keys and checksums change
+/// meaning, so stale cache entries can never resurface old behavior. 2: the
+/// `cc` stage stores integer triangle counts where it stored `f64`
+/// coefficients (same length, other meaning). 3: keys and checksums are the
+/// word-at-a-time [`Fingerprint`] where they were byte-at-a-time FNV-1a
+/// (the payload bytes are unchanged).
+pub const PIPELINE_VERSION: u32 = 3;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd multiplier of the absorb step (the 64-bit golden ratio).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Rotation of the absorb step: it brings the product's high bits, which
+/// every bit of the word reached, down to where the next word lands.
+const ROT: u32 = 29;
+/// The state before the first word (the fractional bits of pi).
+const SEED: u64 = 0x243F_6A88_85A3_08D3;
 
-/// Incremental FNV-1a 64-bit hasher — the content fingerprint used for
-/// stage keys, stage outputs, and entry checksums.
-pub struct Fingerprint(u64);
+/// One absorb step. For a fixed word it is a bijection of the state, and
+/// for a fixed state it is injective in the word, so two streams that
+/// differ in one word differ in every state after it.
+#[inline(always)]
+fn absorb(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(MUL).rotate_left(ROT)
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection that spreads every state
+/// bit over the whole value.
+fn fmix64(mut h: u64) -> u64 {
+    h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// Incremental content hash, a word at a time — the one fingerprint behind
+/// stage keys, stage outputs, the input graph and entry checksums.
+///
+/// The stream is absorbed as 8-byte little-endian words; a partial word is
+/// buffered, so the value depends only on the bytes written, not on how
+/// they were split into [`Fingerprint::write`] calls. [`Fingerprint::finish`]
+/// absorbs the zero-padded tail word and the total length, then applies
+/// `fmix64`. Because every step is a bijection of the state and injective
+/// in its word, two streams of equal length that differ in any one byte
+/// always have different fingerprints: a flipped payload byte can never
+/// pass a checksum.
+pub struct Fingerprint {
+    state: u64,
+    /// The bytes of the word being filled: the first `len % 8` are live.
+    tail: [u8; 8],
+    /// Bytes written so far.
+    len: u64,
+}
 
 impl Default for Fingerprint {
     fn default() -> Self {
@@ -58,14 +100,36 @@ impl Default for Fingerprint {
 
 impl Fingerprint {
     pub fn new() -> Fingerprint {
-        Fingerprint(FNV_OFFSET)
+        Fingerprint {
+            state: SEED,
+            tail: [0; 8],
+            len: 0,
+        }
     }
 
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        let fill = (self.len % 8) as usize;
+        self.len += bytes.len() as u64;
+        if fill > 0 {
+            let take = bytes.len().min(8 - fill);
+            self.tail[fill..fill + take].copy_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+            if fill + take < 8 {
+                return;
+            }
+            self.state = absorb(self.state, u64::from_le_bytes(self.tail));
         }
+        let mut words = bytes.chunks_exact(8);
+        let mut h = self.state;
+        for word in &mut words {
+            h = absorb(
+                h,
+                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+            );
+        }
+        self.state = h;
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
     }
 
     pub fn write_u64(&mut self, v: u64) {
@@ -77,7 +141,13 @@ impl Fingerprint {
     }
 
     pub fn finish(&self) -> u64 {
-        self.0
+        let fill = (self.len % 8) as usize;
+        let mut tail = [0u8; 8];
+        tail[..fill].copy_from_slice(&self.tail[..fill]);
+        fmix64(absorb(
+            absorb(self.state, u64::from_le_bytes(tail)),
+            self.len,
+        ))
     }
 }
 
@@ -492,6 +562,60 @@ mod tests {
             .try_into()
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad length"))?;
         Ok(u64::from_le_bytes(raw))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn any_split_of_a_stream_hashes_as_the_whole(
+            data in proptest::collection::vec(0u8..=255, 0..80),
+            cuts in proptest::collection::vec(0usize..81, 1..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.extend([0, data.len()]);
+            cuts.sort_unstable();
+            let mut h = Fingerprint::new();
+            for piece in cuts.windows(2) {
+                h.write(&data[piece[0]..piece[1]]);
+            }
+            proptest::prop_assert_eq!(h.finish(), fingerprint_bytes(&data));
+        }
+
+        #[test]
+        fn any_one_changed_byte_changes_the_value(
+            data in proptest::collection::vec(0u8..=255, 1..80),
+            at in 0usize..80,
+            by in 1u8..=255,
+        ) {
+            let mut changed = data.clone();
+            changed[at % data.len()] ^= by;
+            proptest::prop_assert_ne!(fingerprint_bytes(&changed), fingerprint_bytes(&data));
+        }
+
+        #[test]
+        fn appending_a_zero_byte_changes_the_value(
+            data in proptest::collection::vec(0u8..=255, 0..80),
+        ) {
+            let mut longer = data.clone();
+            longer.push(0);
+            proptest::prop_assert_ne!(fingerprint_bytes(&longer), fingerprint_bytes(&data));
+        }
+    }
+
+    /// Every single-bit flip of three words and a five-byte tail moves the
+    /// value: the top bit of each word and each tail byte included.
+    #[test]
+    fn every_flipped_bit_of_words_and_tail_is_seen() {
+        let data: Vec<u8> = (0..29u8).map(|b| b.wrapping_mul(37)).collect();
+        let base = fingerprint_bytes(&data);
+        for at in 0..data.len() {
+            for bit in 0..8 {
+                let mut flipped = data.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(fingerprint_bytes(&flipped), base, "byte {at} bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -38,10 +38,30 @@ fn put_ids(buf: &mut BytesMut, ids: &[NodeId]) {
     }
 }
 
+/// Stored length of an id list.
+fn ids_len(ids: &[NodeId]) -> usize {
+    8 + ids.len() * 4
+}
+
+/// Writes `g`'s GFX1 image behind its length, straight into `buf`: the
+/// image is never built on its own.
 fn put_graph(buf: &mut BytesMut, g: &Csr) {
-    let raw = serialize::to_bytes(g);
-    buf.put_u64_le(raw.len() as u64);
-    buf.put_slice(&raw);
+    buf.put_u64_le(serialize::image_len(g) as u64);
+    serialize::write_sections(g, |piece| buf.put_slice(piece));
+}
+
+/// Stored length of an embedded graph: its length word and its image.
+fn graph_len(g: &Csr) -> usize {
+    8 + serialize::image_len(g)
+}
+
+/// Runs `put` on a buffer allocated once at the payload's whole `len`, so
+/// no regrowth ever copies an embedded graph.
+fn encode_exact(len: usize, put: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let mut buf = BytesMut::with_capacity(len);
+    put(&mut buf);
+    debug_assert_eq!(buf.len(), len, "payload length");
+    buf.freeze()
 }
 
 fn get_len(bytes: &mut Bytes, what: &str) -> io::Result<usize> {
@@ -91,6 +111,10 @@ fn done(bytes: &Bytes, what: &str) -> io::Result<()> {
     Ok(())
 }
 
+fn str_len(s: &str) -> usize {
+    8 + s.len()
+}
+
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u64_le(s.len() as u64);
     buf.put_slice(s.as_bytes());
@@ -104,6 +128,13 @@ fn get_str(bytes: &mut Bytes, what: &str) -> io::Result<String> {
     let mut raw = vec![0u8; len];
     bytes.copy_to_slice(&mut raw);
     String::from_utf8(raw).map_err(|_| invalid(&format!("non-utf8 {what}")))
+}
+
+fn groups_len(groups: &[(NodeId, Vec<NodeId>)]) -> usize {
+    8 + groups
+        .iter()
+        .map(|(_, members)| 4 + ids_len(members))
+        .sum::<usize>()
 }
 
 fn put_groups(buf: &mut BytesMut, groups: &[(NodeId, Vec<NodeId>)]) {
@@ -125,6 +156,13 @@ fn get_groups(bytes: &mut Bytes) -> io::Result<Vec<(NodeId, Vec<NodeId>)>> {
         groups.push((orig, get_ids(bytes, "replica members")?));
     }
     Ok(groups)
+}
+
+fn tiles_len(tiles: &[Tile]) -> usize {
+    8 + tiles
+        .iter()
+        .map(|tile| 12 + ids_len(&tile.nodes))
+        .sum::<usize>()
 }
 
 fn put_tiles(buf: &mut BytesMut, tiles: &[Tile]) {
@@ -192,22 +230,31 @@ pub(crate) fn decode_csr(bytes: Bytes) -> io::Result<Csr> {
 }
 
 pub(crate) fn encode_renumber(out: &RenumberOut) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_ids(&mut buf, &out.ren.new_of_old);
-    put_ids(&mut buf, &out.ren.old_of_new);
-    buf.put_u64_le(out.ren.level_ranges.len() as u64);
-    for r in &out.ren.level_ranges {
-        buf.put_u64_le(r.start as u64);
-        buf.put_u64_le(r.end as u64);
-    }
-    buf.put_u64_le(out.ren.level_of_new.len() as u64);
-    for &l in &out.ren.level_of_new {
-        buf.put_u32_le(l);
-    }
-    buf.put_u64_le(out.ren.holes_created as u64);
-    buf.put_u64_le(out.ren.k as u64);
-    put_graph(&mut buf, &out.graph);
-    buf.freeze()
+    let ren = &out.ren;
+    let len = ids_len(&ren.new_of_old)
+        + ids_len(&ren.old_of_new)
+        + 8
+        + ren.level_ranges.len() * 16
+        + 8
+        + ren.level_of_new.len() * 4
+        + 16
+        + graph_len(&out.graph);
+    encode_exact(len, |buf| {
+        put_ids(buf, &ren.new_of_old);
+        put_ids(buf, &ren.old_of_new);
+        buf.put_u64_le(ren.level_ranges.len() as u64);
+        for r in &ren.level_ranges {
+            buf.put_u64_le(r.start as u64);
+            buf.put_u64_le(r.end as u64);
+        }
+        buf.put_u64_le(ren.level_of_new.len() as u64);
+        for &l in &ren.level_of_new {
+            buf.put_u32_le(l);
+        }
+        buf.put_u64_le(ren.holes_created as u64);
+        buf.put_u64_le(ren.k as u64);
+        put_graph(buf, &out.graph);
+    })
 }
 
 pub(crate) fn decode_renumber(mut bytes: Bytes) -> io::Result<RenumberOut> {
@@ -241,14 +288,16 @@ pub(crate) fn decode_renumber(mut bytes: Bytes) -> io::Result<RenumberOut> {
 }
 
 pub(crate) fn encode_replication(rep: &ReplicationResult) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_graph(&mut buf, &rep.graph);
-    put_ids(&mut buf, &rep.to_original);
-    put_groups(&mut buf, &rep.replica_groups);
-    buf.put_u64_le(rep.holes_filled as u64);
-    buf.put_u64_le(rep.edges_added as u64);
-    buf.put_u64_le(rep.replicas as u64);
-    buf.freeze()
+    let len =
+        graph_len(&rep.graph) + ids_len(&rep.to_original) + groups_len(&rep.replica_groups) + 24;
+    encode_exact(len, |buf| {
+        put_graph(buf, &rep.graph);
+        put_ids(buf, &rep.to_original);
+        put_groups(buf, &rep.replica_groups);
+        buf.put_u64_le(rep.holes_filled as u64);
+        buf.put_u64_le(rep.edges_added as u64);
+        buf.put_u64_le(rep.replicas as u64);
+    })
 }
 
 pub(crate) fn decode_replication(mut bytes: Bytes) -> io::Result<ReplicationResult> {
@@ -270,14 +319,15 @@ pub(crate) fn decode_replication(mut bytes: Bytes) -> io::Result<ReplicationResu
 }
 
 pub(crate) fn encode_boost(out: &BoostOutcome) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_graph(&mut buf, &out.graph);
-    buf.put_u64_le(out.clustering.len() as u64);
-    for &c in &out.clustering {
-        buf.put_u64_le(c.to_bits());
-    }
-    buf.put_u64_le(out.edges_added as u64);
-    buf.freeze()
+    let len = graph_len(&out.graph) + 8 + out.clustering.len() * 8 + 8;
+    encode_exact(len, |buf| {
+        put_graph(buf, &out.graph);
+        buf.put_u64_le(out.clustering.len() as u64);
+        for &c in &out.clustering {
+            buf.put_u64_le(c.to_bits());
+        }
+        buf.put_u64_le(out.edges_added as u64);
+    })
 }
 
 pub(crate) fn decode_boost(mut bytes: Bytes) -> io::Result<BoostOutcome> {
@@ -310,11 +360,11 @@ pub(crate) fn decode_tiles(mut bytes: Bytes) -> io::Result<TileSelection> {
 }
 
 pub(crate) fn encode_normalize(out: &crate::divergence::NormalizeOutcome) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_graph(&mut buf, &out.graph);
-    buf.put_u64_le(out.edges_added as u64);
-    buf.put_u64_le(out.warps_normalized as u64);
-    buf.freeze()
+    encode_exact(graph_len(&out.graph) + 16, |buf| {
+        put_graph(buf, &out.graph);
+        buf.put_u64_le(out.edges_added as u64);
+        buf.put_u64_le(out.warps_normalized as u64);
+    })
 }
 
 pub(crate) fn decode_normalize(
@@ -338,74 +388,127 @@ const CONFLUENCES: [ConfluenceOp; 4] = [
     ConfluenceOp::Sum,
 ];
 
-/// A stored field of a [`Prepared`]: its name and what writes it.
-type PreparedField = (&'static str, fn(&mut BytesMut, &Prepared));
+/// A stored field of a [`Prepared`]: its name, what writes it, and the
+/// number of bytes it writes.
+type PreparedField = (
+    &'static str,
+    fn(&mut BytesMut, &Prepared),
+    fn(&Prepared) -> usize,
+);
 
 /// The terminal payload, field by field in stored order — the one list
 /// behind [`encode_prepared`] and [`Prepared::first_difference`]. Content
 /// only, like every stage payload: `preprocess_seconds` and `phase_seconds`
 /// are wall-clock diagnostics and are not in it.
 const PREPARED_FIELDS: [PreparedField; 12] = [
-    ("technique", |buf, p| {
-        buf.put_u8(
-            Technique::ALL
+    (
+        "technique",
+        |buf, p| {
+            buf.put_u8(
+                Technique::ALL
+                    .iter()
+                    .position(|&t| t == p.technique)
+                    .unwrap() as u8,
+            )
+        },
+        |_| 1,
+    ),
+    (
+        "confluence",
+        |buf, p| buf.put_u8(CONFLUENCES.iter().position(|&c| c == p.confluence).unwrap() as u8),
+        |_| 1,
+    ),
+    (
+        "graph",
+        |buf, p| put_graph(buf, &p.graph),
+        |p| graph_len(&p.graph),
+    ),
+    (
+        "assignment",
+        |buf, p| put_ids(buf, &p.assignment),
+        |p| ids_len(&p.assignment),
+    ),
+    (
+        "to_original",
+        |buf, p| put_ids(buf, &p.to_original),
+        |p| ids_len(&p.to_original),
+    ),
+    (
+        "primary",
+        |buf, p| put_ids(buf, &p.primary),
+        |p| ids_len(&p.primary),
+    ),
+    (
+        "replica_groups",
+        |buf, p| put_groups(buf, &p.replica_groups),
+        |p| groups_len(&p.replica_groups),
+    ),
+    (
+        "tiles",
+        |buf, p| put_tiles(buf, &p.tiles),
+        |p| tiles_len(&p.tiles),
+    ),
+    (
+        "report.technique_label",
+        |buf, p| put_str(buf, &p.report.technique_label),
+        |p| str_len(&p.report.technique_label),
+    ),
+    (
+        "report counters",
+        |buf, p| {
+            let r = &p.report;
+            for v in [
+                r.original_nodes,
+                r.original_edges,
+                r.new_nodes,
+                r.new_edges,
+                r.holes_created,
+                r.holes_filled,
+                r.replicas,
+                r.edges_added,
+            ] {
+                buf.put_u64_le(v as u64);
+            }
+        },
+        |_| 64,
+    ),
+    (
+        "report.space_overhead",
+        |buf, p| buf.put_u64_le(p.report.space_overhead.to_bits()),
+        |_| 8,
+    ),
+    (
+        "report.stages",
+        |buf, p| {
+            buf.put_u64_le(p.report.stages.len() as u64);
+            for s in &p.report.stages {
+                put_str(buf, &s.transform);
+                buf.put_u64_le(s.replicas as u64);
+                buf.put_u64_le(s.edges_added as u64);
+                buf.put_u64_le(s.edge_budget_arcs as u64);
+            }
+        },
+        |p| {
+            8 + p
+                .report
+                .stages
                 .iter()
-                .position(|&t| t == p.technique)
-                .unwrap() as u8,
-        )
-    }),
-    ("confluence", |buf, p| {
-        buf.put_u8(CONFLUENCES.iter().position(|&c| c == p.confluence).unwrap() as u8)
-    }),
-    ("graph", |buf, p| put_graph(buf, &p.graph)),
-    ("assignment", |buf, p| put_ids(buf, &p.assignment)),
-    ("to_original", |buf, p| put_ids(buf, &p.to_original)),
-    ("primary", |buf, p| put_ids(buf, &p.primary)),
-    ("replica_groups", |buf, p| {
-        put_groups(buf, &p.replica_groups)
-    }),
-    ("tiles", |buf, p| put_tiles(buf, &p.tiles)),
-    ("report.technique_label", |buf, p| {
-        put_str(buf, &p.report.technique_label)
-    }),
-    ("report counters", |buf, p| {
-        let r = &p.report;
-        for v in [
-            r.original_nodes,
-            r.original_edges,
-            r.new_nodes,
-            r.new_edges,
-            r.holes_created,
-            r.holes_filled,
-            r.replicas,
-            r.edges_added,
-        ] {
-            buf.put_u64_le(v as u64);
-        }
-    }),
-    ("report.space_overhead", |buf, p| {
-        buf.put_u64_le(p.report.space_overhead.to_bits())
-    }),
-    ("report.stages", |buf, p| {
-        buf.put_u64_le(p.report.stages.len() as u64);
-        for s in &p.report.stages {
-            put_str(buf, &s.transform);
-            buf.put_u64_le(s.replicas as u64);
-            buf.put_u64_le(s.edges_added as u64);
-            buf.put_u64_le(s.edge_budget_arcs as u64);
-        }
-    }),
+                .map(|s| str_len(&s.transform) + 24)
+                .sum::<usize>()
+        },
+    ),
 ];
 
 /// The terminal payload: the assembled [`Prepared`]. Decodes with 0 / empty
 /// wall-clock diagnostics (the caller records the load time in their
 /// place).
 pub(crate) fn encode_prepared(p: &Prepared) -> Bytes {
-    let mut buf = BytesMut::new();
-    for (_, put) in PREPARED_FIELDS {
-        put(&mut buf, p);
-    }
-    buf.freeze()
+    let len = PREPARED_FIELDS.iter().map(|(_, _, len)| len(p)).sum();
+    encode_exact(len, |buf| {
+        for (_, put, _) in PREPARED_FIELDS {
+            put(buf, p);
+        }
+    })
 }
 
 impl Prepared {
@@ -422,8 +525,8 @@ impl Prepared {
         };
         PREPARED_FIELDS
             .iter()
-            .find(|&&(_, put)| stored(put, self)[..] != stored(put, other)[..])
-            .map(|&(name, _)| name)
+            .find(|&&(_, put, _)| stored(put, self)[..] != stored(put, other)[..])
+            .map(|&(name, _, _)| name)
     }
 }
 

@@ -130,25 +130,45 @@ fn truncated_stage_entry_degrades_to_a_miss_for_that_stage_only() {
 
 #[test]
 fn flipped_payload_byte_degrades_to_a_miss_for_that_stage_only() {
-    let g = graph();
+    // At 340 nodes the boost payload ends in a partial word (at the 350 of
+    // `graph()` it is a whole number of words).
+    let g = GraphSpec::new(GraphKind::SocialLiveJournal, 340, 5).generate();
     let dir = tmp_dir("bitflip");
     let (reference, records) = staged_run(&pipeline(), &g, &dir);
     let boost_key = key_of(&records, "boost");
-    // A single flipped payload byte leaves the file structurally valid —
-    // only the checksum in the GFXS header catches it.
-    assert_boost_degrades_alone(
-        |entry| {
-            let mut raw = std::fs::read(entry).unwrap();
-            let last = raw.len() - 1;
-            raw[last] ^= 0xff;
-            std::fs::write(entry, raw).unwrap();
-        },
-        &g,
-        &dir,
-        &reference,
-        boost_key,
-        "flipped payload byte",
+    // The payload follows the GFXS header: magic, version, name length,
+    // name and checksum.
+    let payload_at = 4 + 4 + 2 + "boost".len() + 8;
+    let payload_len = std::fs::read(stage_entry_path(&dir, "boost", boost_key))
+        .unwrap()
+        .len()
+        - payload_at;
+    assert!(
+        !payload_len.is_multiple_of(8),
+        "fixture payload must end in a partial word"
     );
+    // A single flipped payload byte leaves the file structurally valid —
+    // only the checksum in the GFXS header catches it. The checksum takes
+    // the payload a word at a time, so the flip lands in the first word, on
+    // the top bit of a byte inside a word, and in the partial last word.
+    for (case, at, mask) in [
+        ("first payload byte", 0, 0xff),
+        ("top bit inside a word", (payload_len / 2) & !7 | 3, 0x80),
+        ("tail byte", payload_len - 1, 0xff),
+    ] {
+        assert_boost_degrades_alone(
+            |entry| {
+                let mut raw = std::fs::read(entry).unwrap();
+                raw[payload_at + at] ^= mask;
+                std::fs::write(entry, raw).unwrap();
+            },
+            &g,
+            &dir,
+            &reference,
+            boost_key,
+            case,
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

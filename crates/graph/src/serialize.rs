@@ -74,10 +74,19 @@ fn feed_le<T: Copy, const W: usize>(
     }
 }
 
-/// Serializes `g` into a fresh byte buffer.
-pub fn to_bytes(g: &Csr) -> Bytes {
+/// The exact length of `g`'s GFX1 image: what [`write_sections`] feeds.
+pub fn image_len(g: &Csr) -> usize {
     let (n, m) = (g.num_nodes(), g.num_edges());
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + (n + 1) * 8 + m * 8 + n / 8 + 1);
+    HEADER_BYTES
+        + (n + 1) * 8
+        + m * 4
+        + if g.is_weighted() { m * 4 } else { 0 }
+        + if g.has_holes() { n.div_ceil(8) } else { 0 }
+}
+
+/// Serializes `g` into a fresh buffer of exactly its image's length.
+pub fn to_bytes(g: &Csr) -> Bytes {
+    let mut buf = BytesMut::with_capacity(image_len(g));
     write_sections(g, |piece| buf.put_slice(piece));
     buf.freeze()
 }
@@ -319,6 +328,30 @@ mod tests {
         assert!(g2.is_hole(7) && g2.is_hole(9));
         assert!(!g2.is_hole(0));
         assert_eq!(g2.num_holes(), 2);
+    }
+
+    #[test]
+    fn image_len_is_the_length_of_the_image() {
+        let weighted = GraphSpec::new(GraphKind::Rmat, 300, 4).generate();
+        let unweighted = GraphSpec::new(GraphKind::Road, 200, 1)
+            .with_max_weight(0)
+            .generate();
+        let mut holey = GraphBuilder::new(10);
+        holey.add_edge(0, 1);
+        let mut holey = holey.build();
+        holey.set_hole_mask((0..10).map(|v| v == 7).collect());
+        let tiny = GraphSpec::new(GraphKind::Random, 3, 1).generate();
+        let empty = Csr::from_adjacency(Vec::new(), None);
+        assert!(weighted.is_weighted() && !unweighted.is_weighted() && holey.has_holes());
+        for (name, g) in [
+            ("weighted", &weighted),
+            ("unweighted", &unweighted),
+            ("hole-bearing", &holey),
+            ("tiny", &tiny),
+            ("empty", &empty),
+        ] {
+            assert_eq!(to_bytes(g).len(), image_len(g), "{name}");
+        }
     }
 
     #[test]

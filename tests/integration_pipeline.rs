@@ -86,8 +86,8 @@ fn pipeline_amortizes_across_multiple_queries() {
 
 /// One golden row: every file the fresh cache directory `dir` holds after
 /// `pipe` was prepared into it, by name (which carries the stage or
-/// terminal key) with the FNV-1a of its bytes (envelope + payload —
-/// content only).
+/// terminal key) with the cache's own fingerprint of its bytes (envelope +
+/// payload — content only).
 fn prepared_matrix_row(
     id: &str,
     g: &Csr,
@@ -117,11 +117,13 @@ fn prepared_matrix_row(
 /// Every stage key, the terminal key and every stored byte of every
 /// pipeline shape, against rows recorded from the code *before* the three
 /// standalone `transform()` functions were deleted and `Pipeline` became
-/// the only producer of a `Prepared` (`tests/golden/prepared_matrix.txt`;
-/// not regenerated since). The matrix is `paper_suite(512, 2020)` and
-/// `paper_suite(2048, 7)` × the seven non-empty stage subsets under the
-/// per-family knobs plus `Pipeline::all_defaults()` (the gate's `combined`
-/// cell). On a mismatch the rows this build produces are left in
+/// the only producer of a `Prepared` (`tests/golden/prepared_matrix.txt`).
+/// It was regenerated once since, when `PIPELINE_VERSION` 3 gave keys and
+/// checksums the word-at-a-time hash; every entry's payload was shown
+/// byte-identical to the one it replaced. The matrix is
+/// `paper_suite(512, 2020)` and `paper_suite(2048, 7)` × the seven
+/// non-empty stage subsets under the per-family knobs plus
+/// `Pipeline::all_defaults()` (the gate's `combined` cell). On a mismatch the rows this build produces are left in
 /// `prepared_matrix.actual.txt` under the test tmpdir.
 #[test]
 fn prepared_matrix_equals_the_recorded_rows() {
