@@ -69,13 +69,21 @@ pub fn scalar_inaccuracy(approx: f64, exact: f64) -> f64 {
     (approx - exact).abs() / exact.abs().max(1.0)
 }
 
-/// Geometric mean of a slice of positive values (used for the tables'
-/// "Geomean" rows).
+/// Geometric mean of a slice of finite, positive values (the tables'
+/// speedup averages); 0 for an empty slice. Panics on any other value: a
+/// zero or a negative has no logarithm, and clamping it would hand back a
+/// mean of numbers nobody measured.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let log_sum: f64 = values.iter().map(|v| v.max(f64::MIN_POSITIVE).ln()).sum();
+    let log_sum: f64 = values
+        .iter()
+        .map(|&v| {
+            assert!(v.is_finite() && v > 0.0, "geomean of {v}");
+            v.ln()
+        })
+        .sum();
     (log_sum / values.len() as f64).exp()
 }
 
@@ -142,6 +150,12 @@ mod tests {
         assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
         assert!((geomean(&[1.16]) - 1.16).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "geomean of 0")]
+    fn geomean_of_a_zero_panics() {
+        geomean(&[1.2, 0.0]);
     }
 
     #[test]

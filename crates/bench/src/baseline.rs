@@ -3,26 +3,37 @@
 //! it. `graffix bench --save-baseline FILE` writes it and
 //! `graffix bench --gate FILE` re-measures every family it holds.
 //!
-//! One row per line, `id key=value …`, in four families told apart by the
+//! One row per line, `id key=value …`, in six families told apart by the
 //! id:
 //! * `suite` — the paper suite (`nodes`, `seed`, `bc_sources`) the paper
-//!   and large rows are measured at;
+//!   rows are measured on; the large and segment rows use its seed;
 //! * `paper/<graph>/<technique>/<baseline>/<algo>/<direction>` — simulated
 //!   `cycles` and `inaccuracy` vs the exact CPU reference of the gate
 //!   corpus: paper suite × technique × {sssp, pr} under Baseline-I, plus
 //!   push/auto cells under Gunrock on the two dense families;
 //! * `large/<graph>:<nodes>/<algo>/segmented/large` — `cycles`, `segments`
 //!   and `segment_bytes` of a segmented run on a 2^20-scale rmat graph;
+//! * `segment/<graph>:<nodes>/<algo>` — flat vs segmented on the paper
+//!   suite at `<nodes>` ([`crate::segmented`]);
+//! * `stream/rmat-20k-1pct` — the stage records of incremental
+//!   re-preparation under churn ([`crate::streaming`]);
 //! * `launch/…` — the launch matrix ([`crate::launch`]).
+//!
+//! The record is the only place a setting lives: the suite row sets the
+//! suite, and each large and segment row id names its node count (every
+//! row of a family the same). Rescaling is editing those and saving.
 //!
 //! Every value is a pure function of the seeded inputs (no wall clock, no
 //! thread count), so a record saved on one machine holds on any other, and
 //! the gate holds each (row id, key) to its recorded text exactly. Floats
 //! are written with `{}`, Rust's shortest round trip: equal text is equal
-//! bits.
+//! bits. The segment and stream measurements also yield floor cells
+//! ([`crate::gate::FLOORS`]), judged beside the rows and never written.
 
 use crate::gate::{Cell, GateReport};
 use crate::launch::launch_rows;
+use crate::segmented::measure_segmented;
+use crate::streaming::measure_streaming;
 use crate::suite::{Suite, SuiteOptions};
 use graffix_algos::{Algo, AlgoOutcome, Direction};
 use graffix_baselines::Baseline;
@@ -44,22 +55,45 @@ pub const GATE_ALGOS: [Algo; 2] = [Algo::Sssp, Algo::Pr];
 /// 2^20 nodes.
 const LARGE_ALGOS: [Algo; 2] = [Algo::Bfs, Algo::Pr];
 
-/// Id of the suite row; the id prefixes of the other three families.
+/// Id of the suite row; the id prefixes of the other five families.
 pub const SUITE: &str = "suite";
 pub const PAPER: &str = "paper/";
 pub const LARGE: &str = "large/";
+pub const SEGMENT: &str = "segment/";
+pub const STREAM: &str = "stream/";
 pub const LAUNCH: &str = "launch/";
 
-/// What a record's rows are measured at, and which families it holds.
+/// Which families a record holds, and what their rows are measured at.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Families {
-    /// The `suite` row: paper rows are measured on this suite and large
-    /// rows at its seed. `None` when the record holds neither.
+    /// The `suite` row: the paper rows' suite, and the seed of the large
+    /// and segment rows. `None` when the record holds none of the three.
     pub suite: Option<SuiteOptions>,
-    /// Node count of the large rows; 0 when there are none.
-    pub large_nodes: usize,
+    /// Whether the record holds the paper rows.
+    pub paper: bool,
+    /// Node count of the large rows, when there are any.
+    pub large: Option<usize>,
+    /// Node count of the segment rows, when there are any.
+    pub segment: Option<usize>,
+    /// Whether the record holds the stream row.
+    pub stream: bool,
     /// Whether the record holds the launch rows.
     pub launch: bool,
+}
+
+impl Default for Families {
+    /// Every family at its default scale: what a save measures when there
+    /// is no record to read.
+    fn default() -> Families {
+        Families {
+            suite: Some(SuiteOptions::default()),
+            paper: true,
+            large: Some(1 << 20),
+            segment: Some(8192),
+            stream: true,
+            launch: true,
+        }
+    }
 }
 
 /// A bench record: every (row id, key, value) in row order, and what the
@@ -139,30 +173,49 @@ fn measure_corpus(suite: &Suite) -> Vec<Cell> {
 }
 
 impl BenchRecord {
-    /// Measures every family `families` names: the suite row and the paper
-    /// rows on a suite read through `cache` (cached loads are bit-identical
-    /// to fresh transforms), the large rows at the default segment budget,
-    /// the launch rows.
-    pub fn measure(families: Families, cache: &CacheConfig) -> BenchRecord {
-        let mut cells = Vec::new();
+    /// Measures every family `families` names: the record, and the floor
+    /// cells of its segment and stream rows. Suites are read through
+    /// `cache` (cached loads are bit-identical to fresh transforms); large
+    /// and segment rows run at the default segment budget.
+    pub fn measure(families: Families, cache: &CacheConfig) -> (BenchRecord, Vec<Cell>) {
+        let (mut cells, mut floors) = (Vec::new(), Vec::new());
         if let Some(options) = &families.suite {
             cells.push(Cell::new(SUITE, "nodes", options.nodes));
             cells.push(Cell::new(SUITE, "seed", options.seed));
             cells.push(Cell::new(SUITE, "bc_sources", options.bc_sources));
-            let suite = Suite::new(options.clone()).with_cache(cache.clone());
-            cells.extend(measure_corpus(&suite));
-            if families.large_nodes > 0 {
-                let budget = SegmentKnobs::default().segment_bytes;
-                cells.extend(measure_large(families.large_nodes, options.seed, budget));
+            let suite = |nodes| {
+                let options = SuiteOptions {
+                    nodes,
+                    ..options.clone()
+                };
+                Suite::new(options).with_cache(cache.clone())
+            };
+            let budget = SegmentKnobs::default().segment_bytes;
+            if families.paper {
+                cells.extend(measure_corpus(&suite(options.nodes)));
             }
+            if let Some(nodes) = families.large {
+                cells.extend(measure_large(nodes, options.seed, budget));
+            }
+            if let Some(nodes) = families.segment {
+                let (rows, checks) = measure_segmented(&suite(nodes), budget);
+                cells.extend(rows);
+                floors.extend(checks);
+            }
+        }
+        if families.stream {
+            let (row, checks) = measure_streaming();
+            cells.extend(row);
+            floors.extend(checks);
         }
         if families.launch {
             cells.extend(launch_rows());
         }
-        BenchRecord { families, cells }
+        (BenchRecord { families, cells }, floors)
     }
 
-    /// The cells of one family ([`SUITE`], [`PAPER`], [`LARGE`], [`LAUNCH`]).
+    /// The cells of one family ([`SUITE`], [`PAPER`], [`LARGE`],
+    /// [`SEGMENT`], [`STREAM`], [`LAUNCH`]).
     pub fn family<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Cell> {
         self.cells.iter().filter(move |c| c.id.starts_with(family))
     }
@@ -183,19 +236,27 @@ impl BenchRecord {
     /// Reads a record, naming the line of the first thing a hand edit can
     /// break: a token without `=`, an empty key or value, a key twice in a
     /// row, a row id twice, an id of no family, a suite row without its
-    /// three counts, or paper or large rows without a suite row.
+    /// three counts, paper, large or segment rows without a suite row, or
+    /// a large or segment row that names no node count or another count
+    /// than the family's first row.
     pub fn parse(text: &str) -> Result<BenchRecord, String> {
         let mut cells: Vec<Cell> = Vec::new();
         let mut lines: HashMap<&str, usize> = HashMap::new();
+        let mut rows: Vec<(&str, usize)> = Vec::new();
         for (n, line) in (1..).zip(text.lines()) {
             let at = |e: String| format!("line {n}: {e}");
             let (id, pairs) = line.split_once(' ').unwrap_or((line, ""));
-            if id != SUITE && ![PAPER, LARGE, LAUNCH].iter().any(|f| id.starts_with(f)) {
+            if id != SUITE
+                && ![PAPER, LARGE, SEGMENT, STREAM, LAUNCH]
+                    .iter()
+                    .any(|f| id.starts_with(f))
+            {
                 return Err(at(format!("`{id}` is no row of a bench record")));
             }
             if let Some(first) = lines.insert(id, n) {
                 return Err(at(format!("row `{id}` is already on line {first}")));
             }
+            rows.push((id, n));
             let row = cells.len();
             for token in pairs.split(' ') {
                 let (key, value) = token
@@ -210,12 +271,8 @@ impl BenchRecord {
                 cells.push(Cell::new(id, key, value));
             }
         }
-        let first = |family| {
-            lines
-                .iter()
-                .filter(|(id, _)| id.starts_with(family))
-                .min_by_key(|r| r.1)
-        };
+        let family =
+            |prefix: &'static str| rows.iter().filter(move |(id, _)| id.starts_with(prefix));
         let count = |key| {
             cells
                 .iter()
@@ -238,33 +295,51 @@ impl BenchRecord {
             }
             _ => None,
         };
-        if let (None, Some((_, n))) = (&suite, first(PAPER).or(first(LARGE))) {
-            return Err(format!("line {n}: paper and large rows need a `suite` row"));
+        let suited = family(PAPER).chain(family(LARGE)).chain(family(SEGMENT));
+        if let (None, Some((_, n))) = (&suite, suited.min_by_key(|r| r.1)) {
+            return Err(format!(
+                "line {n}: paper, large and segment rows need a `suite` row"
+            ));
         }
-        let large_nodes = match first(LARGE) {
-            None => 0,
-            Some((id, n)) => {
-                let nodes = id.split('/').nth(1).and_then(|g| g.split_once(':'));
-                nodes
+        // The node count every row of a scaled family names, as the
+        // `<graph>:<nodes>` part of its id.
+        let scale = |prefix| -> Result<Option<usize>, String> {
+            let mut first: Option<(usize, usize)> = None;
+            for &(id, n) in family(prefix) {
+                let graph = id.split('/').nth(1).and_then(|g| g.split_once(':'));
+                let nodes = graph
                     .and_then(|(_, nodes)| nodes.parse().ok())
-                    .ok_or_else(|| format!("line {n}: large row `{id}` names no node count"))?
+                    .ok_or_else(|| format!("line {n}: row `{id}` names no node count"))?;
+                match first {
+                    None => first = Some((nodes, n)),
+                    Some((at, line)) if at != nodes => {
+                        return Err(format!(
+                            "line {n}: row `{id}` names {nodes} nodes, the row on line {line} {at}"
+                        ))
+                    }
+                    Some(_) => {}
+                }
             }
+            Ok(first.map(|(nodes, _)| nodes))
         };
-        let launch = first(LAUNCH).is_some();
         let families = Families {
             suite,
-            large_nodes,
-            launch,
+            paper: family(PAPER).next().is_some(),
+            large: scale(LARGE)?,
+            segment: scale(SEGMENT)?,
+            stream: family(STREAM).next().is_some(),
+            launch: family(LAUNCH).next().is_some(),
         };
         Ok(BenchRecord { families, cells })
     }
 }
 
 /// Re-measures every family `record` holds, at the settings it records,
-/// and judges every (row id, key) exactly.
+/// and judges every (row id, key) exactly and every floor cell against its
+/// floor, in one report.
 pub fn run_gate(record: &BenchRecord, cache: &CacheConfig) -> GateReport {
-    let current = BenchRecord::measure(record.families.clone(), cache);
-    GateReport::exact("bench", &record.cells, &current.cells)
+    let (current, floors) = BenchRecord::measure(record.families.clone(), cache);
+    GateReport::judge("bench", &record.cells, &current.cells, &floors)
 }
 
 #[cfg(test)]
@@ -289,7 +364,7 @@ mod tests {
         let rows = s.len() * Technique::ALL.len() * GATE_ALGOS.len() + dense * GATE_ALGOS.len() * 2;
         assert_eq!(cells.len(), 2 * rows);
         // Two keys per row, and no (id, key) twice.
-        GateReport::exact("self", &cells, &cells);
+        GateReport::judge("self", &cells, &cells, &[]);
         // The direction cells come in push/auto pairs on the gunrock
         // baseline.
         let auto: Vec<&str> = cells
@@ -343,12 +418,32 @@ mod tests {
     fn a_measured_record_reads_back() {
         let families = Families {
             suite: Some(tiny().options),
-            large_nodes: 1500,
+            paper: true,
+            large: Some(1500),
+            segment: None,
+            stream: false,
             launch: false,
         };
-        let record = BenchRecord::measure(families, &CacheConfig::disabled());
+        let (record, floors) = BenchRecord::measure(families, &CacheConfig::disabled());
+        assert!(floors.is_empty(), "no segment or stream rows, no floors");
         let text = record.render();
         assert_eq!(BenchRecord::parse(&text), Ok(record));
+    }
+
+    /// A record measures exactly the families it holds: a suite row with
+    /// segment rows and nothing else measures no paper row.
+    #[test]
+    fn only_the_held_families_are_measured() {
+        let text = format!("{SUITE_ROW}segment/rmat26:300/sssp cycles=1\n");
+        let families = BenchRecord::parse(&text).unwrap().families;
+        assert_eq!((families.paper, families.segment), (false, Some(300)));
+        let (record, floors) = BenchRecord::measure(families, &CacheConfig::disabled());
+        assert!(record.family(PAPER).next().is_none());
+        assert_eq!(record.family(SEGMENT).count(), 4 * 5 * GATE_ALGOS.len());
+        assert_eq!(floors.len(), 2 * 5 * GATE_ALGOS.len());
+        assert!(floors
+            .iter()
+            .all(|c| c.id.starts_with("segment/") && c.id.contains(":300/")));
     }
 
     const SUITE_ROW: &str = "suite nodes=512 seed=2020 bc_sources=4\n";
@@ -390,12 +485,44 @@ mod tests {
 
     #[test]
     fn paper_rows_without_a_suite_row_are_rejected() {
+        let need = "paper, large and segment rows need a `suite` row";
         let e = BenchRecord::parse("launch/b warps=2\npaper/a cycles=1\n").unwrap_err();
-        assert_eq!(e, "line 2: paper and large rows need a `suite` row");
-        // Launch rows alone need no suite.
-        let launch = BenchRecord::parse("launch/b warps=2\n").unwrap();
-        assert_eq!(launch.families.suite, None);
-        assert!(launch.families.launch);
+        assert_eq!(e, format!("line 2: {need}"));
+        let e = BenchRecord::parse("stream/s batches=3\nsegment/g:9/pr cycles=1\n").unwrap_err();
+        assert_eq!(e, format!("line 2: {need}"));
+        // Launch and stream rows need no suite.
+        let free = BenchRecord::parse("stream/s batches=3\nlaunch/b warps=2\n").unwrap();
+        assert_eq!(free.families.suite, None);
+        assert!(free.families.launch && free.families.stream);
+    }
+
+    /// Two node counts in one large family: the first row's count used to
+    /// win silently.
+    #[test]
+    fn large_rows_naming_two_node_counts_are_rejected() {
+        let e = error(
+            "large/rmat26:1048576/bfs/segmented/large cycles=1\n\
+             large/rmat26:1500/pr/segmented/large cycles=1\n",
+        );
+        assert_eq!(
+            e,
+            "line 3: row `large/rmat26:1500/pr/segmented/large` names 1500 nodes, \
+             the row on line 2 1048576"
+        );
+        let e = error("large/rmat26/bfs/segmented/large cycles=1\n");
+        assert_eq!(
+            e,
+            "line 2: row `large/rmat26/bfs/segmented/large` names no node count"
+        );
+    }
+
+    #[test]
+    fn segment_rows_naming_two_node_counts_are_rejected() {
+        let e = error("segment/rmat26:8192/sssp cycles=1\nsegment/twitter:2048/pr cycles=1\n");
+        assert_eq!(
+            e,
+            "line 3: row `segment/twitter:2048/pr` names 2048 nodes, the row on line 2 8192"
+        );
     }
 
     /// The JSON baseline this file format replaced fails on its first line.
@@ -408,13 +535,16 @@ mod tests {
     #[test]
     fn families_come_from_the_rows() {
         let text = format!(
-            "{SUITE_ROW}large/rmat26:1048576/bfs/segmented/large cycles=1 segments=2 segment_bytes=3\n"
+            "{SUITE_ROW}large/rmat26:1048576/bfs/segmented/large cycles=1 segments=2 segment_bytes=3\n\
+             segment/USA-road:8192/pr flat_cycles=2 cycles=1 segments=1 skipped=0\n"
         );
         let record = BenchRecord::parse(&text).unwrap();
         let suite = record.families.suite.clone().unwrap();
         assert_eq!((suite.nodes, suite.seed, suite.bc_sources), (512, 2020, 4));
-        assert_eq!(record.families.large_nodes, 1 << 20);
-        assert!(!record.families.launch);
+        assert_eq!(record.families.large, Some(1 << 20));
+        assert_eq!(record.families.segment, Some(8192));
+        let f = &record.families;
+        assert!(!f.paper && !f.stream && !f.launch);
         assert_eq!(record.render(), text);
     }
 }

@@ -1,18 +1,20 @@
-//! The one regression gate. Every bench suite — the bench record
-//! ([`crate::baseline`]), streaming, segmented — measures, flattens its
-//! result into [`Cell`]s and hands them to [`GateReport`]; this module
-//! alone judges, renders and serialises them.
+//! The one regression gate. `bench --gate` measures every family of the
+//! bench record ([`crate::baseline`]) into [`Cell`]s and hands them to
+//! [`GateReport`]; this module alone judges, renders and serialises them.
 //!
 //! A cell is one value, as text, under one key of one row id. Every gated
-//! value is a pure function of the seeded suite — simulated cycles, an
-//! inaccuracy, a stats field, a flag, a ratio of simulated cycles — so
-//! there are two policies. **Exact** ([`GateReport::exact`]): every
-//! (id, key) of a record must come back with the same text, or it fails
-//! `moved`. **Floor** ([`GateReport::floors`]): a baseline-free value must
-//! reach its metric's floor in [`FLOORS`], the table that holds every
-//! threshold of every gate. Host time is not judged here; `benchmark/`
-//! measures it. A cell that moved, a missing cell and a gate that judged
-//! no cell at all fail; new cells are reported but pass.
+//! value is a pure function of the seeded inputs — simulated cycles, an
+//! inaccuracy, a stats field, a stage count, a flag, a ratio of simulated
+//! cycles — so there are two policies, judged in one report
+//! ([`GateReport::judge`]). **Exact**: every (id, key) of a record must
+//! come back with the same text, or it fails `moved`. **Floor**: a
+//! baseline-free claim measured beside the rows — segmented runs win and
+//! agree with flat ones, stale batches reuse and exact batches agree —
+//! must reach its metric's floor in [`FLOORS`], the table that holds every
+//! threshold; floor cells are never written to the record. Host time is
+//! not judged here; `benchmark/` measures it. A cell that moved, a missing
+//! cell and a gate that judged no cell at all fail; new cells are reported
+//! but pass.
 //!
 //! Output is one human table plus a machine-readable `graffix.gate-report`
 //! v4 document (flat `cells`, one entry per verdict, values as text).
@@ -30,25 +32,22 @@ pub const GATE_VERSION: u64 = 4;
 /// One measured value, as a suite hands it to the gate.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cell {
-    /// Row id (`paper/rmat26/exact/lonestar/sssp/push`, `stream/...`).
+    /// Row id (`paper/rmat26/exact/lonestar/sssp/push`, `segment/...`).
     pub id: String,
     /// The value's key within its row; a floor cell's key into [`FLOORS`].
     pub metric: String,
     /// The value as text: integers in decimal, floats in Rust's shortest
     /// round-trip `{}`, so equal text means equal bits.
     pub value: String,
-    /// Free-form context shown beside the verdict; never judged.
-    pub note: String,
 }
 
 impl Cell {
-    /// A cell with no note.
+    /// A cell of `value` under `metric` in row `id`.
     pub fn new(id: impl Into<String>, metric: impl Into<String>, value: impl Display) -> Cell {
         Cell {
             id: id.into(),
             metric: metric.into(),
             value: value.to_string(),
-            note: String::new(),
         }
     }
 
@@ -117,6 +116,7 @@ pub struct Verdict {
     /// What the cell was held to: its recorded text (exact) or the floor;
     /// `None` for new cells.
     pub bound: Option<String>,
+    /// Why a verdict without a cell failed (`no-cells`); empty otherwise.
     pub note: String,
 }
 
@@ -131,7 +131,7 @@ impl Verdict {
             bound: base.clone(),
             base,
             current: Some(cell.value.clone()),
-            note: cell.note.clone(),
+            note: String::new(),
         }
     }
 }
@@ -154,17 +154,25 @@ fn index(cells: &[Cell]) -> HashMap<(&str, &str), &Cell> {
 /// The outcome of one gate run.
 #[derive(Clone, Debug)]
 pub struct GateReport {
-    /// Which suite was gated (`bench`, `stream`, `segment`).
+    /// What was judged (`bench` for the record).
     pub gate: &'static str,
     pub verdicts: Vec<Verdict>,
 }
 
 impl GateReport {
-    /// Judges `measured` against `recorded` under the one exact policy:
-    /// matched on (id, key), each value must come back as the same text.
+    /// Judges one measurement: `measured` against `recorded` exactly —
+    /// matched on (id, key), each value must come back as the same text —
+    /// and each of `floors` against its metric's floor in [`FLOORS`].
     /// Order follows the record; measured cells it does not hold follow as
-    /// `new`. Panics when either side holds an (id, key) twice.
-    pub fn exact(gate: &'static str, recorded: &[Cell], measured: &[Cell]) -> GateReport {
+    /// `new`, then the floor cells. Panics when either side holds an
+    /// (id, key) twice, or on a floor cell whose metric has no floor: a
+    /// suite that hands over a number nothing judges is a bug.
+    pub fn judge(
+        gate: &'static str,
+        recorded: &[Cell],
+        measured: &[Cell],
+        floors: &[Cell],
+    ) -> GateReport {
         let (now, then) = (index(measured), index(recorded));
         let mut verdicts: Vec<Verdict> = recorded
             .iter()
@@ -179,31 +187,21 @@ impl GateReport {
             .collect();
         let new = measured.iter().filter(|c| !then.contains_key(&key(c)));
         verdicts.extend(new.map(|c| Verdict::of(c, Status::New, None)));
-        GateReport::of(gate, verdicts)
-    }
-
-    /// Judges baseline-free cells, each against its metric's floor in
-    /// [`FLOORS`]. Panics on a metric without one: a suite that hands over
-    /// a number nothing judges is a bug.
-    pub fn floors(gate: &'static str, measured: &[Cell]) -> GateReport {
-        let verdicts = measured
-            .iter()
-            .map(|cur| {
-                let row = FLOORS.iter().find(|(m, ..)| *m == cur.metric);
-                let (_, floor, label) =
-                    row.unwrap_or_else(|| panic!("no gate policy for metric `{}`", cur.metric));
-                let holds = cur.value.parse::<f64>().is_ok_and(|v| v >= *floor);
-                let status = if holds {
-                    Status::Ok
-                } else {
-                    Status::Failed(label)
-                };
-                Verdict {
-                    bound: Some(floor.to_string()),
-                    ..Verdict::of(cur, status, None)
-                }
-            })
-            .collect();
+        verdicts.extend(floors.iter().map(|cur| {
+            let row = FLOORS.iter().find(|(m, ..)| *m == cur.metric);
+            let (_, floor, label) =
+                row.unwrap_or_else(|| panic!("no gate policy for metric `{}`", cur.metric));
+            let holds = cur.value.parse::<f64>().is_ok_and(|v| v >= *floor);
+            let status = if holds {
+                Status::Ok
+            } else {
+                Status::Failed(label)
+            };
+            Verdict {
+                bound: Some(floor.to_string()),
+                ..Verdict::of(cur, status, None)
+            }
+        }));
         GateReport::of(gate, verdicts)
     }
 
@@ -309,7 +307,7 @@ impl GateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{BenchRecord, LARGE, LAUNCH, PAPER, SUITE};
+    use crate::baseline::{BenchRecord, LARGE, LAUNCH, PAPER, SEGMENT, STREAM, SUITE};
 
     /// (test the row runs under, metric, recorded value, measured value,
     /// expected status label). Every row is judged alone as cell `x`: by
@@ -370,9 +368,9 @@ mod tests {
             };
             let report = if FLOORS.iter().any(|(m, ..)| *m == metric) {
                 assert!(base.is_none(), "{row}: a floor cell has no record");
-                GateReport::floors("test", &cells(current))
+                GateReport::judge("test", &[], &[], &cells(current))
             } else {
-                GateReport::exact("test", &cells(base), &cells(current))
+                GateReport::judge("test", &cells(base), &cells(current), &[])
             };
             assert_eq!(report.verdicts.len(), 1, "{row}");
             let v = &report.verdicts[0];
@@ -423,30 +421,27 @@ mod tests {
     /// rewrote in another spelling has moved.
     #[test]
     fn exact_judging_compares_text() {
-        let report = GateReport::exact(
+        let report = GateReport::judge(
             "test",
             &[Cell::new("x", "cycles", "1.0")],
             &[Cell::new("x", "cycles", 1)],
+            &[],
         );
         assert_eq!(report.verdicts[0].status, Status::Failed(MOVED));
     }
 
-    /// A suite that hands over no cell — and has no record — checked
+    /// A measurement that hands over no cell — and has no record — checked
     /// nothing, so its gate fails, naming the gate.
     #[test]
     fn an_empty_gate_fails() {
-        for report in [
-            GateReport::floors("stream", &[]),
-            GateReport::exact("stream", &[], &[]),
-        ] {
-            assert!(!report.passed());
-            let failures = report.failures();
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].id, "stream");
-            assert_eq!(failures[0].status.label(), "no-cells");
-            assert!(report.table().render().contains("no-cells"));
-            assert_eq!(report.to_json().get("passed"), Some(&Json::Bool(false)));
-        }
+        let report = GateReport::judge("bench", &[], &[], &[]);
+        assert!(!report.passed());
+        let failures = report.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].id, "bench");
+        assert_eq!(failures[0].status.label(), "no-cells");
+        assert!(report.table().render().contains("no-cells"));
+        assert_eq!(report.to_json().get("passed"), Some(&Json::Bool(false)));
     }
 
     /// Self-gate: the committed record is byte for byte what the writer
@@ -464,14 +459,50 @@ mod tests {
             ids.len()
         };
         assert_eq!(
-            [rows(SUITE), rows(PAPER), rows(LARGE), rows(LAUNCH)],
-            [1, 58, 2, 296]
+            [SUITE, PAPER, LARGE, SEGMENT, STREAM, LAUNCH].map(rows),
+            [1, 58, 2, 10, 1, 296]
         );
-        let report = GateReport::exact("self", &record.cells, &record.cells);
-        assert_eq!(report.verdicts.len(), 3 + 58 * 2 + 2 * 3 + 296 * 23);
+        let report = GateReport::judge("self", &record.cells, &record.cells, &[]);
+        assert_eq!(
+            report.verdicts.len(),
+            3 + 58 * 2 + 2 * 3 + 10 * 4 + 11 + 296 * 23
+        );
         assert!(report.verdicts.iter().all(|v| v.status == Status::Ok));
         assert!(report.passed());
         assert!(report.table().rows.is_empty(), "nothing moved: title only");
+    }
+
+    /// One report judges both policies: the recorded rows exactly, then
+    /// the floor cells, and a failure of either fails it.
+    #[test]
+    fn rows_and_floor_cells_are_judged_in_one_report() {
+        let rows = [Cell::new("segment/g:8/pr", "cycles", 90)];
+        let floors = |win: f64| {
+            [
+                Cell::flag("segment/g:8/pr", "identical", true),
+                Cell::new("segment/g:8/pr", "win", win),
+            ]
+        };
+        let report = GateReport::judge("bench", &rows, &rows, &floors(0.1));
+        let judged: Vec<(&str, &str)> = report
+            .verdicts
+            .iter()
+            .map(|v| (v.metric.as_str(), v.status.label()))
+            .collect();
+        assert_eq!(
+            judged,
+            [("cycles", "ok"), ("identical", "ok"), ("win", "ok")]
+        );
+        assert!(report.passed());
+        let report = GateReport::judge("bench", &rows, &rows, &floors(0.04));
+        let failures = report.failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(
+            (failures[0].metric.as_str(), failures[0].status.label()),
+            ("win", "below-floor")
+        );
+        // A floor failure has no recorded value: it is what a save refuses.
+        assert_eq!(failures[0].base, None);
     }
 
     #[test]
@@ -483,7 +514,7 @@ mod tests {
         let mut current = base.to_vec();
         current[0].value = "1001".to_string();
         current.push(Cell::new("a", "warp_cycles", 7));
-        let report = GateReport::exact("bench", &base, &current);
+        let report = GateReport::judge("bench", &base, &current, &[]);
         let doc = Json::parse(&report.to_json().to_pretty_string()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(GATE_SCHEMA));
         assert_eq!(doc.get("version").and_then(Json::as_u64), Some(4));
@@ -507,7 +538,7 @@ mod tests {
         assert_eq!(cells[2].get("base"), Some(&Json::Null));
         assert_eq!(cells[2].get("bound"), Some(&Json::Null));
         // A floor cell is held to the floor and serialises `base` as null.
-        let floor = GateReport::floors("segment", &[Cell::new("s", "win", 0.4)]).to_json();
+        let floor = GateReport::judge("bench", &[], &[], &[Cell::new("s", "win", 0.4)]).to_json();
         let cell = &floor.get("cells").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(cell.get("bound").and_then(Json::as_str), Some("0.05"));
         assert_eq!(cell.get("current").and_then(Json::as_str), Some("0.4"));
@@ -517,7 +548,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no gate policy")]
     fn unknown_metric_is_a_bug() {
-        GateReport::floors("test", &[Cell::new("x", "nope", 1.0)]);
+        GateReport::judge("test", &[], &[], &[Cell::new("x", "nope", 1.0)]);
     }
 
     /// An (id, key) held twice could be matched against either copy, so it
@@ -527,7 +558,8 @@ mod tests {
         let once = [Cell::new("x", "cycles", 1)];
         let twice = [Cell::new("x", "cycles", 1), Cell::new("x", "cycles", 2)];
         for (recorded, measured) in [(&once[..], &twice[..]), (&twice[..], &once[..])] {
-            let judged = std::panic::catch_unwind(|| GateReport::exact("test", recorded, measured));
+            let judged =
+                std::panic::catch_unwind(|| GateReport::judge("test", recorded, measured, &[]));
             assert!(judged.is_err(), "{recorded:?} against {measured:?}");
         }
     }

@@ -10,13 +10,14 @@
 //! print the [`report`] builders' output, `--stage-sweep` runs [`sweep`].
 //! `--save-baseline` and `--gate` write and judge the one bench record,
 //! `BENCH_ci.txt` ([`baseline`]): every simulated number the repository
-//! pins, the paper corpus, the large segmented runs and the launch matrix
-//! ([`launch`]) alike, as `id key=value` rows. The regression gates
-//! (`--gate | --stream-gate | --segment-gate`) are three suites that each
-//! measure and flatten their result into [`gate::Cell`]s, and one judge:
-//! [`gate`] holds both policies, every threshold, the verdict table and
-//! the `graffix.gate-report` schema. Every gated value is simulated or a
-//! flag; host time is measured by `benchmark/` alone.
+//! pins — the paper corpus, the large segmented runs, flat vs segmented
+//! ([`segmented`]), incremental re-preparation ([`streaming`]) and the
+//! launch matrix ([`launch`]) alike — as `id key=value` rows. One gate
+//! judges them: the measurement is flattened into [`gate::Cell`]s, and
+//! [`gate`] holds both policies (exact rows, floor cells), every
+//! threshold, the verdict table and the `graffix.gate-report` schema.
+//! Every gated value is simulated, a stage count or a flag; host time is
+//! measured by `benchmark/` alone.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,7 @@ pub use baseline::{run_gate, BenchRecord, Families};
 pub use experiments::{measure, Measurement, ALL_ALGOS, CORE_ALGOS};
 pub use gate::{Cell, GateReport, Status, Verdict, FLOORS, MOVED};
 pub use launch::launch_rows;
-pub use segmented::{compare_segmented, run_segment_gate, SegmentCompareRow};
-pub use streaming::{measure_streaming, run_stream_gate, StreamCell};
+pub use segmented::measure_segmented;
+pub use streaming::measure_streaming;
 pub use suite::{Suite, SuiteOptions};
 pub use tables::TextTable;

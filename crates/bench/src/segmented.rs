@@ -1,78 +1,38 @@
-//! Segmented-vs-flat comparison cells: the same corpus cell run once on
-//! the flat plan and once segment-major under an L2-sized byte budget.
+//! The segment rows of the bench record: each (graph, gate algorithm) cell
+//! of the paper suite run once on the flat plan and once segment-major
+//! under an L2-sized byte budget, on the exact technique's Baseline-I plan.
 //!
-//! Two claims are checked per cell. **Identity**: the segmented run's
-//! per-vertex values must be bit-identical to the flat run's — the
-//! segment-major superstep is a scheduling change, not an approximation.
-//! **Win**: with segments sized to fit L2, intra-segment traffic is priced
-//! at the L2 tier instead of global, so the segmented run should be
-//! cheaper in simulated cycles wherever boundary traffic doesn't dominate.
-//! The gate holds every cell to both (the `identical` and `win` policies
-//! in [`crate::gate`]): all ten suite cells clear the win floor at the
-//! scales in use (8192 nodes in CI, 2^17 by default).
+//! A row `segment/<graph>:<nodes>/<algo>` records both runs' simulated
+//! cycles (`flat_cycles`, `cycles`), the segments the budget produced and
+//! the segment visits skipped because the routed frontier was empty; the
+//! gate holds each exactly. Two claims come from the same runs as floor
+//! cells, judged but never recorded. **Identity** (`identical`): the
+//! segmented run's per-vertex values must be bit-identical to the flat
+//! run's — the segment-major superstep is a scheduling change, not an
+//! approximation. **Win** (`win`): with segments sized to fit L2,
+//! intra-segment traffic is priced at the L2 tier instead of global, so
+//! the segmented run must be at least 5 % cheaper in simulated cycles
+//! (both floors live in [`crate::gate::FLOORS`]).
 
-use crate::baseline::GATE_ALGOS;
-use crate::gate::{Cell, GateReport};
+use crate::baseline::{GATE_ALGOS, SEGMENT};
+use crate::gate::Cell;
 use crate::suite::Suite;
 use graffix_baselines::Baseline;
 use graffix_core::Technique;
 use graffix_graph::Segmentation;
 use std::sync::Arc;
 
-/// One flat-vs-segmented comparison row.
-#[derive(Clone, Debug)]
-pub struct SegmentCompareRow {
-    pub graph: String,
-    pub algo: String,
-    /// Simulated elapsed cycles of the flat run.
-    pub flat_cycles: u64,
-    /// Simulated elapsed cycles of the segmented run.
-    pub segmented_cycles: u64,
-    /// Segments the budget produced for this graph.
-    pub segments: usize,
-    /// Segment visits skipped because the routed frontier was empty.
-    pub segments_skipped: u64,
-    /// True when the segmented values are bit-identical to the flat ones.
-    pub identical: bool,
-}
-
-impl SegmentCompareRow {
-    /// Fractional cycle win of the segmented run (0.05 = 5% faster;
-    /// negative when segmentation lost).
-    pub fn win(&self) -> f64 {
-        1.0 - self.segmented_cycles as f64 / self.flat_cycles.max(1) as f64
-    }
-
-    /// What the gate judges: `identical` and `win`.
-    pub fn gate_cells(&self) -> [Cell; 2] {
-        let id = format!("{}/{}/segmented", self.graph, self.algo);
-        let note = format!(
-            "{} -> {} cycles, {} segments, {} skipped",
-            self.flat_cycles, self.segmented_cycles, self.segments, self.segments_skipped
-        );
-        [
-            Cell::flag(id.as_str(), "identical", self.identical),
-            Cell {
-                note,
-                ..Cell::new(id, "win", self.win())
-            },
-        ]
-    }
-}
-
-/// Runs every (graph, gate algorithm) cell of `suite` flat and segmented
-/// under `segment_bytes`, on the exact technique's Baseline-I plan (the
-/// same cells the regression gate measures).
-pub fn compare_segmented(suite: &Suite, segment_bytes: usize) -> Vec<SegmentCompareRow> {
-    let mut rows = Vec::new();
+/// Measures every (graph, gate algorithm) cell of `suite` flat and
+/// segmented under `segment_bytes`: the segment rows, then their
+/// `identical` and `win` floor cells.
+pub fn measure_segmented(suite: &Suite, segment_bytes: usize) -> (Vec<Cell>, Vec<Cell>) {
+    let (mut rows, mut floors) = (Vec::new(), Vec::new());
     for gi in 0..suite.len() {
         let prepared = suite.prepared(gi, Technique::Exact);
         let segments = Arc::new(Segmentation::build(&prepared.graph, segment_bytes));
         for algo in GATE_ALGOS {
             let flat_plan = Baseline::Lonestar.plan(&prepared, &suite.cfg);
-            let seg_plan = Baseline::Lonestar
-                .plan(&prepared, &suite.cfg)
-                .with_segments(Arc::clone(&segments));
+            let seg_plan = flat_plan.clone().with_segments(Arc::clone(&segments));
             let run = |plan| algo.run(plan, suite.graph(gi), None, suite.options.bc_sources);
             let (flat, flat_scalar) = run(&flat_plan);
             let (seg, seg_scalar) = run(&seg_plan);
@@ -80,34 +40,32 @@ pub fn compare_segmented(suite: &Suite, segment_bytes: usize) -> Vec<SegmentComp
             let identical = flat.values.len() == seg.values.len()
                 && flat.values.iter().zip(&seg.values).all(same_bits)
                 && flat_scalar == seg_scalar;
-            rows.push(SegmentCompareRow {
-                graph: suite.kind(gi).paper_name().to_string(),
-                algo: algo.name().to_string(),
-                flat_cycles: flat.elapsed_cycles(&suite.cfg),
-                segmented_cycles: seg.elapsed_cycles(&suite.cfg),
-                segments: segments.len(),
-                segments_skipped: seg.stats.segments_skipped,
-                identical,
-            });
+            let (flat_cycles, cycles) = (
+                flat.elapsed_cycles(&suite.cfg),
+                seg.elapsed_cycles(&suite.cfg),
+            );
+            let id = format!(
+                "{SEGMENT}{}:{}/{}",
+                suite.kind(gi).paper_name(),
+                suite.options.nodes,
+                algo.name()
+            );
+            rows.push(Cell::new(&id, "flat_cycles", flat_cycles));
+            rows.push(Cell::new(&id, "cycles", cycles));
+            rows.push(Cell::new(&id, "segments", segments.len()));
+            rows.push(Cell::new(&id, "skipped", seg.stats.segments_skipped));
+            floors.push(Cell::flag(&id, "identical", identical));
+            let win = 1.0 - cycles as f64 / flat_cycles.max(1) as f64;
+            floors.push(Cell::new(id, "win", win));
         }
     }
-    rows
-}
-
-/// Measures and judges the segmented-execution gate on `suite`.
-pub fn run_segment_gate(suite: &Suite, segment_bytes: usize) -> GateReport {
-    gate_rows(&compare_segmented(suite, segment_bytes))
-}
-
-/// Judges comparison rows; baseline-free, so there is nothing to compare to.
-fn gate_rows(rows: &[SegmentCompareRow]) -> GateReport {
-    let cells: Vec<Cell> = rows.iter().flat_map(|r| r.gate_cells()).collect();
-    GateReport::floors("segment", &cells)
+    (rows, floors)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::GateReport;
     use crate::suite::SuiteOptions;
 
     fn tiny_suite() -> Suite {
@@ -118,16 +76,28 @@ mod tests {
         })
     }
 
+    /// The values of `key` in `cells`, in order.
+    fn values<'a>(cells: &'a [Cell], key: &'a str) -> impl Iterator<Item = &'a Cell> {
+        cells.iter().filter(move |c| c.metric == key)
+    }
+
     /// Identity is the hard guarantee: at any budget, every cell's
     /// segmented values must match the flat run bit for bit.
     #[test]
     fn segmented_values_identical_at_multi_segment_budget() {
         let s = tiny_suite();
-        let rows = compare_segmented(&s, 2048);
-        assert_eq!(rows.len(), s.len() * GATE_ALGOS.len());
-        for r in &rows {
-            assert!(r.identical, "{}/{} diverged", r.graph, r.algo);
-            assert!(r.segments > 1, "{}/{} ran in one segment", r.graph, r.algo);
+        let (rows, floors) = measure_segmented(&s, 2048);
+        assert_eq!(rows.len(), 4 * s.len() * GATE_ALGOS.len());
+        assert_eq!(floors.len(), 2 * s.len() * GATE_ALGOS.len());
+        for c in values(&floors, "identical") {
+            assert_eq!(c.value, "1", "{} diverged", c.id);
+        }
+        for c in values(&rows, "segments") {
+            assert!(
+                c.value.parse::<usize>().unwrap() > 1,
+                "{} ran in one segment",
+                c.id
+            );
         }
     }
 
@@ -135,31 +105,52 @@ mod tests {
     /// exercises the segment-major loop with everything resident).
     #[test]
     fn segmented_values_identical_at_one_segment_budget() {
-        let s = tiny_suite();
-        for r in compare_segmented(&s, usize::MAX / 2) {
-            assert!(r.identical, "{}/{} diverged", r.graph, r.algo);
-            assert_eq!(
-                r.segments, 1,
-                "{}/{} should be one segment",
-                r.graph, r.algo
-            );
+        let (rows, floors) = measure_segmented(&tiny_suite(), usize::MAX / 2);
+        for c in values(&floors, "identical") {
+            assert_eq!(c.value, "1", "{} diverged", c.id);
+        }
+        for c in values(&rows, "segments") {
+            assert_eq!(c.value, "1", "{} should be one segment", c.id);
         }
     }
 
+    /// Each row names its graph, scale and algorithm and holds both runs'
+    /// cycles; its floor cells come from exactly those runs, and a
+    /// diverged cell is named by the gate.
     #[test]
     fn gate_report_counts_winners_and_divergence() {
         let s = tiny_suite();
-        let rows = compare_segmented(&s, 4096);
-        let report = gate_rows(&rows);
-        assert_eq!(report.verdicts.len(), 2 * rows.len());
-        // Identity holds at any scale; the win is only claimed from 8192
+        let (rows, floors) = measure_segmented(&s, 4096);
+        let first = &rows[0].id;
+        assert_eq!(
+            first,
+            &format!("segment/rmat26:300/{}", GATE_ALGOS[0].name())
+        );
+        let keys: Vec<&str> = rows[..4].iter().map(|c| c.metric.as_str()).collect();
+        assert_eq!(keys, ["flat_cycles", "cycles", "segments", "skipped"]);
+        let cycles = |key| {
+            values(&rows, key)
+                .next()
+                .unwrap()
+                .value
+                .parse::<f64>()
+                .unwrap()
+        };
+        let win = values(&floors, "win").next().unwrap();
+        assert_eq!(&win.id, first);
+        assert_eq!(
+            win.value,
+            (1.0 - cycles("cycles") / cycles("flat_cycles")).to_string()
+        );
+        // Identity holds at any scale; the win is only claimed from 2048
         // nodes up, so at 300 nodes only `win` verdicts may fail.
+        let report = GateReport::judge("test", &[], &[], &floors);
+        assert_eq!(report.verdicts.len(), floors.len());
         assert!(report.failures().iter().all(|v| v.metric == "win"));
-        assert!(report.table().render().contains("segment gate"));
-        // Synthetic failure: flip one row to divergent and it is named.
-        let mut bad = rows.clone();
-        bad[0].identical = false;
-        let report = gate_rows(&bad);
+        // Synthetic failure: flip one cell to divergent and it is named.
+        let mut bad = floors.clone();
+        bad[0].value = "0".to_string();
+        let report = GateReport::judge("test", &[], &[], &bad);
         let diverged: Vec<_> = report
             .failures()
             .into_iter()
@@ -167,8 +158,8 @@ mod tests {
             .collect();
         assert_eq!(diverged.len(), 1);
         assert_eq!(
-            diverged[0].id,
-            format!("{}/{}/segmented", rows[0].graph, rows[0].algo)
+            (&diverged[0].id, diverged[0].status.label()),
+            (first, "diverged")
         );
     }
 }

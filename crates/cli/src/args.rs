@@ -58,6 +58,11 @@ impl Bag {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
+    /// The first flag still present, if any.
+    pub fn first_flag(&self) -> Option<&str> {
+        self.flags.first().map(|(name, _)| name.as_str())
+    }
+
     /// A flag that takes no value.
     pub fn switch(&mut self, name: &str) -> Parsed<bool> {
         match self.take(name)? {

@@ -1,15 +1,15 @@
 //! `graffix bench` — the one entry point of `graffix_bench`: save the bench
-//! record, run one of the three gates, or regenerate the paper's tables,
-//! figures and the stage-cache sweep. Every gate is measure → cells →
-//! [`finish_gate`]; the record is judged exactly, the other two gates
-//! against the floors fixed in `graffix_bench::gate::FLOORS`.
+//! record, gate it, or regenerate the paper's tables, figures and the
+//! stage-cache sweep. The gate is measure → cells → [`finish_gate`]: the
+//! record's rows are judged exactly, its floor cells against
+//! `graffix_bench::gate::FLOORS`, in one report.
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
-use crate::common::{segment_bytes, write_file};
+use crate::common::write_file;
 use graffix::log_info;
-use graffix::prelude::{CacheConfig, SegmentKnobs};
-use graffix_bench::gate::{GateReport, GATE_SCHEMA};
+use graffix::prelude::CacheConfig;
+use graffix_bench::gate::{GateReport, Verdict, GATE_SCHEMA};
 use graffix_bench::{report, BenchRecord, Families, Suite, SuiteOptions, TextTable};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -19,23 +19,17 @@ pub const SUB: Sub = Sub {
     name: "bench",
     usage: "\
 exactly one mode, with only the flags listed beside it:
---save-baseline FILE [--nodes N] [--seed S] [--bc-sources N]
-    [--large-nodes N]  measure every row family and write the bench
-    record (`id key=value` rows), after printing how the old FILE's rows
-    moved; an existing FILE sets each flag's default (else 4096 nodes,
-    seed 2020, 4 bc sources); --large-nodes sizes the segmented
-    2^20-scale bfs/pr rows (default 1048576, 0 to skip)
---gate FILE  re-measure every row family FILE holds; exit 1 unless every
-    (row, key) comes back as its recorded text
---segment-gate [--nodes N] [--seed S] [--segment-bytes N]
-    flat vs segmented on the gate cells: every cell must be
-    byte-identical and at least 5% faster segmented
---stream-gate  measure incremental vs full re-prepare under 1% churn and
-    gate on all-reuse stale batches + exact-mode identity
-    every gate prints one verdict table, names failures as
-    `FAIL id [label] key`, and takes --gate-report FILE (JSON,
-    graffix.gate-report v4); thresholds are fixed, one policy per
-    metric (see EXPERIMENTS.md); host time is judged by benchmark/
+--save-baseline FILE  measure the row families FILE holds, at the scales
+    its rows name (every family at its default when FILE does not exist),
+    print how each row moved and the floor cells, and write the bench
+    record (`id key=value` rows); writes nothing when a floor cell fails
+--gate FILE [--gate-report FILE]  re-measure every row family FILE holds;
+    exit 1 unless every (row, key) comes back as its recorded text and
+    every floor cell holds (segmented >= 5% fewer cycles with identical
+    values, stale batches all reuse, exact batches identical); prints one
+    verdict table, names failures as `FAIL id [label] key`, and writes
+    the JSON report (graffix.gate-report v4); host time is judged by
+    benchmark/
 --paper-tables [--table N]... [--all] [--nodes N] [--seed S] [--out DIR]
     print the paper's tables (1-14, default all) and save each as CSV
     under DIR (default results)
@@ -49,16 +43,12 @@ exactly one mode, with only the flags listed beside it:
 
 /// What `bench` does; each variant carries only the flags it reads.
 pub enum BenchMode {
-    /// Each flag left out defaults to what an existing record holds.
+    /// Every setting comes from the record at `path`.
     SaveBaseline {
         path: PathBuf,
-        nodes: Option<usize>,
-        seed: Option<u64>,
-        bc_sources: Option<usize>,
-        large_nodes: Option<usize>,
     },
     Gate {
-        gate: Gate,
+        path: PathBuf,
         report: Option<PathBuf>,
     },
     PaperTables {
@@ -77,20 +67,10 @@ pub enum BenchMode {
     },
 }
 
-pub enum Gate {
-    Bench(PathBuf),
-    Stream,
-    Segment {
-        options: SuiteOptions,
-        segment_bytes: usize,
-    },
-}
-
-/// Corpus shape: the suite defaults, overridden by `--nodes` (else
-/// `nodes_default`) and `--seed`.
-fn suite_options(bag: &mut Bag, nodes_default: Option<usize>) -> Parsed<SuiteOptions> {
+/// Corpus shape: the suite defaults, overridden by `--nodes` and `--seed`.
+fn suite_options(bag: &mut Bag) -> Parsed<SuiteOptions> {
     let mut options = SuiteOptions::default();
-    options.nodes = bag.opt("nodes")?.or(nodes_default).unwrap_or(options.nodes);
+    options.nodes = bag.opt("nodes")?.unwrap_or(options.nodes);
     options.seed = bag.opt("seed")?.unwrap_or(options.seed);
     Ok(options)
 }
@@ -117,52 +97,27 @@ fn selection(
     Ok(picked)
 }
 
-/// A gate mode: `gate` plus the `--gate-report FILE` every gate takes.
-fn gate(bag: &mut Bag, gate: Gate) -> Parsed<BenchMode> {
-    Ok(BenchMode::Gate {
-        gate,
-        report: bag.opt("gate-report")?,
-    })
-}
-
 type ModeParser = fn(&mut Bag) -> Parsed<BenchMode>;
 
 /// Each mode's selecting flag and the parser of that flag and the mode's
 /// own flags.
-const MODES: [(&str, ModeParser); 7] = [
+const MODES: [(&str, ModeParser); 5] = [
     ("save-baseline", |bag| {
         Ok(BenchMode::SaveBaseline {
             path: bag.req("save-baseline")?,
-            nodes: bag.opt("nodes")?,
-            seed: bag.opt("seed")?,
-            bc_sources: bag.opt("bc-sources")?,
-            large_nodes: bag.opt("large-nodes")?,
         })
     }),
     ("gate", |bag| {
-        let path = bag.req("gate")?;
-        gate(bag, Gate::Bench(path))
-    }),
-    ("stream-gate", |bag| {
-        bag.switch("stream-gate")?;
-        gate(bag, Gate::Stream)
-    }),
-    ("segment-gate", |bag| {
-        bag.switch("segment-gate")?;
-        // 2^17 is the scale the segmented-win claim is made at.
-        let options = suite_options(bag, Some(1 << 17))?;
-        let segment_bytes = segment_bytes(bag)?.unwrap_or(SegmentKnobs::default().segment_bytes);
-        let segment = Gate::Segment {
-            options,
-            segment_bytes,
-        };
-        gate(bag, segment)
+        Ok(BenchMode::Gate {
+            path: bag.req("gate")?,
+            report: bag.opt("gate-report")?,
+        })
     }),
     ("paper-tables", |bag| {
         bag.switch("paper-tables")?;
         Ok(BenchMode::PaperTables {
             tables: selection(bag, "table", 1..=14)?,
-            options: suite_options(bag, None)?,
+            options: suite_options(bag)?,
             out: out_dir(bag)?,
         })
     }),
@@ -170,7 +125,7 @@ const MODES: [(&str, ModeParser); 7] = [
         bag.switch("figures")?;
         Ok(BenchMode::Figures {
             figures: selection(bag, "figure", 7..=9)?,
-            options: suite_options(bag, None)?,
+            options: suite_options(bag)?,
             out: out_dir(bag)?,
         })
     }),
@@ -189,10 +144,12 @@ fn parse(bag: &mut Bag) -> Parsed<BenchMode> {
         [(_, parse_mode)] => parse_mode(bag),
         _ => {
             let flags: Vec<&str> = MODES.iter().map(|(flag, _)| *flag).collect();
-            Err(format!(
-                "bench needs exactly one of --{}",
-                flags.join(", --")
-            ))
+            let needs = format!("bench needs exactly one of --{}", flags.join(", --"));
+            // With no mode chosen, every flag given is foreign: name it.
+            match bag.first_flag().filter(|_| chosen.is_empty()) {
+                Some(flag) => Err(format!("unknown flag --{flag} for 'bench': {needs}")),
+                None => Err(needs),
+            }
         }
     }
 }
@@ -210,21 +167,26 @@ fn read_record(path: &Path) -> BenchRecord {
     })
 }
 
-/// The tail every gate shares: print the verdict table, write
-/// `--gate-report`, name each failure on stderr, exit 1 unless it passed.
+/// Names each failure on stderr as `FAIL id [label] key`, and exits 1
+/// when there is one.
+fn exit_on(failures: &[&Verdict]) {
+    for f in failures {
+        eprintln!("FAIL {} [{}] {}", f.id, f.status.label(), f.metric);
+    }
+    if !failures.is_empty() {
+        exit(1);
+    }
+}
+
+/// The gate's tail: print the verdict table, write `--gate-report`, name
+/// each failure, exit 1 unless it passed.
 fn finish_gate(report: &GateReport, out: Option<&Path>) {
     print!("{}", report.table().render());
     if let Some(out) = out {
         write_file(out, report.to_json().to_pretty_string());
         log_info!("wrote gate report {} (schema {GATE_SCHEMA})", out.display());
     }
-    let failures = report.failures();
-    for f in &failures {
-        eprintln!("FAIL {} [{}] {}", f.id, f.status.label(), f.metric);
-    }
-    if !failures.is_empty() {
-        exit(1);
-    }
+    exit_on(&report.failures());
     log_info!(
         "{} gate passed: {} cells",
         report.gate,
@@ -261,43 +223,39 @@ pub fn run(mode: BenchMode, cache: &CacheConfig) {
     match mode {
         // The suite's algorithm cells reuse the prepared-graph cache
         // (bit-identical loads, so gated metrics are unaffected).
-        BenchMode::SaveBaseline {
-            path,
-            nodes,
-            seed,
-            bc_sources,
-            large_nodes,
-        } => {
-            // An existing record is the refresh's defaults; one that does
-            // not read stops the save before anything is overwritten.
+        BenchMode::SaveBaseline { path } => {
+            // An existing record names what to measure; one that does not
+            // read stops the save before anything is overwritten.
             let old = path.exists().then(|| read_record(&path));
-            let recorded = old.as_ref().map(|r| &r.families);
-            let mut options = recorded.and_then(|f| f.suite.clone()).unwrap_or_default();
-            options.nodes = nodes.unwrap_or(options.nodes);
-            options.seed = seed.unwrap_or(options.seed);
-            options.bc_sources = bc_sources.unwrap_or(options.bc_sources);
-            let large_nodes = large_nodes
-                .or(recorded.map(|f| f.large_nodes))
-                .unwrap_or(1 << 20);
-            log_info!(
-                "measuring every row family: nodes {}, seed {}, large nodes {large_nodes}",
-                options.nodes,
-                options.seed
-            );
-            let families = Families {
-                suite: Some(options),
-                large_nodes,
-                launch: true,
-            };
-            let record = BenchRecord::measure(families, cache);
-            if let Some(old) = &old {
-                let diff = GateReport::exact("bench", &old.cells, &record.cells);
-                print!("{}", diff.table().render());
-            }
+            let families = old
+                .as_ref()
+                .map_or_else(Families::default, |r| r.families.clone());
+            log_info!("measuring {families:?}");
+            let (record, floors) = BenchRecord::measure(families, cache);
+            // The old rows against the new: the per-row diff a change that
+            // moves a simulated number lists. A first save has no old rows,
+            // so only its floor cells show.
+            let recorded = old.map_or_else(|| record.cells.clone(), |r| r.cells);
+            let diff = GateReport::judge("bench", &recorded, &record.cells, &floors);
+            print!("{}", diff.table().render());
+            // A moved or missing row is what a save records; a failed
+            // floor cell (the one kind of failure without a recorded value)
+            // is a broken claim no record can hold.
+            let failures = diff.failures();
+            let broken: Vec<&Verdict> = failures.into_iter().filter(|v| v.base.is_none()).collect();
+            exit_on(&broken);
             write_file(&path, record.render());
             log_info!("wrote {} ({} cells)", path.display(), record.cells.len());
         }
-        BenchMode::Gate { gate, report } => finish_gate(&run_gate(gate, cache), report.as_deref()),
+        BenchMode::Gate { path, report } => {
+            let record = read_record(&path);
+            log_info!(
+                "re-measuring the {} cells of {}",
+                record.cells.len(),
+                path.display()
+            );
+            finish_gate(&graffix_bench::run_gate(&record, cache), report.as_deref());
+        }
         BenchMode::PaperTables {
             tables,
             options,
@@ -327,39 +285,6 @@ pub fn run(mode: BenchMode, cache: &CacheConfig) {
             if !graffix_bench::sweep::stage_sweep(nodes, seed) {
                 exit(1);
             }
-        }
-    }
-}
-
-fn run_gate(gate: Gate, cache: &CacheConfig) -> GateReport {
-    match gate {
-        Gate::Bench(path) => {
-            let record = read_record(&path);
-            log_info!(
-                "re-measuring the {} cells of {}",
-                record.cells.len(),
-                path.display()
-            );
-            graffix_bench::run_gate(&record, cache)
-        }
-        // No baseline file: the gate judges stage records, which no host
-        // can move.
-        Gate::Stream => {
-            log_info!("measuring streaming cell: incremental vs full re-prepare at 1% churn");
-            graffix_bench::run_stream_gate()
-        }
-        // Both sides are deterministic simulated cycles, so this gate is
-        // machine-independent too.
-        Gate::Segment {
-            options,
-            segment_bytes,
-        } => {
-            log_info!(
-                "measuring flat vs segmented at {} nodes, {} byte budget",
-                options.nodes,
-                segment_bytes
-            );
-            graffix_bench::run_segment_gate(&Suite::new(options), segment_bytes)
         }
     }
 }

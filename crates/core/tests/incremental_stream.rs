@@ -9,11 +9,12 @@
 //! * **Reuse** — in the stale regime a 1%-churn batch re-prepares without
 //!   running a stage: the seeded head stage is served stale and every
 //!   other one collapses into a reuse of the memoized query layer. (That
-//!   is what makes such a batch cheap; the wall-clock ratio against a full
-//!   re-prepare moves whenever the full side does, so it is reported by
-//!   `graffix bench --stream-gate`, not asserted.)
+//!   is what makes such a batch cheap; its host time is measured by
+//!   `benchmark/`'s `stream_churn` workload, not asserted.)
 //!
-//! The release-mode counterpart (CI-gated) is `graffix bench --stream-gate`.
+//! The release-mode counterpart (CI-gated) is the `stream/rmat-20k-1pct`
+//! row of `BENCH_ci.txt`: `graffix bench --gate` re-measures its stage
+//! counts and judges both halves as floor cells.
 
 use graffix_core::{IncrementalPrepare, Pipeline, PrepareMode, StageStatus, StreamKnobs};
 use graffix_graph::generators::{GraphKind, GraphSpec};

@@ -11,8 +11,6 @@
 //! values cannot. These tests pin that guarantee end-to-end.
 
 use graffix::prelude::*;
-use graffix_bench::baseline::LAUNCH;
-use graffix_bench::{launch_rows, BenchRecord, Cell, GateReport, Status};
 use std::sync::Arc;
 
 /// Runs `f` inside a scoped rayon pool of `n` threads (the same mechanism
@@ -160,32 +158,4 @@ fn frontier_skipping_does_not_change_results() {
         "a road BFS wavefront should leave some segments inactive"
     );
     assert_eq!(bits(&seg_run.values), bits(&flat_run.values));
-}
-
-/// Every simulated number of every launch shape
-/// ([`graffix_bench::launch`], which also checks that each segmented run
-/// agrees with its flat run bit for bit), against the launch rows of
-/// `BENCH_ci.txt`, through the bench gate's exact comparator. Every cell
-/// must be `ok`: a moved value fails naming its row and key, and a record
-/// without its launch rows fails rather than passing as new rows. A move
-/// a change means to make is recorded with
-/// `graffix bench --save-baseline BENCH_ci.txt`.
-#[test]
-fn launch_matrix_equals_the_recorded_rows() {
-    let record = BenchRecord::parse(include_str!("../BENCH_ci.txt")).expect("BENCH_ci.txt");
-    let recorded: Vec<Cell> = record.family(LAUNCH).cloned().collect();
-    let report = GateReport::exact("launch", &recorded, &launch_rows());
-    let off: Vec<String> = report
-        .verdicts
-        .iter()
-        .filter(|v| v.status != Status::Ok)
-        .map(|v| format!("{} [{}] {}", v.id, v.status.label(), v.metric))
-        .collect();
-    assert!(
-        off.is_empty(),
-        "{} of {} launch cells are not ok; first: {:#?}",
-        off.len(),
-        report.verdicts.len(),
-        &off[..off.len().min(8)]
-    );
 }
