@@ -1,16 +1,20 @@
 //! The bench record: one committed row file (`BENCH_ci.txt`) that holds
 //! every simulated number the repository pins, and the code that measures
-//! it. `graffix bench --save-baseline FILE` writes it and
-//! `graffix bench --gate FILE` re-measures every family it holds.
+//! it. `graffix bench --save-baseline FILE` writes it,
+//! `graffix bench --gate FILE` re-measures every family it holds, and
+//! `graffix bench --paper-tables FILE` / `--figures FILE` render its paper
+//! rows ([`crate::report`]) without measuring anything.
 //!
 //! One row per line, `id key=value …`, in six families told apart by the
 //! id:
 //! * `suite` — the paper suite (`nodes`, `seed`, `bc_sources`) the paper
 //!   rows are measured on; the large and segment rows use its seed;
-//! * `paper/<graph>/<technique>/<baseline>/<algo>/<direction>` — simulated
-//!   `cycles` and `inaccuracy` vs the exact CPU reference of the gate
-//!   corpus: paper suite × technique × {sssp, pr} under Baseline-I, plus
-//!   push/auto cells under Gunrock on the two dense families;
+//! * `paper/…` — every cell of the paper's Tables 1–4 and 6–14 and every
+//!   point of Figures 7–9 ([`measure_corpus`], the only code that
+//!   simulates a paper cell): `paper/<graph>` holds Table 1's properties,
+//!   and `paper/<graph>/<technique>/<baseline>/<algo>/<direction>` the
+//!   simulated `cycles` and the `inaccuracy` vs the exact CPU reference of
+//!   one run (a figure point's technique is `<technique>:<threshold>`);
 //! * `large/<graph>:<nodes>/<algo>/segmented/large` — `cycles`, `segments`
 //!   and `segment_bytes` of a segmented run on a 2^20-scale rmat graph;
 //! * `segment/<graph>:<nodes>/<algo>` — flat vs segmented on the paper
@@ -35,20 +39,46 @@ use crate::launch::launch_rows;
 use crate::segmented::measure_segmented;
 use crate::streaming::measure_streaming;
 use crate::suite::{Suite, SuiteOptions};
-use graffix_algos::{Algo, AlgoOutcome, Direction};
-use graffix_baselines::Baseline;
+use graffix_algos::{Algo, AlgoOutcome, Direction, SimRun};
+use graffix_baselines::{Baseline, ALL_BASELINES};
 use graffix_core::{CacheConfig, Prepared, SegmentKnobs, Technique};
 use graffix_graph::generators::{GraphKind, GraphSpec};
-use graffix_graph::Segmentation;
+use graffix_graph::{properties, Segmentation};
 use graffix_sim::GpuConfig;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::Arc;
 
-/// Algorithms the gate corpus runs (one frontier-driven, one fixpoint).
-/// Kept to two so `save-baseline` + `gate` stay fast enough for CI while
-/// still exercising every transform on every graph family.
+/// The paper's five evaluation algorithms, in the order of Tables 2 and
+/// 6–8: what Baseline-I runs.
+pub const PAPER_ALGOS: [Algo; 5] = [Algo::Sssp, Algo::Mst, Algo::Scc, Algo::Pr, Algo::Bc];
+/// The subset Tigr and Gunrock implement (Tables 3–4, 9–14), and what
+/// each figure point averages over.
+pub const CORE_ALGOS: [Algo; 3] = [Algo::Sssp, Algo::Pr, Algo::Bc];
+/// Algorithms of the rows beyond the paper's tables — the combined
+/// technique under Baseline-I, Gunrock's auto direction on the dense
+/// families, the segment rows: one frontier-driven, one fixpoint.
 pub const GATE_ALGOS: [Algo; 2] = [Algo::Sssp, Algo::Pr];
+
+/// The algorithms `baseline`'s tables cover.
+pub fn algos_of(baseline: Baseline) -> &'static [Algo] {
+    match baseline {
+        Baseline::Lonestar => &PAPER_ALGOS,
+        _ => &CORE_ALGOS,
+    }
+}
+
+/// Figures 7–9: number, title, the technique whose primary knob is swept
+/// (on rmat under Baseline-I), and the thresholds the paper's figure spans.
+#[rustfmt::skip]
+pub const FIGURES: [(usize, &str, Technique, &[f64]); 3] = [
+    (7, "Figure 7: connectedness threshold (node replication)", Technique::Coalescing,
+        &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+    (8, "Figure 8: clustering-coefficient threshold", Technique::Latency,
+        &[0.5, 0.6, 0.7, 0.8, 0.9, 0.95]),
+    (9, "Figure 9: degreeSim threshold (degree normalization)", Technique::Divergence,
+        &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+];
 
 /// Algorithms the large rows run. One traversal and one fixpoint, both
 /// with per-vertex vector outputs so the runs stay cheap enough for CI at
@@ -131,44 +161,104 @@ fn measure_large(nodes: usize, seed: u64, segment_bytes: usize) -> Vec<Cell> {
     cells
 }
 
-/// Measures the gate corpus on `suite`: every (graph, technique) pair
-/// under Baseline-I for each of [`GATE_ALGOS`], then the direction cells —
-/// push vs auto under the frontier-driven baseline on the two densest
-/// graph families, where wavefronts grow wide enough for pull supersteps
-/// to fire. One run per cell: every metric is deterministic.
-fn measure_corpus(suite: &Suite) -> Vec<Cell> {
-    let graphs = 0..suite.len();
-    let lonestar = graphs
-        .clone()
-        .flat_map(|gi| Technique::ALL.map(|t| (gi, t, Baseline::Lonestar)));
-    let dense = graphs.filter(|&gi| matches!(suite.kind(gi), GraphKind::Rmat | GraphKind::Random));
-    let gunrock = dense.map(|gi| (gi, Technique::Exact, Baseline::Gunrock));
+/// Id of Table 1's row of `graph`.
+pub fn graph_id(graph: GraphKind) -> String {
+    format!("{PAPER}{}", graph.paper_name())
+}
+
+/// Id of the paper row of one run. `technique` is a technique key, or
+/// [`sweep_key`] for a figure point.
+pub fn paper_id(
+    graph: GraphKind,
+    technique: &str,
+    baseline: Baseline,
+    algo: Algo,
+    direction: Direction,
+) -> String {
+    let (graph, baseline) = (graph.paper_name(), baseline.key());
+    let (algo, direction) = (algo.name(), direction.key());
+    format!("{PAPER}{graph}/{technique}/{baseline}/{algo}/{direction}")
+}
+
+/// The technique part of a figure point's id: `coalescing:0.6`.
+pub fn sweep_key(technique: Technique, threshold: f64) -> String {
+    format!("{}:{threshold}", technique.key())
+}
+
+/// Every run behind the paper rows of `suite`, once each, in row order:
+/// `visit` gets the row id, the run and its inaccuracy against the exact
+/// CPU reference (computed once per graph and algorithm). Per graph, each
+/// technique under each baseline over the baseline's algorithms (Tables
+/// 2–4 read the exact rows, Tables 6–14 the others), plus the combined
+/// technique under Baseline-I and Gunrock's auto direction on the two
+/// dense families, where wavefronts grow wide enough for pull supersteps
+/// to fire; on rmat, then, every point of the three figure sweeps.
+fn paper_runs(suite: &Suite, mut visit: impl FnMut(String, &SimRun, f64)) {
     let (bc_sources, cfg) = (suite.options.bc_sources, &suite.cfg);
-    let mut cells = Vec::new();
-    for (gi, technique, baseline) in lonestar.chain(gunrock) {
-        let (graph, prepared) = (suite.graph(gi), suite.prepared(gi, technique));
-        let directions = match baseline {
-            Baseline::Gunrock => &[Direction::Push, Direction::Auto][..],
-            _ => &[Direction::Push],
-        };
-        for algo in GATE_ALGOS {
-            let reference = algo.exact(graph, None, bc_sources);
-            for &direction in directions {
-                let plan = baseline.plan(&prepared, cfg).with_direction(direction);
+    for gi in 0..suite.len() {
+        let (kind, graph) = (suite.kind(gi), suite.graph(gi));
+        let references = PAPER_ALGOS.map(|algo| algo.exact(graph, None, bc_sources));
+        let mut run =
+            |technique: &str, prepared: &Prepared, baseline: Baseline, algo: Algo, direction| {
+                let plan = baseline.plan(prepared, cfg).with_direction(direction);
                 let (run, scalar) = algo.run(&plan, graph, None, bc_sources);
-                let (kind, name) = (suite.kind(gi).paper_name(), algo.name());
-                let id = format!(
-                    "{PAPER}{kind}/{}/{}/{name}/{}",
-                    technique.key(),
-                    baseline.key(),
-                    direction.key()
-                );
-                let inaccuracy = AlgoOutcome::of(&run, scalar).inaccuracy(&reference);
-                cells.push(Cell::new(&id, "cycles", run.elapsed_cycles(cfg)));
-                cells.push(Cell::new(id, "inaccuracy", inaccuracy));
+                let at = PAPER_ALGOS.iter().position(|&a| a == algo);
+                let reference = &references[at.expect("a paper algorithm")];
+                let inaccuracy = AlgoOutcome::of(&run, scalar).inaccuracy(reference);
+                let id = paper_id(kind, technique, baseline, algo, direction);
+                visit(id, &run, inaccuracy);
+            };
+        let dense = matches!(kind, GraphKind::Rmat | GraphKind::Random);
+        for technique in Technique::ALL {
+            let prepared = suite.prepared(gi, technique);
+            for baseline in ALL_BASELINES {
+                let algos = match (technique, baseline) {
+                    (Technique::Combined, Baseline::Lonestar) => &GATE_ALGOS[..],
+                    (Technique::Combined, _) => &[],
+                    _ => algos_of(baseline),
+                };
+                for &algo in algos {
+                    run(technique.key(), &prepared, baseline, algo, Direction::Push);
+                    let auto = (technique, baseline) == (Technique::Exact, Baseline::Gunrock);
+                    if auto && dense && GATE_ALGOS.contains(&algo) {
+                        run(technique.key(), &prepared, baseline, algo, Direction::Auto);
+                    }
+                }
+            }
+        }
+        if kind != GraphKind::Rmat {
+            continue;
+        }
+        for (_, _, technique, thresholds) in FIGURES {
+            for &threshold in thresholds {
+                let prepared = suite.prepared_with(gi, technique, threshold);
+                let key = sweep_key(technique, threshold);
+                for algo in CORE_ALGOS {
+                    run(&key, &prepared, Baseline::Lonestar, algo, Direction::Push);
+                }
             }
         }
     }
+}
+
+/// Measures the paper rows of `suite`: Table 1's properties of each
+/// graph, then the `cycles` and `inaccuracy` of every run of
+/// [`paper_runs`]. One run per row: every metric is deterministic.
+fn measure_corpus(suite: &Suite) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (kind, graph) in &suite.graphs {
+        let s = properties::summarize(graph, suite.options.seed);
+        let id = graph_id(*kind);
+        cells.push(Cell::new(&id, "nodes", s.nodes));
+        cells.push(Cell::new(&id, "arcs", s.edges));
+        cells.push(Cell::new(&id, "max_degree", s.max_degree));
+        cells.push(Cell::new(&id, "avg_cc", s.avg_clustering));
+        cells.push(Cell::new(id, "diameter", s.diameter_estimate));
+    }
+    paper_runs(suite, |id, run, inaccuracy| {
+        cells.push(Cell::new(&id, "cycles", run.elapsed_cycles(&suite.cfg)));
+        cells.push(Cell::new(id, "inaccuracy", inaccuracy));
+    });
     cells
 }
 
@@ -345,6 +435,8 @@ pub fn run_gate(record: &BenchRecord, cache: &CacheConfig) -> GateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graffix_sim::CostBreakdown;
+    use std::sync::OnceLock;
 
     fn tiny() -> Suite {
         Suite::new(SuiteOptions {
@@ -354,17 +446,55 @@ mod tests {
         })
     }
 
+    /// The corpus at `tiny()`, measured once for the tests that read it.
+    fn corpus() -> &'static [Cell] {
+        static CORPUS: OnceLock<Vec<Cell>> = OnceLock::new();
+        CORPUS.get_or_init(|| measure_corpus(&tiny()))
+    }
+
+    /// Every paper run at `tiny()`, once: its row id, its cost
+    /// breakdown's modeled total and warp-cycle total, the run's own
+    /// warp cycles, and its inaccuracy.
+    fn runs() -> &'static [(String, [u64; 3], f64)] {
+        static RUNS: OnceLock<Vec<(String, [u64; 3], f64)>> = OnceLock::new();
+        RUNS.get_or_init(|| {
+            let (s, mut runs) = (tiny(), Vec::new());
+            paper_runs(&s, |id, run, inaccuracy| {
+                let b = CostBreakdown::attribute(&run.stats, &s.cfg);
+                let cycles = [
+                    b.modeled_total(),
+                    b.total_warp_cycles,
+                    run.stats.warp_cycles,
+                ];
+                runs.push((id, cycles, inaccuracy));
+            });
+            runs
+        })
+    }
+
+    /// Rows of the corpus at `tiny()`, by the number of keys they hold.
+    fn row_counts(cells: &[Cell]) -> (usize, usize) {
+        let rows: Vec<&[Cell]> = cells.chunk_by(|a, b| a.id == b.id).collect();
+        let with = |keys| rows.iter().filter(|r| r.len() == keys).count();
+        (with(5), with(2))
+    }
+
     #[test]
     fn corpus_covers_every_cell_once() {
-        let s = tiny();
-        let cells = measure_corpus(&s);
+        let (s, cells) = (tiny(), corpus());
         let dense = (0..s.len())
             .filter(|&gi| matches!(s.kind(gi), GraphKind::Rmat | GraphKind::Random))
             .count();
-        let rows = s.len() * Technique::ALL.len() * GATE_ALGOS.len() + dense * GATE_ALGOS.len() * 2;
-        assert_eq!(cells.len(), 2 * rows);
-        // Two keys per row, and no (id, key) twice.
-        GateReport::judge("self", &cells, &cells, &[]);
+        // Per graph: four techniques under each baseline's algorithms, and
+        // combined under Baseline-I; Gunrock's auto rows; the sweeps.
+        let per_graph = 4 * (PAPER_ALGOS.len() + 2 * CORE_ALGOS.len()) + GATE_ALGOS.len();
+        let points: usize = FIGURES.iter().map(|f| f.3.len()).sum();
+        let runs = s.len() * per_graph + dense * GATE_ALGOS.len() + points * CORE_ALGOS.len();
+        assert_eq!(row_counts(cells), (s.len(), runs));
+        assert_eq!(cells.len(), 5 * s.len() + 2 * runs);
+        assert_eq!(runs, 300, "the paper family at any scale");
+        // No (id, key) twice.
+        GateReport::judge("self", cells, cells, &[]);
         // The direction cells come in push/auto pairs on the gunrock
         // baseline.
         let auto: Vec<&str> = cells
@@ -378,6 +508,85 @@ mod tests {
             let push = id.replace("/auto", "/push");
             assert!(cells.iter().any(|c| c.id == push), "{id} has no push cell");
         }
+        // Every figure point has a row per averaged algorithm.
+        let has = |id: &str| cells.iter().any(|c| c.id == id);
+        for (_, _, technique, thresholds) in FIGURES {
+            for &thr in thresholds {
+                for algo in CORE_ALGOS {
+                    let key = sweep_key(technique, thr);
+                    let id = paper_id(
+                        GraphKind::Rmat,
+                        &key,
+                        Baseline::Lonestar,
+                        algo,
+                        Direction::Push,
+                    );
+                    assert!(has(&id), "{id}");
+                }
+            }
+        }
+    }
+
+    /// The cost attribution must partition the warp-cycle total exactly
+    /// for *every* paper run — each (graph, technique, baseline,
+    /// algorithm) row and each figure point. This pins the fix for an
+    /// earlier reconstruction, which over-counted shared-memory cycles (it
+    /// charged every access + conflict instead of the replay's
+    /// worst-bank-group figure) and therefore didn't sum.
+    #[test]
+    fn cost_breakdown_components_partition_total_in_every_scenario() {
+        for (id, [modeled, total, warp_cycles], _) in runs() {
+            assert_eq!(modeled, total, "components must sum exactly: {id}");
+            assert_eq!(total, warp_cycles, "{id}");
+        }
+        assert_eq!(runs().len(), 300);
+    }
+
+    /// An exact row is the baseline's own run: its inaccuracy is only
+    /// what the GPU formulation leaves. PR runs a fixed 30-iteration
+    /// budget (the baseline GPU convention) against a fully converged CPU
+    /// reference, so a small truncation residual remains.
+    #[test]
+    fn exact_runs_have_zero_inaccuracy() {
+        let exact: Vec<_> = runs().iter().filter(|r| r.0.contains("/exact/")).collect();
+        for (id, _, inaccuracy) in &exact {
+            let tol = if id.contains("/pr/") { 2e-3 } else { 1e-4 };
+            assert!(*inaccuracy < tol, "{id} exact inaccuracy {inaccuracy}");
+        }
+        assert_eq!(
+            exact.len(),
+            5 * (PAPER_ALGOS.len() + 2 * CORE_ALGOS.len()) + 2 * 2
+        );
+    }
+
+    #[test]
+    fn scc_reference_is_tarjan() {
+        let s = tiny();
+        match Algo::Scc.exact(s.graph(1), None, s.options.bc_sources) {
+            AlgoOutcome::Scalar(c) => assert!(c >= 1.0),
+            AlgoOutcome::Vector(_) => panic!("SCC reference must be scalar"),
+        }
+    }
+
+    /// Every baseline yields finite rows under every technique.
+    #[test]
+    fn all_baselines_measurable() {
+        let cells = corpus();
+        for baseline in ALL_BASELINES {
+            let key = format!("/{}/", baseline.key());
+            let rows: Vec<&Cell> = cells.iter().filter(|c| c.id.contains(&key)).collect();
+            assert!(!rows.is_empty(), "{key}");
+            for c in rows {
+                let v: f64 = c.value.parse().unwrap();
+                assert!(
+                    v.is_finite() && v >= 0.0,
+                    "{} {} {}",
+                    c.id,
+                    c.metric,
+                    c.value
+                );
+            }
+        }
     }
 
     /// Every recorded metric is a pure function of the suite, which is
@@ -385,9 +594,8 @@ mod tests {
     /// bit.
     #[test]
     fn gated_metrics_are_deterministic_across_repeats() {
-        let s = tiny();
-        let first = measure_corpus(&s);
-        assert_eq!(first, measure_corpus(&s));
+        let first = corpus();
+        assert_eq!(first, measure_corpus(&tiny()));
         for c in first.iter().filter(|c| c.metric == "inaccuracy") {
             let v: f64 = c.value.parse().unwrap();
             assert!(v.is_finite() && v >= 0.0, "{} {}", c.id, c.value);

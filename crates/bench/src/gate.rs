@@ -239,18 +239,47 @@ impl GateReport {
         self.verdicts.iter().filter(|v| v.status == status).count()
     }
 
-    /// The human table: one row per verdict, except `ok` cells equal to
-    /// their record — every recorded cell of a passing gate — which only
-    /// count in the title.
+    /// Failures a save refuses: failed floor cells (and `no-cells`), the
+    /// kinds of failure without a recorded value. A moved or missing row
+    /// is what a save records.
+    pub fn broken(&self) -> Vec<&Verdict> {
+        let failures = self.failures().into_iter();
+        failures.filter(|v| v.base.is_none()).collect()
+    }
+
+    /// The gate's human table: one row per verdict, except `ok` cells
+    /// equal to their record — every recorded cell of a passing gate —
+    /// which only count in the title.
     pub fn table(&self) -> TextTable {
+        self.rows(format!(
+            "{} gate: {} cells — {} ok, {} failed",
+            self.gate,
+            self.verdicts.len(),
+            self.count(Status::Ok),
+            self.failures().len()
+        ))
+    }
+
+    /// The table a save prints — the new rows judged against the old —
+    /// with the same rows as [`GateReport::table`], titled as a save:
+    /// moved, missing and new rows counted under those names, and only
+    /// [`GateReport::broken`] cells as failed.
+    pub fn save_table(&self) -> TextTable {
+        let moved = self.count(Status::Failed(MOVED));
+        self.rows(format!(
+            "{} save: {} cells — {} ok, {moved} moved, {} missing, {} new, {} failed",
+            self.gate,
+            self.verdicts.len(),
+            self.count(Status::Ok),
+            self.count(Status::Missing),
+            self.count(Status::New),
+            self.broken().len()
+        ))
+    }
+
+    fn rows(&self, title: String) -> TextTable {
         let mut t = TextTable::new(
-            format!(
-                "{} gate: {} cells — {} ok, {} failed",
-                self.gate,
-                self.verdicts.len(),
-                self.count(Status::Ok),
-                self.failures().len()
-            ),
+            title,
             &["Cell", "Metric", "Status", "Base", "Now", "Bound", "Note"],
         );
         for v in &self.verdicts {
@@ -460,12 +489,12 @@ mod tests {
         };
         assert_eq!(
             [SUITE, PAPER, LARGE, SEGMENT, STREAM, LAUNCH].map(rows),
-            [1, 58, 2, 10, 1, 296]
+            [1, 305, 2, 10, 1, 296]
         );
         let report = GateReport::judge("self", &record.cells, &record.cells, &[]);
         assert_eq!(
             report.verdicts.len(),
-            3 + 58 * 2 + 2 * 3 + 10 * 4 + 11 + 296 * 23
+            3 + 5 * 5 + 300 * 2 + 2 * 3 + 10 * 4 + 11 + 296 * 23
         );
         assert!(report.verdicts.iter().all(|v| v.status == Status::Ok));
         assert!(report.passed());
@@ -503,6 +532,40 @@ mod tests {
         );
         // A floor failure has no recorded value: it is what a save refuses.
         assert_eq!(failures[0].base, None);
+    }
+
+    /// A save titles its table as a save: moved, missing and new rows
+    /// under those names, and only a broken floor cell as failed.
+    #[test]
+    fn a_save_is_titled_as_a_save() {
+        let old = [
+            Cell::new("a", "cycles", 1),
+            Cell::new("b", "cycles", 2),
+            Cell::new("c", "cycles", 3),
+        ];
+        let new = [
+            Cell::new("a", "cycles", 1),
+            Cell::new("b", "cycles", 5),
+            Cell::new("d", "cycles", 4),
+        ];
+        let floors = |win: f64| [Cell::new("s", "win", win)];
+        let report = GateReport::judge("bench", &old, &new, &floors(0.1));
+        assert_eq!(
+            report.save_table().title,
+            "bench save: 5 cells — 2 ok, 1 moved, 1 missing, 1 new, 0 failed"
+        );
+        assert!(report.broken().is_empty());
+        // The gate's title of the same report counts the moved and the
+        // missing row as failures.
+        assert_eq!(report.table().title, "bench gate: 5 cells — 2 ok, 2 failed");
+        let report = GateReport::judge("bench", &old, &new, &floors(0.01));
+        assert!(report
+            .save_table()
+            .title
+            .ends_with("1 ok, 1 moved, 1 missing, 1 new, 1 failed"));
+        let broken = report.broken();
+        assert_eq!((broken.len(), broken[0].metric.as_str()), (1, "win"));
+        assert_eq!(report.save_table().rows, report.table().rows);
     }
 
     #[test]

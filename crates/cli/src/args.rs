@@ -104,19 +104,6 @@ impl Bag {
         self.req_with(name, |raw| raw.parse().ok())
     }
 
-    /// Every occurrence of a repeatable `--name VALUE`, in order.
-    pub fn many<T: FromStr>(&mut self, name: &str) -> Parsed<Vec<T>> {
-        let mut values = Vec::new();
-        while let Some(raw) = self.take_one(name) {
-            let raw = raw.ok_or_else(|| format!("--{name} needs a value"))?;
-            match raw.parse() {
-                Ok(value) => values.push(value),
-                Err(_) => return Err(format!("bad --{name} value: {raw}")),
-            }
-        }
-        Ok(values)
-    }
-
     /// The next leading positional, if any.
     pub fn positional(&mut self) -> Option<String> {
         (!self.positionals.is_empty()).then(|| self.positionals.remove(0))
@@ -202,18 +189,6 @@ mod tests {
         assert_eq!(
             bag("a b").unwrap().finish().unwrap_err(),
             "unexpected argument: a"
-        );
-    }
-
-    #[test]
-    fn many_collects_every_occurrence_in_order() {
-        let mut b = bag("--t 3 --x 1 --t 9").unwrap();
-        assert_eq!(b.many::<usize>("t"), Ok(vec![3, 9]));
-        assert_eq!(b.many::<usize>("t"), Ok(vec![]));
-        assert!(b.has("x") && !b.has("t"));
-        assert_eq!(
-            bag("--t 3 --t z").unwrap().many::<usize>("t").unwrap_err(),
-            "bad --t value: z"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! `graffix bench` — the one entry point of `graffix_bench`: save the bench
-//! record, gate it, or regenerate the paper's tables, figures and the
-//! stage-cache sweep. The gate is measure → cells → [`finish_gate`]: the
-//! record's rows are judged exactly, its floor cells against
-//! `graffix_bench::gate::FLOORS`, in one report.
+//! record, gate it, or render the paper's tables and figures from it. The
+//! gate is measure → cells → [`finish_gate`]: the record's rows are judged
+//! exactly, its floor cells against `graffix_bench::gate::FLOORS`, in one
+//! report. The renders read the record's paper rows and simulate nothing.
 
 use crate::args::{Bag, Parsed};
 use crate::command::{Command, Sub};
@@ -10,10 +10,10 @@ use crate::common::write_file;
 use graffix::log_info;
 use graffix::prelude::CacheConfig;
 use graffix_bench::gate::{GateReport, Verdict, GATE_SCHEMA};
-use graffix_bench::{report, BenchRecord, Families, Suite, SuiteOptions, TextTable};
+use graffix_bench::report::{self, Rendered};
+use graffix_bench::{BenchRecord, Families};
 use std::path::{Path, PathBuf};
 use std::process::exit;
-use std::time::Instant;
 
 pub const SUB: Sub = Sub {
     name: "bench",
@@ -30,14 +30,13 @@ exactly one mode, with only the flags listed beside it:
     verdict table, names failures as `FAIL id [label] key`, and writes
     the JSON report (graffix.gate-report v4); host time is judged by
     benchmark/
---paper-tables [--table N]... [--all] [--nodes N] [--seed S] [--out DIR]
-    print the paper's tables (1-14, default all) and save each as CSV
-    under DIR (default results)
---figures [--figure 7|8|9]... [--all] [--nodes N] [--seed S] [--out DIR]
-    the knob-sweep figures with ASCII plots, CSVs under DIR
---stage-sweep [--nodes N] [--seed S]
-    degreeSim sweep through one shared stage memo; exit 1 unless every
-    warm config reuses its upstream stages under 50% of the cold time",
+--paper-tables FILE [--out DIR]  print the paper's Tables 1-4 and 6-14
+    and the paper's average of each of Tables 6-14 beside the measured
+    one, read from the paper rows of the bench record FILE (nothing is
+    simulated), and save each as CSV under DIR (default results); exit 1
+    naming the first row FILE lacks
+--figures FILE [--out DIR]  the knob-sweep Figures 7-9 with ASCII plots,
+    from the same rows, CSVs under DIR",
     parse: |bag| parse(bag).map(Command::Bench),
 };
 
@@ -52,27 +51,13 @@ pub enum BenchMode {
         report: Option<PathBuf>,
     },
     PaperTables {
-        tables: Vec<usize>,
-        options: SuiteOptions,
+        path: PathBuf,
         out: PathBuf,
     },
     Figures {
-        figures: Vec<usize>,
-        options: SuiteOptions,
+        path: PathBuf,
         out: PathBuf,
     },
-    StageSweep {
-        nodes: usize,
-        seed: u64,
-    },
-}
-
-/// Corpus shape: the suite defaults, overridden by `--nodes` and `--seed`.
-fn suite_options(bag: &mut Bag) -> Parsed<SuiteOptions> {
-    let mut options = SuiteOptions::default();
-    options.nodes = bag.opt("nodes")?.unwrap_or(options.nodes);
-    options.seed = bag.opt("seed")?.unwrap_or(options.seed);
-    Ok(options)
 }
 
 /// `--out DIR` of the table and figure modes.
@@ -80,28 +65,11 @@ fn out_dir(bag: &mut Bag) -> Parsed<PathBuf> {
     Ok(bag.opt("out")?.unwrap_or_else(|| PathBuf::from("results")))
 }
 
-/// `--table N`/`--figure N` selections within `range`; all of it when
-/// none is named or `--all` is given.
-fn selection(
-    bag: &mut Bag,
-    flag: &str,
-    range: std::ops::RangeInclusive<usize>,
-) -> Parsed<Vec<usize>> {
-    let picked: Vec<usize> = bag.many(flag)?;
-    if let Some(n) = picked.iter().find(|n| !range.contains(n)) {
-        return Err(format!("bad --{flag} value: {n}"));
-    }
-    if bag.switch("all")? || picked.is_empty() {
-        return Ok(range.collect());
-    }
-    Ok(picked)
-}
-
 type ModeParser = fn(&mut Bag) -> Parsed<BenchMode>;
 
 /// Each mode's selecting flag and the parser of that flag and the mode's
 /// own flags.
-const MODES: [(&str, ModeParser); 5] = [
+const MODES: [(&str, ModeParser); 4] = [
     ("save-baseline", |bag| {
         Ok(BenchMode::SaveBaseline {
             path: bag.req("save-baseline")?,
@@ -114,26 +82,15 @@ const MODES: [(&str, ModeParser); 5] = [
         })
     }),
     ("paper-tables", |bag| {
-        bag.switch("paper-tables")?;
         Ok(BenchMode::PaperTables {
-            tables: selection(bag, "table", 1..=14)?,
-            options: suite_options(bag)?,
+            path: bag.req("paper-tables")?,
             out: out_dir(bag)?,
         })
     }),
     ("figures", |bag| {
-        bag.switch("figures")?;
         Ok(BenchMode::Figures {
-            figures: selection(bag, "figure", 7..=9)?,
-            options: suite_options(bag)?,
+            path: bag.req("figures")?,
             out: out_dir(bag)?,
-        })
-    }),
-    ("stage-sweep", |bag| {
-        bag.switch("stage-sweep")?;
-        Ok(BenchMode::StageSweep {
-            nodes: bag.opt("nodes")?.unwrap_or(20_000),
-            seed: bag.opt("seed")?.unwrap_or(2020),
         })
     }),
 ];
@@ -194,29 +151,24 @@ fn finish_gate(report: &GateReport, out: Option<&Path>) {
     );
 }
 
-/// The paper suite the table and figure modes measure (uncached, so
-/// Table 5's preprocessing times are real).
-fn paper_suite(options: SuiteOptions) -> Suite {
-    log_info!(
-        "generating suite: {} nodes/graph, seed {} ...",
-        options.nodes,
-        options.seed
-    );
-    Suite::new(options)
-}
-
-/// Prints one table or figure, saves its CSV under `out`, logs its time.
-fn emit_table(out: &Path, stem: &str, build: impl FnOnce() -> (TextTable, String)) {
-    let start = Instant::now();
-    let (table, plot) = build();
-    println!("{}", table.render());
-    if !plot.is_empty() {
-        println!("{plot}");
+/// Renders `path`'s paper rows with `render`: prints each table or figure
+/// and saves its CSV under `out`; exits 1 naming the first row the record
+/// lacks.
+fn render_record(
+    path: &Path,
+    out: &Path,
+    render: fn(&BenchRecord) -> Result<Vec<Rendered>, String>,
+) {
+    let rendered = render(&read_record(path)).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", path.display());
+        exit(1);
+    });
+    for r in rendered {
+        print!("{}", r.text());
+        if let Err(e) = r.table.save_csv(out, &r.stem) {
+            eprintln!("warning: could not save CSV for {}: {e}", r.stem);
+        }
     }
-    if let Err(e) = table.save_csv(out, stem) {
-        eprintln!("warning: could not save CSV for {stem}: {e}");
-    }
-    log_info!("  [{stem} in {:.1}s]", start.elapsed().as_secs_f64());
 }
 
 pub fn run(mode: BenchMode, cache: &CacheConfig) {
@@ -237,13 +189,10 @@ pub fn run(mode: BenchMode, cache: &CacheConfig) {
             // so only its floor cells show.
             let recorded = old.map_or_else(|| record.cells.clone(), |r| r.cells);
             let diff = GateReport::judge("bench", &recorded, &record.cells, &floors);
-            print!("{}", diff.table().render());
+            print!("{}", diff.save_table().render());
             // A moved or missing row is what a save records; a failed
-            // floor cell (the one kind of failure without a recorded value)
-            // is a broken claim no record can hold.
-            let failures = diff.failures();
-            let broken: Vec<&Verdict> = failures.into_iter().filter(|v| v.base.is_none()).collect();
-            exit_on(&broken);
+            // floor cell is a broken claim no record can hold.
+            exit_on(&diff.broken());
             write_file(&path, record.render());
             log_info!("wrote {} ({} cells)", path.display(), record.cells.len());
         }
@@ -256,35 +205,7 @@ pub fn run(mode: BenchMode, cache: &CacheConfig) {
             );
             finish_gate(&graffix_bench::run_gate(&record, cache), report.as_deref());
         }
-        BenchMode::PaperTables {
-            tables,
-            options,
-            out,
-        } => {
-            let suite = paper_suite(options);
-            for n in tables {
-                emit_table(&out, &format!("table{n:02}"), || {
-                    (report::paper_table(&suite, n), String::new())
-                });
-            }
-        }
-        BenchMode::Figures {
-            figures,
-            options,
-            out,
-        } => {
-            let suite = paper_suite(options);
-            for n in figures {
-                emit_table(&out, &format!("figure{n:02}"), || {
-                    let (table, points) = report::figure_sweep(&suite, n);
-                    (table, report::ascii_plot(&points))
-                });
-            }
-        }
-        BenchMode::StageSweep { nodes, seed } => {
-            if !graffix_bench::sweep::stage_sweep(nodes, seed) {
-                exit(1);
-            }
-        }
+        BenchMode::PaperTables { path, out } => render_record(&path, &out, report::paper_tables),
+        BenchMode::Figures { path, out } => render_record(&path, &out, report::figures),
     }
 }

@@ -45,11 +45,9 @@ const ACCEPTED: &[&str] = &[
      --debt-threshold 0 --checkpoint-every 1 --oracle --out o.gfx",
     "bench --save-baseline B.txt --quiet --cache-dir d",
     "bench --gate B.txt --gate-report r.json",
-    "bench --paper-tables --all --nodes 512 --seed 4 --out dir",
-    "bench --paper-tables --table 1 --table 14",
-    "bench --figures --figure 8 --nodes 512 --seed 4 --out dir",
-    "bench --figures --all",
-    "bench --stage-sweep --nodes 2000 --seed 5",
+    "bench --paper-tables B.txt --out dir",
+    "bench --paper-tables B.txt",
+    "bench --figures B.txt --out dir",
     "report verify r.json",
     "serve --graphs web=rmat:64:1",
     "serve --graphs web=rmat:64:1,f=graph.gfx --listen 127.0.0.1:0 --workers 1 \
@@ -170,20 +168,18 @@ fn bench_modes_carry_only_their_own_flags() {
         BenchMode::Gate { path, report: None } => assert_eq!(path, PathBuf::from("B.txt")),
         _ => panic!("not the gate"),
     }
-    match mode("bench --paper-tables --table 3 --table 6") {
-        BenchMode::PaperTables { tables, out, .. } => {
-            assert_eq!(tables, vec![3, 6]);
+    match mode("bench --paper-tables B.txt") {
+        BenchMode::PaperTables { path, out } => {
+            assert_eq!(path, PathBuf::from("B.txt"));
             assert_eq!(out, PathBuf::from("results"));
         }
         _ => panic!("not paper tables"),
     }
-    match mode("bench --figures") {
-        BenchMode::Figures { figures, .. } => assert_eq!(figures, vec![7, 8, 9]),
+    match mode("bench --figures B.txt --out dir") {
+        BenchMode::Figures { path, out } => {
+            assert_eq!((path, out), (PathBuf::from("B.txt"), PathBuf::from("dir")))
+        }
         _ => panic!("not figures"),
-    }
-    match mode("bench --stage-sweep") {
-        BenchMode::StageSweep { nodes, seed } => assert_eq!((nodes, seed), (20_000, 2020)),
-        _ => panic!("not the stage sweep"),
     }
     // A flag another mode reads is not this mode's flag.
     for (line, flag) in [
@@ -193,8 +189,17 @@ fn bench_modes_carry_only_their_own_flags() {
             "bench --save-baseline B.json --gate-report r.json",
             "gate-report",
         ),
-        ("bench --paper-tables --figure 7", "figure"),
-        ("bench --stage-sweep --out dir", "out"),
+        ("bench --gate B.txt --out dir", "out"),
+        // The renders read every setting from the record: the flags that
+        // chose what to print and the scale to measure it at are gone.
+        ("bench --paper-tables B.txt --table 6", "table"),
+        ("bench --paper-tables B.txt --all", "all"),
+        ("bench --paper-tables B.txt --nodes 4096", "nodes"),
+        ("bench --paper-tables B.txt --seed 4", "seed"),
+        ("bench --figures B.txt --figure 7", "figure"),
+        ("bench --figures B.txt --all", "all"),
+        ("bench --figures B.txt --nodes 4096", "nodes"),
+        ("bench --figures B.txt --seed 4", "seed"),
         // The segment and stream gates are families of the record now,
         // and the record sets every scale: their modes and the save's
         // scale flags are unknown flags of both record modes.
@@ -215,10 +220,9 @@ fn bench_modes_carry_only_their_own_flags() {
     // No mode, or two: the reason lists the modes. With no mode, every
     // flag is foreign and the first is named — a retired mode (the serving
     // suite, the segment and stream gates) reads as the unknown flag it is.
-    let needs = "bench needs exactly one of --save-baseline, --gate, --paper-tables, \
-                 --figures, --stage-sweep";
+    let needs = "bench needs exactly one of --save-baseline, --gate, --paper-tables, --figures";
     assert_eq!(reason("bench"), needs);
-    assert_eq!(reason("bench --gate B.txt --figures"), needs);
+    assert_eq!(reason("bench --gate B.txt --figures F.txt"), needs);
     for (line, flag) in [
         ("bench --nodes 5", "nodes"),
         ("bench --stream-gate", "stream-gate"),
@@ -226,6 +230,8 @@ fn bench_modes_carry_only_their_own_flags() {
         ("bench --serve-gate S.json", "serve-gate"),
         ("bench --save-serve-baseline S.json", "save-serve-baseline"),
         ("bench --serve-iterations 2", "serve-iterations"),
+        ("bench --stage-sweep", "stage-sweep"),
+        ("bench --stage-sweep --nodes 2000 --seed 5", "stage-sweep"),
     ] {
         assert_eq!(
             reason(line),
@@ -252,7 +258,10 @@ fn usage_errors_carry_their_reason_and_their_own_block() {
             "bench --gate never-read.json --rel-tol 0.1",
             "unknown flag --rel-tol for 'bench'",
         ),
-        ("bench --paper-tables --nodes abc", "bad --nodes value: abc"),
+        (
+            "generate --kind rmat --nodes abc --out g.gfx",
+            "bad --nodes value: abc",
+        ),
         (
             "run --in g --algo sssp --thraeds 4",
             "unknown flag --thraeds for 'run'",
@@ -334,9 +343,14 @@ fn usage_errors_carry_their_reason_and_their_own_block() {
             "run --in g --algo pr --threads two",
             "bad --threads value: two",
         ),
-        ("bench --paper-tables --table 15", "bad --table value: 15"),
-        ("bench --figures --figure 6", "bad --figure value: 6"),
-        ("bench --stage-sweep --nodes x", "bad --nodes value: x"),
+        (
+            "bench --paper-tables B.txt --table 15",
+            "unknown flag --table for 'bench'",
+        ),
+        (
+            "bench --figures B.txt --figure 6",
+            "unknown flag --figure for 'bench'",
+        ),
         (
             "serve --graphs g=rmat:64:1 --workers -1",
             "bad --workers value: -1",
@@ -351,6 +365,8 @@ fn usage_errors_carry_their_reason_and_their_own_block() {
         ("info", "missing --in"),
         ("run --in g --algo", "--algo needs a value"),
         ("bench --gate", "--gate needs a value"),
+        ("bench --paper-tables", "--paper-tables needs a value"),
+        ("bench --figures --out dir", "--figures needs a value"),
         ("report", "report needs: verify FILE"),
         ("report verify", "report needs: verify FILE"),
         ("report check r.json", "unknown report action: check"),
@@ -379,7 +395,7 @@ fn usage_errors_carry_their_reason_and_their_own_block() {
         // Stray tokens.
         ("run --in g extra --algo pr", "unexpected argument: extra"),
         ("report verify a.json b.json", "unexpected argument: b.json"),
-        ("bench --figures yes", "unexpected argument: yes"),
+        ("bench --figures B.txt yes", "unexpected argument: yes"),
         ("convert stray --in a --out b", "unexpected argument: stray"),
     ] {
         assert_eq!(reason(line), want, "{line}");

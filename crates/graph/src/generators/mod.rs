@@ -223,27 +223,30 @@ pub fn attach_weights(g: &Csr, max_weight: u32, seed: u64) -> Csr {
     )
 }
 
+/// The families of the paper suite, in the order of Table 1.
+pub const PAPER_KINDS: [GraphKind; 5] = [
+    GraphKind::Rmat,
+    GraphKind::Random,
+    GraphKind::SocialLiveJournal,
+    GraphKind::Road,
+    GraphKind::SocialTwitter,
+];
+
 /// The five-graph paper suite (Table 1) at a common scale. `nodes` is the
 /// per-graph vertex budget; the paper's absolute sizes (67 M / 4.8 M / 23.9 M
 /// / 41.6 M nodes) are scaled down uniformly — the transforms respond to the
 /// *shape* of each family, not its raw size (see DESIGN.md substitutions).
 pub fn paper_suite(nodes: usize, seed: u64) -> Vec<(GraphKind, Csr)> {
-    [
-        GraphKind::Rmat,
-        GraphKind::Random,
-        GraphKind::SocialLiveJournal,
-        GraphKind::Road,
-        GraphKind::SocialTwitter,
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, kind)| {
-        (
-            kind,
-            GraphSpec::new(kind, nodes, seed + i as u64).generate(),
-        )
-    })
-    .collect()
+    PAPER_KINDS
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            (
+                kind,
+                GraphSpec::new(kind, nodes, seed + i as u64).generate(),
+            )
+        })
+        .collect()
 }
 
 /// Deterministic helper RNG used by the generator submodules.

@@ -367,6 +367,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        visited(1);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -401,14 +402,37 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next `"` or `\`
+                // in one slice. Both are ASCII, so the run ends on a char
+                // boundary, and the work is linear in the run's length.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                visited(run);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes the string reader has visited on this thread: the count
+    /// the linear-time test holds to a multiple of the input length.
+    static VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts `n` bytes visited by the string reader (tests only).
+#[inline]
+fn visited(n: usize) {
+    #[cfg(test)]
+    VISITED.with(|v| v.set(v.get() + n));
+    #[cfg(not(test))]
+    let _ = n;
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -444,6 +468,109 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The string reader as it was before it copied whole runs: one
+    /// scalar per step, each found by validating the rest of the input.
+    fn parse_string_reference(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(format!("expected string at byte {}", *pos));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or("bad \\u escape".to_string())?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                                16,
+                            )
+                            .map_err(|e| e.to_string())?;
+                            out.push(char::from_u32(code).ok_or("bad \\u codepoint".to_string())?);
+                            *pos += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", *pos)),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
+                    let c = rest.chars().next().unwrap();
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// What the string bodies below are drawn from: plain ASCII, every
+    /// escape letter, hex digits, the two bytes that end a run, and
+    /// scalars of two, three and four bytes.
+    const PIECES: [&str; 16] = [
+        "a", " ", "\"", "\\", "/", "n", "r", "t", "b", "f", "u", "0", "e9", "é", "€", "😀",
+    ];
+
+    // Runs copied whole give the same string, the same end position and
+    // the same error as the scalar-at-a-time reader, escapes, multi-byte
+    // scalars and truncated input included.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+        #[test]
+        fn strings_read_as_the_scalar_reader_read_them(
+            picks in proptest::collection::vec(0..PIECES.len(), 0..32)
+        ) {
+            let body: String = picks.iter().map(|&i| PIECES[i]).collect();
+            let text = format!("\"{body}");
+            let (mut a, mut b) = (0, 0);
+            let fast = parse_string(text.as_bytes(), &mut a);
+            let reference = parse_string_reference(text.as_bytes(), &mut b);
+            proptest::prop_assert_eq!(&fast, &reference);
+            proptest::prop_assert_eq!(a, b);
+        }
+    }
+
+    /// Bytes the string reader visits to parse `text`.
+    fn visits(text: &str) -> usize {
+        VISITED.with(|v| v.set(0));
+        Json::parse(text).unwrap();
+        VISITED.with(|v| v.get())
+    }
+
+    /// A string costs a constant number of byte steps per input byte: a
+    /// 1 MiB frame is read as cheaply per byte as a 1 KiB one.
+    #[test]
+    fn string_reading_is_linear_in_the_input() {
+        for len in [1 << 10, 1 << 20] {
+            let plain = format!("{{\"k\":\"{}\"}}", "a".repeat(len));
+            let mixed = format!("[\"{}\"]", "ab\\n\\u00e9é😀\\\"".repeat(len / 16));
+            for text in [plain, mixed] {
+                let steps = visits(&text);
+                assert!(
+                    steps <= 2 * text.len(),
+                    "{steps} steps for {} bytes",
+                    text.len()
+                );
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_structure_and_order() {

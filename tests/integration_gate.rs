@@ -12,6 +12,7 @@
 //! committed record's as text, and every gate here gates a record that
 //! holds only the families it needs.
 
+use graffix_bench::report::{self, Rendered};
 use graffix_bench::{BenchRecord, GateReport, MOVED};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -167,7 +168,9 @@ fn a_save_measures_the_families_its_record_holds() {
         !text.contains("/seed "),
         "a placeholder row survived: {text}"
     );
-    assert_eq!(ids(text, "paper/").len(), 58);
+    // Every cell of Tables 1-4 and 6-14 and every point of Figures 7-9:
+    // 5 graph rows and 300 runs.
+    assert_eq!(ids(text, "paper/").len(), 305);
     let large = ids(text, "large/");
     assert_eq!(large.len(), 2);
     assert!(large.iter().all(|id| id.starts_with("large/rmat26:1500/")));
@@ -389,13 +392,100 @@ fn retired_threshold_flag_is_a_usage_error() {
 #[test]
 fn malformed_flag_value_is_a_usage_error_not_a_panic() {
     let out = bin()
-        .args(["bench", "--paper-tables", "--nodes", "abc"])
+        .args(["generate", "--kind", "rmat", "--nodes", "abc", "--out"])
+        .arg(tmp("never-written.gfx"))
         .output()
-        .expect("run graffix bench --paper-tables");
+        .expect("run graffix generate");
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("bad --nodes value: abc") && !stderr.contains("panicked"),
         "should be a usage error: {stderr}"
     );
+}
+
+/// `--paper-tables` and `--figures` render the committed record, print
+/// what the library renders, and write one CSV per table or figure; a
+/// record without one paper row makes the render exit 1 naming that row.
+/// Nothing is simulated, so this is text work only.
+#[test]
+fn renders_read_the_record_and_name_a_missing_row() {
+    let committed = include_str!("../BENCH_ci.txt");
+    let record = BenchRecord::parse(committed).expect("the committed record reads");
+    let path = tmp("BENCH_render.txt");
+    std::fs::write(&path, committed).unwrap();
+    let render = |mode: &str, path: &PathBuf| {
+        let out_dir = tmp(&format!("render-{mode}"));
+        let out = bench(&[
+            mode,
+            path.to_str().unwrap(),
+            "--out",
+            out_dir.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run graffix bench");
+        (out, out_dir)
+    };
+    type Render = fn(&BenchRecord) -> Result<Vec<Rendered>, String>;
+    let modes: [(&str, Render); 2] = [
+        ("--paper-tables", report::paper_tables),
+        ("--figures", report::figures),
+    ];
+    for (mode, library) in modes {
+        let (out, out_dir) = render(mode, &path);
+        assert!(
+            out.status.success(),
+            "{mode}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let rendered = library(&record).unwrap();
+        let text: String = rendered.iter().map(Rendered::text).collect();
+        assert_eq!(String::from_utf8_lossy(&out.stdout), text, "{mode}");
+        for r in &rendered {
+            assert!(
+                out_dir.join(format!("{}.csv", r.stem)).exists(),
+                "{mode}: {}",
+                r.stem
+            );
+        }
+    }
+    // Drop one row a mode reads: that mode exits 1 naming it, printing
+    // nothing; the other mode does not read it and still renders.
+    for (mode, other, victim) in [
+        (
+            "--paper-tables",
+            "--figures",
+            "paper/USA-road/divergence/tigr/bc/push",
+        ),
+        (
+            "--figures",
+            "--paper-tables",
+            "paper/rmat26/latency:0.8/lonestar/bc/push",
+        ),
+    ] {
+        let kept: String = committed
+            .lines()
+            .filter(|row| row.split(' ').next() != Some(victim))
+            .map(|row| format!("{row}\n"))
+            .collect();
+        assert_eq!(
+            kept.lines().count() + 1,
+            committed.lines().count(),
+            "{victim}"
+        );
+        let path = tmp("BENCH_without_a_row.txt");
+        std::fs::write(&path, kept).unwrap();
+        assert!(
+            render(other, &path).0.status.success(),
+            "{other} without {victim}"
+        );
+        let (out, _) = render(mode, &path);
+        assert_eq!(out.status.code(), Some(1), "{mode} without {victim}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("`{victim}`")), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{mode}: nothing printed before the error"
+        );
+    }
 }
